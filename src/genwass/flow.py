@@ -6,17 +6,28 @@ The network is complete bipartite: a virtual source feeds every supply node
 virtual sink (capacity = its demand).  Arc costs must be nonnegative, which
 lets every phase run Dijkstra on reduced costs.
 
-Runs identically on Fraction and float scalars.  Successive shortest paths
-augment in nondecreasing path-cost order, so the accumulated (mass, cost)
-pairs trace the convex parametric curve of the transport problem; the engine
-records one breakpoint per augmentation.
+One scalar-generic engine runs on ints, Fractions and floats.  Successive
+shortest paths augment in nondecreasing path-cost order, so the accumulated
+(mass, cost) pairs trace the convex parametric curve of the transport
+problem; the engine records one breakpoint per augmentation.
+
+Exact inputs with rational entries are not run on Fractions: the masses are
+multiplied by the least common multiple M of their denominators and the
+costs by that of theirs, C, and the engine runs on the resulting Python
+ints.  Positive scaling preserves every comparison, so the augmenting
+paths, tie-breaks and breakpoints are the same; the result is divided once
+(masses by M, costs by M*C, potentials by C) and stays exact.  Float inputs
+run the engine directly.  The flat LP and the oracle keep their own Fraction
+arithmetic and never use this solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .scalars import INF, Scalar
+from .errors import SolverFailure
+from .scalars import INF, Scalar, common_denominator, is_exact
 
 # Hard stop against pathological augmentation counts; desk-scale instances
 # terminate after at most a few dozen phases.
@@ -48,6 +59,38 @@ def solve_transport(
     pot_snk[j] - pot_src[i] <= costs[i][j], with equality on arcs that carry
     flow: they are the linear-programming duals of the transport problem.
     """
+    masses = [*supplies, *demands] + ([] if target is None else [target])
+    arc_costs = [c for row in costs for c in row]
+    values = masses + arc_costs
+    if not (all(is_exact(x) for x in values) and any(isinstance(x, Fraction) for x in values)):
+        return _successive_shortest_paths(costs, supplies, demands, target, record_plans)
+
+    M = common_denominator(masses)
+    C = common_denominator(arc_costs)
+    sol = _successive_shortest_paths(
+        [[int(c * C) for c in row] for row in costs],
+        [int(s * M) for s in supplies],
+        [int(d * M) for d in demands],
+        None if target is None else int(target * M),
+        record_plans,
+    )
+
+    def unscale(matrix):
+        return [[Fraction(x, M) for x in row] for row in matrix]
+
+    return FlowSolution(
+        flow=unscale(sol.flow),
+        total=Fraction(sol.total, M),
+        cost=Fraction(sol.cost, M * C),
+        breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
+        plans=None if sol.plans is None else [unscale(plan) for plan in sol.plans],
+        potential_src=[Fraction(x, C) for x in sol.potential_src],
+        potential_snk=[Fraction(x, C) for x in sol.potential_snk],
+    )
+
+
+def _successive_shortest_paths(costs, supplies, demands, target, record_plans) -> FlowSolution:
+    """The scalar-generic engine behind :func:`solve_transport`."""
     ns, nt = len(supplies), len(demands)
     max_total = min(sum(supplies), sum(demands))
     if target is None:
@@ -122,7 +165,7 @@ def solve_transport(
 
         _update_potentials(pot, dist, T)
     else:
-        raise RuntimeError("flow solver exceeded the phase cap")
+        raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
 
     # Final potential refresh so the duals reflect the terminal residual graph.
     dist, _ = _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)

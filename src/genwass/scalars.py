@@ -7,6 +7,7 @@ same algorithms on ``float`` values.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -19,13 +20,17 @@ NEG_INF = float("-inf")
 def parse_scalar(value) -> Scalar:
     """Parse a JSON-level number.
 
-    Integers and "p/q" strings become exact rationals; floats stay floats.
+    Integers and "p/q" strings become exact rationals; finite floats stay
+    floats.  ``NaN`` and the infinities, which ``json.load`` accepts, are
+    rejected.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {value!r}")
         return value
     if isinstance(value, str):
         try:
@@ -37,6 +42,16 @@ def parse_scalar(value) -> Scalar:
 
 def is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def common_denominator(values) -> int:
+    """The least common multiple of the denominators of exact scalars.
+
+    Multiplying every value by it gives integers.  The factor is positive,
+    so comparisons of scaled values and of their sums agree with those of
+    the originals.
+    """
+    return math.lcm(*(v.denominator for v in values))
 
 
 def coerce(value: Scalar, exact: bool) -> Scalar:

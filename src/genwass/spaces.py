@@ -15,7 +15,7 @@ from .errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .scalars import Scalar, coerce, is_exact
+from .scalars import Scalar, coerce, common_denominator, is_exact
 
 # Relative slack for float-mode checks that must hold exactly in exact mode
 # (triangle inequality, isometry).  Scaled by the diameter.
@@ -76,22 +76,29 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
     if exact is None:
         exact = all(is_exact(x) for row in matrix for x in row)
     dist = [[coerce(x, exact) for x in row] for row in matrix]
+    # Exact entries are checked as integers over their common denominator,
+    # which keeps every comparison, and so every reported witness, unchanged.
+    if exact:
+        scale = common_denominator(x for row in dist for x in row)
+        d = [[int(x * scale) for x in row] for row in dist]
+    else:
+        d = dist
 
     for i in range(n):
         for j in range(n):
-            if dist[i][j] < 0:
+            if d[i][j] < 0:
                 raise NegativeEntry(i, j, labels)
     for i in range(n):
-        if dist[i][i] != 0:
+        if d[i][i] != 0:
             raise NonzeroDiagonal(i, labels)
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
+            if d[i][j] != d[j][i]:
                 raise AsymmetricEntry(i, j, labels)
-            if dist[i][j] == 0:
+            if d[i][j] == 0:
                 raise ZeroOffDiagonal(i, j, labels)
 
-    diam = max(max(row) for row in dist)
+    diam = max(max(row) for row in d)
     slack = 0 if exact else FLOAT_METRIC_RTOL * float(diam)
     for i in range(n):
         for j in range(n):
@@ -100,7 +107,7 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
             for k in range(n):
                 if k == i or k == j:
                     continue
-                if dist[i][j] > dist[i][k] + dist[k][j] + slack:
+                if d[i][j] > d[i][k] + d[k][j] + slack:
                     raise TriangleViolation(i, j, k, labels)
 
     return FiniteMetricSpace(labels=labels, dist=tuple(tuple(row) for row in dist), exact=exact)

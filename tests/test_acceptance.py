@@ -38,6 +38,7 @@ from genwass.selftest import (
     random_rational_measure,
     random_space_with_action,
 )
+from genwass.solver_w1 import GAP_RTOL
 from genwass.solver_wp import solve
 
 QUARTER = Fraction(1, 4)
@@ -102,6 +103,44 @@ def test_criterion_3_flat_metric_equality(duality_instances):
         assert flat_value == rep.value  # exact-mode difference must be zero
         assert all(-params.a <= v <= params.a for v in witness.f)
     report("criterion 3 PASS: independent simplex matches the flow value on 500 instances")
+
+
+@pytest.mark.parametrize("seed", [2401, 2402])
+def test_criterion_3_flat_metric_equality_at_n24(seed):
+    rng = random.Random(seed)
+    space = random_int_metric(rng, 24)
+    mu = random_rational_measure(rng, space)
+    nu = random_rational_measure(rng, space)
+    params = random_params(rng, p=1)
+    rep = solve_w1(space, mu, nu, params)
+    flat_value, witness = solve_flat(space, mu, nu, params)
+    assert rep.transported_mass > 0
+    assert rep.duality_gap == 0
+    assert flat_value == rep.value
+    assert all(-params.a <= v <= params.a for v in witness.f)
+    report(f"criterion 3 PASS at n = 24 (seed {seed}): simplex and flow agree on {rep.value}")
+
+
+def test_criterion_2_exact_and_float_at_n64():
+    rng = random.Random(6401)
+    space = random_int_metric(rng, 64)
+    mu = random_rational_measure(rng, space)
+    nu = random_rational_measure(rng, space)
+    params = random_params(rng, p=1)
+    rep = solve_w1(space, mu, nu, params)
+    assert rep.transported_mass > 0
+    assert rep.duality_gap == 0
+    assert rep.conditions.passed
+
+    fspace = space.as_float()
+    frep = solve_w1(
+        fspace,
+        measure(fspace, [float(w) for w in mu.weights]),
+        measure(fspace, [float(w) for w in nu.weights]),
+        EntropyParams(a=float(params.a), b=float(params.b), p=1),
+    )
+    assert abs(frep.value - float(rep.value)) <= GAP_RTOL * (1.0 + abs(float(rep.value)))
+    report(f"criterion 2 PASS at n = 64: certified exact value {rep.value}, float mode agrees")
 
 
 def test_criterion_4_metric_axioms_and_midpoint():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from genwass import flow
 from genwass.cli import main
 
 
@@ -112,6 +113,29 @@ def test_undeclared_point_is_input_error(problem_file, capsys):
 def test_bad_params_are_input_errors(problem_file):
     doc = dict(TWO_POINT, params={"a": 0, "b": 1, "p": 1})
     assert main(["dist", "--input", problem_file(doc)]) == 2
+
+
+def test_phase_cap_is_a_named_error(problem_file, capsys, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_PHASES", 1)
+    assert main(["dist", "--input", problem_file(TWO_POINT)]) == 2
+    err = capsys.readouterr().err
+    assert "phase cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"params": {"a": 1, "b": 1, "p": float("inf")}},
+        {"params": {"a": 1, "b": 1, "p": float("-inf")}},
+        {"mu": {"x": float("nan")}},
+    ],
+    ids=["p-Infinity", "p-minus-Infinity", "weight-NaN"],
+)
+def test_non_finite_numbers_are_input_errors(problem_file, capsys, overrides):
+    # json.dumps writes these as the Infinity / NaN literals json.load accepts
+    assert main(["dist", "--input", problem_file(dict(TWO_POINT, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert "not a finite number" in err and "Traceback" not in err
 
 
 def test_dual_needs_p1(problem_file):

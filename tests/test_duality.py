@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genwass import (
@@ -33,13 +33,18 @@ def test_truncation_cases():
 
 
 @given(st.floats(-10, 10), st.floats(0.01, 5))
+@example(phi=-0.015625, a=0.01171875)
 def test_truncation_matches_inf_over_s(phi, a):
     # I(phi) = inf_{s >= 0} (s phi + a|1-s|), probed on a dense grid of s
     got = truncate_potential(phi, a)
     probe = min(s * phi + a * abs(1 - s) for s in [k / 100 for k in range(0, 2001)])
     if phi < -a:
-        # the infimum escapes to -inf as s grows
-        big = 1e6 * phi + a * abs(1 - 1e6)
+        # the infimum escapes to -inf as s grows: past s = 1 the objective
+        # falls with slope phi + a < 0, so it passes -1e4 at a finite s,
+        # evaluated exactly because phi + a can be tiny
+        slope = Fraction(phi) + Fraction(a)
+        s = 2 + 10**4 / -slope
+        big = s * Fraction(phi) + Fraction(a) * abs(1 - s)
         assert big < -1e4
         assert got == float("-inf")
     else:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genwass import build_quotient, validate_action, validate_metric
 from genwass.errors import (
@@ -27,6 +29,47 @@ def test_triangle_violation_names_witnesses():
     with pytest.raises(TriangleViolation) as err:
         validate_metric(["x", "y", "z"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     assert (err.value.i, err.value.j, err.value.k) == (0, 2, 1)
+
+
+def test_rational_triangle_violation_names_first_witness():
+    # denominators 2, 3, 5, 7; d[0][2] <= d[0][1] + d[1][2] is tight-ish
+    # (1/2 <= 8/15), the first violated triple in (i, j, k) order is (0, 3, 2)
+    f = Fraction
+    d = [
+        [0, f(1, 3), f(1, 2), f(5, 7)],
+        [f(1, 3), 0, f(1, 5), f(2, 3)],
+        [f(1, 2), f(1, 5), 0, f(1, 7)],
+        [f(5, 7), f(2, 3), f(1, 7), 0],
+    ]
+    with pytest.raises(TriangleViolation) as err:
+        validate_metric(["a", "b", "c", "d"], d)
+    assert (err.value.i, err.value.j, err.value.k) == (0, 3, 2)
+
+
+@given(st.integers(3, 6), st.data())
+def test_rational_triangle_witness_matches_fraction_scan(n, data):
+    entry = st.builds(Fraction, st.integers(1, 20), st.sampled_from((1, 2, 3, 5, 7)))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = data.draw(entry)
+    expected = next(
+        (
+            (i, j, k)
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+            if len({i, j, k}) == 3 and d[i][j] > d[i][k] + d[k][j]
+        ),
+        None,
+    )
+    labels = [f"p{i}" for i in range(n)]
+    if expected is None:
+        assert validate_metric(labels, d).dist == tuple(tuple(row) for row in d)
+    else:
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(labels, d)
+        assert (err.value.i, err.value.j, err.value.k) == expected
 
 
 def test_asymmetric_entry():
