@@ -18,7 +18,7 @@ from . import simplex
 from .errors import InfeasibleInputs, SpaceMismatch
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import NEG_INF, Scalar, coerce
+from .scalars import NEG_INF, Scalar, coerce, common_denominator
 from .spaces import FiniteMetricSpace
 
 # Feasibility slack for float-mode potential checks, scaled by a + b*diam.
@@ -160,33 +160,44 @@ def solve_flat(
 ) -> tuple[Scalar, FlatWitness]:
     """Maximize  sum f (mu - nu)  over |f| <= a, b-Lipschitz f.
 
-    Solved as an explicit LP by the exact rational simplex with all O(n^2)
-    Lipschitz constraints materialized; the route is deliberately independent
-    of the flow solver so agreement between the two is a genuine cross-check.
+    Solved as an explicit LP by the exact simplex; the route reads only the
+    metric, the measures and (a, b), and is deliberately independent of the
+    flow solver so agreement between the two is a genuine cross-check.
     Substituting x = f + a (so x >= 0) makes the slack basis feasible.
+
+    The Lipschitz constraint on a pair (i, j) gets a row only when no third
+    point k lies on a geodesic, d(i,j) = d(i,k) + d(k,j), compared exactly
+    (also in float mode).  A dropped row is implied by the rows of (i, k) and
+    (k, j), both strictly shorter, so by induction on distance the feasible
+    set and the value are those of the full O(n^2) LP; the witness is an
+    optimal vertex of it, and may differ from the one the full LP would pick.
     """
     require_same_space(mu, nu)
     n = space.n
     a = Fraction(params.a)
     b = Fraction(params.b)
     c = [Fraction(mu.weights[i]) - Fraction(nu.weights[i]) for i in range(n)]
+    dist = [[Fraction(x) for x in row] for row in space.dist]
+    scale = common_denominator(x for row in dist for x in row)
+    d = [[x.numerator * (scale // x.denominator) for x in row] for row in dist]
 
     rows = []
     rhs = []
     for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
+        row = [0] * n
+        row[i] = 1
         rows.append(row)
         rhs.append(2 * a)
     for i in range(n):
         for j in range(n):
-            if i == j:
+            # k = i and k = j always meet the equality (d is symmetric)
+            if i == j or [x + y for x, y in zip(d[i], d[j])].count(d[i][j]) > 2:
                 continue
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            row[j] = Fraction(-1)
+            row = [0] * n
+            row[i] = 1
+            row[j] = -1
             rows.append(row)
-            rhs.append(b * Fraction(space.dist[i][j]))
+            rhs.append(b * dist[i][j])
 
     shifted, x = simplex.maximize(c, rows, rhs)
     value = shifted - a * sum(c)

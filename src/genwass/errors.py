@@ -16,7 +16,14 @@ class MassMismatch(GenwassError):
 
 
 class InvalidParams(GenwassError):
-    """Cost parameters outside their admissible range (a > 0, b > 0, p >= 1)."""
+    """Cost parameters outside their admissible range (finite a > 0, b > 0, p >= 1)."""
+
+
+class InvalidWeight(GenwassError, ValueError):
+    """A measure weight that is negative or not finite.
+
+    Also a ``ValueError``, which is what negative weights raised before.
+    """
 
 
 class GroupMismatch(GenwassError):
@@ -72,6 +79,12 @@ class ZeroOffDiagonal(MetricError):
     def __init__(self, i: int, j: int, labels=None):
         self.i, self.j = i, j
         super().__init__(f"d[{_name(i, labels)}][{_name(j, labels)}] = 0 for distinct points")
+
+
+class NonFiniteEntry(MetricError):
+    def __init__(self, i: int, j: int, labels=None):
+        self.i, self.j = i, j
+        super().__init__(f"d[{_name(i, labels)}][{_name(j, labels)}] is not finite")
 
 
 class NegativeEntry(MetricError):

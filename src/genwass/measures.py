@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpaceMismatch, TargetIndexOutOfRange
-from .scalars import Scalar, coerce
+from .errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
+from .scalars import Scalar, coerce, is_finite
 from .spaces import FiniteGroupAction, FiniteMetricSpace, QuotientResult
 
 # Absolute slack for float-mode pointwise comparisons between weights.
@@ -27,9 +27,7 @@ class DiscreteMeasure:
     def __post_init__(self):
         if len(self.weights) != self.space.n:
             raise ValueError("one weight per point required")
-        for i, w in enumerate(self.weights):
-            if w < 0:
-                raise ValueError(f"negative weight at point {i}")
+        _check_weights(self.weights)
 
     @property
     def mass(self) -> Scalar:
@@ -48,8 +46,22 @@ class DiscreteMeasure:
         return DiscreteMeasure(space or self.space.as_float(), tuple(float(w) for w in self.weights))
 
 
+def _check_weights(weights) -> None:
+    for i, w in enumerate(weights):
+        if not is_finite(w):
+            raise InvalidWeight(f"weight at point {i} is not finite: {w}")
+        if w < 0:
+            raise InvalidWeight(f"negative weight at point {i}")
+
+
 def measure(space: FiniteMetricSpace, weights) -> DiscreteMeasure:
-    """Build a measure, coercing the weights into the space's arithmetic mode."""
+    """Build a measure, coercing the weights into the space's arithmetic mode.
+
+    The weights are checked before coercion, so a non-finite float is
+    reported as such rather than failing its conversion to a Fraction.
+    """
+    weights = tuple(weights)
+    _check_weights(weights)
     return DiscreteMeasure(space, tuple(coerce(w, space.exact) for w in weights))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParams
-from .scalars import Scalar
+from .scalars import Scalar, is_finite
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,9 @@ class EntropyParams:
     p: Scalar = 1
 
     def __post_init__(self):
+        for name in ("a", "b", "p"):
+            if not is_finite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a > 0:
             raise InvalidParams(f"a must be positive, got {self.a}")
         if not self.b > 0:

@@ -54,6 +54,11 @@ def common_denominator(values) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
+def is_finite(value) -> bool:
+    """False for float NaN and infinities; exact scalars are always finite."""
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def coerce(value: Scalar, exact: bool) -> Scalar:
     """Bring a scalar into the requested arithmetic mode."""
     if exact:

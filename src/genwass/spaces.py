@@ -9,13 +9,14 @@ from .errors import (
     AsymmetricEntry,
     MissingIdentity,
     NegativeEntry,
+    NonFiniteEntry,
     NonzeroDiagonal,
     NotClosed,
     NotIsometry,
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .scalars import Scalar, coerce, common_denominator, is_exact
+from .scalars import Scalar, coerce, common_denominator, is_exact, is_finite
 
 # Relative slack for float-mode checks that must hold exactly in exact mode
 # (triangle inequality, isometry).  Scaled by the diameter.
@@ -73,6 +74,10 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"distance matrix must be {n}x{n}")
 
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if not is_finite(x):
+                raise NonFiniteEntry(i, j, labels)
     if exact is None:
         exact = all(is_exact(x) for row in matrix for x in row)
     dist = [[coerce(x, exact) for x in row] for row in matrix]
@@ -130,9 +135,6 @@ class FiniteGroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def apply(self, g: int, point: int) -> int:
-        return self.elements[g][point]
-
 
 def compose(g, h) -> tuple[int, ...]:
     """The permutation "h then g": (g o h)[i] = g[h[i]]."""
@@ -185,10 +187,6 @@ def validate_action(space: FiniteMetricSpace, permutations, labels=None) -> Fini
                     raise NotIsometry(labels[gi], i, j)
 
     return FiniteGroupAction(space=space, elements=tuple(elements), labels=labels)
-
-
-def trivial_action(space: FiniteMetricSpace) -> FiniteGroupAction:
-    return validate_action(space, [tuple(range(space.n))])
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,9 @@ def test_criterion_3_flat_metric_equality(duality_instances):
     report("criterion 3 PASS: independent simplex matches the flow value on 500 instances")
 
 
-@pytest.mark.parametrize("seed", [2401, 2402])
-def test_criterion_3_flat_metric_equality_at_n24(seed):
+def check_flat_equality_at(n, seed):
     rng = random.Random(seed)
-    space = random_int_metric(rng, 24)
+    space = random_int_metric(rng, n)
     mu = random_rational_measure(rng, space)
     nu = random_rational_measure(rng, space)
     params = random_params(rng, p=1)
@@ -118,7 +117,22 @@ def test_criterion_3_flat_metric_equality_at_n24(seed):
     assert rep.duality_gap == 0
     assert flat_value == rep.value
     assert all(-params.a <= v <= params.a for v in witness.f)
-    report(f"criterion 3 PASS at n = 24 (seed {seed}): simplex and flow agree on {rep.value}")
+    report(f"criterion 3 PASS at n = {n} (seed {seed}): simplex and flow agree on {rep.value}")
+
+
+@pytest.mark.parametrize("seed", [2401, 2402])
+def test_criterion_3_flat_metric_equality_at_n24(seed):
+    check_flat_equality_at(24, seed)
+
+
+@pytest.mark.parametrize("seed", [3201, 3202])
+def test_criterion_3_flat_metric_equality_at_n32(seed):
+    check_flat_equality_at(32, seed)
+
+
+@pytest.mark.parametrize("seed", [4801, 4802])
+def test_criterion_3_flat_metric_equality_at_n48(seed):
+    check_flat_equality_at(48, seed)
 
 
 def test_criterion_2_exact_and_float_at_n64():

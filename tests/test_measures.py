@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genwass import (
+    DiscreteMeasure,
     build_quotient,
     dirac,
     invariant_lift,
@@ -16,7 +17,7 @@ from genwass import (
     validate_action,
     validate_metric,
 )
-from genwass.errors import SpaceMismatch, TargetIndexOutOfRange
+from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
 
 
 @pytest.fixture
@@ -25,8 +26,19 @@ def swap_action(two_point):
 
 
 def test_negative_weight_rejected(two_point):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidWeight) as err:
         measure(two_point, [-1, 0])
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_non_finite_weight_rejected(two_point, bad, exact):
+    space = two_point if exact else two_point.as_float()
+    with pytest.raises(InvalidWeight, match="not finite"):
+        measure(space, [bad, 1.0])
+    with pytest.raises(InvalidWeight, match="not finite"):
+        DiscreteMeasure(space, (bad, 1.0))
 
 
 def test_submeasure_basic(two_point):

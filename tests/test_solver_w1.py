@@ -72,6 +72,21 @@ def test_invalid_params_rejected(two_point):
         )
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"a": float("inf"), "b": 1, "p": 1},
+        {"a": 1, "b": float("inf"), "p": 1},
+        {"a": 1, "b": 1, "p": float("inf")},
+        {"a": 1, "b": float("nan"), "p": 1},
+    ],
+    ids=["a-inf", "b-inf", "p-inf", "b-nan"],
+)
+def test_non_finite_params_rejected(fields):
+    with pytest.raises(InvalidParams):
+        EntropyParams(**fields)
+
+
 def test_space_mismatch(two_point, two_point_far, unit_params):
     with pytest.raises(SpaceMismatch):
         solve_w1(two_point, dirac(two_point, 0), dirac(two_point_far, 1), unit_params)

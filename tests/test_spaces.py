@@ -9,6 +9,7 @@ from genwass.errors import (
     AsymmetricEntry,
     MissingIdentity,
     NegativeEntry,
+    NonFiniteEntry,
     NonzeroDiagonal,
     NotClosed,
     NotIsometry,
@@ -91,6 +92,14 @@ def test_zero_off_diagonal():
 def test_negative_entry():
     with pytest.raises(NegativeEntry):
         validate_metric(["x", "y"], [[0, -1], [-1, 0]])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("exact", [None, True, False], ids=["inferred", "exact", "float"])
+def test_non_finite_entry(bad, exact):
+    with pytest.raises(NonFiniteEntry) as err:
+        validate_metric(["x", "y", "z"], [[0, 1.0, 2.0], [1.0, 0, bad], [2.0, bad, 0]], exact=exact)
+    assert (err.value.i, err.value.j) == (1, 2)
 
 
 def test_shape_mismatch_rejected():
