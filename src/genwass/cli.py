@@ -2,8 +2,11 @@
 emit reports, and run the verification suites.
 
 Exit status is the only pass/fail channel: 0 on success, 1 on a
-verification failure, 2 on an input error.  With --format json the machine
-report goes to stdout and any human-readable text to stderr.
+verification failure, 2 on an input error.  A ``SolverFailure`` (the solver
+could not certify its own answer: a nonzero exact duality gap, or the flow's
+phase cap) counts as a verification failure and exits 1; every other
+``GenwassError`` and every malformed file exits 2.  With --format json the
+machine report goes to stdout and any human-readable text to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 
 from . import jsonio
 from .duality import solve_flat, verify_optimality
-from .errors import GenwassError
+from .errors import GenwassError, SolverFailure
 from .gh import check_pushforward_stability, make_gh_map
 from .params import EntropyParams
 from .quotient import check_quotient_contraction, check_quotient_isometry
@@ -28,6 +31,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except SolverFailure as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
     except GenwassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -202,12 +208,15 @@ def cmd_quotient(args) -> int:
 def cmd_gh(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
+    table = doc.get("map") if isinstance(doc, dict) else None
+    if not (isinstance(table, list) and all(type(x) is int for x in table)):
+        raise ValueError('a gh file must be an object with "map" a list of target point indices')
     source = jsonio.parse_space(doc["source"], exact=None if args.mode is None else args.mode == "exact")
     target = jsonio.parse_space(doc["target"], exact=source.exact)
-    ghmap = make_gh_map(doc["map"], source, target)
+    ghmap = make_gh_map(table, source, target)
     params = jsonio.parse_params(doc.get("params", {"a": 1, "b": 1, "p": 1}), exact=False)
     mass_cap = float(parse_scalar(doc.get("C", 1)))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else jsonio.parse_seed(doc.get("seed", 0))
     stability = check_pushforward_stability(ghmap, params, mass_cap, seed=seed)
     out = {"defect": scalar_to_json(ghmap.epsilon), **{k: scalar_to_json(v) for k, v in stability.items()}}
     ok = stability["deviation_ok"] and stability["surjectivity_ok"]

@@ -9,7 +9,9 @@ lets every phase run Dijkstra on reduced costs.
 One scalar-generic engine runs on ints, Fractions and floats.  Successive
 shortest paths augment in nondecreasing path-cost order, so the accumulated
 (mass, cost) pairs trace the convex parametric curve of the transport
-problem; the engine records one breakpoint per augmentation.
+problem; the engine records one breakpoint per augmentation.  It keeps only
+the final flow, not a plan per breakpoint: a caller that needs the plan at
+an earlier breakpoint solves again with ``target`` set to its mass.
 
 Exact inputs with rational entries are not run on Fractions: the masses are
 multiplied by the least common multiple M of their denominators and the
@@ -40,18 +42,11 @@ class FlowSolution:
     total: Scalar
     cost: Scalar
     breakpoints: list[tuple[Scalar, Scalar]]
-    plans: list[list[list[Scalar]]] | None
     potential_src: list[Scalar]
     potential_snk: list[Scalar]
 
 
-def solve_transport(
-    costs,
-    supplies,
-    demands,
-    target: Scalar | None = None,
-    record_plans: bool = False,
-) -> FlowSolution:
+def solve_transport(costs, supplies, demands, target: Scalar | None = None) -> FlowSolution:
     """Push ``target`` units (default: as much as fits) at minimum cost.
 
     Returns the final flow matrix, the parametric breakpoints, and the node
@@ -63,7 +58,7 @@ def solve_transport(
     arc_costs = [c for row in costs for c in row]
     values = masses + arc_costs
     if not (all(is_exact(x) for x in values) and any(isinstance(x, Fraction) for x in values)):
-        return _successive_shortest_paths(costs, supplies, demands, target, record_plans)
+        return _successive_shortest_paths(costs, supplies, demands, target)
 
     M = common_denominator(masses)
     C = common_denominator(arc_costs)
@@ -72,24 +67,18 @@ def solve_transport(
         [int(s * M) for s in supplies],
         [int(d * M) for d in demands],
         None if target is None else int(target * M),
-        record_plans,
     )
-
-    def unscale(matrix):
-        return [[Fraction(x, M) for x in row] for row in matrix]
-
     return FlowSolution(
-        flow=unscale(sol.flow),
+        flow=[[Fraction(x, M) for x in row] for row in sol.flow],
         total=Fraction(sol.total, M),
         cost=Fraction(sol.cost, M * C),
         breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
-        plans=None if sol.plans is None else [unscale(plan) for plan in sol.plans],
         potential_src=[Fraction(x, C) for x in sol.potential_src],
         potential_snk=[Fraction(x, C) for x in sol.potential_snk],
     )
 
 
-def _successive_shortest_paths(costs, supplies, demands, target, record_plans) -> FlowSolution:
+def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution:
     """The scalar-generic engine behind :func:`solve_transport`."""
     ns, nt = len(supplies), len(demands)
     max_total = min(sum(supplies), sum(demands))
@@ -111,9 +100,6 @@ def _successive_shortest_paths(costs, supplies, demands, target, record_plans) -
     pushed = zero
     cost_acc = zero
     breakpoints: list[tuple[Scalar, Scalar]] = [(pushed, cost_acc)]
-    plans: list[list[list[Scalar]]] | None = [] if record_plans else None
-    if record_plans:
-        plans.append([row[:] for row in flow])
 
     for _phase in range(MAX_PHASES):
         if pushed >= target:
@@ -160,8 +146,6 @@ def _successive_shortest_paths(costs, supplies, demands, target, record_plans) -
         pushed += bottleneck
         if bottleneck > 0:
             breakpoints.append((pushed, cost_acc))
-            if record_plans:
-                plans.append([row[:] for row in flow])
 
         _update_potentials(pot, dist, T)
     else:
@@ -176,7 +160,6 @@ def _successive_shortest_paths(costs, supplies, demands, target, record_plans) -
         total=pushed,
         cost=cost_acc,
         breakpoints=breakpoints,
-        plans=plans,
         potential_src=pot[1 : ns + 1],
         potential_snk=pot[ns + 1 : ns + nt + 1],
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .duality import DualPotentials, OptimalityCertificate
 from .measures import DiscreteMeasure, TransportPlan, measure
 from .params import EntropyParams
-from .scalars import Scalar, coerce, is_exact, parse_scalar, scalar_to_json
+from .scalars import coerce, is_exact, parse_scalar, scalar_to_json
 from .solver_w1 import SolveReport
 from .spaces import FiniteGroupAction, FiniteMetricSpace, validate_action, validate_metric
 
@@ -25,7 +25,6 @@ class Problem:
     nu: DiscreteMeasure
     params: EntropyParams
     action: FiniteGroupAction | None = None
-    eta: DiscreteMeasure | None = None
     seed: int = 0
 
 
@@ -47,15 +46,14 @@ def load_problem(doc: dict, mode: str | None = None) -> Problem:
     space = parse_space(doc["space"], exact=exact)
     mu = parse_measure(doc["mu"], space, "mu")
     nu = parse_measure(doc["nu"], space, "nu")
-    eta = parse_measure(doc["eta"], space, "eta") if "eta" in doc else None
     params = parse_params(doc["params"], exact=exact)
     action = parse_action(doc["group"], space) if "group" in doc else None
-    seed = int(doc.get("seed", 0))
-    return Problem(space=space, mu=mu, nu=nu, params=params, action=action, eta=eta, seed=seed)
+    seed = parse_seed(doc.get("seed", 0))
+    return Problem(space=space, mu=mu, nu=nu, params=params, action=action, seed=seed)
 
 
 def parse_space(doc: dict, exact: bool | None = None) -> FiniteMetricSpace:
-    if not isinstance(doc, dict) or "points" not in doc or "d" not in doc:
+    if not (isinstance(doc, dict) and isinstance(doc.get("points"), list) and _is_matrix(doc.get("d"))):
         raise ValueError('space must be {"points": [...], "d": [[...]]}')
     matrix = [[parse_scalar(x) for x in row] for row in doc["d"]]
     return validate_metric(doc["points"], matrix, exact=exact)
@@ -84,22 +82,33 @@ def parse_params(doc: dict, exact: bool) -> EntropyParams:
 
 
 def parse_action(doc, space: FiniteMetricSpace) -> FiniteGroupAction:
-    perms = doc["group"] if isinstance(doc, dict) else doc
+    perms = doc.get("group") if isinstance(doc, dict) else doc
+    if not (_is_matrix(perms) and all(type(x) is int for g in perms for x in g)):
+        raise ValueError("group must be a list of permutations, each a list of point indices")
     return validate_action(space, perms)
 
 
+def parse_seed(value) -> int:
+    seed = parse_scalar(value)
+    if seed != int(seed):
+        raise ValueError(f"seed must be an integer, got {value!r}")
+    return int(seed)
+
+
+def _is_matrix(value) -> bool:
+    return isinstance(value, list) and all(isinstance(row, list) for row in value)
+
+
 def _all_exact(doc) -> bool:
-    scalars = []
-    space = doc.get("space", {})
-    for row in space.get("d", []):
-        scalars.extend(row)
-    for key in ("mu", "nu", "eta"):
-        if key in doc and isinstance(doc[key], dict):
+    # Decides only the default mode; malformed parts are left to the parsers.
+    space, params = doc["space"], doc["params"]
+    d = space.get("d") if isinstance(space, dict) else None
+    scalars = [x for row in d for x in row] if _is_matrix(d) else []
+    for key in ("mu", "nu"):
+        if isinstance(doc[key], dict):
             scalars.extend(doc[key].values())
-    params = doc.get("params", {})
-    for key in ("a", "b", "p"):
-        if key in params:
-            scalars.append(params[key])
+    if isinstance(params, dict):
+        scalars.extend(params[key] for key in ("a", "b", "p") if key in params)
     try:
         return all(is_exact(parse_scalar(x)) for x in scalars)
     except ValueError:

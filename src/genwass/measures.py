@@ -228,8 +228,3 @@ class TransportPlan:
 
 def plan(space: FiniteMetricSpace, gamma) -> TransportPlan:
     return TransportPlan(space, tuple(tuple(coerce(x, space.exact) for x in row) for row in gamma))
-
-
-def zero_plan(space: FiniteMetricSpace) -> TransportPlan:
-    z = coerce(0, space.exact)
-    return TransportPlan(space, tuple(tuple(z for _ in range(space.n)) for _ in range(space.n)))

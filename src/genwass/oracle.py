@@ -31,40 +31,9 @@ def enumerate_integer_plans(
 ) -> Iterator[TransportPlan]:
     """Yield every integer matrix gamma >= 0 with rows <= mu and cols <= nu,
     each exactly once (row-major odometer with residual-capacity pruning)."""
-    require_same_space(mu, nu)
-    mu_w = _integer_weights(mu)
-    nu_w = _integer_weights(nu)
-    n = len(mu_w)
-
-    bound_product = 1
-    for i in range(n):
-        for j in range(n):
-            bound_product *= min(mu_w[i], nu_w[j]) + 1
-            if bound_product > cap:
-                raise TooLarge(f"plan enumeration bound exceeds the cap of {cap}")
-
     space = mu.space
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    gamma = [[0] * n for _ in range(n)]
-    row_left = list(mu_w)
-    col_left = list(nu_w)
-
-    def rec(k: int) -> Iterator[TransportPlan]:
-        if k == len(cells):
-            yield TransportPlan(space, tuple(tuple(row) for row in gamma))
-            return
-        i, j = cells[k]
-        top = min(row_left[i], col_left[j])
-        for v in range(top + 1):
-            gamma[i][j] = v
-            row_left[i] -= v
-            col_left[j] -= v
-            yield from rec(k + 1)
-            row_left[i] += v
-            col_left[j] += v
-        gamma[i][j] = 0
-
-    yield from rec(0)
+    for gamma, _, _ in _odometer(mu, nu, cap, space.dist):
+        yield TransportPlan(space, tuple(tuple(row) for row in gamma))
 
 
 def brute_force_value(
@@ -78,52 +47,60 @@ def brute_force_value(
 
     Exact (rational) for p = 1; for p > 1 the root is evaluated in floats.
     """
-    require_same_space(mu, nu)
     a, b, p = params.a, params.b, params.p
     exponent = int(p) if p == int(p) else float(p)
     total = mu.mass + nu.mass
     inv_p = 1.0 / float(p)
+    powered = [[d**exponent for d in row] for row in space.dist]
+    best = None
+    for _, m, t in _odometer(mu, nu, cap, powered):
+        if p == 1:
+            value = a * (total - 2 * m) + b * t
+        else:
+            value = a * (total - 2 * m) + b * float(t) ** inv_p
+        if best is None or value < best:
+            best = value
+    return best
 
-    mu_w = _integer_weights(mu)
-    nu_w = _integer_weights(nu)
-    n = len(mu_w)
+
+def _odometer(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int, costs):
+    """Walk every integer sub-marginal plan once, yielding (gamma, m, t).
+
+    ``gamma`` is the live matrix (copy it to keep it), ``m`` its shipped
+    mass and ``t`` the sum of costs[i][j] * gamma[i][j], both carried along
+    the odometer so each leaf costs O(1).
+    """
+    require_same_space(mu, nu)
+    row_left = _integer_weights(mu)
+    col_left = _integer_weights(nu)
+    n = len(row_left)
+
     bound_product = 1
     for i in range(n):
         for j in range(n):
-            bound_product *= min(mu_w[i], nu_w[j]) + 1
+            bound_product *= min(row_left[i], col_left[j]) + 1
             if bound_product > cap:
                 raise TooLarge(f"plan enumeration bound exceeds the cap of {cap}")
 
-    powered = [[space.dist[i][j] ** exponent for j in range(n)] for i in range(n)]
     cells = [(i, j) for i in range(n) for j in range(n)]
-    row_left = list(mu_w)
-    col_left = list(nu_w)
-    best = None
+    gamma = [[0] * n for _ in range(n)]
 
-    # Same odometer as enumerate_integer_plans, but carrying the running
-    # shipped mass and accumulated d^p cost so each leaf costs O(1).
     def rec(k: int, m: int, t):
-        nonlocal best
         if k == len(cells):
-            if p == 1:
-                value = a * (total - 2 * m) + b * t
-            else:
-                value = a * (total - 2 * m) + b * float(t) ** inv_p
-            if best is None or value < best:
-                best = value
+            yield gamma, m, t
             return
         i, j = cells[k]
-        top = min(row_left[i], col_left[j])
-        cost = powered[i][j]
-        for v in range(top + 1):
+        cost = costs[i][j]
+        for v in range(min(row_left[i], col_left[j]) + 1):
+            gamma[i][j] = v
             row_left[i] -= v
             col_left[j] -= v
-            rec(k + 1, m + v, t + cost * v)
+            yield from rec(k + 1, m + v, t + cost * v)
             row_left[i] += v
             col_left[j] += v
+        gamma[i][j] = 0
 
-    rec(0, 0, 0)
-    return best
+    yield from rec(0, 0, 0)
 
 
 def _integer_weights(m: DiscreteMeasure) -> list[int]:

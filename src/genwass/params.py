@@ -23,15 +23,12 @@ class EntropyParams:
 
     def __post_init__(self):
         for name in ("a", "b", "p"):
-            if not is_finite(getattr(self, name)):
-                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_finite(value):
+                raise InvalidParams(f"{name} must be finite and within float range, got {value}")
         if not self.a > 0:
             raise InvalidParams(f"a must be positive, got {self.a}")
         if not self.b > 0:
             raise InvalidParams(f"b must be positive, got {self.b}")
         if not self.p >= 1:
             raise InvalidParams(f"p must be at least 1, got {self.p}")
-
-    @property
-    def integer_p(self) -> bool:
-        return self.p == int(self.p)

@@ -8,6 +8,7 @@ same algorithms on ``float`` values.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -15,6 +16,7 @@ Scalar = Union[int, float, Fraction]
 
 INF = float("inf")
 NEG_INF = float("-inf")
+FLOAT_MAX = int(sys.float_info.max)
 
 
 def parse_scalar(value) -> Scalar:
@@ -55,8 +57,14 @@ def common_denominator(values) -> int:
 
 
 def is_finite(value) -> bool:
-    """False for float NaN and infinities; exact scalars are always finite."""
-    return not isinstance(value, float) or math.isfinite(value)
+    """False for NaN, the infinities, and exact values beyond float range.
+
+    Every quantity may meet floats (float mode, the p-th root), so an exact
+    value that no float can hold is rejected with the non-finite ones.
+    """
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return abs(value.numerator) <= FLOAT_MAX * value.denominator
 
 
 def coerce(value: Scalar, exact: bool) -> Scalar:

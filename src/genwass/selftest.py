@@ -13,29 +13,14 @@ import random
 from fractions import Fraction
 
 from .duality import c_transform, evaluate_dual, solve_flat
-from .errors import GenwassError
-from .gh import (
-    GHMap,
-    approximate_inverse,
-    check_equivariant_stability,
-    check_pushforward_stability,
-    gh_defect,
-    make_gh_map,
-)
-from .measures import DiscreteMeasure, invariant_lift, measure, pushforward, symmetrize
+from .gh import GHMap, check_pushforward_stability, make_gh_map
+from .measures import DiscreteMeasure, measure, symmetrize
 from .oracle import brute_force_value
 from .params import EntropyParams
-from .quotient import check_quotient_contraction, check_quotient_isometry, project_measure
+from .quotient import check_quotient_isometry
 from .solver_w1 import solve_w1
-from .solver_wp import solve, solve_wp
-from .spaces import (
-    FiniteGroupAction,
-    FiniteMetricSpace,
-    build_quotient,
-    compose,
-    validate_action,
-    validate_metric,
-)
+from .solver_wp import solve
+from .spaces import FiniteGroupAction, FiniteMetricSpace, compose, validate_action, validate_metric
 
 AB_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(2))
 P_CHOICES = (1, 2, 3)
@@ -49,14 +34,21 @@ def random_int_metric(rng: random.Random, n: int, max_d: int = 5) -> FiniteMetri
     for i in range(n):
         for j in range(i + 1, n):
             d[i][j] = d[j][i] = rng.randint(1, max_d)
+    _close(d)
+    labels = [f"x{i}" for i in range(n)]
+    return validate_metric(labels, d, exact=True)
+
+
+def _close(d) -> None:
+    """Shortest-path closure in place (Floyd-Warshall): afterwards the
+    square matrix d satisfies the triangle inequality."""
+    n = len(d)
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 via = d[i][k] + d[k][j]
                 if via < d[i][j]:
                     d[i][j] = via
-    labels = [f"x{i}" for i in range(n)]
-    return validate_metric(labels, d, exact=True)
 
 
 def random_int_measure(rng: random.Random, space: FiniteMetricSpace, max_w: int = 3) -> DiscreteMeasure:
@@ -168,12 +160,7 @@ def random_gh_triple(rng: random.Random, max_n: int = 6) -> GHMap:
         for i in range(n):
             for j in range(i + 1, n):
                 d[i][j] = d[j][i] = max(d[i][j] + rng.uniform(-mag, mag), mag / 4)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    via = d[i][k] + d[k][j]
-                    if via < d[i][j]:
-                        d[i][j] = via
+        _close(d)
         target = validate_metric([f"y{i}" for i in range(n)], d, exact=False)
         return make_gh_map(tuple(range(n)), source, target)
 
@@ -205,12 +192,7 @@ def random_equivariant_target(
     for i in range(n):
         for j in range(i + 1, n):
             d[i][j] = d[j][i] = max(d[i][j] + rng.uniform(-mag, mag), mag / 4)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = d[i][k] + d[k][j]
-                if via < d[i][j]:
-                    d[i][j] = via
+    _close(d)
     # group-average so every element acts isometrically again
     avg = [[0.0] * n for _ in range(n)]
     for g in action.elements:
@@ -223,10 +205,6 @@ def random_equivariant_target(
             avg[i][j] /= order
     target = validate_metric([f"y{i}" for i in range(n)], avg, exact=False)
     return validate_action(target, action.elements, labels=action.labels)
-
-
-def random_float_measure(rng: random.Random, space: FiniteMetricSpace, scale=3.0) -> DiscreteMeasure:
-    return measure(space, [rng.uniform(0, scale) for _ in range(space.n)])
 
 
 # -------------------------------------------------------------------- checks

@@ -51,10 +51,6 @@ class SolveReport:
     conditions: OptimalityCertificate | None
     curve: list[tuple[Scalar, Scalar]] | None = None
 
-    @property
-    def certificate_applicable(self) -> bool:
-        return self.conditions is not None
-
 
 def solve_w1(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams

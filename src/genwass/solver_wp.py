@@ -14,6 +14,7 @@ vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import Scalar, coerce
+from .scalars import FLOAT_MAX, Scalar, coerce
 from .solver_w1 import SolveReport, solve_w1
 from .spaces import FiniteMetricSpace
 
@@ -70,7 +71,13 @@ class ParametricCurve:
 
 def _power_costs(space: FiniteMetricSpace, p) -> list[list[Scalar]]:
     # Integer exponents keep rational distances exact; fractional p forces floats.
-    if space.exact and p == int(p):
+    exact = space.exact and p == int(p)
+    # For p > 1 the value takes a float root of these powers, so they must stay
+    # in float range; checking before they are formed also bounds exact sizes.
+    top = max(max(x.numerator, x.denominator) if exact else x for row in space.dist for x in row)
+    if p > 1 and p * math.log(max(top, 1)) > math.log(FLOAT_MAX):
+        raise InvalidParams(f"p = {p} takes the p-th powers of the distances beyond float range")
+    if exact:
         k = int(p)
         return [[Fraction(d) ** k for d in row] for row in space.dist]
     q = float(p)
@@ -82,7 +89,10 @@ def _root(t: Scalar, p) -> Scalar:
     # even in exact mode for p > 1; p = 1 stays exact.
     if p == 1:
         return t
-    return float(t) ** (1.0 / float(p))
+    try:
+        return float(t) ** (1.0 / float(p))
+    except OverflowError:
+        raise InvalidParams(f"a transport cost of {t} at p = {p} is beyond float range") from None
 
 
 def wasserstein_p(
@@ -122,61 +132,55 @@ def solve_wp(
 ) -> SolveReport:
     """Unbalanced value of order p by scanning the parametric curve.
 
-    Returns the attaining plan (the flow at the chosen breakpoint) whose
-    marginals are the optimal reduced measures.  For p = 1 the report also
-    carries dual potentials (produced by the p = 1 dual construction) and the
-    certificate; the breakpoint-scan value must close the gap against them.
-    For p > 1 no duality theory is claimed: potentials, gap and certificate
-    are absent.
+    Returns the attaining plan, whose marginals are the optimal reduced
+    measures.  When the best breakpoint is the last one the plan is the
+    curve's final flow; otherwise it comes from a second solve with the
+    chosen mass as its target.  In float mode that re-solve may differ in the
+    last bits from the flow the curve passed through at that mass.  For
+    p = 1 the report also carries dual potentials (produced by the p = 1 dual
+    construction) and the certificate; the breakpoint-scan value must close
+    the gap against them.  For p > 1 no duality theory is claimed:
+    potentials, gap and certificate are absent.
     """
     require_same_space(mu, nu)
     a = coerce(params.a, space.exact)
     b = coerce(params.b, space.exact)
     p = params.p
 
-    sol = solve_transport(
-        _power_costs(space, p), list(mu.weights), list(nu.weights), record_plans=True
-    )
+    costs = _power_costs(space, p)
+    sol = solve_transport(costs, list(mu.weights), list(nu.weights))
+    curve = sol.breakpoints
 
     best_idx = 0
     best_value = None
-    for k, (m, t) in enumerate(sol.breakpoints):
+    for k, (m, t) in enumerate(curve):
         v = a * (mu.mass + nu.mass - 2 * m) + b * _root(t, p)
         # ties keep the smaller transported mass (first hit wins)
         if best_value is None or v < best_value:
             best_value = v
             best_idx = k
 
-    chosen = sol.plans[best_idx]
-    plan = TransportPlan(space, tuple(tuple(row) for row in chosen))
-    m_star = sol.breakpoints[best_idx][0]
+    m_star = curve[best_idx][0]
+    if best_idx < len(curve) - 1:
+        sol = solve_transport(costs, list(mu.weights), list(nu.weights), target=m_star)
+    plan = TransportPlan(space, tuple(tuple(row) for row in sol.flow))
 
-    report = SolveReport(
+    potentials = gap = conditions = None
+    if p == 1:
+        w1 = solve_w1(space, mu, nu, params)
+        potentials, conditions = w1.potentials, w1.conditions
+        gap = best_value - (w1.value - w1.duality_gap)
+    return SolveReport(
         value=best_value,
         plan=plan,
-        potentials=None,
+        potentials=potentials,
         transported_mass=m_star,
         destroyed_mass=mu.mass - m_star,
         created_mass=nu.mass - m_star,
-        duality_gap=None,
-        conditions=None,
-        curve=list(sol.breakpoints),
+        duality_gap=gap,
+        conditions=conditions,
+        curve=list(curve),
     )
-    if p == 1:
-        w1 = solve_w1(space, mu, nu, params)
-        gap = best_value - (w1.value - w1.duality_gap)
-        report = SolveReport(
-            value=best_value,
-            plan=plan,
-            potentials=w1.potentials,
-            transported_mass=m_star,
-            destroyed_mass=mu.mass - m_star,
-            created_mass=nu.mass - m_star,
-            duality_gap=gap,
-            conditions=w1.conditions,
-            curve=list(sol.breakpoints),
-        )
-    return report
 
 
 def solve(

@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genwass import flow
 from genwass.cli import main
@@ -116,10 +123,11 @@ def test_bad_params_are_input_errors(problem_file):
 
 
 def test_phase_cap_is_a_named_error(problem_file, capsys, monkeypatch):
+    # the solver failing to certify its answer is a verification failure
     monkeypatch.setattr(flow, "MAX_PHASES", 1)
-    assert main(["dist", "--input", problem_file(TWO_POINT)]) == 2
+    assert main(["dist", "--input", problem_file(TWO_POINT)]) == 1
     err = capsys.readouterr().err
-    assert "phase cap" in err and "Traceback" not in err
+    assert "solver failure:" in err and "phase cap" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -136,6 +144,80 @@ def test_non_finite_numbers_are_input_errors(problem_file, capsys, overrides):
     assert main(["dist", "--input", problem_file(dict(TWO_POINT, **overrides))]) == 2
     err = capsys.readouterr().err
     assert "not a finite number" in err and "Traceback" not in err
+
+
+QUOTIENT_DOC = {
+    "space": {"points": ["x", "y", "z"], "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    "group": [[0, 1, 2], [2, 1, 0]],
+    "mu": {"x": 1, "z": 1},
+    "nu": {"y": "3/2"},
+    "params": {"a": 1, "b": "1/2", "p": 2},
+    "seed": 3,
+    "mode": "exact",
+}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"space": {"points": ["x", "y", "z"], "d": 5}},
+        {"space": {"points": ["x", "y", "z"], "d": [0, 1, 2]}},
+        {"space": {"points": 5, "d": QUOTIENT_DOC["space"]["d"]}},
+        {"group": 5},
+        {"group": [[0, 1, 2], [2, None, 0]]},
+        {"seed": [1]},
+        {"seed": "1/2"},
+        {"params": {"a": 1, "b": 1, "p": 10**400}},
+        {"params": {"a": 1, "b": 1, "p": 2000}},
+        # 2^1023 is a float, but shipping two units at that cost is not
+        {"params": {"a": 1, "b": 1, "p": 1023}, "mu": {"x": 2}, "nu": {"z": 2}},
+    ],
+    ids=["d-int", "d-flat-list", "points-int", "group-int", "group-null-entry", "seed-list",
+         "seed-fraction", "p-past-float-range", "powers-past-float-range", "cost-past-float-range"],
+)
+@pytest.mark.parametrize("command", ["dist", "quotient"])
+def test_malformed_fields_are_input_errors(problem_file, capsys, command, overrides):
+    assert main([command, "--input", problem_file(dict(QUOTIENT_DOC, **overrides))]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def json_values():
+    scalars = (
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=4) | st.sampled_from(["1/2", "-3", "0", "x", "y", "1/0"])
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def field_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(field_paths(QUOTIENT_DOC))), json_values())
+def test_any_field_value_exits_with_a_contract_code(path, value):
+    doc = copy.deepcopy(QUOTIENT_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        input_path = os.path.join(tmp, "problem.json")
+        with open(input_path, "w") as fh:
+            json.dump(doc, fh)
+        for command in ("dist", "quotient"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--input", input_path])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_dual_needs_p1(problem_file):
@@ -170,6 +252,12 @@ def test_gh_subcommand(problem_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["defect"] == pytest.approx(0.25)
     assert out["deviation_ok"] and out["surjectivity_ok"]
+
+
+@pytest.mark.parametrize("doc", [[], {"map": 5}, {"map": [0, None]}], ids=["list", "map-int", "map-null"])
+def test_malformed_gh_files_are_input_errors(problem_file, capsys, doc):
+    assert main(["gh", "--input", problem_file(doc)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_selftest_subcommand(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from genwass.flow import _successive_shortest_paths, solve_transport
 
-FIELDS = ("flow", "total", "cost", "breakpoints", "plans", "potential_src", "potential_snk")
+FIELDS = ("flow", "total", "cost", "breakpoints", "potential_src", "potential_snk")
 
 
 def rationals(max_num):
@@ -133,14 +133,14 @@ def test_each_prefix_is_min_cost_at_its_mass():
                 assert best_at(int(m)) == t
 
 
-@given(transport_problems(), st.integers(0, 7), st.sampled_from((None, 6, 7)), st.booleans())
-def test_scaled_exact_path_equals_fraction_engine(problem, num, den, record_plans):
+@given(transport_problems(), st.integers(0, 7), st.sampled_from((None, 6, 7)))
+def test_scaled_exact_path_equals_fraction_engine(problem, num, den):
     # mixed denominators force a nontrivial scale; the target, when given,
     # is a fraction of the most that fits, with a denominator of its own
     costs, supplies, demands = problem
     target = None if den is None else min(sum(supplies), sum(demands)) * Fraction(min(num, den), den)
-    got = solve_transport(costs, supplies, demands, target=target, record_plans=record_plans)
-    want = _successive_shortest_paths(costs, supplies, demands, target, record_plans)
+    got = solve_transport(costs, supplies, demands, target=target)
+    want = _successive_shortest_paths(costs, supplies, demands, target)
     for field in FIELDS:
         assert getattr(got, field) == getattr(want, field), field
         assert all(type(x) is Fraction for x in scalars_of(getattr(got, field))), field
@@ -149,7 +149,7 @@ def test_scaled_exact_path_equals_fraction_engine(problem, num, den, record_plan
 def test_float_inputs_run_the_engine_directly():
     costs = [[1.5, 0.25, 3.0], [2.0, 1.0, 0.1]]
     supplies, demands = [0.5, 1.0], [1.0, 0.75, 0.2]
-    got = solve_transport(costs, supplies, demands, target=1.2, record_plans=True)
-    assert got == _successive_shortest_paths(costs, supplies, demands, 1.2, True)
+    got = solve_transport(costs, supplies, demands, target=1.2)
+    assert got == _successive_shortest_paths(costs, supplies, demands, 1.2)
     for field in FIELDS:
         assert all(type(x) is float for x in scalars_of(getattr(got, field))), field

@@ -193,3 +193,38 @@ def test_interior_points_never_beat_breakpoints():
                 t = float(t0) + lam * float(t1 - t0)
                 v = float(a) * (total - 2 * m) + float(b) * t ** (1.0 / p)
                 assert v >= float(report.value) - 1e-9
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_interior_optimum_plan(exact):
+    # When the best breakpoint lies strictly inside the curve, the plan comes
+    # from a second solve targeted at that mass; it must be the plan the curve
+    # describes there.  Float mode matches within 1e-9.
+    def close(x, y):
+        return x == y if exact else x == pytest.approx(y, rel=1e-9, abs=1e-9)
+
+    rng = random.Random(2024)
+    interior = 0
+    for _ in range(60):
+        space = random_int_metric(rng, rng.randint(3, 6), max_d=6)
+        mu = random_rational_measure(rng, space)
+        nu = random_rational_measure(rng, space)
+        b = rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)))
+        params = EntropyParams(a=Fraction(1), b=b, p=rng.choice((2, 3)))
+        if not exact:
+            space = space.as_float()
+            mu, nu = mu.as_float(space), nu.as_float(space)
+            params = EntropyParams(a=1.0, b=float(b), p=params.p)
+        report = solve_wp(space, mu, nu, params)
+        m = report.transported_mass
+        if not 0 < m < report.curve[-1][0]:
+            continue
+        interior += 1
+        gamma = report.plan.gamma
+        cost = sum(space.dist[i][j] ** params.p * gamma[i][j] for i in range(space.n) for j in range(space.n))
+        assert close(report.plan.total, m)
+        assert close(cost, dict(report.curve)[m])
+        assert report.plan.is_submarginal(mu, nu, atol=0 if exact else 1e-9)
+        value = params.a * (mu.mass + nu.mass - 2 * m) + params.b * float(cost) ** (1.0 / params.p)
+        assert close(value, report.value)
+    assert interior >= 10
