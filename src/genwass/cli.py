@@ -1,12 +1,14 @@
 """Command-line front door: parse a problem file, dispatch the solvers,
 emit reports, and run the verification suites.
 
-Exit status is the only pass/fail channel: 0 on success, 1 on a
-verification failure, 2 on an input error.  A ``SolverFailure`` (the solver
-could not certify its own answer: a nonzero exact duality gap, or the flow's
-phase cap) counts as a verification failure and exits 1; every other
-``GenwassError`` and every malformed file exits 2.  With --format json the
-machine report goes to stdout and any human-readable text to stderr.
+Each subcommand accepts only the flags its handler reads; any other flag
+exits 2.  Exit status is the only pass/fail channel: 0 on success, 1 on a
+verification failure, 2 on an input error.  Handlers raise on errors and
+:func:`main` is the only place that maps them to codes.  A ``SolverFailure``
+(the solver could not certify its own answer: a nonzero exact duality gap,
+or the flow's phase cap) exits 1; every other ``GenwassError`` and every
+malformed file exits 2.  With --format json the machine report goes to
+stdout and any human-readable text to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 from . import jsonio
 from .duality import solve_flat, verify_optimality
-from .errors import GenwassError, SolverFailure
+from .errors import GenwassError, InvalidParams, NotInvariant, SolverFailure
 from .gh import check_pushforward_stability, make_gh_map
 from .params import EntropyParams
 from .quotient import check_quotient_contraction, check_quotient_isometry
@@ -48,29 +50,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact unbalanced-transport solving and verification on finite metric spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    flags = {
+        "input": dict(required=True, help="problem JSON file"),
+        "format": dict(choices=("json", "text"), default="text"),
+        "mode": dict(choices=("exact", "float"), default=None),
+        "tol": dict(type=float, default=None, help="verification tolerance override"),
+        "seed": dict(type=int, default=None, help="seed override for randomized checks"),
+        "p": dict(default=None, help="order override"),
+        "a": dict(default=None, help="mass-change rate override"),
+        "b": dict(default=None, help="transport rate override"),
+        "report": dict(default=None, help="verify a previously emitted plan report"),
+    }
+    problem = "input format mode p a b"
+    for name, handler, takes, help_text in (
+        ("dist", cmd_dist, problem, "print the distance value"),
+        ("plan", cmd_plan, problem, "distance plus the optimal plan"),
+        ("dual", cmd_dual, problem, "distance plus dual potentials and the duality gap (p = 1)"),
+        ("flat", cmd_flat, problem, "independent flat-metric LP value and witness (p = 1)"),
+        ("verify", cmd_verify, problem + " tol report", "optimality certificate for solver output"),
+        ("quotient", cmd_quotient, problem + " tol", "quotient contraction/isometry checks"),
+        ("gh", cmd_gh, "input format mode seed", "map defects and the pushforward stability bound"),
+        ("selftest", cmd_selftest, "format seed", "oracle cross-checks and property suites"),
+    ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=(name != "selftest"), help="problem JSON file")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--mode", choices=("exact", "float"), default=None)
-        p.add_argument("--tol", type=float, default=None, help="verification tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="seed override for randomized checks")
-        p.add_argument("--p", default=None, help="order override")
-        p.add_argument("--a", default=None, help="mass-change rate override")
-        p.add_argument("--b", default=None, help="transport rate override")
+        for flag, spec in flags.items():
+            if flag in takes.split():
+                p.add_argument(f"--{flag}", **spec)
         p.set_defaults(handler=handler)
-        return p
-
-    add("dist", cmd_dist, "print the distance value")
-    add("plan", cmd_plan, "distance plus the optimal plan")
-    add("dual", cmd_dual, "distance plus dual potentials and the duality gap (p = 1)")
-    add("flat", cmd_flat, "independent flat-metric LP value and witness (p = 1)")
-    verify = add("verify", cmd_verify, "optimality certificate for solver output")
-    verify.add_argument("--report", default=None, help="verify a previously emitted plan report")
-    add("quotient", cmd_quotient, "quotient contraction/isometry checks")
-    add("gh", cmd_gh, "map defects and the pushforward stability bound")
-    add("selftest", cmd_selftest, "oracle cross-checks and property suites")
     return parser
 
 
@@ -93,8 +99,6 @@ def _load(args) -> jsonio.Problem:
             b=overrides.get("b", params.b),
             p=overrides.get("p", params.p),
         )
-    if args.seed is not None:
-        problem.seed = args.seed
     return problem
 
 
@@ -129,8 +133,7 @@ def cmd_plan(args) -> int:
 def cmd_dual(args) -> int:
     problem = _load(args)
     if problem.params.p != 1:
-        print("error: dual potentials are only available for p = 1", file=sys.stderr)
-        return 2
+        raise InvalidParams("dual potentials are only available for p = 1")
     report = solve(problem.space, problem.mu, problem.nu, problem.params)
     doc = jsonio.report_to_json(report)
     lines = [
@@ -145,6 +148,8 @@ def cmd_dual(args) -> int:
 
 def cmd_flat(args) -> int:
     problem = _load(args)
+    if problem.params.p != 1:
+        raise InvalidParams("the flat-metric LP is only defined for p = 1")
     value, witness = solve_flat(problem.space, problem.mu, problem.nu, problem.params)
     doc = {"flat_value": scalar_to_json(value), "f": [scalar_to_json(x) for x in witness.f]}
     _emit(args, doc, [f"flat value: {value}", "witness: " + " ".join(str(x) for x in witness.f)])
@@ -154,8 +159,7 @@ def cmd_flat(args) -> int:
 def cmd_verify(args) -> int:
     problem = _load(args)
     if problem.params.p != 1:
-        print("error: the certificate is only defined for p = 1", file=sys.stderr)
-        return 2
+        raise InvalidParams("the certificate is only defined for p = 1")
     if args.report:
         with open(args.report) as fh:
             rep_doc = json.load(fh)
@@ -178,31 +182,28 @@ def cmd_verify(args) -> int:
 def cmd_quotient(args) -> int:
     problem = _load(args)
     if problem.action is None:
-        print("error: quotient checks need a 'group' field", file=sys.stderr)
-        return 2
+        raise GenwassError("quotient checks need a 'group' field")
     tol = args.tol if args.tol is not None else (0 if problem.space.exact else 1e-9)
-    up, down = check_quotient_contraction(problem.action, problem.mu, problem.nu, problem.params)
+    given = (problem.action, problem.mu, problem.nu, problem.params)
+    try:  # the isometry needs invariant measures; the contraction holds for any
+        up, down = check_quotient_isometry(*given)
+        isometry_ok = abs(float(up) - float(down)) <= float(tol)
+        isometry = f"isometry (invariant measures): {'pass' if isometry_ok else 'FAIL'}"
+    except NotInvariant:
+        up, down = check_quotient_contraction(*given)
+        isometry_ok = "not-applicable (measures not invariant)"
+        isometry = "isometry: skipped, measures are not invariant"
     contraction_ok = float(down) <= float(up) + float(tol)
+    verdict = "pass" if contraction_ok and isometry_ok is not False else "fail"
     doc = {
         "upstairs": scalar_to_json(up),
         "downstairs": scalar_to_json(down),
         "contraction_ok": contraction_ok,
+        "isometry_ok": isometry_ok,
+        "verdict": verdict,
     }
-    lines = [f"upstairs: {up}", f"downstairs: {down}"]
-    isometry_ok = True
-    try:
-        up_i, down_i = check_quotient_isometry(problem.action, problem.mu, problem.nu, problem.params)
-        isometry_ok = abs(float(up_i) - float(down_i)) <= float(tol)
-        doc["isometry_ok"] = isometry_ok
-        lines.append(f"isometry (invariant measures): {'pass' if isometry_ok else 'FAIL'}")
-    except GenwassError:
-        doc["isometry_ok"] = "not-applicable (measures not invariant)"
-        lines.append("isometry: skipped, measures are not invariant")
-    verdict = contraction_ok and isometry_ok is not False
-    doc["verdict"] = "pass" if verdict else "fail"
-    lines.append(f"verdict: {doc['verdict']}")
-    _emit(args, doc, lines)
-    return 0 if verdict else 1
+    _emit(args, doc, [f"upstairs: {up}", f"downstairs: {down}", isometry, f"verdict: {verdict}"])
+    return 0 if verdict == "pass" else 1
 
 
 def cmd_gh(args) -> int:

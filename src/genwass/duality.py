@@ -136,15 +136,13 @@ def evaluate_dual(
     return feasible, total
 
 
-def c_transform(space: FiniteMetricSpace, phi, params: EntropyParams, side: int = 2) -> tuple[Scalar, ...]:
+def c_transform(space: FiniteMetricSpace, phi, params: EntropyParams) -> tuple[Scalar, ...]:
     """The capped transform  x -> min( min_y (b d[x][y] - phi[y]), a ).
 
-    ``side`` names which potential is being transformed away (the distance
-    matrix is symmetric, so both sides use the same kernel).  The output is
-    always b-Lipschitz, and stays in [-a, a] whenever the input does.
+    The distance matrix is symmetric, so the same kernel transforms either
+    potential into the other.  The output is always b-Lipschitz, and stays
+    in [-a, a] whenever the input does.
     """
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
     if len(phi) != space.n:
         raise SpaceMismatch("potential vector does not match the space")
     a, b = params.a, params.b

@@ -87,7 +87,8 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     elif target > max_total:
         raise ValueError("target flow exceeds what supplies/demands allow")
 
-    zero = 0 * (sum(supplies) + sum(demands) + sum(sum(r) for r in costs))
+    # a zero of the inputs' scalar type; their float sum could overflow to inf
+    zero = sum(0 * x for x in (*supplies, *demands, *(c for row in costs for c in row)))
     # node ids: 0 = source, 1..ns supplies, ns+1..ns+nt demands, last = sink
     S, T = 0, ns + nt + 1
     nn = ns + nt + 2
@@ -171,6 +172,10 @@ def _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
     Linear-scan Dijkstra: node counts are tiny and exact scalars make a heap
     pointless.  Float rounding can make a reduced cost infinitesimally
     negative; it is clamped at zero.
+
+    It stops once the sink T (last index, so it loses ties) is settled: the
+    nodes still open are farther away, cannot change the augmenting chain,
+    and :func:`_update_potentials` caps them at dist[T] either way.
     """
     S, T = 0, ns + nt + 1
     nn = ns + nt + 2
@@ -195,7 +200,7 @@ def _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
             if not done[v] and dist[v] < best:
                 best = dist[v]
                 u = v
-        if u < 0:
+        if u < 0 or u == T:
             break
         done[u] = True
         if u == S:
@@ -206,23 +211,19 @@ def _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
             i = u - 1
             for j in range(nt):
                 relax(u, ns + 1 + j, costs[i][j], "fwd", i, j)
-        elif ns + 1 <= u <= ns + nt:
+        else:  # a demand node
             j = u - ns - 1
             if used_snk[j] < demands[j]:
                 relax(u, T, 0, "snk", -1, j)
             for i in range(ns):
                 if flow[i][j] > 0:
                     relax(u, 1 + i, -costs[i][j], "bwd", i, j)
-        else:  # u == T
-            for j in range(nt):
-                if used_snk[j] > 0:
-                    relax(T, ns + 1 + j, 0, "tsnk", -1, j)
     return dist, parent
 
 
 def _update_potentials(pot, dist, T):
     # pot[v] += min(dist[v], dist[T]) keeps all residual reduced costs
-    # nonnegative, also for nodes the last search could not reach.
+    # nonnegative, also for nodes the last search did not reach or settle.
     cap = dist[T]
     if cap == INF:
         finite = [d for d in dist if d != INF]

@@ -81,8 +81,7 @@ def parse_params(doc: dict, exact: bool) -> EntropyParams:
     return EntropyParams(a=a, b=b, p=p)
 
 
-def parse_action(doc, space: FiniteMetricSpace) -> FiniteGroupAction:
-    perms = doc.get("group") if isinstance(doc, dict) else doc
+def parse_action(perms, space: FiniteMetricSpace) -> FiniteGroupAction:
     if not (_is_matrix(perms) and all(type(x) is int for g in perms for x in g)):
         raise ValueError("group must be a list of permutations, each a list of point indices")
     return validate_action(space, perms)

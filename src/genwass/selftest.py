@@ -297,8 +297,8 @@ def _dual_objective_pair(space, phi1, phi2, params, rng) -> bool:
     feas, obj = evaluate_dual(base, mu, nu)
     if not feas:
         return False
-    phi1_t = c_transform(space, phi2, params, side=1)
-    phi2_t = c_transform(space, phi1_t, params, side=2)
+    phi1_t = c_transform(space, phi2, params)
+    phi2_t = c_transform(space, phi1_t, params)
     improved = DualPotentials(phi1=phi1_t, phi2=phi2_t, params=params)
     feas2, obj2 = evaluate_dual(improved, mu, nu)
     if not feas2 or obj2 < obj:

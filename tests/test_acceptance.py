@@ -327,8 +327,8 @@ def test_criterion_9_c_transform_properties():
         feasible, objective = evaluate_dual(base, mu, nu)
         assert feasible
 
-        out1 = c_transform(space, phi2, params, side=1)
-        out2 = c_transform(space, out1, params, side=2)
+        out1 = c_transform(space, phi2, params)
+        out2 = c_transform(space, out1, params)
         improved = DualPotentials(phi1=out1, phi2=out2, params=params)
         feasible2, objective2 = evaluate_dual(improved, mu, nu)
         assert feasible2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genwass import flow
-from genwass.cli import main
+from genwass import flow, quotient
+from genwass.cli import build_parser, main
 
 
 @pytest.fixture
@@ -164,6 +165,7 @@ QUOTIENT_DOC = {
         {"space": {"points": ["x", "y", "z"], "d": [0, 1, 2]}},
         {"space": {"points": 5, "d": QUOTIENT_DOC["space"]["d"]}},
         {"group": 5},
+        {"group": {"group": [[0, 1, 2], [2, 1, 0]]}},
         {"group": [[0, 1, 2], [2, None, 0]]},
         {"seed": [1]},
         {"seed": "1/2"},
@@ -172,7 +174,7 @@ QUOTIENT_DOC = {
         # 2^1023 is a float, but shipping two units at that cost is not
         {"params": {"a": 1, "b": 1, "p": 1023}, "mu": {"x": 2}, "nu": {"z": 2}},
     ],
-    ids=["d-int", "d-flat-list", "points-int", "group-int", "group-null-entry", "seed-list",
+    ids=["d-int", "d-flat-list", "points-int", "group-int", "group-object", "group-null-entry", "seed-list",
          "seed-fraction", "p-past-float-range", "powers-past-float-range", "cost-past-float-range"],
 )
 @pytest.mark.parametrize("command", ["dist", "quotient"])
@@ -225,6 +227,87 @@ def test_dual_needs_p1(problem_file):
     assert main(["dual", "--input", problem_file(doc)]) == 2
 
 
+P2 = dict(TWO_POINT, params={"a": 1, "b": 1, "p": 2})
+
+
+@pytest.mark.parametrize(
+    "argv, doc, line",
+    [
+        (["dual"], P2, "error: dual potentials are only available for p = 1"),
+        (["verify"], P2, "error: the certificate is only defined for p = 1"),
+        (["flat"], P2, "error: the flat-metric LP is only defined for p = 1"),
+        (["flat", "--p", "2"], TWO_POINT, "error: the flat-metric LP is only defined for p = 1"),
+        (["quotient"], TWO_POINT, "error: quotient checks need a 'group' field"),
+    ],
+    ids=["dual-p2", "verify-p2", "flat-p2", "flat-p-override", "quotient-no-group"],
+)
+def test_handler_errors_print_one_line(problem_file, capsys, argv, doc, line):
+    assert main([*argv, "--input", problem_file(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+# costs whose float sum overflows to inf; the optimum destroys and creates
+NEAR_FLOAT_MAX = dict(TWO_POINT, space={"points": ["x", "y"], "d": [[0, 1e308], [1e308, 0]]})
+
+
+@pytest.mark.parametrize(
+    "command, key, expected",
+    [
+        ("dist", "value", 2.0),
+        ("dual", "gap", 0.0),
+        ("verify", "conditions", {"i": True, "ii": True, "iii": True, "iv": True}),
+    ],
+)
+def test_costs_near_float_max_solve(problem_file, capsys, command, key, expected):
+    assert main([command, "--input", problem_file(NEAR_FLOAT_MAX), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[key] == expected
+
+
+# the flags each subcommand's handler reads; nothing else is declared
+PROBLEM_FLAGS = {"--input", "--format", "--mode", "--p", "--a", "--b"}
+TAKES = {
+    "dist": PROBLEM_FLAGS,
+    "plan": PROBLEM_FLAGS,
+    "dual": PROBLEM_FLAGS,
+    "flat": PROBLEM_FLAGS,
+    "verify": PROBLEM_FLAGS | {"--tol", "--report"},
+    "quotient": PROBLEM_FLAGS | {"--tol"},
+    "gh": {"--input", "--format", "--mode", "--seed"},
+    "selftest": {"--format", "--seed"},
+}
+FLAG_VALUES = {
+    "--input": "x.json", "--format": "json", "--mode": "float", "--tol": "1", "--seed": "1",
+    "--p": "2", "--a": "1", "--b": "1", "--report": "r.json",
+}
+
+
+def test_subcommands_declare_only_the_flags_they_read():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {a.option_strings[-1] for a in sub._actions if a.option_strings and a.dest != "help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert declared == TAKES
+    assert sum(len(flags) for flags in declared.values()) == 45
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, takes in TAKES.items() for flag in FLAG_VALUES if flag not in takes],
+)
+def test_unread_flags_exit_2(capsys, command, flag):
+    argv = [command, flag, FLAG_VALUES[flag]]
+    if "--input" in TAKES[command]:
+        argv += ["--input", "missing.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_quotient_subcommand(problem_file, capsys):
     doc = {
         "space": {"points": ["-1", "0", "1"], "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
@@ -237,6 +320,38 @@ def test_quotient_subcommand(problem_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["upstairs"] == out["downstairs"] == 2
     assert out["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "mu, isometry",
+    [({"-1": 1, "1": 1}, True), ({"-1": 2}, "not-applicable (measures not invariant)")],
+    ids=["invariant", "not-invariant"],
+)
+def test_quotient_solves_each_side_once(problem_file, capsys, monkeypatch, mu, isometry):
+    calls = {"solve": 0, "build_quotient": 0}
+
+    def counted(name):
+        inner = getattr(quotient, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(quotient, name, counted(name))
+    doc = {
+        "space": {"points": ["-1", "0", "1"], "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "group": [[0, 1, 2], [2, 1, 0]],
+        "mu": mu,
+        "nu": {"0": 2},
+        "params": {"a": 1, "b": 1, "p": 1},
+    }
+    assert main(["quotient", "--input", problem_file(doc), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["isometry_ok"] == isometry and out["verdict"] == "pass"
+    assert calls == {"solve": 2, "build_quotient": 1}
 
 
 def test_gh_subcommand(problem_file, capsys):

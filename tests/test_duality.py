@@ -268,8 +268,8 @@ def test_transform_never_decreases_dual_objective():
         base = DualPotentials(phi1=psi, phi2=phi2, params=params)
         feasible, obj = evaluate_dual(base, mu, nu)
         assert feasible
-        phi1_t = c_transform(space, phi2, params, side=1)
-        phi2_t = c_transform(space, phi1_t, params, side=2)
+        phi1_t = c_transform(space, phi2, params)
+        phi2_t = c_transform(space, phi1_t, params)
         better = DualPotentials(phi1=phi1_t, phi2=phi2_t, params=params)
         feasible2, obj2 = evaluate_dual(better, mu, nu)
         assert feasible2
