@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import jsonio
-from .duality import solve_flat, verify_optimality
+from .duality import solve_flat, verification_tol, verify_optimality
 from .errors import GenwassError, InvalidParams, NotInvariant, SolverFailure
 from .gh import check_pushforward_stability, make_gh_map
 from .params import EntropyParams
@@ -90,8 +90,7 @@ def _load(args) -> jsonio.Problem:
     if args.b is not None:
         overrides["b"] = coerce(parse_scalar(args.b), problem.space.exact)
     if args.p is not None:
-        p_raw = parse_scalar(args.p)
-        overrides["p"] = int(p_raw) if p_raw == int(p_raw) else float(p_raw)
+        overrides["p"] = jsonio.parse_order(args.p)
     if overrides:
         params = problem.params
         problem.params = EntropyParams(
@@ -183,7 +182,7 @@ def cmd_quotient(args) -> int:
     problem = _load(args)
     if problem.action is None:
         raise GenwassError("quotient checks need a 'group' field")
-    tol = args.tol if args.tol is not None else (0 if problem.space.exact else 1e-9)
+    tol = verification_tol(args.tol, problem.space.exact)
     given = (problem.action, problem.mu, problem.nu, problem.params)
     try:  # the isometry needs invariant measures; the contraction holds for any
         up, down = check_quotient_isometry(*given)
@@ -216,7 +215,7 @@ def cmd_gh(args) -> int:
     target = jsonio.parse_space(doc["target"], exact=source.exact)
     ghmap = make_gh_map(table, source, target)
     params = jsonio.parse_params(doc.get("params", {"a": 1, "b": 1, "p": 1}), exact=False)
-    mass_cap = float(parse_scalar(doc.get("C", 1)))
+    mass_cap = coerce(parse_scalar(doc.get("C", 1)), False)
     seed = args.seed if args.seed is not None else jsonio.parse_seed(doc.get("seed", 0))
     stability = check_pushforward_stability(ghmap, params, mass_cap, seed=seed)
     out = {"defect": scalar_to_json(ghmap.epsilon), **{k: scalar_to_json(v) for k, v in stability.items()}}

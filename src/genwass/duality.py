@@ -15,10 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
-from .errors import InfeasibleInputs, SpaceMismatch
-from .measures import DiscreteMeasure, TransportPlan, require_same_space
+from .errors import InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
+from .measures import (
+    DiscreteMeasure,
+    TransportPlan,
+    is_submeasure,
+    lebesgue_decompose,
+    require_same_space,
+)
 from .params import EntropyParams
-from .scalars import NEG_INF, Scalar, coerce, common_denominator
+from .scalars import NEG_INF, Scalar, coerce, common_denominator, is_finite
 from .spaces import FiniteMetricSpace
 
 # Feasibility slack for float-mode potential checks, scaled by a + b*diam.
@@ -63,12 +69,7 @@ class OptimalityCertificate:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.support_ok
-            and self.tight_on_plan
-            and self.density_complementarity
-            and self.saturated_on_destroyed
-        )
+        return all(self.conditions().values())
 
     def conditions(self) -> dict[str, bool]:
         return {
@@ -206,6 +207,15 @@ def solve_flat(
     return value, FlatWitness(f=f)
 
 
+def verification_tol(tol: Scalar | None, exact: bool) -> Scalar:
+    """The given tolerance, finite and nonnegative, or by default 0 (exact) or 1e-9 (float)."""
+    if tol is None:
+        return 0 if exact else 1e-9
+    if not (is_finite(tol) and tol >= 0):
+        raise InvalidParams(f"the tolerance must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def verify_optimality(
     space: FiniteMetricSpace,
     mu: DiscreteMeasure,
@@ -226,82 +236,56 @@ def verify_optimality(
             the density of gamma_i with respect to mu_i,
       (iv)  phi_i = a wherever mass is destroyed outright (singular part).
     Optimality only requires SOME admissible sets to exist; the canonical
-    choice is fixed for determinism.
+    choice is fixed for determinism, and it meets (i) by construction:
+    gamma_i vanishes outside A_i, and sing_i lives where gamma_i vanishes
+    and mu_i does not, which is outside A_i.  So (i) is not scanned.  Where
+    gamma_i vanishes the density f_i is 0 and (iii)'s product is
+    |a - phi_i[x]|, which is (iv): one pass over the density checks (iii)
+    where gamma_i > 0 and (iv) elsewhere, the latter only at points whose
+    mass mu_i[x] exceeds tol.
     """
     require_same_space(mu, nu)
     if plan.space != space:
         raise SpaceMismatch("plan lives on a different space")
-    if tol is None:
-        tol = 0 if space.exact else 1e-9
+    tol = verification_tol(tol, space.exact)
 
-    if not plan.is_submarginal(mu, nu, atol=tol if not space.exact else None):
+    try:
+        gammas = plan.marginals()
+    except InvalidWeight:  # a marginal past float range exceeds any measure
+        gammas = None
+    if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):
         raise InfeasibleInputs("plan marginals exceed the problem measures")
     if not is_feasible_pair(space, potentials, slack=max(tol, feasibility_slack(space, params))):
         raise InfeasibleInputs("potentials violate the dual constraints")
 
     a, b = params.a, params.b
     n = space.n
-    gamma1, gamma2 = plan.row_sums(), plan.col_sums()
-    phi = (potentials.phi1, potentials.phi2)
-    marg = (gamma1, gamma2)
-    prob = (mu.weights, nu.weights)
-
-    sets = []
-    for side in (0, 1):
-        sets.append(tuple(x for x in range(n) if marg[side][x] > 0 or prob[side][x] == 0))
-
     violations: list[tuple[str, tuple]] = []
-
-    support_ok = True
-    for side in (0, 1):
-        inside = set(sets[side])
-        for x in range(n):
-            if x not in inside and marg[side][x] > tol:
-                support_ok = False
-                violations.append(("i", (side + 1, x)))
-            # singular mass sits where gamma vanishes but mu does not; by
-            # construction those points are outside A_i, so mass inside A_i
-            # with zero gamma would be a defect of the canonical choice
-            if x in inside and marg[side][x] == 0 and prob[side][x] > tol:
-                support_ok = False
-                violations.append(("i", (side + 1, x)))
-
-    tight_on_plan = True
     for i in range(n):
         for j in range(n):
             if plan.gamma[i][j] > tol:
-                gap = b * space.dist[i][j] - phi[0][i] - phi[1][j]
+                gap = b * space.dist[i][j] - potentials.phi1[i] - potentials.phi2[j]
                 if abs(gap) > tol:
-                    tight_on_plan = False
                     violations.append(("ii", (i, j)))
+    tight_on_plan = not violations
 
-    density_complementarity = True
-    for side in (0, 1):
-        for x in sets[side]:
-            if prob[side][x] <= 0:
-                continue
-            f_x = marg[side][x] / prob[side][x]
-            if abs((a - phi[side][x]) * (1 - f_x)) > tol:
-                density_complementarity = False
-                violations.append(("iii", (side + 1, x)))
-
-    saturated_on_destroyed = True
-    for side in (0, 1):
-        inside = set(sets[side])
-        for x in range(n):
-            if x in inside:
-                continue
-            singular = prob[side][x]  # gamma vanishes here, all mass is singular
-            if singular > tol and abs(phi[side][x] - a) > tol:
-                saturated_on_destroyed = False
-                violations.append(("iv", (side + 1, x)))
+    sets = []
+    unsaturated = {"iii": [], "iv": []}
+    sides = zip(gammas, (mu, nu), (potentials.phi1, potentials.phi2))
+    for side, (gamma, m, phi) in enumerate(sides, 1):
+        sets.append(tuple(x for x in range(n) if gamma.weights[x] > 0 or m.weights[x] == 0))
+        for x, f in enumerate(lebesgue_decompose(gamma, m).density):
+            shipped = gamma.weights[x] > 0  # (iii) on the support of gamma_i, else (iv)
+            if m.weights[x] > (0 if shipped else tol) and abs((a - phi[x]) * (1 - f)) > tol:
+                unsaturated["iii" if shipped else "iv"].append((side, x))
+    violations += [(cond, w) for cond, ws in unsaturated.items() for w in ws]
 
     return OptimalityCertificate(
         a1=sets[0],
         a2=sets[1],
-        support_ok=support_ok,
+        support_ok=True,  # (i) holds for the canonical sets; the flag stays in the report
         tight_on_plan=tight_on_plan,
-        density_complementarity=density_complementarity,
-        saturated_on_destroyed=saturated_on_destroyed,
+        density_complementarity=not unsaturated["iii"],
+        saturated_on_destroyed=not unsaturated["iv"],
         violations=tuple(violations),
     )

@@ -4,6 +4,7 @@ controls how pushing measures forward moves the unbalanced distance."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -109,12 +110,13 @@ def pushforward_bound(epsilon, params: EntropyParams, mass_cap, diam_source, dia
         raise InvalidParams("epsilon must be nonnegative")
     if not mass_cap > 0:
         raise InvalidParams("the mass cap must be positive")
-    b = float(params.b)
-    p = float(params.p)
-    c = float(mass_cap)
-    eps = float(epsilon)
-    m = float(diam_source) ** (p - 1.0) + float(diam_target) ** (p - 1.0)
-    return 8.0 * b * c ** (2.0 / p) * eps + b * (9.0 * p * c * m * eps) ** (1.0 / p)
+
+    def bound():  # past float range a power or float() raises OverflowError, a product is inf
+        b, p, c, eps = float(params.b), float(params.p), float(mass_cap), float(epsilon)
+        m = float(diam_source) ** (p - 1.0) + float(diam_target) ** (p - 1.0)
+        return 8.0 * b * c ** (2.0 / p) * eps + b * (9.0 * p * c * m * eps) ** (1.0 / p)
+
+    return _finite_bound(bound)
 
 
 def check_pushforward_stability(
@@ -138,7 +140,7 @@ def check_pushforward_stability(
     table = ghmap.table
     eps = float(ghmap.epsilon)
     bound = pushforward_bound(eps, params, mass_cap, src.diameter, tgt.diameter)
-    surj_bound = 4.0 * float(params.b) * float(mass_cap) ** (2.0 / float(params.p)) * eps
+    surj_bound = _finite_bound(lambda: 4.0 * float(params.b) * float(mass_cap) ** (2.0 / float(params.p)) * eps)
 
     inv = approximate_inverse(GHMap(src, tgt, table, eps))
 
@@ -202,6 +204,17 @@ def check_equivariant_stability(
                 worst = max(worst, float(solve(tgt, left, right, params).value))
 
     return {"epsilon": eps, "bound": bound, "max_deviation": worst, "ok": worst <= bound}
+
+
+def _finite_bound(evaluate) -> float:
+    """Evaluate a bound; one past float range, or NaN (inf * 0 at zero defect), bounds nothing."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParams("the stability bound is not a finite number for these parameters")
+    return value
 
 
 def _random_measure(rng, space: FiniteMetricSpace, total: float, support_size: int) -> DiscreteMeasure:

@@ -75,10 +75,13 @@ def parse_params(doc: dict, exact: bool) -> EntropyParams:
         raise ValueError('params must supply at least {"a": ..., "b": ...}')
     a = coerce(parse_scalar(doc["a"]), exact)
     b = coerce(parse_scalar(doc["b"]), exact)
-    p_raw = parse_scalar(doc.get("p", 1))
-    # keep an integral order as an int so exact cost powers stay rational
-    p = int(p_raw) if p_raw == int(p_raw) else float(p_raw)
-    return EntropyParams(a=a, b=b, p=p)
+    return EntropyParams(a=a, b=b, p=parse_order(doc.get("p", 1)))
+
+
+def parse_order(value) -> int | float:
+    """The order p: an int when integral, so exact cost powers stay rational."""
+    p = parse_scalar(value)
+    return int(p) if p == int(p) else coerce(p, False)
 
 
 def parse_action(perms, space: FiniteMetricSpace) -> FiniteGroupAction:

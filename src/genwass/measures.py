@@ -94,10 +94,10 @@ class Decomposition:
     singular: DiscreteMeasure
 
 
-def is_submeasure(sigma: DiscreteMeasure, tau: DiscreteMeasure) -> bool:
-    """Pointwise sigma <= tau (exact, or within 1e-12 absolute in float mode)."""
+def is_submeasure(sigma: DiscreteMeasure, tau: DiscreteMeasure, atol: float = FLOAT_WEIGHT_ATOL) -> bool:
+    """Pointwise sigma <= tau (exact, or within atol absolute in float mode)."""
     require_same_space(sigma, tau)
-    slack = 0 if sigma.space.exact else FLOAT_WEIGHT_ATOL
+    slack = 0 if sigma.space.exact else atol
     return all(s <= t + slack for s, t in zip(sigma.weights, tau.weights))
 
 
@@ -216,15 +216,3 @@ class TransportPlan:
             DiscreteMeasure(self.space, self.row_sums()),
             DiscreteMeasure(self.space, self.col_sums()),
         )
-
-    def is_submarginal(self, mu: DiscreteMeasure, nu: DiscreteMeasure, atol=None) -> bool:
-        """Row sums <= mu and column sums <= nu (the feasibility check on attach)."""
-        slack = atol if atol is not None else (0 if self.space.exact else FLOAT_WEIGHT_ATOL)
-        rows, cols = self.row_sums(), self.col_sums()
-        return all(r <= m + slack for r, m in zip(rows, mu.weights)) and all(
-            c <= v + slack for c, v in zip(cols, nu.weights)
-        )
-
-
-def plan(space: FiniteMetricSpace, gamma) -> TransportPlan:
-    return TransportPlan(space, tuple(tuple(coerce(x, space.exact) for x in row) for row in gamma))

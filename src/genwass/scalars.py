@@ -71,7 +71,10 @@ def coerce(value: Scalar, exact: bool) -> Scalar:
     """Bring a scalar into the requested arithmetic mode."""
     if exact:
         return Fraction(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an exact value past float range: the finiteness checks reject it
+        return INF if value > 0 else NEG_INF
 
 
 def scalar_to_json(value: Scalar):

@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genwass import flow, quotient
@@ -63,6 +63,17 @@ def test_verify_flags_tampered_report(problem_file, tmp_path, capsys):
     report_path = tmp_path / "tampered.json"
     report_path.write_text(json.dumps(doc))
     assert main(["verify", "--input", path, "--report", str(report_path)]) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_rejects_unbounded_tol_on_tampered_report(problem_file, tmp_path, capsys, tol):
+    path = problem_file(TWO_POINT)
+    assert main(["plan", "--input", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["plan"] = [[0, 0], [0, 0]]
+    report_path = tmp_path / "tampered.json"
+    report_path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", path, "--report", str(report_path), "--tol", tol]) == 2
 
 
 def test_verify_solver_output_passes(problem_file):
@@ -170,12 +181,14 @@ QUOTIENT_DOC = {
         {"seed": [1]},
         {"seed": "1/2"},
         {"params": {"a": 1, "b": 1, "p": 10**400}},
+        {"params": {"a": 1, "b": 1, "p": f"{10**400 + 1}/2"}},
         {"params": {"a": 1, "b": 1, "p": 2000}},
         # 2^1023 is a float, but shipping two units at that cost is not
         {"params": {"a": 1, "b": 1, "p": 1023}, "mu": {"x": 2}, "nu": {"z": 2}},
     ],
     ids=["d-int", "d-flat-list", "points-int", "group-int", "group-object", "group-null-entry", "seed-list",
-         "seed-fraction", "p-past-float-range", "powers-past-float-range", "cost-past-float-range"],
+         "seed-fraction", "p-past-float-range", "p-fraction-past-float-range", "powers-past-float-range",
+         "cost-past-float-range"],
 )
 @pytest.mark.parametrize("command", ["dist", "quotient"])
 def test_malformed_fields_are_input_errors(problem_file, capsys, command, overrides):
@@ -202,24 +215,48 @@ def field_paths(doc, prefix=()):
         yield from field_paths(value, prefix + (key,))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(list(field_paths(QUOTIENT_DOC))), json_values())
-def test_any_field_value_exits_with_a_contract_code(path, value):
-    doc = copy.deepcopy(QUOTIENT_DOC)
+def assert_contract_codes(doc, path, value, commands):
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
-        input_path = os.path.join(tmp, "problem.json")
+        input_path = os.path.join(tmp, "input.json")
         with open(input_path, "w") as fh:
             json.dump(doc, fh)
-        for command in ("dist", "quotient"):
+        for command in commands:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([command, "--input", input_path])
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(field_paths(QUOTIENT_DOC))), json_values())
+def test_any_field_value_exits_with_a_contract_code(path, value):
+    assert_contract_codes(QUOTIENT_DOC, path, value, ("dist", "quotient"))
+
+
+GH_DOC = {
+    "source": {"points": ["x", "y"], "d": [[0, 1.0], [1.0, 0]]},
+    "target": {"points": ["u", "v"], "d": [[0, 1.25], [1.25, 0]]},
+    "map": [0, 1],
+    "params": {"a": 1, "b": 1, "p": 1},
+    "C": 2,
+    "seed": 9,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(field_paths(GH_DOC))), json_values())
+@example(path=("C",), value=1e200)
+@example(path=("C",), value=10**400)
+@example(path=("params", "a"), value=10**400)
+@example(path=("params", "p"), value=f"{10**400 + 1}/2")
+def test_any_gh_field_value_exits_with_a_contract_code(path, value):
+    assert_contract_codes(GH_DOC, path, value, ("gh",))
 
 
 def test_dual_needs_p1(problem_file):
@@ -228,6 +265,7 @@ def test_dual_needs_p1(problem_file):
 
 
 P2 = dict(TWO_POINT, params={"a": 1, "b": 1, "p": 2})
+TOL_ERROR = "error: the tolerance must be finite and nonnegative, got "
 
 
 @pytest.mark.parametrize(
@@ -238,8 +276,17 @@ P2 = dict(TWO_POINT, params={"a": 1, "b": 1, "p": 2})
         (["flat"], P2, "error: the flat-metric LP is only defined for p = 1"),
         (["flat", "--p", "2"], TWO_POINT, "error: the flat-metric LP is only defined for p = 1"),
         (["quotient"], TWO_POINT, "error: quotient checks need a 'group' field"),
+        (["verify", "--tol", "-1"], TWO_POINT, TOL_ERROR + "-1.0"),
+        (["verify", "--tol", "nan"], TWO_POINT, TOL_ERROR + "nan"),
+        (["verify", "--tol", "inf"], TWO_POINT, TOL_ERROR + "inf"),
+        (["quotient", "--tol", "-1"], QUOTIENT_DOC, TOL_ERROR + "-1.0"),
+        (["quotient", "--tol", "nan"], QUOTIENT_DOC, TOL_ERROR + "nan"),
+        (["quotient", "--tol", "inf"], QUOTIENT_DOC, TOL_ERROR + "inf"),
+        (["dist", "--p", f"{10**400 + 1}/2"], TWO_POINT, "error: p must be finite and within float range, got inf"),
     ],
-    ids=["dual-p2", "verify-p2", "flat-p2", "flat-p-override", "quotient-no-group"],
+    ids=["dual-p2", "verify-p2", "flat-p2", "flat-p-override", "quotient-no-group", "verify-tol-negative",
+         "verify-tol-nan", "verify-tol-inf", "quotient-tol-negative", "quotient-tol-nan", "quotient-tol-inf",
+         "p-override-past-float-range"],
 )
 def test_handler_errors_print_one_line(problem_file, capsys, argv, doc, line):
     assert main([*argv, "--input", problem_file(doc)]) == 2
@@ -355,21 +402,34 @@ def test_quotient_solves_each_side_once(problem_file, capsys, monkeypatch, mu, i
 
 
 def test_gh_subcommand(problem_file, capsys):
-    doc = {
-        "source": {"points": ["x", "y"], "d": [[0, 1.0], [1.0, 0]]},
-        "target": {"points": ["u", "v"], "d": [[0, 1.25], [1.25, 0]]},
-        "map": [0, 1],
-        "params": {"a": 1, "b": 1, "p": 1},
-        "C": 2,
-        "seed": 9,
-    }
-    assert main(["gh", "--input", problem_file(doc), "--format", "json"]) == 0
+    assert main(["gh", "--input", problem_file(GH_DOC), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["defect"] == pytest.approx(0.25)
     assert out["deviation_ok"] and out["surjectivity_ok"]
 
 
-@pytest.mark.parametrize("doc", [[], {"map": 5}, {"map": [0, None]}], ids=["list", "map-int", "map-null"])
+# zero defect: the source maps onto itself
+GH_ISO = dict(GH_DOC, target=GH_DOC["source"])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"map": 5},
+        {"map": [0, None]},
+        # the bound's powers overflow, or it comes out NaN as inf * 0
+        dict(GH_DOC, C=1e200),
+        dict(GH_DOC, C=10**400),
+        dict(GH_ISO, params={"a": 1, "b": 1, "p": 1e308}),
+        dict(GH_ISO, params={"a": 1, "b": 1e308, "p": 1}),
+        dict(GH_DOC, source={"points": ["x", "y"], "d": [[0, 1e308], [1e308, 0]]}),
+        # an exact value past float range coerced for the float solves
+        dict(GH_DOC, params={"a": 10**400, "b": 1, "p": 1}),
+    ],
+    ids=["list", "map-int", "map-null", "C-1e200", "C-past-float-range", "p-1e308", "b-1e308",
+         "infinite-bound", "a-past-float-range"],
+)
 def test_malformed_gh_files_are_input_errors(problem_file, capsys, doc):
     assert main(["gh", "--input", problem_file(doc)]) == 2
     assert "Traceback" not in capsys.readouterr().err

@@ -19,8 +19,9 @@ from genwass import (
     verify_optimality,
     zero_measure,
 )
-from genwass.errors import InfeasibleInputs
-from genwass.measures import TransportPlan, plan as make_plan
+from genwass.errors import InfeasibleInputs, InvalidParams
+from genwass.measures import TransportPlan
+from genwass.scalars import coerce
 from genwass.selftest import random_int_metric, random_rational_measure
 
 
@@ -177,6 +178,10 @@ def test_antisymmetric_pair_from_flat_witness():
         assert obj == value
 
 
+def make_plan(space, gamma):
+    return TransportPlan(space, tuple(tuple(coerce(x, space.exact) for x in row) for row in gamma))
+
+
 def test_certificate_passes_on_hand_example(two_point, unit_params):
     mu, nu = dirac(two_point, 0), dirac(two_point, 1)
     plan = make_plan(two_point, [[0, 1], [0, 0]])
@@ -194,6 +199,55 @@ def test_certificate_catches_slack_on_shipped_pair(two_point, unit_params):
     assert ("ii", (0, 1)) in cert.violations
 
 
+def test_certificate_catches_partial_shipment_below_a(two_point, unit_params):
+    # half of mu's mass at x ships, so f_1(x) = 1/2 and (a - phi1[x]) must vanish
+    mu, nu = dirac(two_point, 0, 2), dirac(two_point, 1)
+    plan = make_plan(two_point, [[0, 1], [0, 0]])
+    pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
+    cert = verify_optimality(two_point, mu, nu, unit_params, plan, pair)
+    assert cert.conditions() == {"i": True, "ii": True, "iii": False, "iv": True}
+    assert cert.violations == (("iii", (1, 0)),)
+    assert (cert.a1, cert.a2) == ((0, 1), (0, 1))
+
+
+def test_certificate_catches_destroyed_point_below_a(two_point, unit_params):
+    # nothing ships: mu's atom at x is destroyed while phi1[x] = 0 < a
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    plan = make_plan(two_point, [[0, 0], [0, 0]])
+    pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
+    cert = verify_optimality(two_point, mu, nu, unit_params, plan, pair)
+    assert cert.conditions() == {"i": True, "ii": True, "iii": True, "iv": False}
+    assert cert.violations == (("iv", (1, 0)),)
+    assert (cert.a1, cert.a2) == ((1,), (0,))
+
+
+def test_certificate_skips_destroyed_mass_within_tol(two_point):
+    # y carries 1e-10 of mu, destroyed with phi1[y] = 0 < a: below the float
+    # tolerance it is no witness, at tol = 0 it is
+    space = two_point.as_float()
+    params = EntropyParams(a=1.0, b=1.0, p=1)
+    mu, nu = measure(space, [1.0, 1e-10]), measure(space, [1.0, 0.0])
+    plan = make_plan(space, [[1, 0], [0, 0]])
+    pair = DualPotentials(phi1=(0.0, 0.0), phi2=(0.0, 0.0), params=params)
+    cert = verify_optimality(space, mu, nu, params, plan, pair)
+    assert cert.passed and cert.violations == ()
+    assert (cert.a1, cert.a2) == ((0,), (0, 1))
+    strict = verify_optimality(space, mu, nu, params, plan, pair, tol=0)
+    assert strict.violations == (("iv", (1, 1)),)
+    assert (strict.a1, strict.a2) == ((0,), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "tol", [-1, -1e-300, float("nan"), float("inf"), Fraction(-1, 3)], ids=["-1", "-1e-300", "nan", "inf", "-1/3"]
+)
+def test_certificate_rejects_bad_tolerance(two_point, unit_params, tol):
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    plan = make_plan(two_point, [[0, 1], [0, 0]])
+    pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
+    with pytest.raises(InvalidParams, match="the tolerance must be finite and nonnegative"):
+        verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=tol)
+
+
 def test_certificate_diagonal_plan(line3, unit_params):
     mu = measure(line3, [1, 2, 3])
     plan = make_plan(line3, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
@@ -208,6 +262,16 @@ def test_certificate_rejects_infeasible_inputs(two_point, unit_params):
     pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
     with pytest.raises(InfeasibleInputs):
         verify_optimality(two_point, mu, nu, unit_params, overfull, pair)
+    # marginals past float range exceed any measure
+    with pytest.raises(InfeasibleInputs, match="plan marginals"):
+        verify_optimality(two_point, mu, nu, unit_params, make_plan(two_point, [[10**400, 0], [0, 0]]), pair)
+    space = two_point.as_float()
+    params = EntropyParams(a=1.0, b=1.0, p=1)
+    with pytest.raises(InfeasibleInputs, match="plan marginals"):
+        verify_optimality(
+            space, mu.as_float(space), nu.as_float(space), params, make_plan(space, [[1e308, 1e308], [0, 0]]),
+            DualPotentials(phi1=(0.0, -1.0), phi2=(-1.0, 1.0), params=params),
+        )
     bad_pair = DualPotentials(phi1=(2, 0), phi2=(0, 2), params=unit_params)
     with pytest.raises(InfeasibleInputs):
         verify_optimality(two_point, mu, nu, unit_params, make_plan(two_point, [[0, 1], [0, 0]]), bad_pair)

@@ -94,6 +94,10 @@ def test_bound_rejects_bad_inputs():
         pushforward_bound(-0.1, EntropyParams(1, 1, 1), 1, 1, 1)
     with pytest.raises(InvalidParams):
         pushforward_bound(0.1, EntropyParams(1, 1, 1), 0, 1, 1)
+    with pytest.raises(InvalidParams):  # C^(2/p) overflows
+        pushforward_bound(0.1, EntropyParams(1, 1, 1), 1e200, 1, 1)
+    with pytest.raises(InvalidParams):  # 8 b overflows and meets eps = 0: NaN
+        pushforward_bound(0, EntropyParams(1, 1e308, 1), 1, 1, 1)
 
 
 def test_equivariant_defect_identity(two_point):
