@@ -1,12 +1,19 @@
-"""Bipartite min-cost flow by successive shortest paths with node potentials.
+"""Min-cost flow by successive shortest paths with node potentials.
 
-The network is complete bipartite: a virtual source feeds every supply node
-(arc capacity = its supply), every supply node reaches every demand node
-(infinite capacity, the given arc cost), and every demand node drains into a
-virtual sink (capacity = its demand).  Arc costs must be nonnegative, which
+One engine runs on a residual arc list: parallel lists ``head``, ``cap``,
+``cost`` and ``flow`` by arc id, the reverse of arc ``e`` at ``e ^ 1``
+(capacity zero, cost negated), and the arc ids of each node.  An arc is
+residual while ``flow[e] < cap[e]``.  Arc costs must be nonnegative, which
 lets every phase run Dijkstra on reduced costs.
 
-One scalar-generic engine runs on ints, Fractions and floats.  Successive
+The transport network is complete bipartite: node 0 is the source S, then
+come the supplies and the demands, and the sink T is last.  S feeds every
+supply (capacity its mass), every supply reaches every demand (the given
+cost; capacity the total of all masses, which no flow reaches), and every
+demand drains into T (capacity its mass).  Dijkstra settles the smallest
+index on ties, so this numbering fixes every path, plan and potential.
+
+The engine is scalar-generic: ints, Fractions and floats.  Successive
 shortest paths augment in nondecreasing path-cost order, so the accumulated
 (mass, cost) pairs trace the convex parametric curve of the transport
 problem; the engine records one breakpoint per augmentation.  It keeps only
@@ -18,9 +25,10 @@ multiplied by the least common multiple M of their denominators and the
 costs by that of theirs, C, and the engine runs on the resulting Python
 ints.  Positive scaling preserves every comparison, so the augmenting
 paths, tie-breaks and breakpoints are the same; the result is divided once
-(masses by M, costs by M*C, potentials by C) and stays exact.  Float inputs
-run the engine directly.  The flat LP and the oracle keep their own Fraction
-arithmetic and never use this solver.
+(masses by M, costs by M*C, potentials by C) and stays exact.  Scaled ints
+can pass float range, so no capacity is a float infinity.  Float inputs
+run the engine directly.  The flat LP and the oracle keep their own
+Fraction arithmetic and never use this solver.
 """
 
 from __future__ import annotations
@@ -89,15 +97,22 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
 
     # a zero of the inputs' scalar type; their float sum could overflow to inf
     zero = sum(0 * x for x in (*supplies, *demands, *(c for row in costs for c in row)))
-    # node ids: 0 = source, 1..ns supplies, ns+1..ns+nt demands, last = sink
     S, T = 0, ns + nt + 1
-    nn = ns + nt + 2
-    pot = [zero] * nn
+    total_mass = sum(supplies) + sum(demands)
+    arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
+    arcs += [(1 + i, ns + 1 + j, total_mass, c) for i, row in enumerate(costs) for j, c in enumerate(row)]
+    arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
+    head, cap, cost = [], [], []
+    adj = [[] for _ in range(T + 1)]
+    for u, v, c, w in arcs:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (c, zero)
+        cost += (w, -w)
+    flow = [zero] * len(head)
 
-    flow = [[zero] * nt for _ in range(ns)]
-    used_src = [zero] * ns
-    used_snk = [zero] * nt
-
+    pot = [zero] * (T + 1)
     pushed = zero
     cost_acc = zero
     breakpoints: list[tuple[Scalar, Scalar]] = [(pushed, cost_acc)]
@@ -105,47 +120,24 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     for _phase in range(MAX_PHASES):
         if pushed >= target:
             break
-        dist, parent = _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
+        dist, parent = _dijkstra(adj, head, cap, cost, flow, pot)
         if dist[T] == INF:
             break
 
-        # walk the parent chain to find the bottleneck
-        bottleneck = None
+        path = []
         v = T
         while v != S:
-            u, kind, i, j = parent[v]
-            if kind == "src":
-                room = supplies[i] - used_src[i]
-            elif kind == "snk":
-                room = demands[j] - used_snk[j]
-            elif kind == "fwd":
-                room = None  # uncapacitated
-            else:  # "bwd"
-                room = flow[i][j]
-            if room is not None and (bottleneck is None or room < bottleneck):
-                bottleneck = room
-            v = u
-        remaining = target - pushed
-        if bottleneck is None or remaining < bottleneck:
-            bottleneck = remaining
+            path.append(parent[v])
+            v = head[parent[v] ^ 1]
+        # min keeps the first of equal rooms, walking back from T
+        delta = min(min(cap[e] - flow[e] for e in path), target - pushed)
+        for e in path:
+            flow[e] += delta
+            flow[e ^ 1] -= delta
+            cost_acc += cost[e] * delta
 
-        v = T
-        while v != S:
-            u, kind, i, j = parent[v]
-            if kind == "src":
-                used_src[i] += bottleneck
-            elif kind == "snk":
-                used_snk[j] += bottleneck
-            elif kind == "fwd":
-                flow[i][j] += bottleneck
-                cost_acc += costs[i][j] * bottleneck
-            else:
-                flow[i][j] -= bottleneck
-                cost_acc -= costs[i][j] * bottleneck
-            v = u
-
-        pushed += bottleneck
-        if bottleneck > 0:
+        pushed += delta
+        if delta > 0:
             breakpoints.append((pushed, cost_acc))
 
         _update_potentials(pot, dist, T)
@@ -153,21 +145,22 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
         raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
 
     # Final potential refresh so the duals reflect the terminal residual graph.
-    dist, _ = _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
+    dist, _ = _dijkstra(adj, head, cap, cost, flow, pot)
     _update_potentials(pot, dist, T)
 
+    first = 2 * ns  # the transport arcs follow the ns source arcs, row by row
     return FlowSolution(
-        flow=flow,
+        flow=[[flow[first + 2 * (i * nt + j)] for j in range(nt)] for i in range(ns)],
         total=pushed,
         cost=cost_acc,
         breakpoints=breakpoints,
         potential_src=pot[1 : ns + 1],
-        potential_snk=pot[ns + 1 : ns + nt + 1],
+        potential_snk=pot[ns + 1 : T],
     )
 
 
-def _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
-    """Shortest reduced-cost distances from the virtual source.
+def _dijkstra(adj, head, cap, cost, flow, pot):
+    """Shortest reduced-cost distances from the source, node 0, over residual arcs.
 
     Linear-scan Dijkstra: node counts are tiny and exact scalars make a heap
     pointless.  Float rounding can make a reduced cost infinitesimally
@@ -177,21 +170,12 @@ def _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
     nodes still open are farther away, cannot change the augmenting chain,
     and :func:`_update_potentials` caps them at dist[T] either way.
     """
-    S, T = 0, ns + nt + 1
-    nn = ns + nt + 2
+    nn = len(adj)
+    T = nn - 1
     dist = [INF] * nn
-    parent = [None] * nn
-    dist[S] = 0 * pot[0]
+    parent = [-1] * nn
+    dist[0] = 0 * pot[0]
     done = [False] * nn
-
-    def relax(u, v, c, tag, i, j):
-        rc = c + pot[u] - pot[v]
-        if rc < 0:
-            rc = 0  # float-mode rounding guard; exact mode never goes negative
-        nd = dist[u] + rc
-        if nd < dist[v]:
-            dist[v] = nd
-            parent[v] = (u, tag, i, j)
 
     for _ in range(nn):
         u = -1
@@ -203,21 +187,17 @@ def _dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
         if u < 0 or u == T:
             break
         done[u] = True
-        if u == S:
-            for i in range(ns):
-                if used_src[i] < supplies[i]:
-                    relax(S, 1 + i, 0, "src", i, -1)
-        elif 1 <= u <= ns:
-            i = u - 1
-            for j in range(nt):
-                relax(u, ns + 1 + j, costs[i][j], "fwd", i, j)
-        else:  # a demand node
-            j = u - ns - 1
-            if used_snk[j] < demands[j]:
-                relax(u, T, 0, "snk", -1, j)
-            for i in range(ns):
-                if flow[i][j] > 0:
-                    relax(u, 1 + i, -costs[i][j], "bwd", i, j)
+        du, pu = dist[u], pot[u]
+        for e in adj[u]:
+            if flow[e] < cap[e]:
+                v = head[e]
+                rc = cost[e] + pu - pot[v]
+                if rc < 0:
+                    rc = 0  # float-mode rounding guard; exact mode never goes negative
+                nd = du + rc
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = e
     return dist, parent
 
 

@@ -22,7 +22,7 @@ from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import FLOAT_MAX, Scalar, coerce
+from .scalars import FLOAT_MAX, Scalar, coerce, is_exact
 from .solver_w1 import SolveReport, solve_w1
 from .spaces import FiniteMetricSpace
 
@@ -34,7 +34,10 @@ class ParametricCurve:
     """Breakpoints (m_k, T_k) of the parametric min-cost transport value.
 
     m_0 = 0, T_0 = 0, the masses increase strictly, and the slopes
-    (T_{k+1}-T_k)/(m_{k+1}-m_k) are nondecreasing (convexity).
+    (T_{k+1}-T_k)/(m_{k+1}-m_k) are nondecreasing (convexity).  Float curves
+    carry rounding and are checked within it: a mass may repeat (an
+    augmentation below its ulp), and a breakpoint may lie above the chord of
+    its neighbours by MASS_RTOL * (1 + max T_k).
     """
 
     breakpoints: tuple[tuple[Scalar, Scalar], ...]
@@ -43,16 +46,17 @@ class ParametricCurve:
         pts = self.breakpoints
         if not pts or pts[0][0] != 0 or pts[0][1] != 0:
             raise ValueError("curve must start at (0, 0)")
-        prev_slope = None
-        for (m0, t0), (m1, t1) in zip(pts, pts[1:]):
-            if not m1 > m0:
+        exact = all(is_exact(x) for pt in pts for x in pt)
+        slack = 0 if exact else MASS_RTOL * (1.0 + max(abs(t) for _, t in pts))
+        # (mp, tp) precedes (m0, t0); the first point precedes itself
+        for (mp, tp), (m0, t0), (m1, t1) in zip((pts[0], *pts), pts, pts[1:]):
+            if m1 < m0 or (exact and m1 == m0):
                 raise ValueError("breakpoint masses must increase strictly")
             if t1 < t0:
                 raise ValueError("accumulated cost cannot decrease")
-            slope = (t1 - t0) / (m1 - m0)
-            if prev_slope is not None and slope < prev_slope:
+            # slope into (m0, t0) <= slope out of it, cross-multiplied, up to the slack
+            if (t0 - tp) * (m1 - m0) - (t1 - t0) * (m0 - mp) > slack * (m1 - mp):
                 raise ValueError("curve slopes must be nondecreasing")
-            prev_slope = slope
 
     @property
     def max_mass(self) -> Scalar:
@@ -154,7 +158,10 @@ def solve_wp(
     best_idx = 0
     best_value = None
     for k, (m, t) in enumerate(curve):
-        v = a * (mu.mass + nu.mass - 2 * m) + b * _root(t, p)
+        try:
+            v = a * (mu.mass + nu.mass - 2 * m) + b * _root(t, p)
+        except OverflowError:  # an exact waste term past float range meets the float root
+            raise InvalidParams(f"a = {float(a):g} puts the value at p = {p} beyond float range") from None
         # ties keep the smaller transported mass (first hit wins)
         if best_value is None or v < best_value:
             best_value = v

@@ -266,6 +266,9 @@ def test_dual_needs_p1(problem_file):
 
 P2 = dict(TWO_POINT, params={"a": 1, "b": 1, "p": 2})
 TOL_ERROR = "error: the tolerance must be finite and nonnegative, got "
+# exact p = 2: a times the waste mass is past float range, and the value adds a float root
+A_NEAR_FLOAT_MAX = dict(QUOTIENT_DOC, params={"a": 1e308, "b": "1/2", "p": 2})
+A_PAST_FLOAT_RANGE = "error: a = 1e+308 puts the value at p = 2 beyond float range"
 
 
 @pytest.mark.parametrize(
@@ -283,10 +286,12 @@ TOL_ERROR = "error: the tolerance must be finite and nonnegative, got "
         (["quotient", "--tol", "nan"], QUOTIENT_DOC, TOL_ERROR + "nan"),
         (["quotient", "--tol", "inf"], QUOTIENT_DOC, TOL_ERROR + "inf"),
         (["dist", "--p", f"{10**400 + 1}/2"], TWO_POINT, "error: p must be finite and within float range, got inf"),
+        (["dist"], A_NEAR_FLOAT_MAX, A_PAST_FLOAT_RANGE),
+        (["quotient"], A_NEAR_FLOAT_MAX, A_PAST_FLOAT_RANGE),
     ],
     ids=["dual-p2", "verify-p2", "flat-p2", "flat-p-override", "quotient-no-group", "verify-tol-negative",
          "verify-tol-nan", "verify-tol-inf", "quotient-tol-negative", "quotient-tol-nan", "quotient-tol-inf",
-         "p-override-past-float-range"],
+         "p-override-past-float-range", "dist-exact-a-near-float-max", "quotient-exact-a-near-float-max"],
 )
 def test_handler_errors_print_one_line(problem_file, capsys, argv, doc, line):
     assert main([*argv, "--input", problem_file(doc)]) == 2

@@ -3,12 +3,163 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genwass.flow import _successive_shortest_paths, solve_transport
+from genwass.errors import SolverFailure
+from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
+from genwass.scalars import INF
+from genwass.selftest import random_int_metric
+from genwass.solver_wp import MASS_RTOL
 
 FIELDS = ("flow", "total", "cost", "breakpoints", "potential_src", "potential_snk")
+
+
+def reference_transport(costs, supplies, demands, target) -> FlowSolution:
+    """The bipartite engine with one branch per arc kind: a virtual source
+    arc, a virtual sink arc, a transport arc, or its residual push-back."""
+    ns, nt = len(supplies), len(demands)
+    max_total = min(sum(supplies), sum(demands))
+    if target is None:
+        target = max_total
+    elif target > max_total:
+        raise ValueError("target flow exceeds what supplies/demands allow")
+
+    # a zero of the inputs' scalar type; their float sum could overflow to inf
+    zero = sum(0 * x for x in (*supplies, *demands, *(c for row in costs for c in row)))
+    # node ids: 0 = source, 1..ns supplies, ns+1..ns+nt demands, last = sink
+    S, T = 0, ns + nt + 1
+    nn = ns + nt + 2
+    pot = [zero] * nn
+
+    flow = [[zero] * nt for _ in range(ns)]
+    used_src = [zero] * ns
+    used_snk = [zero] * nt
+
+    pushed = zero
+    cost_acc = zero
+    breakpoints = [(pushed, cost_acc)]
+
+    for _phase in range(MAX_PHASES):
+        if pushed >= target:
+            break
+        dist, parent = reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
+        if dist[T] == INF:
+            break
+
+        # walk the parent chain to find the bottleneck
+        bottleneck = None
+        v = T
+        while v != S:
+            u, kind, i, j = parent[v]
+            if kind == "src":
+                room = supplies[i] - used_src[i]
+            elif kind == "snk":
+                room = demands[j] - used_snk[j]
+            elif kind == "fwd":
+                room = None  # uncapacitated
+            else:  # "bwd"
+                room = flow[i][j]
+            if room is not None and (bottleneck is None or room < bottleneck):
+                bottleneck = room
+            v = u
+        remaining = target - pushed
+        if bottleneck is None or remaining < bottleneck:
+            bottleneck = remaining
+
+        v = T
+        while v != S:
+            u, kind, i, j = parent[v]
+            if kind == "src":
+                used_src[i] += bottleneck
+            elif kind == "snk":
+                used_snk[j] += bottleneck
+            elif kind == "fwd":
+                flow[i][j] += bottleneck
+                cost_acc += costs[i][j] * bottleneck
+            else:
+                flow[i][j] -= bottleneck
+                cost_acc -= costs[i][j] * bottleneck
+            v = u
+
+        pushed += bottleneck
+        if bottleneck > 0:
+            breakpoints.append((pushed, cost_acc))
+
+        reference_update_potentials(pot, dist, T)
+    else:
+        raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
+
+    # Final potential refresh so the duals reflect the terminal residual graph.
+    dist, _ = reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
+    reference_update_potentials(pot, dist, T)
+
+    return FlowSolution(
+        flow=flow,
+        total=pushed,
+        cost=cost_acc,
+        breakpoints=breakpoints,
+        potential_src=pot[1 : ns + 1],
+        potential_snk=pot[ns + 1 : ns + nt + 1],
+    )
+
+
+def reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
+    """Linear-scan Dijkstra on reduced costs, smallest index first on ties,
+    stopping once the sink (the last index) is settled."""
+    S, T = 0, ns + nt + 1
+    nn = ns + nt + 2
+    dist = [INF] * nn
+    parent = [None] * nn
+    dist[S] = 0 * pot[0]
+    done = [False] * nn
+
+    def relax(u, v, c, tag, i, j):
+        rc = c + pot[u] - pot[v]
+        if rc < 0:
+            rc = 0  # float-mode rounding guard; exact mode never goes negative
+        nd = dist[u] + rc
+        if nd < dist[v]:
+            dist[v] = nd
+            parent[v] = (u, tag, i, j)
+
+    for _ in range(nn):
+        u = -1
+        best = INF
+        for v in range(nn):
+            if not done[v] and dist[v] < best:
+                best = dist[v]
+                u = v
+        if u < 0 or u == T:
+            break
+        done[u] = True
+        if u == S:
+            for i in range(ns):
+                if used_src[i] < supplies[i]:
+                    relax(S, 1 + i, 0, "src", i, -1)
+        elif 1 <= u <= ns:
+            i = u - 1
+            for j in range(nt):
+                relax(u, ns + 1 + j, costs[i][j], "fwd", i, j)
+        else:  # a demand node
+            j = u - ns - 1
+            if used_snk[j] < demands[j]:
+                relax(u, T, 0, "snk", -1, j)
+            for i in range(ns):
+                if flow[i][j] > 0:
+                    relax(u, 1 + i, -costs[i][j], "bwd", i, j)
+    return dist, parent
+
+
+def reference_update_potentials(pot, dist, T):
+    # pot[v] += min(dist[v], dist[T]) keeps all residual reduced costs
+    # nonnegative, also for nodes the last search did not reach or settle.
+    cap = dist[T]
+    if cap == INF:
+        finite = [d for d in dist if d != INF]
+        cap = max(finite) if finite else 0
+    for v, d in enumerate(dist):
+        pot[v] += d if d < cap else cap
 
 
 def rationals(max_num):
@@ -153,3 +304,72 @@ def test_float_inputs_run_the_engine_directly():
     assert got == _successive_shortest_paths(costs, supplies, demands, 1.2)
     for field in FIELDS:
         assert all(type(x) is float for x in scalars_of(getattr(got, field))), field
+
+
+def assert_same_solution(got, want):
+    for field in FIELDS:
+        assert getattr(got, field) == getattr(want, field), field
+        assert [type(x) for x in scalars_of(getattr(got, field))] == [
+            type(x) for x in scalars_of(getattr(want, field))
+        ], field
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    # costs 0-3 make many equal-distance nodes, so the smallest-index
+    # tie-break decides most paths; masses may be zero
+    kind = draw(st.sampled_from(("int", "fraction", "float")))
+    den = {"int": st.just(1), "fraction": st.sampled_from((1, 2, 3)), "float": st.sampled_from((1, 3, 7))}[kind]
+    scalar = {"int": lambda k, d: k, "fraction": Fraction, "float": lambda k, d: k / d}[kind]
+    ns, nt = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    costs = [[scalar(draw(st.integers(0, 3)), 1) for _ in range(nt)] for _ in range(ns)]
+    supplies = [scalar(draw(st.integers(0, 4)), draw(den)) for _ in range(ns)]
+    demands = [scalar(draw(st.integers(0, 4)), draw(den)) for _ in range(nt)]
+    target = None
+    if draw(st.booleans()):
+        most = min(sum(supplies), sum(demands))
+        k = draw(st.integers(0, 4))
+        target = {"int": most * k // 4, "fraction": most * Fraction(k, 4), "float": most * k / 4}[kind]
+    return costs, supplies, demands, target
+
+
+@given(tie_heavy_problems())
+@example(([[0, 0], [0, 0]], [1, 1], [1, 1], None))
+@example(([[1, 0], [0, 1]], [1, 0], [0, 1], 0))
+def test_engine_matches_reference(problem):
+    costs, supplies, demands, target = problem
+    want = reference_transport(costs, supplies, demands, target)
+    assert_same_solution(solve_transport(costs, supplies, demands, target=target), want)
+    assert_same_solution(_successive_shortest_paths(costs, supplies, demands, target), want)
+
+
+def test_transport_arc_reused_past_float_range():
+    # the third path pushes through a transport arc whose scaled flow is past
+    # float range, so its residual room must not be computed against inf
+    huge = Fraction(10**308)
+    costs = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(5)]]
+    supplies, demands = [Fraction(1, 3), huge + 2], [huge, Fraction(1)]
+    sol = solve_transport(costs, supplies, demands)
+    assert sol == reference_transport(costs, supplies, demands, None)
+    assert sol.total == huge + 1 and sol.cost == Fraction(11, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((3, 7, 10, 11)),
+    st.data(),
+)
+def test_float_instances_finish_with_all_the_mass(n, seed, den, data):
+    # non-dyadic weights k/den round at every push; the engine raises
+    # SolverFailure past MAX_PHASES, so returning is the termination check
+    space = random_int_metric(random.Random(seed), n, max_d=9)
+    costs = [[float(d) for d in row] for row in space.dist]
+    weights = st.lists(st.integers(0, 3 * den), min_size=n, max_size=n)
+    mu = [k / den for k in data.draw(weights)]
+    nu = [k / den for k in data.draw(weights)]
+    sol = solve_transport(costs, mu, nu)
+    most = min(sum(mu), sum(nu))
+    assert len(sol.breakpoints) - 1 < MAX_PHASES
+    assert abs(sol.total - most) <= MASS_RTOL * (1.0 + most)

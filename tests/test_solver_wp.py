@@ -16,6 +16,7 @@ from genwass import (
     wasserstein_p,
 )
 from genwass.errors import MassMismatch
+from genwass.solver_wp import ParametricCurve
 from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
 
 
@@ -70,6 +71,32 @@ def test_curve_interpolation_matches_segments():
     )
     assert curve.value_at(Fraction(1, 2)) == Fraction(1, 2)
     assert curve.value_at(Fraction(3, 2)) == 2
+
+
+def test_float_curves_of_valid_instances_construct():
+    # non-dyadic weights round at every push: float breakpoints sit a few
+    # ulps off the exact curve, and some augmentations leave the mass unchanged
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        space = random_int_metric(rng, n, max_d=9)
+        den = rng.choice((3, 7, 10, 11))
+        mu = measure(space, [Fraction(rng.randint(0, 3 * den), den) for _ in range(n)])
+        nu = measure(space, [Fraction(rng.randint(0, 3 * den), den) for _ in range(n)])
+        exact = parametric_transport_curve(space, mu, nu, 1)
+        fspace = space.as_float()
+        curve = parametric_transport_curve(fspace, mu.as_float(fspace), nu.as_float(fspace), 1)
+        assert curve.max_mass == pytest.approx(float(exact.max_mass), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)), ((0, 0), (1, 2), (2, 3))],
+    ids=["float", "exact"],
+)
+def test_non_convex_curve_is_rejected(points):
+    with pytest.raises(ValueError, match="curve slopes must be nondecreasing"):
+        ParametricCurve(breakpoints=points)
 
 
 def test_solve_wp_short_and_long(two_point, two_point_far):
