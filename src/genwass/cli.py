@@ -14,14 +14,14 @@ stdout and any human-readable text to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import jsonio
-from .duality import solve_flat, verification_tol, verify_optimality
+from .duality import primal_value, solve_flat, verification_tol, verify_optimality
 from .errors import GenwassError, InvalidParams, NotInvariant, SolverFailure
 from .gh import check_pushforward_stability, make_gh_map
-from .params import EntropyParams
 from .quotient import check_quotient_contraction, check_quotient_isometry
 from .scalars import coerce, parse_scalar, scalar_to_json
 from .selftest import run_selftest
@@ -84,20 +84,11 @@ def _load(args) -> jsonio.Problem:
     with open(args.input) as fh:
         doc = json.load(fh)
     problem = jsonio.load_problem(doc, mode=args.mode)
-    overrides = {}
-    if args.a is not None:
-        overrides["a"] = coerce(parse_scalar(args.a), problem.space.exact)
-    if args.b is not None:
-        overrides["b"] = coerce(parse_scalar(args.b), problem.space.exact)
+    rates = (("a", args.a), ("b", args.b))
+    overrides = {k: coerce(parse_scalar(v), problem.space.exact) for k, v in rates if v is not None}
     if args.p is not None:
         overrides["p"] = jsonio.parse_order(args.p)
-    if overrides:
-        params = problem.params
-        problem.params = EntropyParams(
-            a=overrides.get("a", params.a),
-            b=overrides.get("b", params.b),
-            p=overrides.get("p", params.p),
-        )
+    problem.params = dataclasses.replace(problem.params, **overrides)
     return problem
 
 
@@ -166,6 +157,7 @@ def cmd_verify(args) -> int:
         potentials = jsonio.parse_potentials(
             rep_doc["phi1"], rep_doc["phi2"], problem.space, problem.params
         )
+        value = coerce(parse_scalar(rep_doc["value"]), problem.space.exact)
     else:
         report = solve(problem.space, problem.mu, problem.nu, problem.params)
         plan, potentials = report.plan, report.potentials
@@ -174,8 +166,13 @@ def cmd_verify(args) -> int:
     )
     doc = jsonio.certificate_to_json(cert)
     lines = [f"condition {k}: {'pass' if v else 'FAIL'}" for k, v in cert.conditions().items()]
+    if args.report:  # the reported value must be the plan's own primal objective
+        primal = primal_value(plan, problem.mu, problem.nu, problem.params)
+        tol = verification_tol(args.tol, problem.space.exact)
+        doc["value_ok"] = abs(primal - value) <= tol * (1 + abs(primal))
+        lines.append(f"value: {'pass' if doc['value_ok'] else 'FAIL'}")
     _emit(args, doc, lines)
-    return 0 if cert.passed else 1
+    return 0 if cert.passed and doc.get("value_ok", True) else 1
 
 
 def cmd_quotient(args) -> int:
@@ -186,13 +183,13 @@ def cmd_quotient(args) -> int:
     given = (problem.action, problem.mu, problem.nu, problem.params)
     try:  # the isometry needs invariant measures; the contraction holds for any
         up, down = check_quotient_isometry(*given)
-        isometry_ok = abs(float(up) - float(down)) <= float(tol)
+        isometry_ok = abs(up - down) <= tol
         isometry = f"isometry (invariant measures): {'pass' if isometry_ok else 'FAIL'}"
     except NotInvariant:
         up, down = check_quotient_contraction(*given)
         isometry_ok = "not-applicable (measures not invariant)"
         isometry = "isometry: skipped, measures are not invariant"
-    contraction_ok = float(down) <= float(up) + float(tol)
+    contraction_ok = down - up <= tol
     verdict = "pass" if contraction_ok and isometry_ok is not False else "fail"
     doc = {
         "upstairs": scalar_to_json(up),

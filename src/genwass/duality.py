@@ -1,6 +1,7 @@
-"""Dual-side machinery for the order-1 problem: truncated dual objective,
-feasibility of potential pairs, capped c-transforms, the flat-metric LP, and
-the four-condition optimality certificate.
+"""Dual-side machinery for the order-1 problem: the primal objective of a
+plan, truncated dual objective, feasibility of potential pairs, capped
+c-transforms, the flat-metric LP, and the four-condition optimality
+certificate.
 
 Strong duality holds for p = 1: the primal value equals the best dual
 objective over potential pairs bounded below by -a and coupled by
@@ -24,7 +25,7 @@ from .measures import (
     require_same_space,
 )
 from .params import EntropyParams
-from .scalars import NEG_INF, Scalar, coerce, common_denominator, is_finite
+from .scalars import NEG_INF, Scalar, coerce, is_finite, scaled
 from .spaces import FiniteMetricSpace
 
 # Feasibility slack for float-mode potential checks, scaled by a + b*diam.
@@ -137,6 +138,16 @@ def evaluate_dual(
     return feasible, total
 
 
+def primal_value(
+    plan: TransportPlan, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
+) -> Scalar:
+    """The p = 1 primal objective a(|mu| - m) + a(|nu| - m) + b sum d gamma of a plan of mass m."""
+    space, gamma, m, n = plan.space, plan.gamma, plan.total, plan.space.n
+    a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
+    cost = sum(space.dist[i][j] * gamma[i][j] for i in range(n) for j in range(n) if gamma[i][j])
+    return a * (mu.mass - m) + a * (nu.mass - m) + b * coerce(cost, space.exact)
+
+
 def c_transform(space: FiniteMetricSpace, phi, params: EntropyParams) -> tuple[Scalar, ...]:
     """The capped transform  x -> min( min_y (b d[x][y] - phi[y]), a ).
 
@@ -177,8 +188,8 @@ def solve_flat(
     b = Fraction(params.b)
     c = [Fraction(mu.weights[i]) - Fraction(nu.weights[i]) for i in range(n)]
     dist = [[Fraction(x) for x in row] for row in space.dist]
-    scale = common_denominator(x for row in dist for x in row)
-    d = [[x.numerator * (scale // x.denominator) for x in row] for row in dist]
+    flat, _ = scaled([x for row in dist for x in row])
+    d = [flat[i * n : (i + 1) * n] for i in range(n)]
 
     rows = []
     rhs = []

@@ -22,13 +22,13 @@ an earlier breakpoint solves again with ``target`` set to its mass.
 
 Exact inputs with rational entries are not run on Fractions: the masses are
 multiplied by the least common multiple M of their denominators and the
-costs by that of theirs, C, and the engine runs on the resulting Python
-ints.  Positive scaling preserves every comparison, so the augmenting
-paths, tie-breaks and breakpoints are the same; the result is divided once
-(masses by M, costs by M*C, potentials by C) and stays exact.  Scaled ints
-can pass float range, so no capacity is a float infinity.  Float inputs
-run the engine directly.  The flat LP and the oracle keep their own
-Fraction arithmetic and never use this solver.
+costs by that of theirs, C (both by ``scalars.scaled``), and the engine
+runs on the resulting Python ints.  Positive scaling preserves every
+comparison, so the augmenting paths, tie-breaks and breakpoints are the
+same; the result is divided once (masses by M, costs by M*C, potentials by
+C) and stays exact.  Scaled ints can pass float range, so no capacity is a
+float infinity.  Float inputs run the engine directly.  The flat LP and the
+oracle keep their own Fraction arithmetic and never use this solver.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SolverFailure
-from .scalars import INF, Scalar, common_denominator, is_exact
+from .scalars import INF, Scalar, is_exact, scaled
 
 # Hard stop against pathological augmentation counts; desk-scale instances
 # terminate after at most a few dozen phases.
@@ -68,13 +68,14 @@ def solve_transport(costs, supplies, demands, target: Scalar | None = None) -> F
     if not (all(is_exact(x) for x in values) and any(isinstance(x, Fraction) for x in values)):
         return _successive_shortest_paths(costs, supplies, demands, target)
 
-    M = common_denominator(masses)
-    C = common_denominator(arc_costs)
+    masses, M = scaled(masses)
+    arc_costs, C = scaled(arc_costs)
+    ns, nd, ints = len(supplies), len(demands), iter(arc_costs)
     sol = _successive_shortest_paths(
-        [[int(c * C) for c in row] for row in costs],
-        [int(s * M) for s in supplies],
-        [int(d * M) for d in demands],
-        None if target is None else int(target * M),
+        [[next(ints) for _ in row] for row in costs],
+        masses[:ns],
+        masses[ns : ns + nd],
+        None if target is None else masses[-1],
     )
     return FlowSolution(
         flow=[[Fraction(x, M) for x in row] for row in sol.flow],

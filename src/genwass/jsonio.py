@@ -102,19 +102,15 @@ def _is_matrix(value) -> bool:
 
 
 def _all_exact(doc) -> bool:
-    # Decides only the default mode; malformed parts are left to the parsers.
+    # Decides only the default mode, from the JSON types: ints and strings are
+    # exact, anything else means float.  Malformed parts are left to the parsers.
     space, params = doc["space"], doc["params"]
     d = space.get("d") if isinstance(space, dict) else None
     scalars = [x for row in d for x in row] if _is_matrix(d) else []
-    for key in ("mu", "nu"):
-        if isinstance(doc[key], dict):
-            scalars.extend(doc[key].values())
+    scalars += [x for key in ("mu", "nu") if isinstance(doc[key], dict) for x in doc[key].values()]
     if isinstance(params, dict):
-        scalars.extend(params[key] for key in ("a", "b", "p") if key in params)
-    try:
-        return all(is_exact(parse_scalar(x)) for x in scalars)
-    except ValueError:
-        return False
+        scalars += [params[key] for key in ("a", "b", "p") if key in params]
+    return all(is_exact(x) or isinstance(x, str) for x in scalars)
 
 
 def report_to_json(report: SolveReport) -> dict:

@@ -46,14 +46,16 @@ def is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def common_denominator(values) -> int:
-    """The least common multiple of the denominators of exact scalars.
+def scaled(values) -> tuple[list[int], int]:
+    """Exact scalars as integers over their common denominator, and that factor.
 
-    Multiplying every value by it gives integers.  The factor is positive,
-    so comparisons of scaled values and of their sums agree with those of
-    the originals.
+    The factor is the least common multiple of the denominators, and each
+    value becomes numerator * (factor // denominator).  It is positive, so
+    comparisons of scaled values and of their sums agree with those of the
+    originals.  ``values`` must be a sequence of ints and Fractions.
     """
-    return math.lcm(*(v.denominator for v in values))
+    factor = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (factor // v.denominator) for v in values], factor
 
 
 def is_finite(value) -> bool:

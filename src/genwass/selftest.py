@@ -260,7 +260,7 @@ def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
         nu = symmetrize(action, random_rational_measure(rng, space))
         up, down = check_quotient_isometry(action, mu, nu, params)
         tol = 0 if params.p == 1 else 1e-9 * (1.0 + abs(float(up)))
-        if abs(float(up) - float(down)) > float(tol):
+        if abs(up - down) > tol:
             bad += 1
     record("quotient isometry", bad == 0)
 

@@ -21,17 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import common_denominator
+from .scalars import scaled
 
 
 def _rational(value):
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """Integers proportional to rational ``values``, and the factor used."""
-    scale = common_denominator(values)
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def maximize(c, rows, rhs) -> tuple[Fraction, list[Fraction]]:
@@ -42,8 +36,8 @@ def maximize(c, rows, rhs) -> tuple[Fraction, list[Fraction]]:
         raise ValueError("right-hand sides must be nonnegative")
 
     # constraint rows [A_i | b_i] on integers, then the objective row [-c | 0]
-    tab = [_scaled([_rational(v) for v in row] + [b])[0] for row, b in zip(rows, rhs)]
-    obj, c_scale = _scaled([_rational(v) for v in c])
+    tab = [scaled([_rational(v) for v in row] + [b])[0] for row, b in zip(rows, rhs)]
+    obj, c_scale = scaled([_rational(v) for v in c])
     obj = [-v for v in obj] + [0]
     basis = list(range(n, n + len(tab)))  # label of the basic variable of each row
     nonbasic = list(range(n))  # label of the nonbasic variable of each column

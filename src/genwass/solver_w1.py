@@ -23,6 +23,7 @@ from .duality import (
     DualPotentials,
     OptimalityCertificate,
     evaluate_dual,
+    primal_value,
     verify_optimality,
 )
 from .errors import InvalidParams, SolverFailure
@@ -64,15 +65,11 @@ def solve_w1(
 
     plan, pot_src, pot_snk = _solve_waste_network(space, mu, nu, a, b)
     gamma = _strip_tied_arcs(space, plan, a, b)
+    plan_obj = TransportPlan(space, tuple(tuple(row) for row in gamma))
+    m = plan_obj.total
+    value = primal_value(plan_obj, mu, nu, params)
 
     n = space.n
-    m = sum(sum(row) for row in gamma)
-    transport_cost = sum(
-        space.dist[i][j] * gamma[i][j] for i in range(n) for j in range(n) if gamma[i][j]
-    )
-    transport_cost = coerce(transport_cost, space.exact)
-    value = a * (mu.mass - m) + a * (nu.mass - m) + b * transport_cost
-
     phi1 = tuple(_clamp_low(pot_snk[n] - pot_src[i], -a) for i in range(n))
     phi2 = tuple(_clamp_low(pot_snk[j] - pot_src[n], -a) for j in range(n))
     potentials = DualPotentials(phi1=phi1, phi2=phi2, params=params)
@@ -87,7 +84,6 @@ def solve_w1(
             raise SolverFailure(f"duality gap {gap} exceeds the certification threshold")
         gap = max(gap, 0.0)
 
-    plan_obj = TransportPlan(space, tuple(tuple(row) for row in gamma))
     certificate = verify_optimality(space, mu, nu, params, plan_obj, potentials)
 
     return SolveReport(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     AsymmetricEntry,
@@ -15,7 +16,7 @@ from .errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .scalars import Scalar, coerce, common_denominator, is_exact, is_finite
+from .scalars import Scalar, coerce, is_exact, is_finite, scaled
 
 # Relative slack for float-mode checks that must hold exactly in exact mode
 # (triangle inequality, isometry).  Scaled by the diameter.
@@ -83,8 +84,8 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
     # Exact entries are checked as integers over their common denominator,
     # which keeps every comparison, and so every reported witness, unchanged.
     if exact:
-        scale = common_denominator(x for row in dist for x in row)
-        d = [[int(x * scale) for x in row] for row in dist]
+        flat, _ = scaled([x for row in dist for x in row])
+        d = [flat[i * n : (i + 1) * n] for i in range(n)]
     else:
         d = dist
 
@@ -102,17 +103,15 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
             if d[i][j] == 0:
                 raise ZeroOffDiagonal(i, j, labels)
 
+    # d is symmetric and k in {i, j} never fails, so one test per pair i < j
+    # finds the first (i, j, k) witness of a scan over every ordered triple.
     diam = max(max(row) for row in d)
     slack = 0 if exact else FLOAT_METRIC_RTOL * float(diam)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if d[i][j] > d[i][k] + d[k][j] + slack:
-                    raise TriangleViolation(i, j, k, labels)
+        for j in range(i + 1, n):
+            if d[i][j] > min(map(add, d[i], d[j])) + slack:
+                k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + slack)
+                raise TriangleViolation(i, j, k, labels)
 
     return FiniteMetricSpace(labels=labels, dist=tuple(tuple(row) for row in dist), exact=exact)
 

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,32 @@ def test_verify_rejects_unbounded_tol_on_tampered_report(problem_file, tmp_path,
     assert main(["verify", "--input", path, "--report", str(report_path), "--tol", tol]) == 2
 
 
+@pytest.mark.parametrize(
+    "mode, value, code",
+    [("exact", None, 0), ("exact", 0, 1), ("exact", f"{3 * 10**30 + 1}/{10**30}", 1),
+     ("float", None, 0), ("float", 3 + 1e-12, 0), ("float", 3.001, 1)],
+    ids=["exact-untouched", "exact-zero", "exact-off-by-1e-30", "float-untouched", "float-within-tol",
+         "float-off-by-1e-3"],
+)
+def test_verify_checks_the_reported_value(problem_file, tmp_path, capsys, mode, value, code):
+    # three units shipped over distance 1: the true value is 3
+    path = problem_file(dict(TWO_POINT, mu={"x": 3}, nu={"y": 3}))
+    assert main(["plan", "--input", path, "--format", "json", "--mode", mode]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == 3
+    if value is not None:
+        doc["value"] = value
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(doc))
+    argv = ["verify", "--input", path, "--report", str(report_path), "--mode", mode]
+    assert main(argv + ["--format", "json"]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["conditions"] == {"i": True, "ii": True, "iii": True, "iv": True}
+    assert out["value_ok"] is (code == 0)
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines()[-1] == ("value: pass" if code == 0 else "value: FAIL")
+
+
 def test_verify_solver_output_passes(problem_file):
     assert main(["verify", "--input", problem_file(TWO_POINT)]) == 0
 
@@ -96,6 +124,34 @@ def test_param_overrides(problem_file, capsys):
     # doubling b makes shipping as costly as waste: value 2
     assert main(["dist", "--input", problem_file(TWO_POINT), "--b", "2"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_a_override(problem_file, capsys):
+    # at a = 1/4 destroying and creating the unit (1/4 + 1/4) beats shipping it (b d = 1)
+    assert main(["dist", "--input", problem_file(TWO_POINT), "--a", "1/4"]) == 0
+    assert capsys.readouterr().out.strip() == "1/2"
+
+
+def test_plan_json_at_p2_reports_the_curve(problem_file, capsys):
+    # x - y - z on a line; p = 2 costs d^2: y->y is free, then the second unit
+    # goes x->y->z by rerouting (1 + 1) rather than x->z (4).  The curve is
+    # (0, 0), (1, 0), (2, 2) and V(m) = (4 - 2m) + sqrt(T(m)) is 4, 2, sqrt 2.
+    doc = {
+        "space": {"points": ["x", "y", "z"], "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "mu": {"x": 1, "y": 1},
+        "nu": {"y": 1, "z": 1},
+        "params": {"a": 1, "b": 1, "p": 1},
+    }
+    assert main(["plan", "--input", problem_file(doc), "--format", "json", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "value": 2**0.5,
+        "plan": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+        "m": 2,
+        "destroyed": 0,
+        "created": 0,
+        "conditions": "not-applicable",
+        "curve": [[0, 0], [1, 0], [2, 2]],
+    }
 
 
 def test_p_override_switches_solver(problem_file, capsys):
@@ -404,6 +460,39 @@ def test_quotient_solves_each_side_once(problem_file, capsys, monkeypatch, mu, i
     out = json.loads(capsys.readouterr().out)
     assert out["isometry_ok"] == isometry and out["verdict"] == "pass"
     assert calls == {"solve": 2, "build_quotient": 1}
+
+
+@pytest.mark.parametrize(
+    "mu, isometry",
+    [({"-1": 1, "1": 1}, False), ({"-1": 2}, "not-applicable (measures not invariant)")],
+    ids=["invariant", "not-invariant"],
+)
+def test_quotient_verdicts_are_exact(problem_file, capsys, monkeypatch, mu, isometry):
+    # downstairs 10^-30 above upstairs: the contraction fails, and so does the
+    # isometry when it applies, although the two values round to one float
+    solve = quotient.solve
+    reports = []
+
+    def nudged(*args):
+        report = solve(*args)
+        if reports:  # the second solve is downstairs
+            report = dataclasses.replace(report, value=report.value + Fraction(1, 10**30))
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(quotient, "solve", nudged)
+    doc = {
+        "space": {"points": ["-1", "0", "1"], "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "group": [[0, 1, 2], [2, 1, 0]],
+        "mu": mu,
+        "nu": {"0": 2},
+        "params": {"a": 1, "b": 1, "p": 1},
+    }
+    assert main(["quotient", "--input", problem_file(doc), "--format", "json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert float(Fraction(out["upstairs"])) == float(Fraction(out["downstairs"]))
+    assert out["contraction_ok"] is False and out["isometry_ok"] == isometry
+    assert out["verdict"] == "fail"
 
 
 def test_gh_subcommand(problem_file, capsys):

@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private function is referenced by some module of the package.
 
 Neither ruff nor pyflakes is a dependency, so this is a small stdlib-``ast``
-check.  ``__init__.py`` is exempt: its imports are the public re-exports.
+check.  ``__init__.py`` is exempt from the import check: its imports are the
+public re-exports.
 """
 
 import ast
@@ -11,7 +13,8 @@ import pytest
 
 import genwass
 
-MODULES = sorted(p for p in Path(genwass.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(genwass.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,33 @@ def test_module_has_no_unused_imports(path):
 def test_checker_flags_an_unused_name():
     source = "import os\nfrom fractions import Fraction\nfrom math import gcd as g\nprint(os.sep)\n"
     assert unused_imports(source) == ["line 2: Fraction", "line 3: g"]
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions of ``{module: source}`` that no module names."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_package_has_no_unreferenced_private_functions():
+    assert unreferenced_private_functions({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_checker_flags_an_unreferenced_private_function():
+    module_a = "def _imported(): pass\ndef _by_attribute(): pass\ndef _called(): pass\ndef _orphan(): _called()\n"
+    module_b = "import a\nfrom a import _imported\na._by_attribute()\n"
+    assert unreferenced_private_functions({"a": module_a, "b": module_b}) == ["a._orphan"]

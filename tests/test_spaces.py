@@ -16,7 +16,7 @@ from genwass.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from genwass.spaces import compose, inverse
+from genwass.spaces import FLOAT_METRIC_RTOL, compose, inverse
 
 
 def test_two_point_metric_is_valid():
@@ -47,20 +47,35 @@ def test_rational_triangle_violation_names_first_witness():
     assert (err.value.i, err.value.j, err.value.k) == (0, 3, 2)
 
 
-@given(st.integers(3, 6), st.data())
-def test_rational_triangle_witness_matches_fraction_scan(n, data):
-    entry = st.builds(Fraction, st.integers(1, 20), st.sampled_from((1, 2, 3, 5, 7)))
-    d = [[Fraction(0)] * n for _ in range(n)]
+ENTRIES = {
+    "fraction": st.builds(Fraction, st.integers(1, 20), st.sampled_from((1, 2, 3, 5, 7))),
+    "int": st.integers(1, 20),
+    # at least half the diameter: a metric unless a pair is nudged past its slack
+    "float": st.floats(10, 20),
+}
+
+
+@given(st.integers(3, 6), st.sampled_from(sorted(ENTRIES)), st.data())
+def test_rational_triangle_witness_matches_fraction_scan(n, kind, data):
+    d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d[i][j] = d[j][i] = data.draw(entry)
+            d[i][j] = d[j][i] = data.draw(ENTRIES[kind])
+    float_mode = kind == "float"
+    if float_mode:
+        # one pair just below or just above its shortest detour plus the slack
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        detour = min(d[i][k] + d[k][j] for k in range(n) if k not in (i, j))
+        slack = FLOAT_METRIC_RTOL * max(detour, *(max(row) for row in d))
+        d[i][j] = d[j][i] = detour + data.draw(st.sampled_from((0, 0.5, 0.99, 1.01, 2))) * slack
+    slack = FLOAT_METRIC_RTOL * float(max(max(row) for row in d)) if float_mode else 0
     expected = next(
         (
             (i, j, k)
             for i in range(n)
             for j in range(n)
             for k in range(n)
-            if len({i, j, k}) == 3 and d[i][j] > d[i][k] + d[k][j]
+            if len({i, j, k}) == 3 and d[i][j] > d[i][k] + d[k][j] + slack
         ),
         None,
     )
@@ -71,6 +86,20 @@ def test_rational_triangle_witness_matches_fraction_scan(n, data):
         with pytest.raises(TriangleViolation) as err:
             validate_metric(labels, d)
         assert (err.value.i, err.value.j, err.value.k) == expected
+
+
+def test_float_triangle_witness_skips_detours_within_the_slack():
+    # slack = 1e-12 * diameter, about 2e-12: the detour through 1 is short of
+    # d[0][3] by 1e-12, inside the slack; the one through 2 by 4e-12, past it
+    d = [
+        [0, 1.0, 1.0, 2.0 + 4e-12],
+        [1.0, 0, 1.0, 1.0 + 3e-12],
+        [1.0, 1.0, 0, 1.0],
+        [2.0 + 4e-12, 1.0 + 3e-12, 1.0, 0],
+    ]
+    with pytest.raises(TriangleViolation) as err:
+        validate_metric(["a", "b", "c", "d"], d)
+    assert (err.value.i, err.value.j, err.value.k) == (0, 3, 2)
 
 
 def test_asymmetric_entry():
