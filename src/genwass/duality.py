@@ -8,12 +8,24 @@ objective over potential pairs bounded below by -a and coupled by
 phi1(x) + phi2(y) <= b d(x,y).  The dual objective truncates each potential
 through I(phi) = inf_{s>=0} (s phi + a|1-s|), which is phi on [-a, a], a
 above, and minus infinity below.
+
+Exact mode runs the p = 1 checks on integers.  The space carries its
+distances as ints D over one factor F_d and the plan its entries as ints G
+over F_g (both from ``scalars.scaled``); one more ``scaled`` call puts a,
+the slack and the potentials over a common factor F_p.  The dual
+feasibility test phi1_i + phi2_j <= b d_ij + slack becomes
+(P1_i + P2_j - S) b_den F_d <= b_num D_ij F_p, the certificate's support and
+tightness tests multiply through the same way, and the primal value sums
+D G and divides once.  A float tolerance enters as ``Fraction(tol)``, which
+is exact.  Float mode, and exact inputs that hold a float, keep the direct
+expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from . import simplex
 from .errors import InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
@@ -25,7 +37,7 @@ from .measures import (
     require_same_space,
 )
 from .params import EntropyParams
-from .scalars import NEG_INF, Scalar, coerce, is_finite, scaled
+from .scalars import NEG_INF, Scalar, coerce, is_exact, is_finite, scaled
 from .spaces import FiniteMetricSpace
 
 # Feasibility slack for float-mode potential checks, scaled by a + b*diam.
@@ -97,10 +109,43 @@ def feasibility_slack(space: FiniteMetricSpace, params: EntropyParams) -> Scalar
     return FLOAT_DUAL_RTOL * (1.0 + float(params.a) + float(params.b) * float(space.diameter))
 
 
+def _scaled_duals(space: FiniteMetricSpace, potentials: DualPotentials, slack):
+    """Exact mode's integer image of the dual data, or None.
+
+    Returns (A, S, P1, P2, F_p, b_num, b_den): a, the slack and the potentials
+    as ints over their common denominator F_p, from one ``scaled`` call, and b
+    as numerator over denominator.  A float slack (a float tolerance) enters
+    as ``Fraction(slack)``, which is exact.  None when the space has no
+    integer distances, a potential vector does not match it, or a value is
+    not exact: those checks keep their own expressions.
+    """
+    params, n = potentials.params, space.n
+    if space._scaled is None or len(potentials.phi1) != n or len(potentials.phi2) != n:
+        return None
+    if isinstance(slack, float) and is_finite(slack):
+        slack = Fraction(slack)
+    values = (params.a, slack, *potentials.phi1, *potentials.phi2)
+    if not (is_exact(params.b) and all(map(is_exact, values))):
+        return None
+    ints, factor = scaled(values)
+    return ints[0], ints[1], ints[2 : n + 2], ints[n + 2 :], factor, params.b.numerator, params.b.denominator
+
+
 def is_feasible_pair(space: FiniteMetricSpace, potentials: DualPotentials, slack=None) -> bool:
     a, b = potentials.params.a, potentials.params.b
     if slack is None:
         slack = feasibility_slack(space, potentials.params)
+    image = _scaled_duals(space, potentials, slack)
+    if image is not None:
+        # phi_i >= -a - slack, and phi1_i + phi2_j <= b d_ij + slack multiplied through
+        # by F_p b_den F_d:  P2_j b_den F_d - b_num D_ij F_p <= (S - P1_i) b_den F_d
+        A, S, P1, P2, F_p, b_num, b_den = image
+        if min(P1) < -A - S or min(P2) < -A - S:
+            return False
+        D, F_d = space._scaled
+        lhs, rhs = b_den * F_d, b_num * F_p
+        q2 = [v * lhs for v in P2]
+        return all(max(map(sub, q2, map(rhs.__mul__, row))) <= (S - p1) * lhs for p1, row in zip(P1, D))
     phi1, phi2 = potentials.phi1, potentials.phi2
     if any(v < -a - slack for v in phi1) or any(v < -a - slack for v in phi2):
         return False
@@ -141,10 +186,18 @@ def evaluate_dual(
 def primal_value(
     plan: TransportPlan, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> Scalar:
-    """The p = 1 primal objective a(|mu| - m) + a(|nu| - m) + b sum d gamma of a plan of mass m."""
+    """The p = 1 primal objective a(|mu| - m) + a(|nu| - m) + b sum d gamma of a plan of mass m.
+
+    In exact mode sum d gamma is the sum of D G over the integer images of
+    the metric and the plan, divided once by the product of their factors.
+    """
     space, gamma, m, n = plan.space, plan.gamma, plan.total, plan.space.n
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
-    cost = sum(space.dist[i][j] * gamma[i][j] for i in range(n) for j in range(n) if gamma[i][j])
+    if space._scaled is not None and plan._scaled is not None:
+        (D, F_d), (G, F_g) = space._scaled, plan._scaled
+        cost = Fraction(sum(sum(map(mul, d, g)) for d, g in zip(D, G)), F_d * F_g)
+    else:
+        cost = sum(space.dist[i][j] * gamma[i][j] for i in range(n) for j in range(n) if gamma[i][j])
     return a * (mu.mass - m) + a * (nu.mass - m) + b * coerce(cost, space.exact)
 
 
@@ -188,8 +241,11 @@ def solve_flat(
     b = Fraction(params.b)
     c = [Fraction(mu.weights[i]) - Fraction(nu.weights[i]) for i in range(n)]
     dist = [[Fraction(x) for x in row] for row in space.dist]
-    flat, _ = scaled([x for row in dist for x in row])
-    d = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if space._scaled is not None:
+        d = space._scaled[0]
+    else:
+        flat, _ = scaled([x for row in dist for x in row])
+        d = [flat[i * n : (i + 1) * n] for i in range(n)]
 
     rows = []
     rhs = []
@@ -266,18 +322,32 @@ def verify_optimality(
         gammas = None
     if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):
         raise InfeasibleInputs("plan marginals exceed the problem measures")
-    if not is_feasible_pair(space, potentials, slack=max(tol, feasibility_slack(space, params))):
+    slack = max(tol, feasibility_slack(space, params))
+    if not is_feasible_pair(space, potentials, slack=slack):
         raise InfeasibleInputs("potentials violate the dual constraints")
 
     a, b = params.a, params.b
     n = space.n
     violations: list[tuple[str, tuple]] = []
-    for i in range(n):
-        for j in range(n):
-            if plan.gamma[i][j] > tol:
-                gap = b * space.dist[i][j] - potentials.phi1[i] - potentials.phi2[j]
-                if abs(gap) > tol:
+    image = _scaled_duals(space, potentials, slack)
+    if image is not None and plan._scaled is not None:
+        # the exact slack is tol: gamma_ij > tol and |b d_ij - phi1_i - phi2_j| > tol
+        # multiplied through by F_p F_g and by F_p b_den F_d
+        _, S, P1, P2, F_p, b_num, b_den = image
+        (D, F_d), (G, F_g) = space._scaled, plan._scaled
+        lhs, rhs = b_den * F_d, b_num * F_p
+        shipped, loose = S * F_g, S * lhs
+        for i, (g_row, d_row) in enumerate(zip(G, D)):
+            for j, g in enumerate(g_row):
+                if g and g * F_p > shipped and abs(rhs * d_row[j] - (P1[i] + P2[j]) * lhs) > loose:
                     violations.append(("ii", (i, j)))
+    else:
+        for i in range(n):
+            for j in range(n):
+                if plan.gamma[i][j] > tol:
+                    gap = b * space.dist[i][j] - potentials.phi1[i] - potentials.phi2[j]
+                    if abs(gap) > tol:
+                        violations.append(("ii", (i, j)))
     tight_on_plan = not violations
 
     sets = []

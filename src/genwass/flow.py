@@ -27,8 +27,9 @@ runs on the resulting Python ints.  Positive scaling preserves every
 comparison, so the augmenting paths, tie-breaks and breakpoints are the
 same; the result is divided once (masses by M, costs by M*C, potentials by
 C) and stays exact.  Scaled ints can pass float range, so no capacity is a
-float infinity.  Float inputs run the engine directly.  The flat LP and the
-oracle keep their own Fraction arithmetic and never use this solver.
+float infinity.  Float inputs run the engine directly, and inputs that mix
+exact and float scalars run it on floats, converted once.  The flat LP and
+the oracle keep their own Fraction arithmetic and never use this solver.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SolverFailure
-from .scalars import INF, Scalar, is_exact, scaled
+from .scalars import INF, Scalar, coerce, is_exact, scaled
 
 # Hard stop against pathological augmentation counts; desk-scale instances
 # terminate after at most a few dozen phases.
@@ -65,7 +66,14 @@ def solve_transport(costs, supplies, demands, target: Scalar | None = None) -> F
     masses = [*supplies, *demands] + ([] if target is None else [target])
     arc_costs = [c for row in costs for c in row]
     values = masses + arc_costs
-    if not (all(is_exact(x) for x in values) and any(isinstance(x, Fraction) for x in values)):
+    exact = list(map(is_exact, values))
+    if any(exact) and not all(exact):
+        # mixed exact and float scalars spin the engine: it runs on floats,
+        # converted once here
+        costs = [[coerce(c, False) for c in row] for row in costs]
+        supplies, demands = ([coerce(x, False) for x in xs] for xs in (supplies, demands))
+        target = None if target is None else coerce(target, False)
+    if not (all(exact) and any(isinstance(x, Fraction) for x in values)):
         return _successive_shortest_paths(costs, supplies, demands, target)
 
     masses, M = scaled(masses)

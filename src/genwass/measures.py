@@ -6,11 +6,11 @@ keeps the exact arithmetic simple).  The zero measure is legal everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from .scalars import Scalar, coerce, is_finite
+from .scalars import Scalar, coerce, is_finite, scaled
 from .spaces import FiniteGroupAction, FiniteMetricSpace, QuotientResult
 
 # Absolute slack for float-mode pointwise comparisons between weights.
@@ -190,24 +190,40 @@ class TransportPlan:
 
     space: FiniteMetricSpace
     gamma: tuple[tuple[Scalar, ...], ...]
+    # Exact mode with Fraction entries: the entries as ints over their common
+    # denominator, and that factor (rows, factor), from one scalars.scaled
+    # call.  The sums and the certificate read it; None otherwise.
+    _scaled: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n
         if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
             raise ValueError("plan must be n x n for the space")
-        for row in self.gamma:
-            for x in row:
-                if x < 0:
-                    raise ValueError("plan entries must be nonnegative")
+        entries = [x for row in self.gamma for x in row]
+        if self.space.exact and all(type(x) is Fraction for x in entries):
+            entries, factor = scaled(entries)
+            rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+            object.__setattr__(self, "_scaled", (rows, factor))
+        if any(x < 0 for x in entries):
+            raise ValueError("plan entries must be nonnegative")
 
     @property
     def total(self) -> Scalar:
+        if self._scaled is not None:
+            rows, factor = self._scaled
+            return Fraction(sum(map(sum, rows)), factor)
         return sum(sum(row) for row in self.gamma)
 
     def row_sums(self) -> tuple[Scalar, ...]:
+        if self._scaled is not None:
+            rows, factor = self._scaled
+            return tuple(Fraction(sum(row), factor) for row in rows)
         return tuple(sum(row) for row in self.gamma)
 
     def col_sums(self) -> tuple[Scalar, ...]:
+        if self._scaled is not None:
+            rows, factor = self._scaled
+            return tuple(Fraction(sum(col), factor) for col in zip(*rows))
         n = self.space.n
         return tuple(sum(self.gamma[i][j] for i in range(n)) for j in range(n))
 

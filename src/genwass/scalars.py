@@ -70,9 +70,10 @@ def is_finite(value) -> bool:
 
 
 def coerce(value: Scalar, exact: bool) -> Scalar:
-    """Bring a scalar into the requested arithmetic mode."""
+    """Bring a scalar into the requested arithmetic mode; a Fraction is
+    returned as it is in exact mode, not copied."""
     if exact:
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     try:
         return float(value)
     except OverflowError:  # an exact value past float range: the finiteness checks reject it

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 
 from .errors import (
@@ -34,6 +34,17 @@ class FiniteMetricSpace:
     labels: tuple[str, ...]
     dist: tuple[tuple[Scalar, ...], ...]
     exact: bool
+    # Exact mode: the distances as ints over their common denominator, and
+    # that factor (rows, factor), from one scalars.scaled call.  The metric
+    # checks, the certificate and the flat LP read it; None in float mode.
+    _scaled: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.exact:
+            n = len(self.labels)
+            flat, factor = scaled([x for row in self.dist for x in row])
+            rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+            object.__setattr__(self, "_scaled", (rows, factor))
 
     @property
     def n(self) -> int:
@@ -80,14 +91,11 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
                 raise NonFiniteEntry(i, j, labels)
     if exact is None:
         exact = all(is_exact(x) for row in matrix for x in row)
-    dist = [[coerce(x, exact) for x in row] for row in matrix]
+    dist = tuple(tuple(coerce(x, exact) for x in row) for row in matrix)
+    space = FiniteMetricSpace(labels=labels, dist=dist, exact=exact)
     # Exact entries are checked as integers over their common denominator,
     # which keeps every comparison, and so every reported witness, unchanged.
-    if exact:
-        flat, _ = scaled([x for row in dist for x in row])
-        d = [flat[i * n : (i + 1) * n] for i in range(n)]
-    else:
-        d = dist
+    d = space._scaled[0] if exact else dist
 
     for i in range(n):
         for j in range(n):
@@ -113,7 +121,7 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
                 k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + slack)
                 raise TriangleViolation(i, j, k, labels)
 
-    return FiniteMetricSpace(labels=labels, dist=tuple(tuple(row) for row in dist), exact=exact)
+    return space
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ instance set for the duality criterion is shared with the flat-metric and
 certificate criteria, so the three exercise the same solves.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -25,10 +26,12 @@ from genwass import (
     verify_optimality,
     wasserstein_p,
 )
+from genwass.cli import main
 from genwass.duality import DualPotentials
 from genwass.gh import check_equivariant_stability, check_pushforward_stability
 from genwass.measures import TransportPlan, is_invariant, measure
 from genwass.quotient import check_quotient_contraction, check_quotient_isometry
+from genwass.scalars import scalar_to_json
 from genwass.selftest import (
     random_equivariant_target,
     random_gh_triple,
@@ -237,6 +240,35 @@ def test_criterion_6_certificate(duality_instances):
         assert not (cert.tight_on_plan and cert.density_complementarity)
     assert tampered >= 150
     report(f"criterion 6 PASS: certificate passes on all solver outputs; {tampered} tampered plans all fail")
+
+
+def test_criterion_6_cli_round_trip_at_n64(tmp_path, capsys):
+    # exact p = 1 through the command line: plan --format json, then verify
+    # --report on what it wrote, at n = 64 with rational weights and rates
+    rng = random.Random(6402)
+    space = random_int_metric(rng, 64, max_d=9)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    weights = lambda m: {x: scalar_to_json(w) for x, w in zip(space.labels, m.weights)}
+    doc = {
+        "space": {"points": list(space.labels), "d": [[int(x) for x in row] for row in space.dist]},
+        "mu": weights(mu),
+        "nu": weights(nu),
+        "params": {"a": "3/2", "b": "2/3", "p": 1},
+    }
+    problem, report_path = tmp_path / "problem.json", tmp_path / "report.json"
+    problem.write_text(json.dumps(doc))
+
+    assert main(["plan", "--input", str(problem), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert Fraction(rep["m"]) > 0 and Fraction(rep["gap"]) == 0
+    report_path.write_text(out)
+    argv = ["verify", "--input", str(problem), "--report", str(report_path), "--format", "json"]
+    assert main(argv) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["conditions"] == {"i": True, "ii": True, "iii": True, "iv": True}
+    assert cert["violations"] == [] and cert["value_ok"] is True
+    report(f"criterion 6 PASS at n = 64: plan -> verify --report certifies the value {rep['value']}")
 
 
 def test_criterion_7_quotient_isometry():

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genwass import (
     DualPotentials,
     EntropyParams,
+    OptimalityCertificate,
     c_transform,
     dirac,
     evaluate_dual,
@@ -16,11 +17,19 @@ from genwass import (
     solve_flat,
     solve_w1,
     truncate_potential,
+    validate_metric,
     verify_optimality,
     zero_measure,
 )
-from genwass.errors import InfeasibleInputs, InvalidParams
-from genwass.measures import TransportPlan
+from genwass.duality import feasibility_slack, is_feasible_pair, primal_value, verification_tol
+from genwass.errors import InfeasibleInputs, InvalidParams, InvalidWeight
+from genwass.measures import (
+    DiscreteMeasure,
+    TransportPlan,
+    is_submeasure,
+    lebesgue_decompose,
+    require_same_space,
+)
 from genwass.scalars import coerce
 from genwass.selftest import random_int_metric, random_rational_measure
 
@@ -354,3 +363,156 @@ def test_strong_duality_certified_by_solver():
 def test_flat_with_zero_measures(two_point, unit_params):
     value, _ = solve_flat(two_point, zero_measure(two_point), zero_measure(two_point), unit_params)
     assert value == 0
+
+
+# The Fraction versions of the dual checks, the certificate and the primal
+# value, from before exact mode ran them on integer images; the integer
+# versions must give the same verdicts, certificates and values.
+
+
+def reference_is_feasible_pair(space, potentials, slack=None):
+    a, b = potentials.params.a, potentials.params.b
+    if slack is None:
+        slack = feasibility_slack(space, potentials.params)
+    phi1, phi2 = potentials.phi1, potentials.phi2
+    if any(v < -a - slack for v in phi1) or any(v < -a - slack for v in phi2):
+        return False
+    for i in range(space.n):
+        for j in range(space.n):
+            if phi1[i] + phi2[j] > b * space.dist[i][j] + slack:
+                return False
+    return True
+
+
+def reference_primal_value(plan, mu, nu, params):
+    space, gamma, n = plan.space, plan.gamma, plan.space.n
+    m = sum(sum(row) for row in gamma)
+    a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
+    cost = sum(space.dist[i][j] * gamma[i][j] for i in range(n) for j in range(n) if gamma[i][j])
+    return a * (mu.mass - m) + a * (nu.mass - m) + b * coerce(cost, space.exact)
+
+
+def reference_verify_optimality(space, mu, nu, params, plan, potentials, tol=None):
+    require_same_space(mu, nu)
+    tol = verification_tol(tol, space.exact)
+    n = space.n
+    rows = tuple(sum(row) for row in plan.gamma)
+    cols = tuple(sum(plan.gamma[i][j] for i in range(n)) for j in range(n))
+    try:
+        gammas = (DiscreteMeasure(space, rows), DiscreteMeasure(space, cols))
+    except InvalidWeight:
+        gammas = None
+    if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):
+        raise InfeasibleInputs("plan marginals exceed the problem measures")
+    if not reference_is_feasible_pair(space, potentials, slack=max(tol, feasibility_slack(space, params))):
+        raise InfeasibleInputs("potentials violate the dual constraints")
+
+    a, b = params.a, params.b
+    violations = []
+    for i in range(n):
+        for j in range(n):
+            if plan.gamma[i][j] > tol:
+                gap = b * space.dist[i][j] - potentials.phi1[i] - potentials.phi2[j]
+                if abs(gap) > tol:
+                    violations.append(("ii", (i, j)))
+    tight_on_plan = not violations
+    sets = []
+    unsaturated = {"iii": [], "iv": []}
+    sides = zip(gammas, (mu, nu), (potentials.phi1, potentials.phi2))
+    for side, (gamma, m, phi) in enumerate(sides, 1):
+        sets.append(tuple(x for x in range(n) if gamma.weights[x] > 0 or m.weights[x] == 0))
+        for x, f in enumerate(lebesgue_decompose(gamma, m).density):
+            shipped = gamma.weights[x] > 0
+            if m.weights[x] > (0 if shipped else tol) and abs((a - phi[x]) * (1 - f)) > tol:
+                unsaturated["iii" if shipped else "iv"].append((side, x))
+    violations += [(cond, w) for cond, ws in unsaturated.items() for w in ws]
+    return OptimalityCertificate(
+        a1=sets[0],
+        a2=sets[1],
+        support_ok=True,
+        tight_on_plan=tight_on_plan,
+        density_complementarity=not unsaturated["iii"],
+        saturated_on_destroyed=not unsaturated["iv"],
+        violations=tuple(violations),
+    )
+
+
+LARGE_PRIMES = (998_244_353, 1_000_000_007, 2**61 - 1)
+
+
+@st.composite
+def exact_certificate_cases(draw):
+    """A solved exact instance on a rational metric with a non-integer b,
+    its potentials shifted by fractions of mixed and large prime
+    denominators, possibly one potential off by 1/p for a large prime p,
+    possibly a tampered plan, and a tolerance that may be a float."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = random_int_metric(rng, draw(st.integers(1, 6)), max_d=9)
+    scale = draw(st.sampled_from((Fraction(1), Fraction(2, 3), Fraction(5, 7))))
+    space = validate_metric(base.labels, [[scale * x for x in row] for row in base.dist])
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    params = EntropyParams(
+        a=draw(st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2)))),
+        b=draw(st.sampled_from((Fraction(2, 3), Fraction(5, 4), Fraction(7, 3)))),
+        p=1,
+    )
+    report = solve_w1(space, mu, nu, params)
+    phi1, phi2 = list(report.potentials.phi1), list(report.potentials.phi2)
+    dens = st.sampled_from((1, 2, 3, 9, *LARGE_PRIMES))
+    shift = Fraction(draw(st.integers(-1, 1)), draw(dens))  # keeps every phi1 + phi2
+    phi1, phi2 = [v + shift for v in phi1], [v - shift for v in phi2]
+    for phi in (phi1, phi2):  # lowering a potential keeps the coupling
+        for x in range(space.n):
+            if draw(st.booleans()):
+                phi[x] -= Fraction(draw(st.integers(0, 2)), draw(dens))
+    if draw(st.booleans()):  # tamper: one potential off by 1/p
+        phi = draw(st.sampled_from((phi1, phi2)))
+        phi[draw(st.integers(0, space.n - 1))] += Fraction(draw(st.sampled_from((-1, 1))), draw(dens))
+    gamma = [list(row) for row in report.plan.gamma]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, space.n - 1)), draw(st.integers(0, space.n - 1))
+        gamma[i][j] = max(gamma[i][j] + Fraction(draw(st.integers(-1, 1)), draw(dens)), Fraction(0))
+    plan = TransportPlan(space, tuple(tuple(row) for row in gamma))
+    tols = (None, 0, 0.0, 0.25, 2**-10, 1e-3, Fraction(1, 3), Fraction(1, LARGE_PRIMES[0]))
+    tol = draw(st.sampled_from(tols))
+    potentials = DualPotentials(phi1=tuple(phi1), phi2=tuple(phi2), params=params)
+    return space, mu, nu, params, plan, potentials, tol
+
+
+def outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except InfeasibleInputs as exc:
+        return ("InfeasibleInputs", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_certificate_cases())
+def test_integer_checks_match_the_fraction_checks(case):
+    space, mu, nu, params, plan, potentials, tol = case
+    # the reference adds a float tolerance in floats, rounding b d + tol;
+    # the integer check takes it as the exact Fraction(tol), and so does the
+    # reference here
+    exact_tol = Fraction(tol) if isinstance(tol, float) else tol
+    assert is_feasible_pair(space, potentials) == reference_is_feasible_pair(space, potentials)
+    slack = verification_tol(tol, True)
+    assert is_feasible_pair(space, potentials, slack) == reference_is_feasible_pair(
+        space, potentials, verification_tol(exact_tol, True)
+    )
+    want = outcome(reference_verify_optimality, space, mu, nu, params, plan, potentials, tol=exact_tol)
+    assert outcome(verify_optimality, space, mu, nu, params, plan, potentials, tol=tol) == want
+    got = primal_value(plan, mu, nu, params)
+    assert got == reference_primal_value(plan, mu, nu, params)
+    assert type(got) is Fraction
+
+
+def test_float_tolerance_is_added_exactly():
+    # phi1[x] + phi2[y] = 7/12 = b d(x, y) + 1/4 exactly, with b d = 1/3:
+    # float(1/3) + 0.25 rounds below 7/12, so adding a float tol in floats
+    # rejected this pair; every other sum is below b d + 1/4
+    space = validate_metric(["x", "y"], [[0, Fraction(1, 3)], [Fraction(1, 3), 0]])
+    params = EntropyParams(a=Fraction(1), b=Fraction(1), p=1)
+    pair = DualPotentials(phi1=(Fraction(7, 12), 0), phi2=(Fraction(-1, 3), 0), params=params)
+    assert not reference_is_feasible_pair(space, pair, slack=0.25)
+    assert is_feasible_pair(space, pair, slack=0.25)
+    assert not is_feasible_pair(space, pair, slack=math.nextafter(0.25, 0))

@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function is referenced by some module of the package.
+"""Every name a package module imports is used in that module, every
+module-level private function is referenced by some module of the package,
+and only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
+that turns exact values into integers over a common denominator.
 
 Neither ruff nor pyflakes is a dependency, so this is a small stdlib-``ast``
 check.  ``__init__.py`` is exempt from the import check: its imports are the
@@ -74,3 +76,33 @@ def test_checker_flags_an_unreferenced_private_function():
     module_a = "def _imported(): pass\ndef _by_attribute(): pass\ndef _called(): pass\ndef _orphan(): _called()\n"
     module_b = "import a\nfrom a import _imported\na._by_attribute()\n"
     assert unreferenced_private_functions({"a": module_a, "b": module_b}) == ["a._orphan"]
+
+
+def lcm_users(sources: dict[str, str]) -> list[str]:
+    """Modules of ``{module: source}`` that name ``lcm``: called, imported or read."""
+    users = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name == "lcm":
+                users.add(module)
+    return sorted(users)
+
+
+def test_only_scalars_names_lcm():
+    assert lcm_users({p.stem: p.read_text() for p in PACKAGE}) == ["scalars"]
+
+
+def test_checker_flags_every_way_to_name_lcm():
+    sources = {
+        "called": "import math\nmath.lcm(2, 3)\n",
+        "imported": "from math import lcm as common\ncommon(2, 3)\n",
+        "read": "import math\nf = math.lcm\n",
+        "clean": "import math\nmath.gcd(2, 3)\n",
+    }
+    assert lcm_users(sources) == ["called", "imported", "read"]

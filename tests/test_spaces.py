@@ -142,6 +142,18 @@ def test_rational_strings_stay_exact():
     assert space.dist[0][1] == Fraction(3, 2)
 
 
+def test_exact_entries_are_kept_not_copied():
+    # a Fraction entry is stored as given; ints become Fractions; the integer
+    # image of the distances stays out of equality and repr
+    d = Fraction(3, 2)
+    space = validate_metric(["x", "y"], [[0, d], [d, 0]])
+    assert space.dist[0][1] is d and space.dist[1][0] is d
+    assert type(space.dist[0][0]) is Fraction
+    assert space._scaled == (((0, 3), (3, 0)), 2)
+    assert space == validate_metric(["x", "y"], [[0, Fraction(6, 4)], [Fraction(6, 4), 0]]) != space.as_float()
+    assert "_scaled" not in repr(space) and space.as_float()._scaled is None
+
+
 def test_float_inference():
     space = validate_metric(["x", "y"], [[0, 1.5], [1.5, 0]])
     assert not space.exact
