@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -44,6 +45,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genwass",
@@ -153,10 +155,8 @@ def cmd_verify(args) -> int:
     if args.report:
         with open(args.report) as fh:
             rep_doc = json.load(fh)
+        potentials = jsonio.parse_potentials(rep_doc, problem.space, problem.params)
         plan = jsonio.parse_plan(rep_doc["plan"], problem.space)
-        potentials = jsonio.parse_potentials(
-            rep_doc["phi1"], rep_doc["phi2"], problem.space, problem.params
-        )
         value = coerce(parse_scalar(rep_doc["value"]), problem.space.exact)
     else:
         report = solve(problem.space, problem.mu, problem.nu, problem.params)

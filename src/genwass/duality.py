@@ -9,23 +9,26 @@ phi1(x) + phi2(y) <= b d(x,y).  The dual objective truncates each potential
 through I(phi) = inf_{s>=0} (s phi + a|1-s|), which is phi on [-a, a], a
 above, and minus infinity below.
 
-Exact mode runs the p = 1 checks on integers.  The space carries its
-distances as ints D over one factor F_d and the plan its entries as ints G
-over F_g (both from ``scalars.scaled``); one more ``scaled`` call puts a,
-the slack and the potentials over a common factor F_p.  The dual
-feasibility test phi1_i + phi2_j <= b d_ij + slack becomes
-(P1_i + P2_j - S) b_den F_d <= b_num D_ij F_p, the certificate's support and
-tightness tests multiply through the same way, and the primal value sums
-D G and divides once.  A float tolerance enters as ``Fraction(tol)``, which
-is exact.  Float mode, and exact inputs that hold a float, keep the direct
-expressions.
+Each p = 1 check has one implementation, run on integers when its inputs
+are exact.  The space carries its distances as ints D over one factor F_d
+and the plan its entries as ints G over F_g (both from ``scalars.scaled``);
+one more ``scaled`` call puts a, the slack and the potentials over a common
+factor F_p, and b enters as b_num / b_den.  With L = b_den F_d and
+R = b_num F_p the dual feasibility test phi1_i + phi2_j <= b d_ij + slack
+reads P1_i L + P2_j L <= R D_ij + S L, the certificate's tightness gap
+b d_ij - phi1_i - phi2_j reads R D_ij - P1_i L - P2_j L, and the primal
+value is one running sum of D G divided once.  A float tolerance enters as
+``Fraction(tol)``, which is exact.  Float mode, and exact inputs that hold a
+float, run the same expressions on the values themselves with every factor
+1: the direct expressions, in the same floating-point order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from itertools import chain, repeat
+from operator import add, gt, mul
 
 from . import simplex
 from .errors import InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
@@ -109,51 +112,46 @@ def feasibility_slack(space: FiniteMetricSpace, params: EntropyParams) -> Scalar
     return FLOAT_DUAL_RTOL * (1.0 + float(params.a) + float(params.b) * float(space.diameter))
 
 
-def _scaled_duals(space: FiniteMetricSpace, potentials: DualPotentials, slack):
-    """Exact mode's integer image of the dual data, or None.
+def _terms(space: FiniteMetricSpace, potentials: DualPotentials, slack, plan: TransportPlan | None = None):
+    """The inputs of one p = 1 check: integer images when all of them are exact,
+    else the values as they are with every factor 1 (F_g = F_p = L = 1, R = b).
 
-    Returns (A, S, P1, P2, F_p, b_num, b_den): a, the slack and the potentials
-    as ints over their common denominator F_p, from one ``scaled`` call, and b
-    as numerator over denominator.  A float slack (a float tolerance) enters
-    as ``Fraction(slack)``, which is exact.  None when the space has no
-    integer distances, a potential vector does not match it, or a value is
-    not exact: those checks keep their own expressions.
+    Returns (D, G, F_g, A, S, P1, P2, F_p, L, R), in the notation of the
+    module docstring; a finite float slack enters the image as
+    ``Fraction(slack)``.  The choice is made once per call, so one object's
+    integer image never meets another object's raw values.
     """
-    params, n = potentials.params, space.n
-    if space._scaled is None or len(potentials.phi1) != n or len(potentials.phi2) != n:
-        return None
-    if isinstance(slack, float) and is_finite(slack):
-        slack = Fraction(slack)
-    values = (params.a, slack, *potentials.phi1, *potentials.phi2)
-    if not (is_exact(params.b) and all(map(is_exact, values))):
-        return None
-    ints, factor = scaled(values)
-    return ints[0], ints[1], ints[2 : n + 2], ints[n + 2 :], factor, params.b.numerator, params.b.denominator
+    params, phi1, phi2, n = potentials.params, potentials.phi1, potentials.phi2, space.n
+    if len(phi1) != n or len(phi2) != n:
+        raise SpaceMismatch("potential vectors do not match the space")
+    exact_slack = Fraction(slack) if isinstance(slack, float) and is_finite(slack) else slack
+    values = (params.a, exact_slack, *phi1, *phi2)
+    # a plan has an integer image when its unit is a Fraction; with no plan
+    # the space and the duals decide alone
+    G, unit = plan._scaled if plan is not None else ((), Fraction(1))
+    if not (space.exact and isinstance(unit, Fraction) and is_exact(params.b) and all(map(is_exact, values))):
+        gamma = plan.gamma if plan is not None else ()
+        return space.dist, gamma, 1, params.a, slack, phi1, phi2, 1, 1, params.b
+    ints, F_p = scaled(values)
+    (D, F_d), b = space._scaled, params.b
+    P1, P2 = ints[2 : n + 2], ints[n + 2 :]
+    return D, G, unit.denominator, ints[0], ints[1], P1, P2, F_p, b.denominator * F_d, b.numerator * F_p
 
 
 def is_feasible_pair(space: FiniteMetricSpace, potentials: DualPotentials, slack=None) -> bool:
-    a, b = potentials.params.a, potentials.params.b
+    """phi_i >= -a - slack, and phi1_i + phi2_j <= b d_ij + slack for every pair (i, j)."""
     if slack is None:
         slack = feasibility_slack(space, potentials.params)
-    image = _scaled_duals(space, potentials, slack)
-    if image is not None:
-        # phi_i >= -a - slack, and phi1_i + phi2_j <= b d_ij + slack multiplied through
-        # by F_p b_den F_d:  P2_j b_den F_d - b_num D_ij F_p <= (S - P1_i) b_den F_d
-        A, S, P1, P2, F_p, b_num, b_den = image
-        if min(P1) < -A - S or min(P2) < -A - S:
-            return False
-        D, F_d = space._scaled
-        lhs, rhs = b_den * F_d, b_num * F_p
-        q2 = [v * lhs for v in P2]
-        return all(max(map(sub, q2, map(rhs.__mul__, row))) <= (S - p1) * lhs for p1, row in zip(P1, D))
-    phi1, phi2 = potentials.phi1, potentials.phi2
-    if any(v < -a - slack for v in phi1) or any(v < -a - slack for v in phi2):
+    D, _, _, A, S, P1, P2, _, L, R = _terms(space, potentials, slack)
+    floor = -A - S
+    if any(v < floor for v in P1) or any(v < floor for v in P2):
         return False
-    for i in range(space.n):
-        for j in range(space.n):
-            if phi1[i] + phi2[j] > b * space.dist[i][j] + slack:
-                return False
-    return True
+    # P1_i L + P2_j L > R D_ij + S L, one row i at a time
+    q2, loose = [v * L for v in P2], S * L
+    return not any(
+        any(map(gt, map(add, repeat(p1 * L), q2), map(add, map(mul, repeat(R), row), repeat(loose))))
+        for p1, row in zip(P1, D)
+    )
 
 
 def evaluate_dual(
@@ -166,8 +164,6 @@ def evaluate_dual(
     """
     require_same_space(mu, nu)
     space = mu.space
-    if len(potentials.phi1) != space.n or len(potentials.phi2) != space.n:
-        raise SpaceMismatch("potential vectors do not match the space")
     a = potentials.params.a
     feasible = is_feasible_pair(space, potentials)
 
@@ -188,17 +184,16 @@ def primal_value(
 ) -> Scalar:
     """The p = 1 primal objective a(|mu| - m) + a(|nu| - m) + b sum d gamma of a plan of mass m.
 
-    In exact mode sum d gamma is the sum of D G over the integer images of
-    the metric and the plan, divided once by the product of their factors.
+    sum d gamma is one row-major running sum of D G: over the integer images
+    of the metric and the plan when the plan has one, divided once by the
+    product of their factors, else over the values themselves.
     """
-    space, gamma, m, n = plan.space, plan.gamma, plan.total, plan.space.n
+    space, m = plan.space, plan.total
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
-    if space._scaled is not None and plan._scaled is not None:
-        (D, F_d), (G, F_g) = space._scaled, plan._scaled
-        cost = Fraction(sum(sum(map(mul, d, g)) for d, g in zip(D, G)), F_d * F_g)
-    else:
-        cost = sum(space.dist[i][j] * gamma[i][j] for i in range(n) for j in range(n) if gamma[i][j])
-    return a * (mu.mass - m) + a * (nu.mass - m) + b * coerce(cost, space.exact)
+    G, unit = plan._scaled
+    D, F_d = space._scaled if isinstance(unit, Fraction) else (space.dist, 1)
+    cost = sum(map(mul, chain.from_iterable(D), chain.from_iterable(G)))
+    return a * (mu.mass - m) + a * (nu.mass - m) + b * (coerce(cost, space.exact) / (F_d * unit.denominator))
 
 
 def c_transform(space: FiniteMetricSpace, phi, params: EntropyParams) -> tuple[Scalar, ...]:
@@ -326,30 +321,18 @@ def verify_optimality(
     if not is_feasible_pair(space, potentials, slack=slack):
         raise InfeasibleInputs("potentials violate the dual constraints")
 
-    a, b = params.a, params.b
-    n = space.n
-    violations: list[tuple[str, tuple]] = []
-    image = _scaled_duals(space, potentials, slack)
-    if image is not None and plan._scaled is not None:
-        # the exact slack is tol: gamma_ij > tol and |b d_ij - phi1_i - phi2_j| > tol
-        # multiplied through by F_p F_g and by F_p b_den F_d
-        _, S, P1, P2, F_p, b_num, b_den = image
-        (D, F_d), (G, F_g) = space._scaled, plan._scaled
-        lhs, rhs = b_den * F_d, b_num * F_p
-        shipped, loose = S * F_g, S * lhs
-        for i, (g_row, d_row) in enumerate(zip(G, D)):
-            for j, g in enumerate(g_row):
-                if g and g * F_p > shipped and abs(rhs * d_row[j] - (P1[i] + P2[j]) * lhs) > loose:
-                    violations.append(("ii", (i, j)))
-    else:
-        for i in range(n):
-            for j in range(n):
-                if plan.gamma[i][j] > tol:
-                    gap = b * space.dist[i][j] - potentials.phi1[i] - potentials.phi2[j]
-                    if abs(gap) > tol:
-                        violations.append(("ii", (i, j)))
+    # (ii) where the plan ships more than tol: |b d_ij - phi1_i - phi2_j| <= tol
+    D, G, F_g, _, S, P1, P2, F_p, L, R = _terms(space, potentials, tol, plan)
+    shipped, loose = S * F_g, S * L
+    violations: list[tuple[str, tuple]] = [
+        ("ii", (i, j))
+        for i, (g_row, d_row, p1) in enumerate(zip(G, D, P1))
+        for j, g in enumerate(g_row)
+        if g and g * F_p > shipped and abs(R * d_row[j] - p1 * L - P2[j] * L) > loose
+    ]
     tight_on_plan = not violations
 
+    a, n = params.a, space.n
     sets = []
     unsaturated = {"iii": [], "iv": []}
     sides = zip(gammas, (mu, nu), (potentials.phi1, potentials.phi2))

@@ -149,9 +149,20 @@ def parse_plan(doc, space: FiniteMetricSpace) -> TransportPlan:
     return TransportPlan(space, tuple(tuple(row) for row in gamma))
 
 
-def parse_potentials(phi1, phi2, space: FiniteMetricSpace, params: EntropyParams) -> DualPotentials:
-    one = [coerce(parse_scalar(x), space.exact) for x in phi1]
-    two = [coerce(parse_scalar(x), space.exact) for x in phi2]
+def parse_potentials(report, space: FiniteMetricSpace, params: EntropyParams) -> DualPotentials:
+    """The potential pair of a plan report (``report_to_json`` output), once
+    the report has the shape ``verify --report`` reads: an object with a
+    "value", "plan" a list of rows, and "phi1" and "phi2" lists."""
+    if not (
+        isinstance(report, dict)
+        and "value" in report
+        and _is_matrix(report.get("plan"))
+        and isinstance(report.get("phi1"), list)
+        and isinstance(report.get("phi2"), list)
+    ):
+        raise ValueError('a report must be {"value": ..., "plan": [[...]], "phi1": [...], "phi2": [...]}')
+    one = [coerce(parse_scalar(x), space.exact) for x in report["phi1"]]
+    two = [coerce(parse_scalar(x), space.exact) for x in report["phi2"]]
     if len(one) != space.n or len(two) != space.n:
         raise ValueError("potential vectors must match the space size")
     return DualPotentials(phi1=tuple(one), phi2=tuple(two), params=params)

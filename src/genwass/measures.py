@@ -190,42 +190,38 @@ class TransportPlan:
 
     space: FiniteMetricSpace
     gamma: tuple[tuple[Scalar, ...], ...]
-    # Exact mode with Fraction entries: the entries as ints over their common
-    # denominator, and that factor (rows, factor), from one scalars.scaled
-    # call.  The sums and the certificate read it; None otherwise.
-    _scaled: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # The entries with the value of one unit of them: ints over their common
+    # denominator F_g with unit Fraction(1, F_g), from one scalars.scaled call,
+    # when the space is exact and every entry is a Fraction; else the entries
+    # as they are with unit 1.  Each sum is unit times a sum of rows, and the
+    # certificate reads the ints only when the unit is a Fraction.
+    _scaled: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n
         if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
             raise ValueError("plan must be n x n for the space")
-        entries = [x for row in self.gamma for x in row]
+        rows, unit = self.gamma, 1
+        entries = [x for row in rows for x in row]
         if self.space.exact and all(type(x) is Fraction for x in entries):
             entries, factor = scaled(entries)
-            rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-            object.__setattr__(self, "_scaled", (rows, factor))
+            rows, unit = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)), Fraction(1, factor)
         if any(x < 0 for x in entries):
             raise ValueError("plan entries must be nonnegative")
+        object.__setattr__(self, "_scaled", (rows, unit))
 
     @property
     def total(self) -> Scalar:
-        if self._scaled is not None:
-            rows, factor = self._scaled
-            return Fraction(sum(map(sum, rows)), factor)
-        return sum(sum(row) for row in self.gamma)
+        rows, unit = self._scaled
+        return unit * sum(map(sum, rows))
 
     def row_sums(self) -> tuple[Scalar, ...]:
-        if self._scaled is not None:
-            rows, factor = self._scaled
-            return tuple(Fraction(sum(row), factor) for row in rows)
-        return tuple(sum(row) for row in self.gamma)
+        rows, unit = self._scaled
+        return tuple(unit * sum(row) for row in rows)
 
     def col_sums(self) -> tuple[Scalar, ...]:
-        if self._scaled is not None:
-            rows, factor = self._scaled
-            return tuple(Fraction(sum(col), factor) for col in zip(*rows))
-        n = self.space.n
-        return tuple(sum(self.gamma[i][j] for i in range(n)) for j in range(n))
+        rows, unit = self._scaled
+        return tuple(unit * sum(col) for col in zip(*rows))
 
     def marginals(self) -> tuple[DiscreteMeasure, DiscreteMeasure]:
         return (

@@ -271,7 +271,8 @@ def field_paths(doc, prefix=()):
         yield from field_paths(value, prefix + (key,))
 
 
-def assert_contract_codes(doc, path, value, commands):
+def assert_contract_codes(doc, path, value, commands, argv=("--input",)):
+    """Replace one field of doc and run each command with argv, then the file's path."""
     doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
@@ -284,7 +285,7 @@ def assert_contract_codes(doc, path, value, commands):
         for command in commands:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, "--input", input_path])
+                code = main([command, *argv, input_path])
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
 
@@ -313,6 +314,47 @@ GH_DOC = {
 @example(path=("params", "p"), value=f"{10**400 + 1}/2")
 def test_any_gh_field_value_exits_with_a_contract_code(path, value):
     assert_contract_codes(GH_DOC, path, value, ("gh",))
+
+
+TWO_POINT_REPORT = {
+    "value": 1, "plan": [[0, 1], [0, 0]], "m": 1, "destroyed": 0, "created": 0, "phi1": [1, 0],
+    "phi2": [-1, 0], "gap": 0, "conditions": {"i": True, "ii": True, "iii": True, "iv": True},
+}
+
+
+@pytest.fixture(scope="module")
+def two_point_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("problem") / "two_point.json"
+    path.write_text(json.dumps(TWO_POINT))
+    return str(path)
+
+
+def test_two_point_report_is_the_plan_output(two_point_file, capsys):
+    assert main(["plan", "--input", two_point_file, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == TWO_POINT_REPORT
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(field_paths(TWO_POINT_REPORT))), json_values())
+@example(path=("plan",), value=3)
+@example(path=("phi1",), value=5)
+@example(path=("plan", 0), value=5)
+def test_any_report_field_value_exits_with_a_contract_code(two_point_file, path, value):
+    assert_contract_codes(TWO_POINT_REPORT, path, value, ("verify",), argv=("--input", two_point_file, "--report"))
+
+
+@pytest.mark.parametrize(
+    "report",
+    [[], "x", 3, None, dict(TWO_POINT_REPORT, plan=3), dict(TWO_POINT_REPORT, phi1=5),
+     dict(TWO_POINT_REPORT, phi2={"x": 1}), dict(TWO_POINT_REPORT, plan=[1, 0]),
+     {k: v for k, v in TWO_POINT_REPORT.items() if k != "value"}],
+    ids=["list", "string", "number", "null", "plan-number", "phi1-number", "phi2-object", "plan-flat", "no-value"],
+)
+def test_malformed_reports_are_input_errors(problem_file, capsys, report):
+    report_path = problem_file(report, name="report.json")
+    assert main(["verify", "--input", problem_file(TWO_POINT), "--report", report_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: a report must be") and "Traceback" not in err
 
 
 def test_dual_needs_p1(problem_file):
@@ -389,6 +431,22 @@ FLAG_VALUES = {
     "--input": "x.json", "--format": "json", "--mode": "float", "--tol": "1", "--seed": "1",
     "--p": "2", "--a": "1", "--b": "1", "--report": "r.json",
 }
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_rejected_flag_leaves_the_parser_as_it_was(problem_file, capsys):
+    argv = ["dist", "--input", problem_file(TWO_POINT), "--format", "json"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["gh", "--p", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
 
 
 def test_subcommands_declare_only_the_flags_they_read():

@@ -22,7 +22,7 @@ from genwass import (
     zero_measure,
 )
 from genwass.duality import feasibility_slack, is_feasible_pair, primal_value, verification_tol
-from genwass.errors import InfeasibleInputs, InvalidParams, InvalidWeight
+from genwass.errors import InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
 from genwass.measures import (
     DiscreteMeasure,
     TransportPlan,
@@ -30,7 +30,7 @@ from genwass.measures import (
     lebesgue_decompose,
     require_same_space,
 )
-from genwass.scalars import coerce
+from genwass.scalars import coerce, is_exact
 from genwass.selftest import random_int_metric, random_rational_measure
 
 
@@ -257,6 +257,25 @@ def test_certificate_rejects_bad_tolerance(two_point, unit_params, tol):
         verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=tol)
 
 
+@pytest.mark.parametrize("check", ["is_feasible_pair", "evaluate_dual", "verify_optimality"])
+@pytest.mark.parametrize("length", [3, 1], ids=["long", "short"])
+@pytest.mark.parametrize("vector", ["phi1", "phi2"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_potential_vectors_must_match_the_space(two_point, unit_params, check, length, vector, exact):
+    space, params = (two_point, unit_params) if exact else (two_point.as_float(), EntropyParams(a=1.0, b=1.0, p=1))
+    mu, nu = dirac(space, 0), dirac(space, 1)
+    phis = {"phi1": (0, -1), "phi2": (-1, 1)}
+    phis[vector] = (phis[vector] * 2)[:length]
+    pair = DualPotentials(**{k: tuple(coerce(v, exact) for v in phi) for k, phi in phis.items()}, params=params)
+    calls = {
+        "is_feasible_pair": lambda: is_feasible_pair(space, pair),
+        "evaluate_dual": lambda: evaluate_dual(pair, mu, nu),
+        "verify_optimality": lambda: verify_optimality(space, mu, nu, params, make_plan(space, [[0, 1], [0, 0]]), pair),
+    }
+    with pytest.raises(SpaceMismatch, match="potential vectors do not match the space"):
+        calls[check]()
+
+
 def test_certificate_diagonal_plan(line3, unit_params):
     mu = measure(line3, [1, 2, 3])
     plan = make_plan(line3, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
@@ -440,12 +459,17 @@ def reference_verify_optimality(space, mu, nu, params, plan, potentials, tol=Non
 LARGE_PRIMES = (998_244_353, 1_000_000_007, 2**61 - 1)
 
 
+CASE_MODES = ("exact", "float", "float potentials", "float plan")
+
+
 @st.composite
 def exact_certificate_cases(draw):
     """A solved exact instance on a rational metric with a non-integer b,
     its potentials shifted by fractions of mixed and large prime
     denominators, possibly one potential off by 1/p for a large prime p,
-    possibly a tampered plan, and a tolerance that may be a float."""
+    possibly a tampered plan, and a tolerance that may be a float; then, by
+    a mode draw, kept exact, or made its float copy, or given float
+    potentials or float plan entries on the exact space."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     base = random_int_metric(rng, draw(st.integers(1, 6)), max_d=9)
     scale = draw(st.sampled_from((Fraction(1), Fraction(2, 3), Fraction(5, 7))))
@@ -472,6 +496,15 @@ def exact_certificate_cases(draw):
     if draw(st.booleans()):
         i, j = draw(st.integers(0, space.n - 1)), draw(st.integers(0, space.n - 1))
         gamma[i][j] = max(gamma[i][j] + Fraction(draw(st.integers(-1, 1)), draw(dens)), Fraction(0))
+    mode = draw(st.sampled_from(CASE_MODES))
+    if mode == "float":
+        space = space.as_float()
+        mu, nu = mu.as_float(space), nu.as_float(space)
+        params = EntropyParams(a=float(params.a), b=float(params.b), p=1)
+    if mode in ("float", "float potentials"):
+        phi1, phi2 = [float(v) for v in phi1], [float(v) for v in phi2]
+    if mode in ("float", "float plan"):
+        gamma = [[float(x) for x in row] for row in gamma]
     plan = TransportPlan(space, tuple(tuple(row) for row in gamma))
     tols = (None, 0, 0.0, 0.25, 2**-10, 1e-3, Fraction(1, 3), Fraction(1, LARGE_PRIMES[0]))
     tol = draw(st.sampled_from(tols))
@@ -486,24 +519,37 @@ def outcome(check, *args, **kwargs):
         return ("InfeasibleInputs", str(exc))
 
 
-@settings(max_examples=150, deadline=None)
+def reference_plan_sums(plan):
+    gamma, n = plan.gamma, plan.space.n
+    rows = tuple(sum(row) for row in gamma)
+    return sum(rows), rows, tuple(sum(gamma[i][j] for i in range(n)) for j in range(n))
+
+
+def assert_same(got, want):
+    # equal values of equal types: a float result must keep its bits, and an
+    # int or a Fraction must not turn into the other
+    assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=600, deadline=None)
 @given(exact_certificate_cases())
 def test_integer_checks_match_the_fraction_checks(case):
     space, mu, nu, params, plan, potentials, tol = case
-    # the reference adds a float tolerance in floats, rounding b d + tol;
-    # the integer check takes it as the exact Fraction(tol), and so does the
-    # reference here
-    exact_tol = Fraction(tol) if isinstance(tol, float) else tol
-    assert is_feasible_pair(space, potentials) == reference_is_feasible_pair(space, potentials)
-    slack = verification_tol(tol, True)
-    assert is_feasible_pair(space, potentials, slack) == reference_is_feasible_pair(
-        space, potentials, verification_tol(exact_tol, True)
+    # Exact potentials on an exact space add a float tolerance exactly, as
+    # Fraction(tol), where the reference adds it in floats, rounding b d + tol
+    # (test_float_tolerance_is_added_exactly); the reference gets Fraction(tol)
+    # there.  Float potentials take the float tolerance unchanged on both sides.
+    exact_duals = space.exact and all(map(is_exact, potentials.phi1 + potentials.phi2))
+    ref_tol = Fraction(tol) if exact_duals and isinstance(tol, float) else tol
+    assert_same(is_feasible_pair(space, potentials), reference_is_feasible_pair(space, potentials))
+    assert_same(
+        is_feasible_pair(space, potentials, verification_tol(tol, space.exact)),
+        reference_is_feasible_pair(space, potentials, verification_tol(ref_tol, space.exact)),
     )
-    want = outcome(reference_verify_optimality, space, mu, nu, params, plan, potentials, tol=exact_tol)
-    assert outcome(verify_optimality, space, mu, nu, params, plan, potentials, tol=tol) == want
-    got = primal_value(plan, mu, nu, params)
-    assert got == reference_primal_value(plan, mu, nu, params)
-    assert type(got) is Fraction
+    want = outcome(reference_verify_optimality, space, mu, nu, params, plan, potentials, tol=ref_tol)
+    assert_same(outcome(verify_optimality, space, mu, nu, params, plan, potentials, tol=tol), want)
+    assert_same(primal_value(plan, mu, nu, params), reference_primal_value(plan, mu, nu, params))
+    assert_same((plan.total, plan.row_sums(), plan.col_sums()), reference_plan_sums(plan))
 
 
 def test_float_tolerance_is_added_exactly():
@@ -516,3 +562,16 @@ def test_float_tolerance_is_added_exactly():
     assert not reference_is_feasible_pair(space, pair, slack=0.25)
     assert is_feasible_pair(space, pair, slack=0.25)
     assert not is_feasible_pair(space, pair, slack=math.nextafter(0.25, 0))
+
+
+def test_float_plan_entries_never_meet_integer_potentials(two_point, unit_params):
+    # the plan holds a float, so the whole check reads the values as they are:
+    # the potentials' integer image has F_p = 3 * 2^55 (thirds and the float
+    # tol 0.1), and 0.1 * F_p rounds above the scaled tol, which would count
+    # the entry 0.1, equal to tol, as shipped
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    plan = TransportPlan(two_point, ((0.0, 0.1), (0.0, 0.0)))
+    pair = DualPotentials(phi1=(Fraction(1, 3), Fraction(0)), phi2=(Fraction(-1, 3), Fraction(0)), params=unit_params)
+    cert = verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=0.1)
+    assert cert == reference_verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=0.1)
+    assert cert.tight_on_plan
