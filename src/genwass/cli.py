@@ -140,8 +140,6 @@ def cmd_dual(args) -> int:
 
 def cmd_flat(args) -> int:
     problem = _load(args)
-    if problem.params.p != 1:
-        raise InvalidParams("the flat-metric LP is only defined for p = 1")
     value, witness = solve_flat(problem.space, problem.mu, problem.nu, problem.params)
     doc = {"flat_value": scalar_to_json(value), "f": [scalar_to_json(x) for x in witness.f]}
     _emit(args, doc, [f"flat value: {value}", "witness: " + " ".join(str(x) for x in witness.f)])
@@ -150,7 +148,7 @@ def cmd_flat(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = _load(args)
-    if problem.params.p != 1:
+    if problem.params.p != 1:  # before a p > 1 solve runs; verify_optimality raises the same
         raise InvalidParams("the certificate is only defined for p = 1")
     if args.report:
         with open(args.report) as fh:

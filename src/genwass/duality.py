@@ -188,6 +188,8 @@ def primal_value(
     of the metric and the plan when the plan has one, divided once by the
     product of their factors, else over the values themselves.
     """
+    if params.p != 1:
+        raise InvalidParams("this primal objective is only defined for p = 1")
     space, m = plan.space, plan.total
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
     G, unit = plan._scaled
@@ -230,6 +232,8 @@ def solve_flat(
     set and the value are those of the full O(n^2) LP; the witness is an
     optimal vertex of it, and may differ from the one the full LP would pick.
     """
+    if params.p != 1:
+        raise InvalidParams("the flat-metric LP is only defined for p = 1")
     require_same_space(mu, nu)
     n = space.n
     a = Fraction(params.a)
@@ -306,6 +310,8 @@ def verify_optimality(
     where gamma_i > 0 and (iv) elsewhere, the latter only at points whose
     mass mu_i[x] exceeds tol.
     """
+    if params.p != 1:
+        raise InvalidParams("the certificate is only defined for p = 1")
     require_same_space(mu, nu)
     if plan.space != space:
         raise SpaceMismatch("plan lives on a different space")

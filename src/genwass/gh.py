@@ -8,8 +8,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import GroupMismatch, InvalidParams, TargetIndexOutOfRange
-from .measures import DiscreteMeasure, measure, pushforward
+from .errors import GroupMismatch, InvalidParams
+from .measures import DiscreteMeasure, measure, point_map, pushforward
 from .params import EntropyParams
 from .scalars import Scalar
 from .spaces import FiniteGroupAction, FiniteMetricSpace
@@ -34,7 +34,7 @@ def gh_defect(table, source: FiniteMetricSpace, target: FiniteMetricSpace) -> Sc
     The covering term is always computed by a full distance scan; a
     non-surjective map never takes an early exit.
     """
-    table = _check_table(table, source, target)
+    table = point_map(table, source, target)
     distortion = 0 * source.diameter
     for x in range(source.n):
         for y in range(source.n):
@@ -51,7 +51,7 @@ def gh_defect(table, source: FiniteMetricSpace, target: FiniteMetricSpace) -> Sc
 
 def make_gh_map(table, source: FiniteMetricSpace, target: FiniteMetricSpace) -> GHMap:
     """Bundle a table with its computed defect."""
-    table = _check_table(table, source, target)
+    table = point_map(table, source, target)
     return GHMap(source=source, target=target, table=table, epsilon=gh_defect(table, source, target))
 
 
@@ -83,14 +83,11 @@ def equivariant_defect(
     """GH defect plus the worst sup-distance between mapping-then-acting and
     acting-then-mapping, over all group elements (matched by label)."""
     src, tgt = action_source.space, action_target.space
-    table = _check_table(table, src, tgt)
-    if set(action_source.labels) != set(action_target.labels):
-        raise GroupMismatch("the two actions must share a group label set")
-    tgt_by_label = {lab: tgt_g for lab, tgt_g in zip(action_target.labels, action_target.elements)}
+    table = point_map(table, src, tgt)
+    pairs = _paired_elements(action_source, action_target)
 
     worst = gh_defect(table, src, tgt)
-    for lab, g in zip(action_source.labels, action_source.elements):
-        h = tgt_by_label[lab]
+    for g, h in pairs:
         for x in range(src.n):
             gap = tgt.dist[table[g[x]]][h[table[x]]]
             if gap > worst:
@@ -125,11 +122,10 @@ def check_pushforward_stability(
     mass_cap,
     seed: int,
     samples: int = 4,
-    support_size: int = 5,
 ) -> dict:
     """Seeded sampling check of the stability bound.
 
-    Draws measure pairs of mass C and C/2 on small supports, compares
+    Draws measure pairs of mass C and C/2 on at most five points, compares
     |W(f#mu, f#nu) - W(mu, nu)| against the bound, and checks the
     surjectivity side W(nu2, f#(f'#nu2)) <= 4 b C^(2/p) eps using the
     approximate inverse.  Returns the worst observed slack on each side.
@@ -148,15 +144,15 @@ def check_pushforward_stability(
     worst_surj = 0.0
     for _ in range(samples):
         for mass in (float(mass_cap), float(mass_cap) / 2.0):
-            mu = _random_measure(rng, src, mass, support_size)
-            nu = _random_measure(rng, src, mass, support_size)
+            mu = _random_measure(rng, src, mass)
+            nu = _random_measure(rng, src, mass)
             upstairs = float(solve(src, mu, nu, params).value)
             fmu = pushforward(table, mu, tgt)
             fnu = pushforward(table, nu, tgt)
             downstairs = float(solve(tgt, fmu, fnu, params).value)
             worst_dev = max(worst_dev, abs(upstairs - downstairs))
 
-            nu2 = _random_measure(rng, tgt, mass, support_size)
+            nu2 = _random_measure(rng, tgt, mass)
             roundtrip = pushforward(table, pushforward(inv.table, nu2, src), tgt)
             worst_surj = max(worst_surj, float(solve(tgt, nu2, roundtrip, params).value))
 
@@ -179,7 +175,6 @@ def check_equivariant_stability(
     mass_cap,
     seed: int,
     samples: int = 4,
-    support_size: int = 5,
 ) -> dict:
     """Seeded check that pushing forward almost-commutes with the induced
     actions on measures, within the stability radius of the equivariant
@@ -188,17 +183,14 @@ def check_equivariant_stability(
     tgt = action_target.space.as_float()
     eps = float(equivariant_defect(table, action_source, action_target))
     bound = pushforward_bound(eps, params, mass_cap, src.diameter, tgt.diameter)
-    tgt_by_label = {
-        lab: tgt_g for lab, tgt_g in zip(action_target.labels, action_target.elements)
-    }
+    pairs = _paired_elements(action_source, action_target)
 
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(samples):
         for mass in (float(mass_cap), float(mass_cap) / 2.0):
-            mu = _random_measure(rng, src, mass, support_size)
-            for lab, g in zip(action_source.labels, action_source.elements):
-                h = tgt_by_label[lab]
+            mu = _random_measure(rng, src, mass)
+            for g, h in pairs:
                 left = pushforward(table, pushforward(g, mu, src), tgt)
                 right = pushforward(h, pushforward(table, mu, tgt), tgt)
                 worst = max(worst, float(solve(tgt, left, right, params).value))
@@ -217,21 +209,20 @@ def _finite_bound(evaluate) -> float:
     return value
 
 
-def _random_measure(rng, space: FiniteMetricSpace, total: float, support_size: int) -> DiscreteMeasure:
-    points = rng.sample(range(space.n), min(support_size, space.n))
+def _paired_elements(action_source: FiniteGroupAction, action_target: FiniteGroupAction) -> list:
+    """(source element, target element) pairs matched by label, in source order."""
+    if set(action_source.labels) != set(action_target.labels):
+        raise GroupMismatch("the two actions must share a group label set")
+    by_label = dict(zip(action_target.labels, action_target.elements))
+    return [(g, by_label[lab]) for lab, g in zip(action_source.labels, action_source.elements)]
+
+
+def _random_measure(rng, space: FiniteMetricSpace, total: float) -> DiscreteMeasure:
+    """Mass total spread at random over at most five random points."""
+    points = rng.sample(range(space.n), min(5, space.n))
     raw = [rng.random() for _ in points]
     s = sum(raw)
     weights = [0.0] * space.n
     for pt, r in zip(points, raw):
         weights[pt] = total * r / s
     return measure(space, weights)
-
-
-def _check_table(table, source: FiniteMetricSpace, target: FiniteMetricSpace) -> tuple[int, ...]:
-    table = tuple(int(x) for x in table)
-    if len(table) != source.n:
-        raise ValueError("the map must be total on the source points")
-    for x, t in enumerate(table):
-        if not 0 <= t < target.n:
-            raise TargetIndexOutOfRange(f"point {x} maps to {t}, outside the target space")
-    return table

@@ -117,16 +117,24 @@ def lebesgue_decompose(sigma: DiscreteMeasure, tau: DiscreteMeasure) -> Decompos
     return Decomposition(density=tuple(density), singular=DiscreteMeasure(sigma.space, tuple(singular)))
 
 
+def point_map(table, source: FiniteMetricSpace, target: FiniteMetricSpace) -> tuple[int, ...]:
+    """The table of a total map from source points to target point indices."""
+    table = tuple(table)
+    if len(table) != source.n:
+        raise ValueError("the map must be total on the source points")
+    for i, j in enumerate(table):
+        if type(j) is not int:
+            raise ValueError(f"point {i} maps to {j!r}, which is not a point index")
+        if not 0 <= j < target.n:
+            raise TargetIndexOutOfRange(f"point {i} maps to {j}, outside the target space")
+    return table
+
+
 def pushforward(mapping, mu: DiscreteMeasure, target: FiniteMetricSpace | None = None) -> DiscreteMeasure:
     """Push mu forward along a total point map; total mass is preserved."""
     target = target or mu.space
-    mapping = list(mapping)
-    if len(mapping) != mu.space.n:
-        raise ValueError("the map must be total on the source points")
     out = [coerce(0, target.exact)] * target.n
-    for i, j in enumerate(mapping):
-        if not 0 <= j < target.n:
-            raise TargetIndexOutOfRange(f"point {i} maps to {j}, outside the target space")
+    for i, j in enumerate(point_map(mapping, mu.space, target)):
         out[j] += mu.weights[i]
     return DiscreteMeasure(target, tuple(out))
 

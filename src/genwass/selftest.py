@@ -24,6 +24,8 @@ from .spaces import FiniteGroupAction, FiniteMetricSpace, compose, validate_acti
 
 AB_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(2))
 P_CHOICES = (1, 2, 3)
+# Instances per check of run_selftest; the group and GH checks run a half and a quarter of it.
+INSTANCES = 40
 
 
 # ---------------------------------------------------------------- generators
@@ -55,13 +57,9 @@ def random_int_measure(rng: random.Random, space: FiniteMetricSpace, max_w: int 
     return measure(space, [rng.randint(0, max_w) for _ in range(space.n)])
 
 
-def random_rational_measure(
-    rng: random.Random, space: FiniteMetricSpace, max_num: int = 6, denoms=(1, 2, 4)
-) -> DiscreteMeasure:
-    return measure(
-        space,
-        [Fraction(rng.randint(0, max_num), rng.choice(denoms)) for _ in range(space.n)],
-    )
+def random_rational_measure(rng: random.Random, space: FiniteMetricSpace) -> DiscreteMeasure:
+    """Weights k / q with k in 0..6 and q in {1, 2, 4}."""
+    return measure(space, [Fraction(rng.randint(0, 6), rng.choice((1, 2, 4))) for _ in range(space.n)])
 
 
 def random_params(rng: random.Random, p=None) -> EntropyParams:
@@ -83,31 +81,12 @@ def random_space_with_action(rng: random.Random) -> FiniteGroupAction:
     family = rng.choice(("cycle", "dihedral", "mirror", "product", "equilateral"))
     scale = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
 
-    if family == "cycle":
-        k = rng.randint(3, 6)
-        space = cycle_space(k, scale)
-        rot = tuple((i + 1) % k for i in range(k))
-        elems = [tuple(range(k))]
-        for _ in range(k - 1):
-            elems.append(compose(rot, elems[-1]))
-        return validate_action(space, elems)
-
-    if family == "dihedral":
-        k = 3  # order 2k = 6 stays within the cap
-        space = cycle_space(k, scale)
-        rot = tuple((i + 1) % k for i in range(k))
-        refl = tuple((-i) % k for i in range(k))
-        elems = {tuple(range(k))}
-        frontier = [rot, refl]
-        while frontier:
-            g = frontier.pop()
-            if g in elems:
-                continue
-            elems.add(g)
-            for h in list(elems):
-                frontier.append(compose(g, h))
-                frontier.append(compose(h, g))
-        return validate_action(space, sorted(elems))
+    if family in ("cycle", "dihedral"):
+        k = rng.randint(3, 6) if family == "cycle" else 3  # dihedral order 2k = 6 stays within the cap
+        generators = [tuple((i + 1) % k for i in range(k))]
+        if family == "dihedral":
+            generators.append(tuple((-i) % k for i in range(k)))
+        return validate_action(cycle_space(k, scale), _closure(*generators))
 
     if family == "mirror":
         r = rng.randint(1, 3)
@@ -116,8 +95,7 @@ def random_space_with_action(rng: random.Random) -> FiniteGroupAction:
         n = len(pts)
         d = [[scale * abs(pts[i] - pts[j]) for j in range(n)] for i in range(n)]
         space = validate_metric([str(p) for p in pts], d, exact=True)
-        mirror = tuple(pts.index(-pts[i]) for i in range(n))
-        return validate_action(space, [tuple(range(n)), mirror])
+        return validate_action(space, _closure(tuple(pts.index(-pts[i]) for i in range(n))))
 
     if family == "product":
         m = rng.randint(2, 4)
@@ -133,35 +111,48 @@ def random_space_with_action(rng: random.Random) -> FiniteGroupAction:
                     for j in range(k):
                         d[u * k + i][v * k + j] = base.dist[u][v] + cyc.dist[i][j]
         space = validate_metric(labels, d, exact=True)
-        elems = []
-        for shift in range(k):
-            elems.append(tuple(u * k + (i + shift) % k for u in range(m) for i in range(k)))
-        return validate_action(space, elems)
+        return validate_action(space, _closure(tuple(u * k + (i + 1) % k for u in range(m) for i in range(k))))
 
     # equilateral: S3 acting on three equidistant points
     d = [[0 if i == j else scale for j in range(3)] for i in range(3)]
     space = validate_metric(["t0", "t1", "t2"], d, exact=True)
-    import itertools
-
-    return validate_action(space, [tuple(p) for p in itertools.permutations(range(3))])
+    return validate_action(space, _closure((1, 2, 0), (1, 0, 2)))
 
 
-def random_gh_triple(rng: random.Random, max_n: int = 6) -> GHMap:
+def _closure(*generators) -> list[tuple[int, ...]]:
+    """The permutation group the generators generate, in sorted order."""
+    group = {tuple(range(len(generators[0])))}
+    frontier = list(generators)
+    while frontier:
+        g = frontier.pop()
+        if g not in group:
+            group.add(g)
+            frontier += [compose(g, h) for h in generators]
+    return sorted(group)
+
+
+def _perturbed(rng: random.Random, space: FiniteMetricSpace, top: float) -> list[list[float]]:
+    """The float distances of space, each pair moved by at most mag = diam * U(0.02, top)
+    and kept at least mag / 4, then re-closed to restore the triangle inequality."""
+    n = space.n
+    mag = float(space.diameter) * rng.uniform(0.02, top)
+    d = [list(row) for row in space.dist]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = max(d[i][j] + rng.uniform(-mag, mag), mag / 4)
+    _close(d)
+    return d
+
+
+def random_gh_triple(rng: random.Random) -> GHMap:
     """A (source, target, map) triple whose defect is at most half the
     source diameter: either a perturbed bijection or a point-merging map."""
-    n = rng.randint(2, max_n)
+    n = rng.randint(2, 6)
     source = random_int_metric(rng, n, max_d=6).as_float()
     diam = float(source.diameter)
 
     if rng.random() < 0.5:
-        # perturb distances, then re-close to restore the triangle inequality
-        mag = diam * rng.uniform(0.02, 0.2)
-        d = [list(row) for row in source.dist]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i][j] = d[j][i] = max(d[i][j] + rng.uniform(-mag, mag), mag / 4)
-        _close(d)
-        target = validate_metric([f"y{i}" for i in range(n)], d, exact=False)
+        target = validate_metric([f"y{i}" for i in range(n)], _perturbed(rng, source, 0.2), exact=False)
         return make_gh_map(tuple(range(n)), source, target)
 
     # merge points into nearby representatives; only points within a fifth of
@@ -186,13 +177,7 @@ def random_equivariant_target(
     perturbation: the same permutations act isometrically on the target."""
     space = action.space.as_float()
     n = space.n
-    diam = float(space.diameter)
-    mag = diam * rng.uniform(0.02, 0.15)
-    d = [list(row) for row in space.dist]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = max(d[i][j] + rng.uniform(-mag, mag), mag / 4)
-    _close(d)
+    d = _perturbed(rng, space, 0.15)
     # group-average so every element acts isometrically again
     avg = [[0.0] * n for _ in range(n)]
     for g in action.elements:
@@ -209,7 +194,7 @@ def random_equivariant_target(
 
 # -------------------------------------------------------------------- checks
 
-def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
+def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
     """Quick version of the verification suites; returns (ok, report lines)."""
     lines = []
     ok = True
@@ -221,7 +206,7 @@ def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
 
     rng = random.Random(seed)
     bad = 0
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         space = random_int_metric(rng, rng.randint(1, 3))
         mu = random_int_measure(rng, space)
         nu = random_int_measure(rng, space)
@@ -233,11 +218,11 @@ def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
         else:
             agree = abs(float(got) - float(expected)) <= 1e-9 * (1.0 + abs(float(expected)))
         bad += 0 if agree else 1
-    record("oracle agreement", bad == 0, f"({instances} instances)")
+    record("oracle agreement", bad == 0, f"({INSTANCES} instances)")
 
     bad = 0
     flat_bad = 0
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         space = random_int_metric(rng, rng.randint(1, 6))
         mu = random_rational_measure(rng, space)
         nu = random_rational_measure(rng, space)
@@ -248,11 +233,11 @@ def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
         flat_value, _ = solve_flat(space, mu, nu, params)
         if flat_value != report.value:
             flat_bad += 1
-    record("zero duality gap + certificate", bad == 0, f"({instances} instances)")
-    record("flat metric equality", flat_bad == 0, f"({instances} instances)")
+    record("zero duality gap + certificate", bad == 0, f"({INSTANCES} instances)")
+    record("flat metric equality", flat_bad == 0, f"({INSTANCES} instances)")
 
     bad = 0
-    for _ in range(max(instances // 2, 10)):
+    for _ in range(INSTANCES // 2):
         action = random_space_with_action(rng)
         space = action.space
         params = random_params(rng, p=rng.choice((1, 2)))
@@ -265,7 +250,7 @@ def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
     record("quotient isometry", bad == 0)
 
     bad = 0
-    for k in range(max(instances // 4, 5)):
+    for k in range(INSTANCES // 4):
         ghmap = random_gh_triple(rng)
         params = EntropyParams(a=rng.choice((0.5, 1.0)), b=rng.choice((0.5, 1.0)), p=rng.choice((1, 2)))
         result = check_pushforward_stability(ghmap, params, mass_cap=2.0, seed=seed * 1000 + k, samples=2)
@@ -274,7 +259,7 @@ def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
     record("pushforward stability", bad == 0)
 
     bad = 0
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         space = random_int_metric(rng, rng.randint(2, 5))
         params = random_params(rng, p=1)
         a = params.a
@@ -283,7 +268,7 @@ def run_selftest(seed: int = 0, instances: int = 40) -> tuple[bool, list[str]]:
         pair_obj = _dual_objective_pair(space, phi1, phi2, params, rng)
         if not pair_obj:
             bad += 1
-    record("c-transform properties", bad == 0, f"({instances} instances)")
+    record("c-transform properties", bad == 0, f"({INSTANCES} instances)")
 
     return ok, lines
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genwass import flow, quotient
+from genwass import flow, quotient, selftest, solver_w1
 from genwass.cli import build_parser, main
 
 
@@ -357,6 +357,49 @@ def test_malformed_reports_are_input_errors(problem_file, capsys, report):
     assert err.startswith("input error: a report must be") and "Traceback" not in err
 
 
+def test_report_potentials_of_the_wrong_length_are_input_errors(problem_file, capsys):
+    report_path = problem_file(dict(TWO_POINT_REPORT, phi1=[1, 0, 0]), name="report.json")
+    assert main(["verify", "--input", problem_file(TWO_POINT), "--report", report_path]) == 2
+    assert capsys.readouterr().err == "input error: potential vectors must match the space size\n"
+
+
+@pytest.mark.parametrize(
+    "mode, line",
+    [
+        ("exact", "solver failure: exact solve left a duality gap of 1/2"),
+        ("float", "solver failure: duality gap 0.5 exceeds the certification threshold"),
+    ],
+)
+def test_uncertified_solves_exit_1(problem_file, capsys, monkeypatch, mode, line):
+    # one supply potential off by 1/2 lowers phi1 where mu has its mass: a gap of 1/2
+    transport = solver_w1.solve_transport
+
+    def shifted(*args):
+        sol = transport(*args)
+        sol.potential_src[0] += Fraction(1, 2)
+        return sol
+
+    monkeypatch.setattr(solver_w1, "solve_transport", shifted)
+    assert main(["dist", "--input", problem_file(TWO_POINT), "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
+def test_selftest_fails_on_a_wrong_solver(capsys, monkeypatch):
+    solve = selftest.solve
+
+    def off_by_one(*args):
+        report = solve(*args)
+        return dataclasses.replace(report, value=report.value + 1)
+
+    monkeypatch.setattr(selftest, "solve", off_by_one)
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "oracle agreement: FAIL (40 instances)"
+    assert lines[-1] == "selftest: FAIL"
+    assert all(line.endswith(("pass", "pass (40 instances)")) for line in lines[1:-1])
+
+
 def test_dual_needs_p1(problem_file):
     doc = dict(TWO_POINT, params={"a": 1, "b": 1, "p": 2})
     assert main(["dual", "--input", problem_file(doc)]) == 2
@@ -367,6 +410,8 @@ TOL_ERROR = "error: the tolerance must be finite and nonnegative, got "
 # exact p = 2: a times the waste mass is past float range, and the value adds a float root
 A_NEAR_FLOAT_MAX = dict(QUOTIENT_DOC, params={"a": 1e308, "b": "1/2", "p": 2})
 A_PAST_FLOAT_RANGE = "error: a = 1e+308 puts the value at p = 2 beyond float range"
+NOT_AN_OBJECT = "input error: problem file must be a JSON object"
+MISSING_FIELD = "input error: problem file is missing the "
 
 
 @pytest.mark.parametrize(
@@ -386,10 +431,17 @@ A_PAST_FLOAT_RANGE = "error: a = 1e+308 puts the value at p = 2 beyond float ran
         (["dist", "--p", f"{10**400 + 1}/2"], TWO_POINT, "error: p must be finite and within float range, got inf"),
         (["dist"], A_NEAR_FLOAT_MAX, A_PAST_FLOAT_RANGE),
         (["quotient"], A_NEAR_FLOAT_MAX, A_PAST_FLOAT_RANGE),
+        (["dist"], [], NOT_AN_OBJECT),
+        (["dist"], "x", NOT_AN_OBJECT),
+        (["dist"], 3, NOT_AN_OBJECT),
+        *[(["dist"], {k: v for k, v in TWO_POINT.items() if k != key}, f"{MISSING_FIELD}{key!r} field")
+          for key in ("space", "mu", "nu", "params")],
+        (["dist"], dict(TWO_POINT, mu=5), "input error: mu must map point labels to weights"),
     ],
     ids=["dual-p2", "verify-p2", "flat-p2", "flat-p-override", "quotient-no-group", "verify-tol-negative",
          "verify-tol-nan", "verify-tol-inf", "quotient-tol-negative", "quotient-tol-nan", "quotient-tol-inf",
-         "p-override-past-float-range", "dist-exact-a-near-float-max", "quotient-exact-a-near-float-max"],
+         "p-override-past-float-range", "dist-exact-a-near-float-max", "quotient-exact-a-near-float-max",
+         "file-list", "file-string", "file-number", "no-space", "no-mu", "no-nu", "no-params", "mu-number"],
 )
 def test_handler_errors_print_one_line(problem_file, capsys, argv, doc, line):
     assert main([*argv, "--input", problem_file(doc)]) == 2

@@ -14,6 +14,7 @@ from genwass import (
     dirac,
     evaluate_dual,
     measure,
+    solve,
     solve_flat,
     solve_w1,
     truncate_potential,
@@ -274,6 +275,35 @@ def test_potential_vectors_must_match_the_space(two_point, unit_params, check, l
     }
     with pytest.raises(SpaceMismatch, match="potential vectors do not match the space"):
         calls[check]()
+
+
+@pytest.mark.parametrize("check", ["solve_flat", "verify_optimality", "primal_value"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_order_one_functions_reject_other_orders(line3, check, exact):
+    # W_2 of these measures is sqrt 2, not the order-1 value 2
+    space = line3 if exact else line3.as_float()
+    mu, nu = measure(space, [1, 0, 1]), measure(space, [0, 2, 0])
+    one, two = (EntropyParams(a=coerce(1, exact), b=coerce(1, exact), p=p) for p in (1, 2))
+    report = solve_w1(space, mu, nu, one)
+    calls = {
+        "solve_flat": lambda: solve_flat(space, mu, nu, two),
+        "verify_optimality": lambda: verify_optimality(space, mu, nu, two, report.plan, report.potentials),
+        "primal_value": lambda: primal_value(solve(space, mu, nu, two).plan, mu, nu, two),
+    }
+    with pytest.raises(InvalidParams, match="only defined for p = 1"):
+        calls[check]()
+
+
+def test_certificate_needs_a_plan_on_the_space(two_point, two_point_far, unit_params):
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
+    with pytest.raises(SpaceMismatch, match="plan lives on a different space"):
+        verify_optimality(two_point, mu, nu, unit_params, make_plan(two_point_far, [[0, 1], [0, 0]]), pair)
+
+
+def test_c_transform_needs_one_potential_per_point(two_point, unit_params):
+    with pytest.raises(SpaceMismatch, match="potential vector does not match the space"):
+        c_transform(two_point, (0, 0, 0), unit_params)
 
 
 def test_certificate_diagonal_plan(line3, unit_params):

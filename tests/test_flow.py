@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +190,11 @@ def test_single_arc():
     assert sol.total == 1
     assert sol.cost == 3
     assert sol.breakpoints == [(0, 0), (1, 3)]
+
+
+def test_target_above_the_maximum_is_rejected():
+    with pytest.raises(ValueError, match="target flow exceeds what supplies/demands allow"):
+        solve_transport([[1]], [1], [2], target=2)
 
 
 def test_cheaper_arc_ships_first():

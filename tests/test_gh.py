@@ -120,6 +120,12 @@ def test_equivariant_defect_of_conjugating_map(two_point):
     assert equivariant_defect([0, 1], swap, only_id) == 1
 
 
+@pytest.mark.parametrize("table", [[0, 1.7], ["1", True]], ids=["float", "string-and-bool"])
+def test_gh_maps_need_point_indices(two_point, table):
+    with pytest.raises(ValueError, match="which is not a point index"):
+        make_gh_map(table, two_point, two_point)
+
+
 def test_group_label_mismatch(two_point):
     a1 = validate_action(two_point, [(0, 1), (1, 0)], labels=["e", "s"])
     a2 = validate_action(two_point, [(0, 1)], labels=["e"])

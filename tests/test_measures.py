@@ -18,6 +18,7 @@ from genwass import (
     validate_metric,
 )
 from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
+from genwass.measures import TransportPlan
 
 
 @pytest.fixture
@@ -39,6 +40,21 @@ def test_non_finite_weight_rejected(two_point, bad, exact):
         measure(space, [bad, 1.0])
     with pytest.raises(InvalidWeight, match="not finite"):
         DiscreteMeasure(space, (bad, 1.0))
+
+
+def test_measure_needs_one_weight_per_point(two_point):
+    with pytest.raises(ValueError, match="one weight per point required"):
+        DiscreteMeasure(two_point, (1,))
+
+
+def test_negative_scaling_rejected(two_point):
+    with pytest.raises(ValueError, match="scaling factor must be nonnegative"):
+        measure(two_point, [1, 1]).scale(-1)
+
+
+def test_negative_plan_entry_rejected(two_point):
+    with pytest.raises(ValueError, match="plan entries must be nonnegative"):
+        TransportPlan(two_point, ((0, -1), (0, 0)))
 
 
 def test_submeasure_basic(two_point):
@@ -110,6 +126,17 @@ def test_pushforward_out_of_range(two_point):
         pushforward([0, 5], measure(two_point, [1, 1]))
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [([0], "the map must be total"), ([0, 1.7], "point 1 maps to 1.7,"), (["1", 1], "point 0 maps to '1',"),
+     ([0, 1.0], "point 1 maps to 1.0,"), ([0, True], "point 1 maps to True,")],
+    ids=["short", "float", "string", "integral-float", "bool"],
+)
+def test_pushforward_needs_a_table_of_point_indices(two_point, table, message):
+    with pytest.raises(ValueError, match=message):
+        pushforward(table, measure(two_point, [1, 1]))
+
+
 @given(st.lists(st.integers(0, 10), min_size=3, max_size=3))
 def test_pushforward_preserves_mass(ws):
     space = validate_metric(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -143,6 +170,11 @@ def test_invariant_lift_uniform_on_orbit(two_point, swap_action):
     q = build_quotient(swap_action)
     lifted = invariant_lift(swap_action, q, dirac(q.quotient, 0, 2))
     assert lifted.weights == (1, 1)
+
+
+def test_invariant_lift_needs_a_quotient_measure(two_point, swap_action):
+    with pytest.raises(SpaceMismatch, match="the measure must live on the quotient space"):
+        invariant_lift(swap_action, build_quotient(swap_action), dirac(two_point, 0))
 
 
 def test_invariant_lift_reflection(line3):

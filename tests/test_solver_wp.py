@@ -15,7 +15,7 @@ from genwass import (
     validate_metric,
     wasserstein_p,
 )
-from genwass.errors import MassMismatch
+from genwass.errors import InvalidParams, MassMismatch
 from genwass.solver_wp import ParametricCurve
 from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
 
@@ -97,6 +97,37 @@ def test_float_curves_of_valid_instances_construct():
 def test_non_convex_curve_is_rejected(points):
     with pytest.raises(ValueError, match="curve slopes must be nondecreasing"):
         ParametricCurve(breakpoints=points)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (((0, 1), (1, 2)), "curve must start at"),
+        (((0, 0), (1, 1), (1, 2)), "breakpoint masses must increase strictly"),
+        (((0, 0), (1, 1), (2, 0)), "accumulated cost cannot decrease"),
+    ],
+    ids=["start", "mass-repeats", "cost-falls"],
+)
+def test_malformed_curves_are_rejected(points, message):
+    with pytest.raises(ValueError, match=message):
+        ParametricCurve(breakpoints=points)
+
+
+def test_curve_value_outside_its_range_is_rejected():
+    with pytest.raises(ValueError, match="mass outside the curve's range"):
+        ParametricCurve(breakpoints=((0, 0), (1, 1))).value_at(2)
+
+
+@pytest.mark.parametrize("call", ["EntropyParams", "wasserstein_p", "parametric_transport_curve"])
+def test_orders_below_one_are_rejected(two_point, call):
+    mu, nu, half = dirac(two_point, 0), dirac(two_point, 1), Fraction(1, 2)
+    calls = {
+        "EntropyParams": lambda: EntropyParams(a=1, b=1, p=half),
+        "wasserstein_p": lambda: wasserstein_p(two_point, mu, nu, half),
+        "parametric_transport_curve": lambda: parametric_transport_curve(two_point, mu, nu, half),
+    }
+    with pytest.raises(InvalidParams, match="p must be at least 1, got 1/2"):
+        calls[call]()
 
 
 def test_solve_wp_short_and_long(two_point, two_point_far):

@@ -166,6 +166,26 @@ def test_float_triangle_tolerance_absorbs_rounding():
     assert not space.exact
 
 
+def test_duplicate_labels_rejected():
+    with pytest.raises(ValueError, match="point labels must be unique"):
+        validate_metric(["x", "x"], [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "elements, labels, message",
+    [
+        ([(0, 1), (0, 0)], None, "not a permutation of 0..1"),
+        ([(0, 1), (1, 0)], ["e"], "one label per group element required"),
+        ([(0, 1), (1, 0)], ["e", "e"], "group element labels must be distinct"),
+    ],
+    ids=["not-a-permutation", "label-count", "duplicate-labels"],
+)
+def test_malformed_actions_rejected(elements, labels, message):
+    space = validate_metric(["x", "y"], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=message):
+        validate_action(space, elements, labels=labels)
+
+
 def test_swap_action_validates():
     space = validate_metric(["x", "y"], [[0, 1], [1, 0]])
     action = validate_action(space, [(0, 1), (1, 0)])
