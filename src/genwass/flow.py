@@ -4,7 +4,7 @@ One engine runs on a residual arc list: parallel lists ``head``, ``cap``,
 ``cost`` and ``flow`` by arc id, the reverse of arc ``e`` at ``e ^ 1``
 (capacity zero, cost negated), and the arc ids of each node.  An arc is
 residual while ``flow[e] < cap[e]``.  Arc costs must be nonnegative, which
-lets every phase run Dijkstra on reduced costs.
+lets the engine run Dijkstra on reduced costs.
 
 The transport network is complete bipartite: node 0 is the source S, then
 come the supplies and the demands, and the sink T is last.  S feeds every
@@ -20,9 +20,31 @@ problem; the engine records one breakpoint per augmentation.  It keeps only
 the final flow, not a plan per breakpoint: a caller that needs the plan at
 an earlier breakpoint solves again with ``target`` set to its mass.
 
+Most phases need no Dijkstra.  After a potential update every residual arc
+has a reduced cost >= 0 (floats are clamped at zero), and on metrics with
+few distinct distances most augmentations repeat the last path cost: their
+reduced cost is 0.  So a phase first searches the residual arcs whose
+reduced cost is <= 0: it settles the reached nodes in index order, gives
+each node the first settled node that reaches it, and stops once T is
+reached.  If it reaches T, that is Dijkstra's path.  Dijkstra settles the
+nodes at distance 0 before all others and in index order, keeps the first
+of equal distances, and T (last index) loses every tie, so it builds the
+same parent chain with dist[T] = 0.  The potential update after it would
+add 0 everywhere, so it is skipped; in floats that addition changes no
+potential either, since they start at +0.0 and a float sum is -0.0 only
+when both terms are.  Dijkstra runs when the search fails, and without a
+search in the phase after a Dijkstra whose path cost rose: where most paths
+cost more than the last, as on metrics with many distinct distances, a
+failed search costs about as much as the Dijkstra after it.  A Dijkstra
+that finds a path of reduced cost 0 turns the search back on.  The
+potentials change only when Dijkstra runs, and with them the arcs of
+reduced cost <= 0: each node's list of them is built at its first visit
+after a change and reused until the next.
+
 Exact inputs with rational entries are not run on Fractions: the masses are
 multiplied by the least common multiple M of their denominators and the
-costs by that of theirs, C (both by ``scalars.scaled``), and the engine
+costs by that of theirs, C (both by ``scalars.scaled``; a caller holding
+the costs as ints over C already passes C as ``cost_unit``), and the engine
 runs on the resulting Python ints.  Positive scaling preserves every
 comparison, so the augmenting paths, tie-breaks and breakpoints are the
 same; the result is divided once (masses by M, costs by M*C, potentials by
@@ -36,13 +58,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .errors import SolverFailure
 from .scalars import INF, Scalar, coerce, is_exact, scaled
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
 # seeded closed metrics (edges in [1, 9]) takes 55, 107 and 234 phases at
-# n = 32, 64 and 128: about 2n.
+# n = 32, 64 and 128: about 2n.  Dijkstra runs 7, 7 and 6 times in them,
+# the final refresh included; the other phases reuse a zero-cost path.
 MAX_PHASES = 200_000
 
 
@@ -56,15 +80,24 @@ class FlowSolution:
     potential_snk: list[Scalar]
 
 
-def solve_transport(costs, supplies, demands, target: Scalar | None = None) -> FlowSolution:
+def solve_transport(
+    costs, supplies, demands, target: Scalar | None = None, cost_unit: int | None = None
+) -> FlowSolution:
     """Push ``target`` units (default: as much as fits) at minimum cost.
 
     Returns the final flow matrix, the parametric breakpoints, and the node
     potentials of the last phase.  The potentials satisfy, for every pair,
     pot_snk[j] - pot_src[i] <= costs[i][j], with equality on arcs that carry
     flow: they are the linear-programming duals of the transport problem.
+
+    A caller that holds exact costs as ints over a common positive
+    denominator passes that denominator as ``cost_unit``: arc (i, j) then
+    costs ``Fraction(costs[i][j], cost_unit)``, and the result is the one
+    for those Fractions, which are not built.
     """
     masses = [*supplies, *demands] + ([] if target is None else [target])
+    if cost_unit is not None and not all(map(is_exact, masses)):
+        costs, cost_unit = [[Fraction(c, cost_unit) for c in row] for row in costs], None
     arc_costs = [c for row in costs for c in row]
     values = masses + arc_costs
     exact = list(map(is_exact, values))
@@ -74,11 +107,12 @@ def solve_transport(costs, supplies, demands, target: Scalar | None = None) -> F
         costs = [[coerce(c, False) for c in row] for row in costs]
         supplies, demands = ([coerce(x, False) for x in xs] for xs in (supplies, demands))
         target = None if target is None else coerce(target, False)
-    if not (all(exact) and any(isinstance(x, Fraction) for x in values)):
+    rational = cost_unit is not None or any(isinstance(x, Fraction) for x in values)
+    if not (all(exact) and rational):
         return _successive_shortest_paths(costs, supplies, demands, target)
 
     masses, M = scaled(masses)
-    arc_costs, C = scaled(arc_costs)
+    arc_costs, C = scaled(arc_costs) if cost_unit is None else (arc_costs, cost_unit)
     ns, nd, ints = len(supplies), len(demands), iter(arc_costs)
     sol = _successive_shortest_paths(
         [[next(ints) for _ in row] for row in costs],
@@ -127,12 +161,18 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     cost_acc = zero
     breakpoints: list[tuple[Scalar, Scalar]] = [(pushed, cost_acc)]
 
+    zero_arcs, rose = [None] * (T + 1), False
     for _phase in range(MAX_PHASES):
         if pushed >= target:
             break
-        dist, parent = _dijkstra(adj, head, cap, cost, flow, pot)
-        if dist[T] == INF:
-            break
+        parent = None if rose else _zero_path(zero_arcs, adj, head, cap, cost, flow, pot)
+        if parent is None:
+            dist, parent = _dijkstra(adj, head, cap, cost, flow, pot)
+            if dist[T] == INF:
+                break
+            rose = dist[T] > 0
+            _update_potentials(pot, dist, T)
+            zero_arcs = [None] * (T + 1)
 
         path = []
         v = T
@@ -149,8 +189,6 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
         pushed += delta
         if delta > 0:
             breakpoints.append((pushed, cost_acc))
-
-        _update_potentials(pot, dist, T)
     else:
         raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
 
@@ -169,14 +207,45 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     )
 
 
+def _zero_path(zero_arcs, adj, head, cap, cost, flow, pot):
+    """Parent arcs of a search over residual arcs of reduced cost <= 0, or
+    None if it does not reach the sink T (the last index).
+
+    It settles the reached nodes in index order (a heap of indices), gives
+    each node the first settled node that reaches it, and stops once T is
+    reached: Dijkstra's chain to T whenever dist[T] would be 0.
+    ``zero_arcs[u]`` caches the arcs of u with reduced cost <= 0 under the
+    current potentials; None entries are filled at the first visit.
+    """
+    T = len(adj) - 1
+    parent = [-1] * (T + 1)
+    reached = [False] * (T + 1)
+    reached[0] = True
+    open_nodes = [0]
+    while open_nodes:
+        u = heappop(open_nodes)
+        arcs = zero_arcs[u]
+        if arcs is None:
+            pu = pot[u]
+            arcs = zero_arcs[u] = [e for e in adj[u] if cost[e] + pu - pot[head[e]] <= 0]
+        for e in arcs:
+            v = head[e]
+            if not reached[v] and flow[e] < cap[e]:
+                reached[v] = True
+                parent[v] = e
+                if v == T:
+                    return parent
+                heappush(open_nodes, v)
+    return None
+
+
 def _dijkstra(adj, head, cap, cost, flow, pot):
     """Shortest reduced-cost distances from the source, node 0, over residual arcs.
 
-    Linear-scan Dijkstra; ties settle the smallest index.  A heap keyed by
-    (dist, index) gave byte-identical reports on 600 seeded solves, and ran
-    exact solve_w1 on a seeded closed metric at n = 128 in 1.00 s against
-    1.45 s (one Xeon core, CPython 3.11).  Float rounding can make a reduced
-    cost infinitesimally negative; it is clamped at zero.
+    Linear-scan Dijkstra; ties settle the smallest index.  It runs in the
+    phases where :func:`_zero_path` fails or is skipped after a rise of the
+    path cost, and for the final refresh.  Float rounding can make a
+    reduced cost infinitesimally negative; it is clamped at zero.
 
     It stops once the sink T (last index, so it loses ties) is settled: the
     nodes still open are farther away, cannot change the augmenting chain,

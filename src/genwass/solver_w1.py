@@ -30,7 +30,7 @@ from .errors import InvalidParams, SolverFailure
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import Scalar, coerce
+from .scalars import Scalar, coerce, scaled
 from .spaces import FiniteMetricSpace
 
 # Float-mode certification threshold: gaps above 1e-9 * (1 + |value|) are a
@@ -63,8 +63,7 @@ def solve_w1(
     a = coerce(params.a, space.exact)
     b = coerce(params.b, space.exact)
 
-    plan, pot_src, pot_snk = _solve_waste_network(space, mu, nu, a, b)
-    gamma = _strip_tied_arcs(space, plan, a, b)
+    gamma, pot_src, pot_snk = _solve_waste_network(space, mu, nu, a, b)
     plan_obj = TransportPlan(space, tuple(tuple(row) for row in gamma))
     m = plan_obj.total
     value = primal_value(plan_obj, mu, nu, params)
@@ -99,28 +98,31 @@ def solve_w1(
 
 
 def _solve_waste_network(space, mu, nu, a, b):
+    # Exact costs are built on ints over one common denominator, from the
+    # space's integer image D / F_d and the numerators and denominators of
+    # a and b; the flow divides the potentials by it once.
     n = space.n
-    zero = coerce(0, space.exact)
-    costs = [[b * space.dist[i][j] for j in range(n)] + [a] for i in range(n)]
-    costs.append([a] * n + [zero])
+    if space.exact:
+        D, F_d = space._scaled
+        (b_int, waste), unit = scaled([b / F_d, a])
+        costs = [[b_int * d for d in row] + [waste] for row in D]
+        costs.append([waste] * n + [0])
+    else:
+        unit, waste = None, a
+        costs = [[b * d for d in row] + [a] for row in space.dist]
+        costs.append([a] * n + [0.0])
     supplies = list(mu.weights) + [nu.mass]
     demands = list(nu.weights) + [mu.mass]
-    sol = solve_transport(costs, supplies, demands)
-    plan = [row[:n] for row in sol.flow[:n]]
-    return plan, sol.potential_src, sol.potential_snk
-
-
-def _strip_tied_arcs(space, plan, a, b):
+    sol = solve_transport(costs, supplies, demands, cost_unit=unit)
     # Exact ties b d = 2a are indifferent in value; the canonical plan does
     # not ship on them.  The potentials already saturate at a on both
     # endpoints of a tied shipped arc, so the certificate survives the strip.
-    n = space.n
     zero = coerce(0, space.exact)
-    for i in range(n):
-        for j in range(n):
-            if plan[i][j] > 0 and b * space.dist[i][j] == 2 * a:
-                plan[i][j] = zero
-    return plan
+    plan = [
+        [zero if x > 0 and c == 2 * waste else x for x, c in zip(flows[:n], row)]
+        for flows, row in zip(sol.flow[:n], costs)
+    ]
+    return plan, sol.potential_src, sol.potential_snk
 
 
 def _clamp_low(v, lo):

@@ -138,6 +138,11 @@ def test_criterion_3_flat_metric_equality_at_n48(seed):
     check_flat_equality_at(48, seed)
 
 
+@pytest.mark.parametrize("seed", [6403, 6406])
+def test_criterion_3_flat_metric_equality_at_n64(seed):
+    check_flat_equality_at(64, seed)
+
+
 def test_criterion_2_exact_and_float_at_n64():
     rng = random.Random(6401)
     space = random_int_metric(rng, 64)
@@ -158,6 +163,18 @@ def test_criterion_2_exact_and_float_at_n64():
     )
     assert abs(frep.value - float(rep.value)) <= GAP_RTOL * (1.0 + abs(float(rep.value)))
     report(f"criterion 2 PASS at n = 64: certified exact value {rep.value}, float mode agrees")
+
+
+def test_criterion_2_certified_exact_at_n128():
+    rng = random.Random(12801)
+    space = random_int_metric(rng, 128)
+    mu = random_rational_measure(rng, space)
+    nu = random_rational_measure(rng, space)
+    rep = solve_w1(space, mu, nu, random_params(rng, p=1))
+    assert rep.transported_mass > 0
+    assert rep.duality_gap == 0
+    assert rep.conditions.passed
+    report(f"criterion 2 PASS at n = 128: certified exact value {rep.value}")
 
 
 def test_criterion_4_metric_axioms_and_midpoint():

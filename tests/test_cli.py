@@ -374,8 +374,8 @@ def test_uncertified_solves_exit_1(problem_file, capsys, monkeypatch, mode, line
     # one supply potential off by 1/2 lowers phi1 where mu has its mass: a gap of 1/2
     transport = solver_w1.solve_transport
 
-    def shifted(*args):
-        sol = transport(*args)
+    def shifted(*args, **kwargs):
+        sol = transport(*args, **kwargs)
         sol.potential_src[0] += Fraction(1, 2)
         return sol
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genwass import flow
+from genwass import EntropyParams, flow, solve_w1
 from genwass.errors import SolverFailure
 from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
 from genwass.scalars import INF
-from genwass.selftest import random_int_metric
+from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_wp import MASS_RTOL
 
 FIELDS = ("flow", "total", "cost", "breakpoints", "potential_src", "potential_snk")
@@ -403,3 +403,47 @@ def test_mixed_scalar_instances_finish(monkeypatch):
         sol = solve_transport(costs, supplies, demands)
         most = float(min(sum(supplies), sum(demands)))
         assert abs(sol.total - most) <= 1e-9 * most
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+@pytest.mark.parametrize("max_d", [2, 3, 5])
+def test_zero_path_reuse_matches_dijkstra_every_phase(monkeypatch, kind, max_d):
+    # closed metrics with few distinct distances give long runs of equal
+    # path costs; the same solves with the zero-cost search always failing
+    # run Dijkstra and the potential update in every phase
+    scalar = {"int": lambda k, d: k // d, "fraction": Fraction, "float": lambda k, d: k / d}[kind]
+    rng = random.Random(max_d)
+    problems = []
+    for n in (8, 16, 24, 32):
+        dist = random_int_metric(rng, n, max_d=max_d).dist
+        for p in (1, 2):
+            costs = [[scalar(int(d) ** p, 1) for d in row] for row in dist]
+            supplies = [scalar(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(n)]
+            demands = [scalar(rng.randint(0, 12), rng.choice((1, 2, 5))) for _ in range(n)]
+            most = min(sum(supplies), sum(demands))
+            for target in (None, scalar(most * 2, 3) if kind != "float" else most * 2 / 3):
+                problems.append((costs, supplies, demands, target))
+    reused = [solve_transport(*problem) for problem in problems]
+    monkeypatch.setattr(flow, "_zero_path", lambda *args: None)
+    for problem, got in zip(problems, reused):
+        assert_same_solution(got, solve_transport(*problem))
+
+
+def test_dijkstra_runs_only_when_the_path_cost_changes(monkeypatch):
+    # 107 augmentations at n = 64 take 7 Dijkstra runs, the final refresh
+    # included; one per augmentation would show here long before it shows
+    # in the Tier-1 wall time
+    rng = random.Random(6401)
+    space = random_int_metric(rng, 64, max_d=9)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    calls = []
+    dijkstra = flow._dijkstra
+
+    def counted(*args):
+        calls.append(1)
+        return dijkstra(*args)
+
+    monkeypatch.setattr(flow, "_dijkstra", counted)
+    rep = solve_w1(space, mu, nu, EntropyParams(a=Fraction(2), b=Fraction(1, 2), p=1))
+    assert rep.duality_gap == 0
+    assert len(calls) <= 8
