@@ -36,10 +36,18 @@ when both terms are.  Dijkstra runs when the search fails, and without a
 search in the phase after a Dijkstra whose path cost rose: where most paths
 cost more than the last, as on metrics with many distinct distances, a
 failed search costs about as much as the Dijkstra after it.  A Dijkstra
-that finds a path of reduced cost 0 turns the search back on.  The
-potentials change only when Dijkstra runs, and with them the arcs of
-reduced cost <= 0: each node's list of them is built at its first visit
-after a change and reused until the next.
+that finds a path of reduced cost 0 turns the search back on.
+
+Each phase redoes only what the last augmentation changed.  The potentials
+change only when Dijkstra runs, and with them the arcs of reduced cost <= 0:
+each node's list of those that are also residual is built at its first
+visit after a change and reused until the next, and an augmentation drops
+only the lists of nodes one of whose arcs flipped its residual state (the
+tail of an arc that saturated, the head of an arc whose reverse became
+residual).  When the only arc that saturated is the path's last arc, into
+T, the next search resumes where the last one stopped instead of starting
+again from S: it would retrace the same steps (see :func:`_zero_path`).
+Dijkstra keeps its open nodes in a heap keyed by (distance, index).
 
 Exact inputs with rational entries are not run on Fractions: the masses are
 multiplied by the least common multiple M of their denominators and the
@@ -64,9 +72,10 @@ from .errors import SolverFailure
 from .scalars import INF, Scalar, coerce, is_exact, scaled
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
-# seeded closed metrics (edges in [1, 9]) takes 55, 107 and 234 phases at
-# n = 32, 64 and 128: about 2n.  Dijkstra runs 7, 7 and 6 times in them,
-# the final refresh included; the other phases reuse a zero-cost path.
+# seeded closed metrics (edges in [1, 9]) takes 53, 107 and 225 phases at
+# n = 32, 64 and 128: about 2n.  Dijkstra runs 7 times in each, the final
+# refresh included; the zero-cost search starts from S 30, 58 and 135 times
+# and resumes 20, 46 and 87 times.
 MAX_PHASES = 200_000
 
 
@@ -161,18 +170,20 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     cost_acc = zero
     breakpoints: list[tuple[Scalar, Scalar]] = [(pushed, cost_acc)]
 
-    zero_arcs, rose = [None] * (T + 1), False
+    zero_arcs, search, rose = [None] * (T + 1), None, False
     for _phase in range(MAX_PHASES):
         if pushed >= target:
             break
-        parent = None if rose else _zero_path(zero_arcs, adj, head, cap, cost, flow, pot)
-        if parent is None:
+        search = None if rose else _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot)
+        if search is None:
             dist, parent = _dijkstra(adj, head, cap, cost, flow, pot)
             if dist[T] == INF:
                 break
             rose = dist[T] > 0
             _update_potentials(pot, dist, T)
             zero_arcs = [None] * (T + 1)
+        else:
+            parent = search[0]
 
         path = []
         v = T
@@ -181,10 +192,21 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
             v = head[parent[v] ^ 1]
         # min keeps the first of equal rooms, walking back from T
         delta = min(min(cap[e] - flow[e] for e in path), target - pushed)
+        saturated = []
         for e in path:
+            r = e ^ 1
+            was_residual = flow[r] < cap[r]
             flow[e] += delta
-            flow[e ^ 1] -= delta
+            flow[r] -= delta
             cost_acc += cost[e] * delta
+            # a node's cached list holds only residual arcs: drop it when one flips
+            if not flow[e] < cap[e]:
+                saturated.append(e)
+                zero_arcs[head[r]] = None
+            if not was_residual and flow[r] < cap[r]:
+                zero_arcs[head[e]] = None
+        if saturated != path[:1]:
+            search = None
 
         pushed += delta
         if delta > 0:
@@ -207,34 +229,48 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     )
 
 
-def _zero_path(zero_arcs, adj, head, cap, cost, flow, pot):
-    """Parent arcs of a search over residual arcs of reduced cost <= 0, or
-    None if it does not reach the sink T (the last index).
+def _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot):
+    """A search over residual arcs of reduced cost <= 0 from the source,
+    node 0, to the sink T (the last index): its state (parent arcs, reached
+    flags, open heap) once it reaches T, or None if it does not.
 
     It settles the reached nodes in index order (a heap of indices), gives
     each node the first settled node that reaches it, and stops once T is
     reached: Dijkstra's chain to T whenever dist[T] would be 0.
-    ``zero_arcs[u]`` caches the arcs of u with reduced cost <= 0 under the
-    current potentials; None entries are filled at the first visit.
+    ``zero_arcs[u]`` caches the residual arcs of u with reduced cost <= 0
+    under the current potentials; None entries are filled at the first visit.
+
+    ``search`` is None for a search from the source, or the state returned
+    by the last call, which resumes without T.  The caller resumes only when
+    the last augmentation saturated just the path's arc into T: that arc
+    was the last one scanned (each demand lists its arc to T last), the
+    arcs it made residual are reverses of path arcs and point to nodes
+    already reached, and no other arc changed its residual state, so a
+    search from the source would settle the same nodes in the same order up
+    to that point and go on from it as the resumed one does.
     """
     T = len(adj) - 1
-    parent = [-1] * (T + 1)
-    reached = [False] * (T + 1)
-    reached[0] = True
-    open_nodes = [0]
+    if search is None:
+        parent, reached, open_nodes = [-1] * (T + 1), [False] * (T + 1), [0]
+        reached[0] = True
+    else:
+        parent, reached, open_nodes = search
+        reached[T] = False
     while open_nodes:
         u = heappop(open_nodes)
         arcs = zero_arcs[u]
         if arcs is None:
             pu = pot[u]
-            arcs = zero_arcs[u] = [e for e in adj[u] if cost[e] + pu - pot[head[e]] <= 0]
+            arcs = zero_arcs[u] = [
+                e for e in adj[u] if flow[e] < cap[e] and cost[e] + pu - pot[head[e]] <= 0
+            ]
         for e in arcs:
             v = head[e]
-            if not reached[v] and flow[e] < cap[e]:
+            if not reached[v]:
                 reached[v] = True
                 parent[v] = e
                 if v == T:
-                    return parent
+                    return parent, reached, open_nodes
                 heappush(open_nodes, v)
     return None
 
@@ -242,10 +278,11 @@ def _zero_path(zero_arcs, adj, head, cap, cost, flow, pot):
 def _dijkstra(adj, head, cap, cost, flow, pot):
     """Shortest reduced-cost distances from the source, node 0, over residual arcs.
 
-    Linear-scan Dijkstra; ties settle the smallest index.  It runs in the
-    phases where :func:`_zero_path` fails or is skipped after a rise of the
-    path cost, and for the final refresh.  Float rounding can make a
-    reduced cost infinitesimally negative; it is clamped at zero.
+    A heap keyed by (dist, index) settles the nearest node, the smallest
+    index on ties; stale entries are skipped.  It runs in the phases where
+    :func:`_zero_path` fails or is skipped after a rise of the path cost,
+    and for the final refresh.  Float rounding can make a reduced cost
+    infinitesimally negative; it is clamped at zero.
 
     It stops once the sink T (last index, so it loses ties) is settled: the
     nodes still open are farther away, cannot change the augmenting chain,
@@ -257,18 +294,16 @@ def _dijkstra(adj, head, cap, cost, flow, pot):
     parent = [-1] * nn
     dist[0] = 0 * pot[0]
     done = [False] * nn
+    heap = [(dist[0], 0)]
 
-    for _ in range(nn):
-        u = -1
-        best = INF
-        for v in range(nn):
-            if not done[v] and dist[v] < best:
-                best = dist[v]
-                u = v
-        if u < 0 or u == T:
+    while heap:
+        du, u = heappop(heap)
+        if done[u]:
+            continue
+        if u == T:
             break
         done[u] = True
-        du, pu = dist[u], pot[u]
+        pu = pot[u]
         for e in adj[u]:
             if flow[e] < cap[e]:
                 v = head[e]
@@ -279,6 +314,7 @@ def _dijkstra(adj, head, cap, cost, flow, pot):
                 if nd < dist[v]:
                     dist[v] = nd
                     parent[v] = e
+                    heappush(heap, (nd, v))
     return dist, parent
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
@@ -73,8 +72,14 @@ class ParametricCurve:
         return pts[-1][1]
 
 
-def _power_costs(space: FiniteMetricSpace, p) -> list[list[Scalar]]:
-    # Integer exponents keep rational distances exact; fractional p forces floats.
+def _power_costs(space: FiniteMetricSpace, p) -> tuple[list[list[Scalar]], int | None]:
+    """The costs d^p and the ``cost_unit`` for :func:`solve_transport`.
+
+    Integer exponents keep rational distances exact: they are built on the
+    space's integer image D / F_d as D^k over F_d^k, the same ints the flow
+    would scale d^k to, since the lcm of the q^k is lcm(q)^k.  Fractional p
+    forces floats.
+    """
     exact = space.exact and p == int(p)
     # For p > 1 the value takes a float root of these powers, so they must stay
     # in float range; checking before they are formed also bounds exact sizes.
@@ -83,9 +88,10 @@ def _power_costs(space: FiniteMetricSpace, p) -> list[list[Scalar]]:
         raise InvalidParams(f"p = {p} takes the p-th powers of the distances beyond float range")
     if exact:
         k = int(p)
-        return [[Fraction(d) ** k for d in row] for row in space.dist]
+        D, F_d = space._scaled
+        return [[d**k for d in row] for row in D], F_d**k
     q = float(p)
-    return [[float(d) ** q for d in row] for row in space.dist]
+    return [[float(d) ** q for d in row] for row in space.dist], None
 
 
 def _root(t: Scalar, p) -> Scalar:
@@ -116,7 +122,8 @@ def wasserstein_p(
         raise MassMismatch(f"|mu| = {mu.mass} differs from |nu| = {nu.mass}")
     if mu.mass == 0:
         return coerce(0, space.exact) if p == 1 else 0.0
-    sol = solve_transport(_power_costs(space, p), list(mu.weights), list(nu.weights))
+    costs, unit = _power_costs(space, p)
+    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit)
     return _root(sol.cost, p)
 
 
@@ -127,7 +134,8 @@ def parametric_transport_curve(
     require_same_space(mu, nu)
     if p < 1:
         raise InvalidParams(f"p must be at least 1, got {p}")
-    sol = solve_transport(_power_costs(space, p), list(mu.weights), list(nu.weights))
+    costs, unit = _power_costs(space, p)
+    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit)
     return ParametricCurve(breakpoints=tuple(sol.breakpoints))
 
 
@@ -151,15 +159,16 @@ def solve_wp(
     b = coerce(params.b, space.exact)
     p = params.p
 
-    costs = _power_costs(space, p)
-    sol = solve_transport(costs, list(mu.weights), list(nu.weights))
+    costs, unit = _power_costs(space, p)
+    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit)
     curve = sol.breakpoints
+    mass = mu.mass + nu.mass
 
     best_idx = 0
     best_value = None
     for k, (m, t) in enumerate(curve):
         try:
-            v = a * (mu.mass + nu.mass - 2 * m) + b * _root(t, p)
+            v = a * (mass - 2 * m) + b * _root(t, p)
         except OverflowError:  # an exact waste term past float range meets the float root
             raise InvalidParams(f"a = {float(a):g} puts the value at p = {p} beyond float range") from None
         # ties keep the smaller transported mass (first hit wins)
@@ -169,7 +178,7 @@ def solve_wp(
 
     m_star = curve[best_idx][0]
     if best_idx < len(curve) - 1:
-        sol = solve_transport(costs, list(mu.weights), list(nu.weights), target=m_star)
+        sol = solve_transport(costs, list(mu.weights), list(nu.weights), target=m_star, cost_unit=unit)
     plan = TransportPlan(space, tuple(tuple(row) for row in sol.flow))
 
     potentials = gap = conditions = None

@@ -12,7 +12,7 @@ from genwass.errors import SolverFailure
 from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
 from genwass.scalars import INF
 from genwass.selftest import random_int_metric, random_rational_measure
-from genwass.solver_wp import MASS_RTOL
+from genwass.solver_wp import MASS_RTOL, solve_wp
 
 FIELDS = ("flow", "total", "cost", "breakpoints", "potential_src", "potential_snk")
 
@@ -405,17 +405,17 @@ def test_mixed_scalar_instances_finish(monkeypatch):
         assert abs(sol.total - most) <= 1e-9 * most
 
 
-@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
-@pytest.mark.parametrize("max_d", [2, 3, 5])
-def test_zero_path_reuse_matches_dijkstra_every_phase(monkeypatch, kind, max_d):
-    # closed metrics with few distinct distances give long runs of equal
-    # path costs; the same solves with the zero-cost search always failing
-    # run Dijkstra and the potential update in every phase
-    scalar = {"int": lambda k, d: k // d, "fraction": Fraction, "float": lambda k, d: k / d}[kind]
-    rng = random.Random(max_d)
+SCALARS = {"int": lambda k, d: k // d, "fraction": Fraction, "float": lambda k, d: k / d}
+
+
+def problems_on(kind, rng, dists):
+    """Transport problems on each distance matrix of ``dists``, drawn in
+    turn: costs d^p for each p, random masses of ``kind``, with and without
+    a target."""
+    scalar = SCALARS[kind]
     problems = []
-    for n in (8, 16, 24, 32):
-        dist = random_int_metric(rng, n, max_d=max_d).dist
+    for dist in dists:
+        n = len(dist)
         for p in (1, 2):
             costs = [[scalar(int(d) ** p, 1) for d in row] for row in dist]
             supplies = [scalar(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(n)]
@@ -423,10 +423,154 @@ def test_zero_path_reuse_matches_dijkstra_every_phase(monkeypatch, kind, max_d):
             most = min(sum(supplies), sum(demands))
             for target in (None, scalar(most * 2, 3) if kind != "float" else most * 2 / 3):
                 problems.append((costs, supplies, demands, target))
+    return problems
+
+
+def closed_metric_problems(kind, max_d):
+    # closed metrics with few distinct distances give long runs of equal path costs
+    rng = random.Random(max_d)
+    return problems_on(kind, rng, (random_int_metric(rng, n, max_d=max_d).dist for n in (8, 16, 24, 32)))
+
+
+def wide_metric_problems(kind):
+    # l1 distances of points in {0..1000}^2 and closed metrics with edges up
+    # to 10**6 have many distinct distances, so most path costs rise
+    rng = random.Random(48)
+    dists = []
+    for n in (12, 24, 48):
+        points = [(rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(n)]
+        dists.append([[abs(x - u) + abs(y - v) for u, v in points] for x, y in points])
+        dists.append(random_int_metric(rng, n, max_d=10**6).dist)
+    return problems_on(kind, rng, dists)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+@pytest.mark.parametrize("max_d", [2, 3, 5])
+def test_zero_path_reuse_matches_dijkstra_every_phase(monkeypatch, kind, max_d):
+    # the same solves with the zero-cost search always failing run Dijkstra
+    # and the potential update in every phase
+    problems = closed_metric_problems(kind, max_d)
     reused = [solve_transport(*problem) for problem in problems]
     monkeypatch.setattr(flow, "_zero_path", lambda *args: None)
     for problem, got in zip(problems, reused):
         assert_same_solution(got, solve_transport(*problem))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+@pytest.mark.parametrize("family", ["closed", "wide"])
+def test_resumed_search_matches_a_fresh_one(monkeypatch, kind, family):
+    # the same solves with every zero-cost search started from the source
+    if family == "closed":
+        problems = [pb for max_d in (2, 3, 5) for pb in closed_metric_problems(kind, max_d)]
+    else:
+        problems = wide_metric_problems(kind)
+    zero_path = flow._zero_path
+
+    def recording(chains, fresh):
+        # each search's chain of arcs from T back to the source, or None
+        def search(state, zero_arcs, adj, head, *rest):
+            resumed = state is not None and not fresh
+            state = zero_path(None if fresh else state, zero_arcs, adj, head, *rest)
+            chain, v = [], len(adj) - 1
+            while state is not None and v:
+                chain.append(state[0][v])
+                v = head[chain[-1] ^ 1]
+            chains.append((resumed, None if state is None else chain))
+            return state
+
+        return search
+
+    resumed, fresh = [], []
+    monkeypatch.setattr(flow, "_zero_path", recording(resumed, False))
+    solved = [solve_transport(*problem) for problem in problems]
+    monkeypatch.setattr(flow, "_zero_path", recording(fresh, True))
+    for problem, got in zip(problems, solved):
+        assert_same_solution(got, solve_transport(*problem))
+    assert any(was_resumed for was_resumed, _ in resumed)
+    assert [chain for _, chain in resumed] == [chain for _, chain in fresh]
+
+
+def scan_dijkstra(adj, head, cap, cost, flow, pot):
+    """Linear-scan Dijkstra, the reference for :func:`flow._dijkstra`: each
+    step settles the nearest open node, the smallest index on ties, and it
+    stops once the sink (the last index) is settled."""
+    nn = len(adj)
+    T = nn - 1
+    dist = [INF] * nn
+    parent = [-1] * nn
+    dist[0] = 0 * pot[0]
+    done = [False] * nn
+
+    for _ in range(nn):
+        u = -1
+        best = INF
+        for v in range(nn):
+            if not done[v] and dist[v] < best:
+                best = dist[v]
+                u = v
+        if u < 0 or u == T:
+            break
+        done[u] = True
+        du, pu = dist[u], pot[u]
+        for e in adj[u]:
+            if flow[e] < cap[e]:
+                v = head[e]
+                rc = cost[e] + pu - pot[v]
+                if rc < 0:
+                    rc = 0
+                nd = du + rc
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = e
+    return dist, parent
+
+
+@settings(max_examples=150)
+@given(tie_heavy_problems())
+@example(([[0, 0], [0, 0]], [1, 1], [1, 1], None))
+@example(([[1, 1, 0], [0, 1, 1]], [2, 1], [1, 1, 1], None))
+def test_heap_dijkstra_matches_the_scan(problem):
+    # Dijkstra runs in every phase, on the residual state the solve reached;
+    # costs 0-3 give many nodes at equal distance
+    dijkstra, states = flow._dijkstra, []
+
+    def compared(*state):
+        got, want = dijkstra(*state), scan_dijkstra(*state)
+        assert got == want
+        assert [type(d) for d in got[0]] == [type(d) for d in want[0]]
+        states.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_zero_path", lambda *args: None)
+        mp.setattr(flow, "_dijkstra", compared)
+        _successive_shortest_paths(*problem)
+    assert states
+
+
+def test_search_counts_of_a_float_p2_solve(monkeypatch):
+    # 127 augmentations at n = 64: 83 searches from the source, 41 resumed,
+    # and 7 Dijkstra runs, the final refresh included
+    rng = random.Random(6402)
+    space = random_int_metric(rng, 64, max_d=9)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    fspace = space.as_float()
+    zero_path, dijkstra = flow._zero_path, flow._dijkstra
+    counts = {"fresh": 0, "resumed": 0, "dijkstra": 0}
+
+    def search(state, *args):
+        counts["fresh" if state is None else "resumed"] += 1
+        return zero_path(state, *args)
+
+    def shortest(*args):
+        counts["dijkstra"] += 1
+        return dijkstra(*args)
+
+    monkeypatch.setattr(flow, "_zero_path", search)
+    monkeypatch.setattr(flow, "_dijkstra", shortest)
+    rep = solve_wp(fspace, mu.as_float(fspace), nu.as_float(fspace), EntropyParams(a=2.0, b=0.5, p=2))
+    assert len(rep.curve) == 128
+    assert counts == {"fresh": 83, "resumed": 41, "dijkstra": 7}
 
 
 def test_dijkstra_runs_only_when_the_path_cost_changes(monkeypatch):

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private function is referenced by some module of the package,
-and only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
-that turns exact values into integers over a common denominator.
+only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
+that turns exact values into integers over a common denominator, and the
+independent cross-check routes never reach the flow solver through imports.
 
 Neither ruff nor pyflakes is a dependency, so this is a small stdlib-``ast``
 check.  ``__init__.py`` is exempt from the import check: its imports are the
@@ -106,3 +107,75 @@ def test_checker_flags_every_way_to_name_lcm():
         "clean": "import math\nmath.gcd(2, 3)\n",
     }
     assert lcm_users(sources) == ["called", "imported", "read"]
+
+
+# The flat LP, the oracle and the certificate check the flow's answers, so
+# they must not compute through it.
+INDEPENDENT = ("duality", "oracle", "simplex")
+FLOW_ROUTE = ("flow", "solver_w1", "solver_wp")
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that ``source`` imports, in any form and at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("genwass.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module != "genwass" and not module.startswith("genwass."):
+                continue
+            module = module.removeprefix("genwass").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import x, from genwass import x
+                found |= {a.name for a in node.names}
+    return found
+
+
+def import_chains(sources: dict[str, str], roots, banned) -> list[str]:
+    """For each root of ``{module: source}`` that reaches a banned module
+    through package imports, one chain of imports from it to that module."""
+    graph = {module: package_imports(source) for module, source in sources.items()}
+    chains = []
+    for root in roots:
+        seen, stack = {root}, [[root]]
+        while stack:
+            chain = stack.pop()
+            if chain[-1] in banned:
+                chains.append(" -> ".join(chain))
+                break
+            for module in sorted(graph.get(chain[-1], ()) - seen, reverse=True):
+                seen.add(module)
+                stack.append(chain + [module])
+    return chains
+
+
+def test_cross_checks_never_import_the_flow_route():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert set(INDEPENDENT) | set(FLOW_ROUTE) <= set(sources)
+    assert import_chains(sources, INDEPENDENT, FLOW_ROUTE) == []
+
+
+def test_checker_flags_every_way_to_reach_the_flow():
+    sources = {
+        "relative": "from .flow import solve_transport\n",
+        "package": "from . import solver_w1\n",
+        "absolute": "import genwass.solver_wp\n",
+        "named": "from genwass import flow as f\n",
+        "lazy": "def f():\n    from genwass.flow import solve_transport\n",
+        "indirect": "from .helper import x\n",
+        "helper": "from .scalars import scaled\nfrom .relative import y\n",
+        "clean": "from .scalars import scaled\nfrom fractions import Fraction\nimport flow\n",
+        "scalars": "import math\n",
+        "flow": "", "solver_w1": "", "solver_wp": "",
+    }
+    roots = ("relative", "package", "absolute", "named", "lazy", "indirect", "clean")
+    assert import_chains(sources, roots, FLOW_ROUTE) == [
+        "relative -> flow",
+        "package -> solver_w1",
+        "absolute -> solver_wp",
+        "named -> flow",
+        "lazy -> flow",
+        "indirect -> helper -> relative -> flow",
+    ]
