@@ -117,7 +117,7 @@ def cmd_plan(args) -> int:
     doc = jsonio.report_to_json(report)
     lines = [f"value: {report.value}", f"transported mass: {report.transported_mass}"]
     for i, row in enumerate(report.plan.gamma):
-        lines.append(f"  {problem.space.labels[i]}: " + " ".join(str(x) for x in row))
+        lines.append(f"  {problem.space.labels[i]}: " + " ".join(map(str, row)))
     _emit(args, doc, lines)
     return 0
 

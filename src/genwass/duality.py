@@ -40,7 +40,7 @@ from .measures import (
     require_same_space,
 )
 from .params import EntropyParams
-from .scalars import NEG_INF, Scalar, coerce, is_exact, is_finite, scaled
+from .scalars import NEG_INF, Scalar, coerce, exactness, is_finite, scaled
 from .spaces import FiniteMetricSpace
 
 # Feasibility slack for float-mode potential checks, scaled by a + b*diam.
@@ -129,7 +129,7 @@ def _terms(space: FiniteMetricSpace, potentials: DualPotentials, slack, plan: Tr
     # a plan has an integer image when its unit is a Fraction; with no plan
     # the space and the duals decide alone
     G, unit = plan._scaled if plan is not None else ((), Fraction(1))
-    if not (space.exact and isinstance(unit, Fraction) and is_exact(params.b) and all(map(is_exact, values))):
+    if not (space.exact and isinstance(unit, Fraction) and exactness((params.b, *values))[0]):
         gamma = plan.gamma if plan is not None else ()
         return space.dist, gamma, 1, params.a, slack, phi1, phi2, 1, 1, params.b
     ints, F_p = scaled(values)

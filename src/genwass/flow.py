@@ -57,9 +57,12 @@ runs on the resulting Python ints.  Positive scaling preserves every
 comparison, so the augmenting paths, tie-breaks and breakpoints are the
 same; the result is divided once (masses by M, costs by M*C, potentials by
 C) and stays exact.  Scaled ints can pass float range, so no capacity is a
-float infinity.  Float inputs run the engine directly, and inputs that mix
-exact and float scalars run it on floats, converted once.  The flat LP and
-the oracle keep their own Fraction arithmetic and never use this solver.
+float infinity.  Inputs that are not all exact, float ones and those that
+mix exact and float scalars, run it on floats, converted once by
+``map(float, row)``, which leaves a float as it is.  One set of the input
+types (``scalars.exactness``) makes the choice, and the Fraction of each
+distinct scaled flow value is built once and shared.  The flat LP and the
+oracle keep their own Fraction arithmetic and never use this solver.
 """
 
 from __future__ import annotations
@@ -67,9 +70,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain, repeat
+from operator import mul
 
 from .errors import SolverFailure
-from .scalars import INF, Scalar, coerce, is_exact, scaled
+from .scalars import INF, Scalar, coerce, coerce_rows, exactness, scaled
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
 # seeded closed metrics (edges in [1, 9]) takes 53, 107 and 225 phases at
@@ -105,19 +110,15 @@ def solve_transport(
     for those Fractions, which are not built.
     """
     masses = [*supplies, *demands] + ([] if target is None else [target])
-    if cost_unit is not None and not all(map(is_exact, masses)):
+    if cost_unit is not None and not exactness(masses)[0]:
         costs, cost_unit = [[Fraction(c, cost_unit) for c in row] for row in costs], None
-    arc_costs = [c for row in costs for c in row]
-    values = masses + arc_costs
-    exact = list(map(is_exact, values))
-    if any(exact) and not all(exact):
-        # mixed exact and float scalars spin the engine: it runs on floats,
-        # converted once here
-        costs = [[coerce(c, False) for c in row] for row in costs]
-        supplies, demands = ([coerce(x, False) for x in xs] for xs in (supplies, demands))
+    arc_costs = list(chain.from_iterable(costs))
+    exact, rational = exactness(masses + arc_costs)
+    if not exact:  # mixed exact and float scalars would spin the engine
+        costs = coerce_rows(costs, False)
+        supplies, demands = coerce_rows((supplies, demands), False)
         target = None if target is None else coerce(target, False)
-    rational = cost_unit is not None or any(isinstance(x, Fraction) for x in values)
-    if not (all(exact) and rational):
+    if not (exact and (rational or cost_unit is not None)):
         return _successive_shortest_paths(costs, supplies, demands, target)
 
     masses, M = scaled(masses)
@@ -129,8 +130,10 @@ def solve_transport(
         masses[ns : ns + nd],
         None if target is None else masses[-1],
     )
+    flows = set(chain.from_iterable(sol.flow))  # one Fraction per distinct flow value, shared
+    shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
     return FlowSolution(
-        flow=[[Fraction(x, M) for x in row] for row in sol.flow],
+        flow=[list(map(shared.__getitem__, row)) for row in sol.flow],
         total=Fraction(sol.total, M),
         cost=Fraction(sol.cost, M * C),
         breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
@@ -149,7 +152,7 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
         raise ValueError("target flow exceeds what supplies/demands allow")
 
     # a zero of the inputs' scalar type; their float sum could overflow to inf
-    zero = sum(0 * x for x in (*supplies, *demands, *(c for row in costs for c in row)))
+    zero = sum(map(mul, repeat(0), chain(supplies, demands, *costs)))
     S, T = 0, ns + nt + 1
     total_mass = sum(supplies) + sum(demands)
     arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]

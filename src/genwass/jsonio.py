@@ -9,11 +9,13 @@ when every number in the file is an int or a rational string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 
 from .duality import DualPotentials, OptimalityCertificate
 from .measures import DiscreteMeasure, TransportPlan, measure
 from .params import EntropyParams
-from .scalars import coerce, is_exact, parse_scalar, scalar_to_json
+from .scalars import coerce, coerce_rows, parse_row, parse_scalar, scalar_to_json
 from .solver_w1 import SolveReport
 from .spaces import FiniteGroupAction, FiniteMetricSpace, validate_action, validate_metric
 
@@ -55,8 +57,7 @@ def load_problem(doc: dict, mode: str | None = None) -> Problem:
 def parse_space(doc: dict, exact: bool | None = None) -> FiniteMetricSpace:
     if not (isinstance(doc, dict) and isinstance(doc.get("points"), list) and _is_matrix(doc.get("d"))):
         raise ValueError('space must be {"points": [...], "d": [[...]]}')
-    matrix = [[parse_scalar(x) for x in row] for row in doc["d"]]
-    return validate_metric(doc["points"], matrix, exact=exact)
+    return validate_metric(doc["points"], list(map(parse_row, doc["d"])), exact=exact)
 
 
 def parse_measure(doc: dict, space: FiniteMetricSpace, name: str) -> DiscreteMeasure:
@@ -104,26 +105,29 @@ def _is_matrix(value) -> bool:
 def _all_exact(doc) -> bool:
     # Decides only the default mode, from the JSON types: ints and strings are
     # exact, anything else means float.  Malformed parts are left to the parsers.
+    # One set of types per row, so the first row with a float ends the scan.
     space, params = doc["space"], doc["params"]
     d = space.get("d") if isinstance(space, dict) else None
-    scalars = [x for row in d for x in row] if _is_matrix(d) else []
-    scalars += [x for key in ("mu", "nu") if isinstance(doc[key], dict) for x in doc[key].values()]
-    if isinstance(params, dict):
-        scalars += [params[key] for key in ("a", "b", "p") if key in params]
-    return all(is_exact(x) or isinstance(x, str) for x in scalars)
+    rows = d if _is_matrix(d) else []
+    weights = [doc[key].values() for key in ("mu", "nu") if isinstance(doc[key], dict)]
+    rates = [params[key] for key in ("a", "b", "p") if key in params] if isinstance(params, dict) else []
+    return all(
+        all(issubclass(t, (int, Fraction, str)) and t is not bool for t in set(map(type, part)))
+        for part in chain(rows, weights, [rates])
+    )
 
 
 def report_to_json(report: SolveReport) -> dict:
     doc = {
         "value": scalar_to_json(report.value),
-        "plan": [[scalar_to_json(x) for x in row] for row in report.plan.gamma],
+        "plan": [list(map(scalar_to_json, row)) for row in report.plan.gamma],
         "m": scalar_to_json(report.transported_mass),
         "destroyed": scalar_to_json(report.destroyed_mass),
         "created": scalar_to_json(report.created_mass),
     }
     if report.potentials is not None:
-        doc["phi1"] = [scalar_to_json(x) for x in report.potentials.phi1]
-        doc["phi2"] = [scalar_to_json(x) for x in report.potentials.phi2]
+        doc["phi1"] = list(map(scalar_to_json, report.potentials.phi1))
+        doc["phi2"] = list(map(scalar_to_json, report.potentials.phi2))
     if report.duality_gap is not None:
         doc["gap"] = scalar_to_json(report.duality_gap)
     if report.conditions is not None:
@@ -145,8 +149,7 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
 
 
 def parse_plan(doc, space: FiniteMetricSpace) -> TransportPlan:
-    gamma = [[coerce(parse_scalar(x), space.exact) for x in row] for row in doc]
-    return TransportPlan(space, tuple(tuple(row) for row in gamma))
+    return TransportPlan(space, coerce_rows(list(map(parse_row, doc)), space.exact))
 
 
 def parse_potentials(report, space: FiniteMetricSpace, params: EntropyParams) -> DualPotentials:

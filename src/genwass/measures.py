@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import lt
 
 from .errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
 from .scalars import Scalar, coerce, is_finite, scaled
@@ -210,11 +212,11 @@ class TransportPlan:
         if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
             raise ValueError("plan must be n x n for the space")
         rows, unit = self.gamma, 1
-        entries = [x for row in rows for x in row]
+        entries = list(chain.from_iterable(rows))
         if self.space.exact and all(type(x) is Fraction for x in entries):
             entries, factor = scaled(entries)
             rows, unit = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)), Fraction(1, factor)
-        if any(x < 0 for x in entries):
+        if any(map(lt, entries, repeat(0))):
             raise ValueError("plan entries must be nonnegative")
         object.__setattr__(self, "_scaled", (rows, unit))
 

@@ -117,9 +117,10 @@ def _solve_waste_network(space, mu, nu, a, b):
     # Exact ties b d = 2a are indifferent in value; the canonical plan does
     # not ship on them.  The potentials already saturate at a on both
     # endpoints of a tied shipped arc, so the certificate survives the strip.
-    zero = coerce(0, space.exact)
+    # The cost is compared first: only a tie pays for the test x > 0.
+    zero, tie = coerce(0, space.exact), 2 * waste
     plan = [
-        [zero if x > 0 and c == 2 * waste else x for x, c in zip(flows[:n], row)]
+        [zero if c == tie and x > 0 else x for x, c in zip(flows[:n], row)]
         for flows, row in zip(sol.flow[:n], costs)
     ]
     return plan, sol.potential_src, sol.potential_snk

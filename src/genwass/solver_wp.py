@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import FLOAT_MAX, Scalar, coerce, is_exact
+from .scalars import FLOAT_MAX, Scalar, coerce, exactness
 from .solver_w1 import SolveReport, solve_w1
 from .spaces import FiniteMetricSpace
 
@@ -45,7 +46,7 @@ class ParametricCurve:
         pts = self.breakpoints
         if not pts or pts[0][0] != 0 or pts[0][1] != 0:
             raise ValueError("curve must start at (0, 0)")
-        exact = all(is_exact(x) for pt in pts for x in pt)
+        exact = exactness(chain.from_iterable(pts))[0]
         slack = 0 if exact else MASS_RTOL * (1.0 + max(abs(t) for _, t in pts))
         # (mp, tp) precedes (m0, t0); the first point precedes itself
         for (mp, tp), (m0, t0), (m1, t1) in zip((pts[0], *pts), pts, pts[1:]):
@@ -83,7 +84,10 @@ def _power_costs(space: FiniteMetricSpace, p) -> tuple[list[list[Scalar]], int |
     exact = space.exact and p == int(p)
     # For p > 1 the value takes a float root of these powers, so they must stay
     # in float range; checking before they are formed also bounds exact sizes.
-    top = max(max(x.numerator, x.denominator) if exact else x for row in space.dist for x in row)
+    if exact:
+        top = max(max(x.numerator, x.denominator) for row in space.dist for x in row)
+    else:
+        top = max(map(max, space.dist))
     if p > 1 and p * math.log(max(top, 1)) > math.log(FLOAT_MAX):
         raise InvalidParams(f"p = {p} takes the p-th powers of the distances beyond float range")
     if exact:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add
 
 from .errors import (
@@ -16,7 +17,7 @@ from .errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .scalars import Scalar, coerce, is_exact, is_finite, scaled
+from .scalars import Scalar, coerce, coerce_rows, exactness, first_nonfinite, scaled
 
 # Relative slack for float-mode checks that must hold exactly in exact mode
 # (triangle inequality, isometry).  Scaled by the diameter.
@@ -42,7 +43,7 @@ class FiniteMetricSpace:
     def __post_init__(self):
         if self.exact:
             n = len(self.labels)
-            flat, factor = scaled([x for row in self.dist for x in row])
+            flat, factor = scaled(list(chain.from_iterable(self.dist)))
             rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
             object.__setattr__(self, "_scaled", (rows, factor))
 
@@ -86,12 +87,12 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
         raise ValueError(f"distance matrix must be {n}x{n}")
 
     for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if not is_finite(x):
-                raise NonFiniteEntry(i, j, labels)
+        j = first_nonfinite(row)
+        if j is not None:
+            raise NonFiniteEntry(i, j, labels)
     if exact is None:
-        exact = all(is_exact(x) for row in matrix for x in row)
-    dist = tuple(tuple(coerce(x, exact) for x in row) for row in matrix)
+        exact = exactness(chain.from_iterable(matrix))[0]
+    dist = coerce_rows(matrix, exact)
     space = FiniteMetricSpace(labels=labels, dist=dist, exact=exact)
     # Exact entries are checked as integers over their common denominator,
     # which keeps every comparison, and so every reported witness, unchanged.

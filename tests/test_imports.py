@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, every
 module-level private function is referenced by some module of the package,
 only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
-that turns exact values into integers over a common denominator, and the
-independent cross-check routes never reach the flow solver through imports.
+that turns exact values into integers over a common denominator, only
+``scalars`` names ``is_exact``: ``scalars.exactness`` decides the kind of a
+whole sequence at once, and the independent cross-check routes never reach
+the flow solver through imports.
 
 Neither ruff nor pyflakes is a dependency, so this is a small stdlib-``ast``
 check.  ``__init__.py`` is exempt from the import check: its imports are the
@@ -79,24 +81,29 @@ def test_checker_flags_an_unreferenced_private_function():
     assert unreferenced_private_functions({"a": module_a, "b": module_b}) == ["a._orphan"]
 
 
-def lcm_users(sources: dict[str, str]) -> list[str]:
-    """Modules of ``{module: source}`` that name ``lcm``: called, imported or read."""
+def name_users(sources: dict[str, str], wanted: str) -> list[str]:
+    """Modules of ``{module: source}`` that name ``wanted``: define, call, import or read it."""
     users = set()
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             name = (
                 node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias)
+                else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
                 else None
             )
-            if name == "lcm":
+            if name == wanted:
                 users.add(module)
     return sorted(users)
 
 
 def test_only_scalars_names_lcm():
-    assert lcm_users({p.stem: p.read_text() for p in PACKAGE}) == ["scalars"]
+    assert name_users({p.stem: p.read_text() for p in PACKAGE}, "lcm") == ["scalars"]
+
+
+def test_only_scalars_names_is_exact():
+    # every other module asks scalars.exactness once for a whole sequence
+    assert name_users({p.stem: p.read_text() for p in PACKAGE}, "is_exact") == ["scalars"]
 
 
 def test_checker_flags_every_way_to_name_lcm():
@@ -104,9 +111,10 @@ def test_checker_flags_every_way_to_name_lcm():
         "called": "import math\nmath.lcm(2, 3)\n",
         "imported": "from math import lcm as common\ncommon(2, 3)\n",
         "read": "import math\nf = math.lcm\n",
+        "defined": "def lcm(a, b):\n    return a * b\n",
         "clean": "import math\nmath.gcd(2, 3)\n",
     }
-    assert lcm_users(sources) == ["called", "imported", "read"]
+    assert name_users(sources, "lcm") == ["called", "defined", "imported", "read"]
 
 
 # The flat LP, the oracle and the certificate check the flow's answers, so
