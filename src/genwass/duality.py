@@ -28,19 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, gt, mul
+from operator import add, gt, le, mul
 
 from . import simplex
-from .errors import InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
-from .measures import (
-    DiscreteMeasure,
-    TransportPlan,
-    is_submeasure,
-    lebesgue_decompose,
-    require_same_space,
-)
+from .errors import InfeasibleInputs, InvalidParams, SpaceMismatch
+from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import NEG_INF, Scalar, coerce, exactness, is_finite, scaled
+from .scalars import FLOAT_MAX, NEG_INF, Scalar, coerce, exactness, is_finite, scaled
 from .spaces import FiniteMetricSpace
 
 # Feasibility slack for float-mode potential checks, scaled by a + b*diam.
@@ -239,10 +233,10 @@ def solve_flat(
     a = Fraction(params.a)
     b = Fraction(params.b)
     c = [Fraction(mu.weights[i]) - Fraction(nu.weights[i]) for i in range(n)]
-    dist = [[Fraction(x) for x in row] for row in space.dist]
-    if space._scaled is not None:
-        d = space._scaled[0]
+    if space.exact:
+        dist, d = space.dist, space._scaled[0]
     else:
+        dist = [[Fraction(x) for x in row] for row in space.dist]
         flat, _ = scaled([x for row in dist for x in row])
         d = [flat[i * n : (i + 1) * n] for i in range(n)]
 
@@ -293,22 +287,23 @@ def verify_optimality(
 ) -> OptimalityCertificate:
     """Check the four optimality conditions of a (plan, potentials) pair.
 
-    With gamma_i the plan marginals and mu_i = g_i gamma_i + sing_i the
-    finite-support Lebesgue decomposition, the canonical sets are
-    A_i = support(gamma_i) union {mu_i = 0}; the conditions are
-      (i)   gamma_i puts no mass outside A_i and sing_i none inside,
+    With gamma_i the plan marginals (its row and column sums), mu_1 = mu and
+    mu_2 = nu, the canonical sets are A_i = support(gamma_i) union {mu_i = 0};
+    f_i = gamma_i / mu_i is the density where mu_i > 0, and the mass of mu_i
+    where gamma_i vanishes is destroyed outright (the singular part).  The
+    conditions are
+      (i)   gamma_i puts no mass outside A_i and the singular part none inside,
       (ii)  phi1[x] + phi2[y] = b d[x][y] wherever the plan ships,
-      (iii) (a - phi_i[x]) (1 - f_i[x]) = 0 on A_i against mu_i, where f_i is
-            the density of gamma_i with respect to mu_i,
-      (iv)  phi_i = a wherever mass is destroyed outright (singular part).
+      (iii) (a - phi_i[x]) (1 - f_i[x]) = 0 on A_i against mu_i,
+      (iv)  phi_i = a wherever mass is destroyed outright.
     Optimality only requires SOME admissible sets to exist; the canonical
     choice is fixed for determinism, and it meets (i) by construction:
-    gamma_i vanishes outside A_i, and sing_i lives where gamma_i vanishes
-    and mu_i does not, which is outside A_i.  So (i) is not scanned.  Where
-    gamma_i vanishes the density f_i is 0 and (iii)'s product is
-    |a - phi_i[x]|, which is (iv): one pass over the density checks (iii)
-    where gamma_i > 0 and (iv) elsewhere, the latter only at points whose
-    mass mu_i[x] exceeds tol.
+    gamma_i vanishes outside A_i, and the singular part lives where gamma_i
+    vanishes and mu_i does not, which is outside A_i.  So (i) is not scanned.
+    Where gamma_i vanishes f_i is 0 and (iii)'s product is |a - phi_i[x]|,
+    which is (iv).  So after the test gamma_i <= mu_i, one pass over the row
+    and column sums checks (iii) with the density g / w where gamma_i > 0 and
+    (iv) elsewhere, the latter only at points whose mass mu_i[x] exceeds tol.
     """
     if params.p != 1:
         raise InvalidParams("the certificate is only defined for p = 1")
@@ -316,13 +311,15 @@ def verify_optimality(
     if plan.space != space:
         raise SpaceMismatch("plan lives on a different space")
     tol = verification_tol(tol, space.exact)
+    require_same_space(plan, mu)
 
-    try:
-        gammas = plan.marginals()
-    except InvalidWeight:  # a marginal past float range exceeds any measure
-        gammas = None
-    if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):
-        raise InfeasibleInputs("plan marginals exceed the problem measures")
+    gammas = plan.row_sums(), plan.col_sums()
+    for gamma, m in zip(gammas, (mu, nu)):
+        # a float w + tol may round to inf; FLOAT_MAX then still refuses a
+        # marginal past float range, which exceeds any measure
+        caps = m.weights if space.exact else [min(w + tol, FLOAT_MAX) for w in m.weights]
+        if not all(map(le, gamma, caps)):
+            raise InfeasibleInputs("plan marginals exceed the problem measures")
     slack = max(tol, feasibility_slack(space, params))
     if not is_feasible_pair(space, potentials, slack=slack):
         raise InfeasibleInputs("potentials violate the dual constraints")
@@ -338,15 +335,15 @@ def verify_optimality(
     ]
     tight_on_plan = not violations
 
-    a, n = params.a, space.n
+    a = params.a
     sets = []
     unsaturated = {"iii": [], "iv": []}
     sides = zip(gammas, (mu, nu), (potentials.phi1, potentials.phi2))
     for side, (gamma, m, phi) in enumerate(sides, 1):
-        sets.append(tuple(x for x in range(n) if gamma.weights[x] > 0 or m.weights[x] == 0))
-        for x, f in enumerate(lebesgue_decompose(gamma, m).density):
-            shipped = gamma.weights[x] > 0  # (iii) on the support of gamma_i, else (iv)
-            if m.weights[x] > (0 if shipped else tol) and abs((a - phi[x]) * (1 - f)) > tol:
+        sets.append(tuple(x for x, (g, w) in enumerate(zip(gamma, m.weights)) if g > 0 or w == 0))
+        for x, (g, w, v) in enumerate(zip(gamma, m.weights, phi)):
+            shipped = g > 0  # (iii) on the support of gamma_i, else (iv); g / w only where w > 0
+            if w > (0 if shipped else tol) and abs((a - v) * (1 - g / w)) > tol:
                 unsaturated["iii" if shipped else "iv"].append((side, x))
     violations += [(cond, w) for cond, ws in unsaturated.items() for w in ws]
 

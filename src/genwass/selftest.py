@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .duality import c_transform, evaluate_dual, solve_flat
+from .duality import DualPotentials, c_transform, evaluate_dual, solve_flat
 from .gh import GHMap, check_pushforward_stability, make_gh_map
 from .measures import DiscreteMeasure, measure, symmetrize
 from .oracle import brute_force_value
@@ -274,8 +274,6 @@ def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
 
 
 def _dual_objective_pair(space, phi1, phi2, params, rng) -> bool:
-    from .duality import DualPotentials
-
     mu = random_rational_measure(rng, space)
     nu = random_rational_measure(rng, space)
     base = DualPotentials(phi1=phi1, phi2=phi2, params=params)

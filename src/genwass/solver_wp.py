@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
+from .duality import verify_optimality
 from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
@@ -154,9 +155,9 @@ def solve_wp(
     chosen mass as its target.  In float mode that re-solve may differ in the
     last bits from the flow the curve passed through at that mass.  For
     p = 1 the report also carries dual potentials (produced by the p = 1 dual
-    construction) and the certificate; the breakpoint-scan value must close
-    the gap against them.  For p > 1 no duality theory is claimed:
-    potentials, gap and certificate are absent.
+    construction) and the certificate of its own plan against them; the
+    breakpoint-scan value must close the gap against them.  For p > 1 no
+    duality theory is claimed: potentials, gap and certificate are absent.
     """
     require_same_space(mu, nu)
     a = coerce(params.a, space.exact)
@@ -188,7 +189,8 @@ def solve_wp(
     potentials = gap = conditions = None
     if p == 1:
         w1 = solve_w1(space, mu, nu, params)
-        potentials, conditions = w1.potentials, w1.conditions
+        potentials = w1.potentials
+        conditions = verify_optimality(space, mu, nu, params, plan, potentials)
         gap = best_value - (w1.value - w1.duality_gap)
     return SolveReport(
         value=best_value,

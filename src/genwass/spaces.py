@@ -148,13 +148,6 @@ def compose(g, h) -> tuple[int, ...]:
     return tuple(g[h[i]] for i in range(len(g)))
 
 
-def inverse(g) -> tuple[int, ...]:
-    inv = [0] * len(g)
-    for i, gi in enumerate(g):
-        inv[gi] = i
-    return tuple(inv)
-
-
 def validate_action(space: FiniteMetricSpace, permutations, labels=None) -> FiniteGroupAction:
     """Validate a full group element list: identity, closure, isometry."""
     n = space.n

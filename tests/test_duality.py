@@ -22,8 +22,9 @@ from genwass import (
     verify_optimality,
     zero_measure,
 )
-from genwass.duality import feasibility_slack, is_feasible_pair, primal_value, verification_tol
-from genwass.errors import InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
+from genwass import measures
+from genwass.duality import _terms, feasibility_slack, is_feasible_pair, primal_value, verification_tol
+from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
 from genwass.measures import (
     DiscreteMeasure,
     TransportPlan,
@@ -605,3 +606,176 @@ def test_float_plan_entries_never_meet_integer_potentials(two_point, unit_params
     cert = verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=0.1)
     assert cert == reference_verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=0.1)
     assert cert.tight_on_plan
+
+
+# The certificate as it read the plan before it took the row and column sums
+# as they are: two marginal measures, two is_submeasure tests and two
+# Lebesgue decompositions.  The one-pass certificate must give the same
+# certificates and raise the same errors.
+
+
+def reference_lebesgue_verify_optimality(space, mu, nu, params, plan, potentials, tol=None):
+    if params.p != 1:
+        raise InvalidParams("the certificate is only defined for p = 1")
+    require_same_space(mu, nu)
+    if plan.space != space:
+        raise SpaceMismatch("plan lives on a different space")
+    tol = verification_tol(tol, space.exact)
+
+    try:
+        gammas = plan.marginals()
+    except InvalidWeight:  # a marginal past float range exceeds any measure
+        gammas = None
+    if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):
+        raise InfeasibleInputs("plan marginals exceed the problem measures")
+    slack = max(tol, feasibility_slack(space, params))
+    if not is_feasible_pair(space, potentials, slack=slack):
+        raise InfeasibleInputs("potentials violate the dual constraints")
+
+    D, G, F_g, _, S, P1, P2, F_p, L, R = _terms(space, potentials, tol, plan)
+    shipped, loose = S * F_g, S * L
+    violations = [
+        ("ii", (i, j))
+        for i, (g_row, d_row, p1) in enumerate(zip(G, D, P1))
+        for j, g in enumerate(g_row)
+        if g and g * F_p > shipped and abs(R * d_row[j] - p1 * L - P2[j] * L) > loose
+    ]
+    tight_on_plan = not violations
+
+    a, n = params.a, space.n
+    sets = []
+    unsaturated = {"iii": [], "iv": []}
+    sides = zip(gammas, (mu, nu), (potentials.phi1, potentials.phi2))
+    for side, (gamma, m, phi) in enumerate(sides, 1):
+        sets.append(tuple(x for x in range(n) if gamma.weights[x] > 0 or m.weights[x] == 0))
+        for x, f in enumerate(lebesgue_decompose(gamma, m).density):
+            shipped = gamma.weights[x] > 0
+            if m.weights[x] > (0 if shipped else tol) and abs((a - phi[x]) * (1 - f)) > tol:
+                unsaturated["iii" if shipped else "iv"].append((side, x))
+    violations += [(cond, w) for cond, ws in unsaturated.items() for w in ws]
+
+    return OptimalityCertificate(
+        a1=sets[0],
+        a2=sets[1],
+        support_ok=True,
+        tight_on_plan=tight_on_plan,
+        density_complementarity=not unsaturated["iii"],
+        saturated_on_destroyed=not unsaturated["iv"],
+        violations=tuple(violations),
+    )
+
+
+CERTIFICATE_TOLS = (None, 0, 1e-9, Fraction(1, 4))
+
+
+def certificate_or_error(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except GenwassError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_same_certificate(space, mu, nu, params, plan, potentials, tol):
+    args = space, mu, nu, params, plan, potentials
+    got = certificate_or_error(verify_optimality, *args, tol=tol)
+    assert_same(got, certificate_or_error(reference_lebesgue_verify_optimality, *args, tol=tol))
+    return got
+
+
+def seeded_certificate_cases(rng, count):
+    """Solved exact instances, half with one plan entry moved by a multiple
+    of 1/4 and half with one potential moved by a multiple of 1/8, kept
+    exact, made their float copy, or given float plan entries on the exact
+    space; each with a tolerance from CERTIFICATE_TOLS."""
+    rates = (Fraction(1, 2), Fraction(1), Fraction(2))
+    for _ in range(count):
+        space = random_int_metric(rng, rng.randint(1, 6), max_d=9)
+        mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+        params = EntropyParams(a=rng.choice(rates), b=rng.choice(rates), p=1)
+        report = solve_w1(space, mu, nu, params)
+        gamma = [list(row) for row in report.plan.gamma]
+        phi1, phi2 = list(report.potentials.phi1), list(report.potentials.phi2)
+        if rng.random() < 0.5:
+            i, j = rng.randrange(space.n), rng.randrange(space.n)
+            gamma[i][j] = max(gamma[i][j] + Fraction(rng.randint(-2, 2), 4), Fraction(0))
+        if rng.random() < 0.5:
+            phi = rng.choice((phi1, phi2))
+            phi[rng.randrange(space.n)] += Fraction(rng.randint(-2, 2), 8)
+        mode = rng.choice(("exact", "float", "float plan"))
+        if mode == "float":
+            space = space.as_float()
+            mu, nu = mu.as_float(space), nu.as_float(space)
+            params = EntropyParams(a=float(params.a), b=float(params.b), p=1)
+            phi1, phi2 = [float(v) for v in phi1], [float(v) for v in phi2]
+        if mode != "exact":
+            gamma = [[float(x) for x in row] for row in gamma]
+        plan = TransportPlan(space, tuple(tuple(row) for row in gamma))
+        potentials = DualPotentials(phi1=tuple(phi1), phi2=tuple(phi2), params=params)
+        yield space, mu, nu, params, plan, potentials, rng.choice(CERTIFICATE_TOLS)
+
+
+def test_certificate_matches_the_marginal_measure_reference():
+    kinds = {"passed": 0, "failed": 0, "raised": 0}
+    for case in seeded_certificate_cases(random.Random(41), 400):
+        got = assert_same_certificate(*case)
+        if isinstance(got, OptimalityCertificate):
+            kinds["passed" if got.passed else "failed"] += 1
+        else:
+            kinds["raised"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_certificate_cases(), st.sampled_from(CERTIFICATE_TOLS))
+def test_certificate_matches_the_marginal_measure_reference_on_drawn_cases(case, tol):
+    assert_same_certificate(*case[:-1], tol)
+
+
+def test_certificate_matches_the_reference_past_float_range(two_point, two_point_far, unit_params):
+    pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    space = two_point.as_float()
+    params = EntropyParams(a=1.0, b=1.0, p=1)
+    float_pair = DualPotentials(phi1=(0.0, 0.0), phi2=(0.0, 0.0), params=params)
+    huge_mu, huge_nu = measure(space, [1.5e308, 0.0]), measure(space, [0.0, 1.5e308])
+    overflowing = TransportPlan(space, ((1e308, 1e308), (0.0, 0.0)))
+    cases = [
+        # exact row sum past float range
+        ((two_point, mu, nu, unit_params, make_plan(two_point, [[10**400, 0], [0, 0]]), pair), None),
+        # float row sum inf, on a float space and as a float plan on the exact space
+        ((space, mu.as_float(space), nu.as_float(space), params, overflowing, float_pair), None),
+        ((two_point, mu, nu, unit_params, TransportPlan(two_point, ((1e308, 1e308), (0.0, 0.0))), pair), 0),
+        # w + tol rounds to inf, so only the range of the row sum refuses it
+        ((space, huge_mu, huge_nu, params, overflowing, float_pair), 1e308),
+    ]
+    refused = ("InfeasibleInputs", "plan marginals exceed the problem measures")
+    for args, tol in cases:
+        for t in (tol, *CERTIFICATE_TOLS):
+            assert assert_same_certificate(*args, t) == refused
+    # sums inside float range, with room for them in the measures
+    fits = TransportPlan(space, ((1e307, 1e307), (0.0, 0.0)))
+    got = assert_same_certificate(space, huge_mu, huge_nu, params, fits, float_pair, 1e308)
+    assert isinstance(got, OptimalityCertificate)
+    # a measure on another space
+    far_mu = dirac(two_point_far, 0)
+    plan = make_plan(two_point, [[0, 1], [0, 0]])
+    got = assert_same_certificate(two_point, far_mu, dirac(two_point_far, 1), unit_params, plan, pair, None)
+    assert got == ("SpaceMismatch", "objects live on different spaces")
+
+
+def test_certificate_builds_no_measure(two_point, unit_params, monkeypatch):
+    # a DiscreteMeasure (and so a Decomposition, whose singular part is one)
+    # checks its weights on construction
+    def refuse(weights):
+        raise AssertionError("the certificate built a measure")
+
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    space = two_point.as_float()
+    float_mu, float_nu = mu.as_float(space), nu.as_float(space)
+    float_params = EntropyParams(a=1.0, b=1.0, p=1)
+    monkeypatch.setattr(measures, "_check_weights", refuse)
+    pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
+    assert verify_optimality(two_point, mu, nu, unit_params, make_plan(two_point, [[0, 1], [0, 0]]), pair).passed
+    float_pair = DualPotentials(phi1=(0.0, -1.0), phi2=(-1.0, 1.0), params=float_params)
+    plan = make_plan(space, [[0, 1], [0, 0]])
+    assert verify_optimality(space, float_mu, float_nu, float_params, plan, float_pair).passed

@@ -13,6 +13,7 @@ from genwass import (
     solve_w1,
     solve_wp,
     validate_metric,
+    verify_optimality,
     wasserstein_p,
 )
 from genwass.errors import InvalidParams, MassMismatch
@@ -176,6 +177,23 @@ def test_p1_consistency_with_dedicated_solver():
         assert scan.duality_gap == 0
         assert scan.conditions is not None and scan.conditions.passed
 
+
+
+def test_p1_conditions_certify_the_scan_plan():
+    # the scan's plan may differ from solve_w1's (11 of these 400), and the
+    # report's certificate is the one of the plan it carries
+    rng = random.Random(7)
+    rates = (Fraction(1, 2), Fraction(1), Fraction(2))
+    differ = 0
+    for _ in range(400):
+        space = random_int_metric(rng, rng.randint(1, 8), max_d=rng.choice((3, 5, 9)))
+        mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+        params = EntropyParams(a=rng.choice(rates), b=rng.choice(rates), p=1)
+        report = solve_wp(space, mu, nu, params)
+        differ += report.plan != solve_w1(space, mu, nu, params).plan
+        assert report.conditions == verify_optimality(space, mu, nu, params, report.plan, report.potentials)
+        assert report.conditions.passed
+    assert differ == 11
 
 def test_oracle_agreement_all_p():
     rng = random.Random(15)

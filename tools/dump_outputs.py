@@ -1,0 +1,165 @@
+"""Print what genwass answers on a fixed seeded set of inputs, one line per result.
+
+Two runs on two source trees, diffed, show whether a change keeps every output:
+
+    git worktree add ../genwass-parent HEAD~1
+    python tools/dump_outputs.py --src ../genwass-parent/src > parent.txt
+    python tools/dump_outputs.py --src src > change.txt && diff parent.txt change.txt
+
+Each instance is a shortest-path closed integer metric (scaled by a rational
+on some instances), two rational measures and rates a, b in {1/2, 1, 2},
+exact or float.  Per instance the lines are the ``repr`` of ``solve`` at
+p = 1, 2 and 3, of ``solve_wp`` at p = 1 and of ``solve_flat``; the
+``verify_optimality`` certificate of each p = 1 report's plan and of a copy of
+it with one entry raised by 1/4, at the default tolerance and at 1/4; and the
+exit code, stdout and stderr of the CLI ``plan``, ``dual`` and
+``verify --report`` on a problem file (the report is the ``plan --format
+json`` output, and once more with the same raised entry).  Errors print as
+their type and message.  Standard library only: the inputs are built here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import io
+import json
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+SEED = 20191
+INSTANCES = 200
+RATES = (Fraction(1, 2), Fraction(1), Fraction(2))
+SCALES = (Fraction(1), Fraction(1), Fraction(2, 3))
+
+
+def closed_metric(rng: random.Random, n: int, max_d: int) -> list[list[int]]:
+    """Random integer distances in [1, max_d], closed under shortest paths."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, max_d)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+def number(x: Fraction, exact: bool):
+    """A JSON number: an int or a "p/q" string in exact mode, else a float."""
+    if not exact:
+        return float(x)
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def in_mode(x: Fraction, exact: bool):
+    return x if exact else float(x)
+
+
+def outcome(call, *args, **kwargs) -> str:
+    try:
+        return repr(call(*args, **kwargs))
+    except Exception as exc:  # a raised error is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def run_cli(main, argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"exit={code} stdout={out.getvalue()!r} stderr={err.getvalue()!r}"
+
+
+def dump(cli_main, workdir: Path):
+    from genwass import (
+        EntropyParams,
+        TransportPlan,
+        measure,
+        solve,
+        solve_flat,
+        solve_wp,
+        validate_metric,
+        verify_optimality,
+    )
+    from genwass.jsonio import report_to_json
+
+    rng = random.Random(SEED)
+    for k in range(INSTANCES):
+        n, exact = rng.randint(1, 8), rng.random() < 0.7
+        scale = rng.choice(SCALES)
+        d = [[scale * x for x in row] for row in closed_metric(rng, n, rng.choice((3, 5, 9)))]
+        mu_w, nu_w = ([Fraction(rng.randint(0, 6), rng.choice((1, 2, 4))) for _ in range(n)] for _ in range(2))
+        a, b = rng.choice(RATES), rng.choice(RATES)
+        labels = [f"x{i}" for i in range(n)]
+        tag = f"{k} {'exact' if exact else 'float'} n={n}"
+
+        space = validate_metric(labels, [[in_mode(x, exact) for x in row] for row in d], exact=exact)
+        mu, nu = (measure(space, [in_mode(w, exact) for w in ws]) for ws in (mu_w, nu_w))
+        params = {p: EntropyParams(a=in_mode(a, exact), b=in_mode(b, exact), p=p) for p in (1, 2, 3)}
+        for p, order_p in params.items():
+            yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, order_p)}"
+        p1 = params[1]
+        report, scan = solve(space, mu, nu, p1), solve_wp(space, mu, nu, p1)
+        yield f"{tag} solve_wp p=1: {scan!r}"
+        yield f"{tag} solve_flat: {outcome(solve_flat, space, mu, nu, p1)}"
+        gamma = [list(row) for row in report.plan.gamma]
+        gamma[rng.randrange(n)][rng.randrange(n)] += in_mode(Fraction(1, 4), exact)
+        raised = TransportPlan(space, tuple(map(tuple, gamma)))
+        for name, plan, potentials in (
+            ("solve", report.plan, report.potentials),
+            ("solve_wp", scan.plan, scan.potentials),
+            ("raised", raised, report.potentials),
+        ):
+            for tol in (None, Fraction(1, 4)):
+                result = outcome(verify_optimality, space, mu, nu, p1, plan, potentials, tol=tol)
+                yield f"{tag} verify_optimality {name} tol={tol}: {result}"
+
+        doc = {
+            "space": {"points": labels, "d": [[number(x, exact) for x in row] for row in d]},
+            "mu": dict(zip(labels, (number(w, exact) for w in mu_w))),
+            "nu": dict(zip(labels, (number(w, exact) for w in nu_w))),
+            "params": {"a": number(a, exact), "b": number(b, exact), "p": 1 if k % 3 else 2},
+        }
+        problem = workdir / f"problem{k}.json"
+        problem.write_text(json.dumps(doc))
+        for argv in (["plan"], ["plan", "--format", "json"], ["dual"]):
+            yield f"{tag} cli {' '.join(argv)}: {run_cli(cli_main, [*argv, '--input', str(problem)])}"
+        if doc["params"]["p"] != 1:
+            continue
+        plan_doc = report_to_json(report)
+        raised_doc = dict(plan_doc, plan=report_to_json(dataclasses.replace(report, plan=raised))["plan"])
+        for name, rep in (("report", plan_doc), ("raised report", raised_doc)):
+            path = workdir / f"report{k}.json"
+            path.write_text(json.dumps(rep))
+            for extra in ([], ["--format", "json"]):
+                argv = ["verify", "--input", str(problem), "--report", str(path), *extra]
+                yield f"{tag} cli verify {name}{' json' if extra else ''}: {run_cli(cli_main, argv)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src", help="the source directory genwass is imported from")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import genwass
+    from genwass.cli import main as cli_main
+
+    if src not in Path(genwass.__file__).resolve().parents:
+        parser.error(f"genwass was imported from {genwass.__file__}, not from {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in dump(cli_main, Path(tmp)):
+            print(line.replace(tmp, "<tmp>"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
