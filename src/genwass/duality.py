@@ -185,6 +185,7 @@ def primal_value(
     if params.p != 1:
         raise InvalidParams("this primal objective is only defined for p = 1")
     space, m = plan.space, plan.total
+    require_same_space(mu, nu, space=space)
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
     G, unit = plan._scaled
     D, F_d = space._scaled if isinstance(unit, Fraction) else (space.dist, 1)
@@ -228,7 +229,7 @@ def solve_flat(
     """
     if params.p != 1:
         raise InvalidParams("the flat-metric LP is only defined for p = 1")
-    require_same_space(mu, nu)
+    require_same_space(mu, nu, space=space)
     n = space.n
     a = Fraction(params.a)
     b = Fraction(params.b)
@@ -307,11 +308,10 @@ def verify_optimality(
     """
     if params.p != 1:
         raise InvalidParams("the certificate is only defined for p = 1")
-    require_same_space(mu, nu)
+    require_same_space(mu, nu, space=space)
     if plan.space != space:
         raise SpaceMismatch("plan lives on a different space")
     tol = verification_tol(tol, space.exact)
-    require_same_space(plan, mu)
 
     gammas = plan.row_sums(), plan.col_sums()
     for gamma, m in zip(gammas, (mu, nu)):

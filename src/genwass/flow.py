@@ -212,8 +212,7 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
             search = None
 
         pushed += delta
-        if delta > 0:
-            breakpoints.append((pushed, cost_acc))
+        breakpoints.append((pushed, cost_acc))
     else:
         raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
 
@@ -325,8 +324,7 @@ def _update_potentials(pot, dist, T):
     # pot[v] += min(dist[v], dist[T]) keeps all residual reduced costs
     # nonnegative, also for nodes the last search did not reach or settle.
     cap = dist[T]
-    if cap == INF:
-        finite = [d for d in dist if d != INF]
-        cap = max(finite) if finite else 0
+    if cap == INF:  # dist[S] = 0 is finite
+        cap = max(d for d in dist if d != INF)
     for v, d in enumerate(dist):
         pot[v] += d if d < cap else cap

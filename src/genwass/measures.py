@@ -77,10 +77,10 @@ def dirac(space: FiniteMetricSpace, point: int, mass: Scalar = 1) -> DiscreteMea
     return measure(space, w)
 
 
-def require_same_space(a, b) -> None:
-    if a.space is b.space:
-        return
-    if a.space != b.space:
+def require_same_space(*objects, space: FiniteMetricSpace | None = None) -> None:
+    """Every object lives on ``space``, by default on the first object's space."""
+    space = objects[0].space if space is None else space
+    if any(x.space is not space and x.space != space for x in objects):
         raise SpaceMismatch("objects live on different spaces")
 
 
@@ -156,14 +156,14 @@ def symmetrize(action: FiniteGroupAction, mu: DiscreteMeasure) -> DiscreteMeasur
     return DiscreteMeasure(mu.space, tuple(share * w for w in acc))
 
 
-def is_invariant(action: FiniteGroupAction, mu: DiscreteMeasure, atol: float = FLOAT_WEIGHT_ATOL):
+def is_invariant(action: FiniteGroupAction, mu: DiscreteMeasure):
     """None if mu is invariant under every element, else a witness (point, element).
 
-    Exact comparison in exact mode, absolute tolerance in float mode:
-    invariance is a hypothesis, so near misses must fail loudly.
+    Exact comparison in exact mode, absolute tolerance FLOAT_WEIGHT_ATOL in
+    float mode: invariance is a hypothesis, so near misses must fail loudly.
     """
     require_same_space(action, mu)
-    slack = 0 if mu.space.exact else atol
+    slack = 0 if mu.space.exact else FLOAT_WEIGHT_ATOL
     for gi, g in enumerate(action.elements):
         for i in range(mu.space.n):
             if abs(mu.weights[g[i]] - mu.weights[i]) > slack:

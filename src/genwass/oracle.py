@@ -47,6 +47,7 @@ def brute_force_value(
 
     Exact (rational) for p = 1; for p > 1 the root is evaluated in floats.
     """
+    require_same_space(mu, nu, space=space)
     a, b, p = params.a, params.b, params.p
     exponent = int(p) if p == int(p) else float(p)
     total = mu.mass + nu.mass

@@ -12,7 +12,8 @@ Equivalently, mass ships only where b d < 2a.
 Dual potentials come from the terminal node potentials of the flow, clamped
 below at -a (the same truncation the dual objective applies); the resulting
 pair is feasible and complementary-slack with the plan, so the duality gap
-is zero in exact mode.
+is zero in exact mode.  :func:`certified_report` builds every p = 1 report:
+this plan's, and the curve scan's, which borrows only these potentials.
 """
 
 from __future__ import annotations
@@ -57,22 +58,20 @@ def solve_w1(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> SolveReport:
     """Solve the order-1 problem, returning value, plan, and certified duals."""
-    require_same_space(mu, nu)
-    if params.p != 1:
-        raise InvalidParams("this solver handles p = 1 only")
-    a = coerce(params.a, space.exact)
-    b = coerce(params.b, space.exact)
+    plan, potentials = waste_route(space, mu, nu, params)
+    value = primal_value(plan, mu, nu, params)
+    return certified_report(space, mu, nu, params, plan, value, plan.total, potentials)
 
-    gamma, pot_src, pot_snk = _solve_waste_network(space, mu, nu, a, b)
-    plan_obj = TransportPlan(space, tuple(tuple(row) for row in gamma))
-    m = plan_obj.total
-    value = primal_value(plan_obj, mu, nu, params)
 
-    n = space.n
-    phi1 = tuple(_clamp_low(pot_snk[n] - pot_src[i], -a) for i in range(n))
-    phi2 = tuple(_clamp_low(pot_snk[j] - pot_src[n], -a) for j in range(n))
-    potentials = DualPotentials(phi1=phi1, phi2=phi2, params=params)
-
+def certified_report(
+    space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams,
+    plan: TransportPlan, value: Scalar, mass: Scalar, potentials: DualPotentials, curve=None,
+) -> SolveReport:
+    """The p = 1 report of a plan of this value and mass, with the certificate of
+    the plan against ``potentials``.  Their duality gap must be 0 in exact mode;
+    in float mode it is rounding up to GAP_RTOL * (1 + |value|), reported
+    clamped at 0.  An infeasible pair or a larger gap is a SolverFailure.
+    """
     feasible, objective = evaluate_dual(potentials, mu, nu)
     gap = value - objective
     if space.exact:
@@ -82,22 +81,27 @@ def solve_w1(
         if not feasible or abs(gap) > GAP_RTOL * (1.0 + abs(float(value))):
             raise SolverFailure(f"duality gap {gap} exceeds the certification threshold")
         gap = max(gap, 0.0)
-
-    certificate = verify_optimality(space, mu, nu, params, plan_obj, potentials)
-
     return SolveReport(
         value=value,
-        plan=plan_obj,
+        plan=plan,
         potentials=potentials,
-        transported_mass=m,
-        destroyed_mass=mu.mass - m,
-        created_mass=nu.mass - m,
+        transported_mass=mass,
+        destroyed_mass=mu.mass - mass,
+        created_mass=nu.mass - mass,
         duality_gap=gap,
-        conditions=certificate,
+        conditions=verify_optimality(space, mu, nu, params, plan, potentials),
+        curve=curve,
     )
 
 
-def _solve_waste_network(space, mu, nu, a, b):
+def waste_route(
+    space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
+) -> tuple[TransportPlan, DualPotentials]:
+    """The canonical plan of the waste-network flow and the potentials of its last phase."""
+    require_same_space(mu, nu, space=space)
+    if params.p != 1:
+        raise InvalidParams("this solver handles p = 1 only")
+    a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
     # Exact costs are built on ints over one common denominator, from the
     # space's integer image D / F_d and the numerators and denominators of
     # a and b; the flow divides the potentials by it once.
@@ -111,20 +115,17 @@ def _solve_waste_network(space, mu, nu, a, b):
         unit, waste = None, a
         costs = [[b * d for d in row] + [a] for row in space.dist]
         costs.append([a] * n + [0.0])
-    supplies = list(mu.weights) + [nu.mass]
-    demands = list(nu.weights) + [mu.mass]
-    sol = solve_transport(costs, supplies, demands, cost_unit=unit)
+    sol = solve_transport(costs, [*mu.weights, nu.mass], [*nu.weights, mu.mass], cost_unit=unit)
     # Exact ties b d = 2a are indifferent in value; the canonical plan does
     # not ship on them.  The potentials already saturate at a on both
     # endpoints of a tied shipped arc, so the certificate survives the strip.
     # The cost is compared first: only a tie pays for the test x > 0.
     zero, tie = coerce(0, space.exact), 2 * waste
-    plan = [
-        [zero if c == tie and x > 0 else x for x, c in zip(flows[:n], row)]
+    plan = tuple(
+        tuple(zero if c == tie and x > 0 else x for x, c in zip(flows[:n], row))
         for flows, row in zip(sol.flow[:n], costs)
-    ]
-    return plan, sol.potential_src, sol.potential_snk
-
-
-def _clamp_low(v, lo):
-    return lo if v < lo else v
+    )
+    pot_src, pot_snk = sol.potential_src, sol.potential_snk
+    phi1 = tuple(max(pot_snk[n] - pot_src[i], -a) for i in range(n))
+    phi2 = tuple(max(pot_snk[j] - pot_src[n], -a) for j in range(n))
+    return TransportPlan(space, plan), DualPotentials(phi1=phi1, phi2=phi2, params=params)

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .duality import verify_optimality
 from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
 from .scalars import FLOAT_MAX, Scalar, coerce, exactness
-from .solver_w1 import SolveReport, solve_w1
+from .solver_w1 import SolveReport, certified_report, solve_w1, waste_route
 from .spaces import FiniteMetricSpace
 
 MASS_RTOL = 1e-12
@@ -119,7 +118,7 @@ def wasserstein_p(
     marginals; this matches the normalized definition because scaling the
     plan by the total mass scales the integral accordingly.
     """
-    require_same_space(mu, nu)
+    require_same_space(mu, nu, space=space)
     if p < 1:
         raise InvalidParams(f"p must be at least 1, got {p}")
     slack = 0 if space.exact else MASS_RTOL * (1.0 + max(float(mu.mass), float(nu.mass)))
@@ -136,7 +135,7 @@ def parametric_transport_curve(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, p
 ) -> ParametricCurve:
     """Breakpoints of m -> min { sum d^p gamma : rows <= mu, cols <= nu, sum gamma = m }."""
-    require_same_space(mu, nu)
+    require_same_space(mu, nu, space=space)
     if p < 1:
         raise InvalidParams(f"p must be at least 1, got {p}")
     costs, unit = _power_costs(space, p)
@@ -154,12 +153,13 @@ def solve_wp(
     curve's final flow; otherwise it comes from a second solve with the
     chosen mass as its target.  In float mode that re-solve may differ in the
     last bits from the flow the curve passed through at that mass.  For
-    p = 1 the report also carries dual potentials (produced by the p = 1 dual
-    construction) and the certificate of its own plan against them; the
-    breakpoint-scan value must close the gap against them.  For p > 1 no
-    duality theory is claimed: potentials, gap and certificate are absent.
+    p = 1 the scan borrows only the potentials of the waste route
+    (:func:`solver_w1.waste_route`), and :func:`solver_w1.certified_report`,
+    which builds every p = 1 report, closes the gap of the scan value against
+    them and certifies the scan plan.  For p > 1 no duality theory is
+    claimed: potentials, gap and certificate are absent.
     """
-    require_same_space(mu, nu)
+    require_same_space(mu, nu, space=space)
     a = coerce(params.a, space.exact)
     b = coerce(params.b, space.exact)
     p = params.p
@@ -186,21 +186,18 @@ def solve_wp(
         sol = solve_transport(costs, list(mu.weights), list(nu.weights), target=m_star, cost_unit=unit)
     plan = TransportPlan(space, tuple(tuple(row) for row in sol.flow))
 
-    potentials = gap = conditions = None
     if p == 1:
-        w1 = solve_w1(space, mu, nu, params)
-        potentials = w1.potentials
-        conditions = verify_optimality(space, mu, nu, params, plan, potentials)
-        gap = best_value - (w1.value - w1.duality_gap)
+        potentials = waste_route(space, mu, nu, params)[1]
+        return certified_report(space, mu, nu, params, plan, best_value, m_star, potentials, list(curve))
     return SolveReport(
         value=best_value,
         plan=plan,
-        potentials=potentials,
+        potentials=None,
         transported_mass=m_star,
         destroyed_mass=mu.mass - m_star,
         created_mass=nu.mass - m_star,
-        duality_gap=gap,
-        conditions=conditions,
+        duality_gap=None,
+        conditions=None,
         curve=list(curve),
     )
 

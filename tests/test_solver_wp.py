@@ -10,13 +10,18 @@ from genwass import (
     is_submeasure,
     measure,
     parametric_transport_curve,
+    solve,
+    solve_flat,
     solve_w1,
     solve_wp,
     validate_metric,
     verify_optimality,
     wasserstein_p,
 )
-from genwass.errors import InvalidParams, MassMismatch
+from genwass import solver_w1, solver_wp
+from genwass.duality import primal_value
+from genwass.errors import InvalidParams, MassMismatch, SolverFailure, SpaceMismatch
+from genwass.measures import TransportPlan
 from genwass.solver_wp import ParametricCurve
 from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
 
@@ -131,6 +136,43 @@ def test_orders_below_one_are_rejected(two_point, call):
         calls[call]()
 
 
+P1 = EntropyParams(a=5, b=1, p=1)
+ENTRY_POINTS = {
+    "solve": lambda space, mu, nu: solve(space, mu, nu, P1).value,
+    "solve_w1": lambda space, mu, nu: solve_w1(space, mu, nu, P1).value,
+    "solve_wp": lambda space, mu, nu: solve_wp(space, mu, nu, EntropyParams(a=5, b=1, p=2)).value,
+    "solve_flat": lambda space, mu, nu: solve_flat(space, mu, nu, P1)[0],
+    "brute_force_value": lambda space, mu, nu: brute_force_value(space, mu, nu, P1),
+    "wasserstein_p": lambda space, mu, nu: wasserstein_p(space, mu, nu, 1),
+    "parametric_transport_curve": lambda space, mu, nu: parametric_transport_curve(space, mu, nu, 2),
+    "primal_value": lambda space, mu, nu: primal_value(_corner_plan(space), mu, nu, P1),
+}
+
+
+def _corner_plan(space):
+    # one unit from the first point to the last, on the given space
+    gamma = [[0] * space.n for _ in range(space.n)]
+    gamma[0][-1] = Fraction(1)
+    return TransportPlan(space, tuple(map(tuple, gamma)))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("other", ["two points", "another metric"])
+def test_a_space_other_than_the_measures_is_rejected(entry, other):
+    # mu and nu live on a 3-point space where every value is 5; a smaller
+    # space, or another metric on 3 points, must not be read in its place
+    space = validate_metric(["x", "y", "z"], [[0, 2, 5], [2, 0, 3], [5, 3, 0]])
+    mu, nu = dirac(space, 0), dirac(space, 2)
+    call = ENTRY_POINTS[entry]
+    assert call(space, mu, nu) in (5, ParametricCurve(((0, 0), (1, 25))))
+    wrong = {
+        "two points": validate_metric(["x", "y"], [[0, 1], [1, 0]]),
+        "another metric": validate_metric(["x", "y", "z"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    }[other]
+    with pytest.raises(SpaceMismatch, match="objects live on different spaces"):
+        call(wrong, mu, nu)
+
+
 def test_solve_wp_short_and_long(two_point, two_point_far):
     params = EntropyParams(a=Fraction(1), b=Fraction(1), p=2)
     near = solve_wp(two_point, dirac(two_point, 0), dirac(two_point, 1), params)
@@ -194,6 +236,46 @@ def test_p1_conditions_certify_the_scan_plan():
         assert report.conditions == verify_optimality(space, mu, nu, params, report.plan, report.potentials)
         assert report.conditions.passed
     assert differ == 11
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_p1_scan_value_must_close_the_gap(two_point, monkeypatch, exact):
+    # every breakpoint's value off by b/2 = 1/2: the waste route's duals
+    # refute it, as they refute a wrong solve_w1 value
+    space, params = two_point, EntropyParams(a=Fraction(1), b=Fraction(1), p=1)
+    if not exact:
+        space, params = two_point.as_float(), EntropyParams(a=1.0, b=1.0, p=1)
+    mu, nu = measure(space, [1, 0]), measure(space, [0, 1])
+    assert solve_wp(space, mu, nu, params).duality_gap == 0
+    monkeypatch.setattr(solver_wp, "_root", lambda t, p: t + Fraction(1, 2))
+    with pytest.raises(SolverFailure, match="gap (of 1/2|0.5 exceeds)"):
+        solve_wp(space, mu, nu, params)
+
+
+@pytest.mark.parametrize("seed, flows", [(0, 3), (1, 2)])
+def test_p1_scan_certifies_once(monkeypatch, seed, flows):
+    # the curve flow, the re-solve at the best mass when it is not the last
+    # breakpoint, and the waste route for the potentials; one certificate,
+    # and the scan's own value, not the primal value of another plan
+    calls = {"verify_optimality": 0, "primal_value": 0, "solve_transport": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module in (solver_w1, solver_wp):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rng = random.Random(seed)
+    space = random_int_metric(rng, 6)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    report = solve_wp(space, mu, nu, EntropyParams(a=Fraction(1), b=Fraction(1), p=1))
+    assert report.duality_gap == 0 and report.conditions.passed
+    assert calls == {"verify_optimality": 1, "primal_value": 0, "solve_transport": flows}
+
 
 def test_oracle_agreement_all_p():
     rng = random.Random(15)
