@@ -30,19 +30,15 @@ from .gh import (
     pushforward_bound,
 )
 from .measures import (
-    Decomposition,
     DiscreteMeasure,
     TransportPlan,
     dirac,
     invariant_lift,
-    is_submeasure,
-    lebesgue_decompose,
     measure,
     pushforward,
     symmetrize,
-    zero_measure,
 )
-from .oracle import brute_force_value, enumerate_integer_plans
+from .oracle import brute_force_value
 from .params import EntropyParams
 from .quotient import check_quotient_contraction, check_quotient_isometry
 from .solver_w1 import SolveReport, solve_w1
@@ -78,19 +74,14 @@ __all__ = [
     "gh_defect",
     "make_gh_map",
     "pushforward_bound",
-    "Decomposition",
     "DiscreteMeasure",
     "TransportPlan",
     "dirac",
     "invariant_lift",
-    "is_submeasure",
-    "lebesgue_decompose",
     "measure",
     "pushforward",
     "symmetrize",
-    "zero_measure",
     "brute_force_value",
-    "enumerate_integer_plans",
     "EntropyParams",
     "check_quotient_contraction",
     "check_quotient_isometry",

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, gt, le, mul
+from operator import add, ge, le, mul
 
 from . import simplex
 from .errors import InfeasibleInputs, InvalidParams, SpaceMismatch
@@ -137,13 +137,14 @@ def is_feasible_pair(space: FiniteMetricSpace, potentials: DualPotentials, slack
     if slack is None:
         slack = feasibility_slack(space, potentials.params)
     D, _, _, A, S, P1, P2, _, L, R = _terms(space, potentials, slack)
+    # each test is written so that a NaN fails it
     floor = -A - S
-    if any(v < floor for v in P1) or any(v < floor for v in P2):
+    if not (all(map(ge, P1, repeat(floor))) and all(map(ge, P2, repeat(floor)))):
         return False
-    # P1_i L + P2_j L > R D_ij + S L, one row i at a time
+    # P1_i L + P2_j L <= R D_ij + S L, one row i at a time
     q2, loose = [v * L for v in P2], S * L
-    return not any(
-        any(map(gt, map(add, repeat(p1 * L), q2), map(add, map(mul, repeat(R), row), repeat(loose))))
+    return all(
+        all(map(le, map(add, repeat(p1 * L), q2), map(add, map(mul, repeat(R), row), repeat(loose))))
         for p1, row in zip(P1, D)
     )
 
@@ -311,6 +312,8 @@ def verify_optimality(
     require_same_space(mu, nu, space=space)
     if plan.space != space:
         raise SpaceMismatch("plan lives on a different space")
+    if potentials.params != params:
+        raise InvalidParams("the potentials were computed for other parameters")
     tol = verification_tol(tol, space.exact)
 
     gammas = plan.row_sums(), plan.col_sums()

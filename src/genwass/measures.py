@@ -67,11 +67,9 @@ def measure(space: FiniteMetricSpace, weights) -> DiscreteMeasure:
     return DiscreteMeasure(space, tuple(coerce(w, space.exact) for w in weights))
 
 
-def zero_measure(space: FiniteMetricSpace) -> DiscreteMeasure:
-    return measure(space, [0] * space.n)
-
-
 def dirac(space: FiniteMetricSpace, point: int, mass: Scalar = 1) -> DiscreteMeasure:
+    if type(point) is not int or not 0 <= point < space.n:
+        raise ValueError(f"{point!r} is not a point index of a space with {space.n} points")
     w = [0] * space.n
     w[point] = mass
     return measure(space, w)
@@ -82,41 +80,6 @@ def require_same_space(*objects, space: FiniteMetricSpace | None = None) -> None
     space = objects[0].space if space is None else space
     if any(x.space is not space and x.space != space for x in objects):
         raise SpaceMismatch("objects live on different spaces")
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Lebesgue decomposition of one measure against another on finite support.
-
-    Reconstruction: sigma[i] = density[i] * tau[i] + singular[i], with the
-    singular part supported where tau vanishes.
-    """
-
-    density: tuple[Scalar, ...]
-    singular: DiscreteMeasure
-
-
-def is_submeasure(sigma: DiscreteMeasure, tau: DiscreteMeasure, atol: float = FLOAT_WEIGHT_ATOL) -> bool:
-    """Pointwise sigma <= tau (exact, or within atol absolute in float mode)."""
-    require_same_space(sigma, tau)
-    slack = 0 if sigma.space.exact else atol
-    return all(s <= t + slack for s, t in zip(sigma.weights, tau.weights))
-
-
-def lebesgue_decompose(sigma: DiscreteMeasure, tau: DiscreteMeasure) -> Decomposition:
-    """Split sigma into a part with a density against tau and a singular part."""
-    require_same_space(sigma, tau)
-    zero = coerce(0, sigma.space.exact)
-    density = []
-    singular = []
-    for s, t in zip(sigma.weights, tau.weights):
-        if t > 0:
-            density.append(s / t)
-            singular.append(zero)
-        else:
-            density.append(zero)
-            singular.append(s)
-    return Decomposition(density=tuple(density), singular=DiscreteMeasure(sigma.space, tuple(singular)))
 
 
 def point_map(table, source: FiniteMetricSpace, target: FiniteMetricSpace) -> tuple[int, ...]:
@@ -232,9 +195,3 @@ class TransportPlan:
     def col_sums(self) -> tuple[Scalar, ...]:
         rows, unit = self._scaled
         return tuple(unit * sum(col) for col in zip(*rows))
-
-    def marginals(self) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-        return (
-            DiscreteMeasure(self.space, self.row_sums()),
-            DiscreteMeasure(self.space, self.col_sums()),
-        )

@@ -15,25 +15,13 @@ flow and simplex solvers, not to be used for solving.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import TooLarge
-from .measures import DiscreteMeasure, TransportPlan, require_same_space
+from .measures import DiscreteMeasure, require_same_space
 from .params import EntropyParams
 from .scalars import Scalar
 from .spaces import FiniteMetricSpace
 
 DEFAULT_PLAN_CAP = 10_000_000
-
-
-def enumerate_integer_plans(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int = DEFAULT_PLAN_CAP
-) -> Iterator[TransportPlan]:
-    """Yield every integer matrix gamma >= 0 with rows <= mu and cols <= nu,
-    each exactly once (row-major odometer with residual-capacity pruning)."""
-    space = mu.space
-    for gamma, _, _ in _odometer(mu, nu, cap, space.dist):
-        yield TransportPlan(space, tuple(tuple(row) for row in gamma))
 
 
 def brute_force_value(

@@ -153,8 +153,8 @@ def validate_action(space: FiniteMetricSpace, permutations, labels=None) -> Fini
     n = space.n
     elements = []
     for perm in permutations:
-        perm = tuple(int(x) for x in perm)
-        if sorted(perm) != list(range(n)):
+        perm = tuple(perm)
+        if any(type(x) is not int for x in perm) or sorted(perm) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
         elements.append(perm)
     if labels is None:

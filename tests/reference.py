@@ -1,0 +1,73 @@
+"""Reference helpers the suite compares the package against.
+
+No route of the package runs these: the certificate reads a plan's row and
+column sums in one pass, and the oracle walks its odometer without building
+plans.  They are kept here, as simple second implementations, so the tests
+can check the fast paths against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
+
+from genwass.measures import FLOAT_WEIGHT_ATOL, DiscreteMeasure, TransportPlan, measure, require_same_space
+from genwass.oracle import DEFAULT_PLAN_CAP, _odometer
+from genwass.scalars import Scalar, coerce
+from genwass.spaces import FiniteMetricSpace
+
+
+def zero_measure(space: FiniteMetricSpace) -> DiscreteMeasure:
+    return measure(space, [0] * space.n)
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Lebesgue decomposition of one measure against another on finite support.
+
+    Reconstruction: sigma[i] = density[i] * tau[i] + singular[i], with the
+    singular part supported where tau vanishes.
+    """
+
+    density: tuple[Scalar, ...]
+    singular: DiscreteMeasure
+
+
+def is_submeasure(sigma: DiscreteMeasure, tau: DiscreteMeasure, atol: float = FLOAT_WEIGHT_ATOL) -> bool:
+    """Pointwise sigma <= tau (exact, or within atol absolute in float mode)."""
+    require_same_space(sigma, tau)
+    slack = 0 if sigma.space.exact else atol
+    return all(s <= t + slack for s, t in zip(sigma.weights, tau.weights))
+
+
+def lebesgue_decompose(sigma: DiscreteMeasure, tau: DiscreteMeasure) -> Decomposition:
+    """Split sigma into a part with a density against tau and a singular part."""
+    require_same_space(sigma, tau)
+    zero = coerce(0, sigma.space.exact)
+    density = []
+    singular = []
+    for s, t in zip(sigma.weights, tau.weights):
+        if t > 0:
+            density.append(s / t)
+            singular.append(zero)
+        else:
+            density.append(zero)
+            singular.append(s)
+    return Decomposition(density=tuple(density), singular=DiscreteMeasure(sigma.space, tuple(singular)))
+
+
+def marginals(plan: TransportPlan) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    return (
+        DiscreteMeasure(plan.space, plan.row_sums()),
+        DiscreteMeasure(plan.space, plan.col_sums()),
+    )
+
+
+def enumerate_integer_plans(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int = DEFAULT_PLAN_CAP
+) -> Iterator[TransportPlan]:
+    """Yield every integer matrix gamma >= 0 with rows <= mu and cols <= nu,
+    each exactly once (row-major odometer with residual-capacity pruning)."""
+    space = mu.space
+    for gamma, _, _ in _odometer(mu, nu, cap, space.dist):
+        yield TransportPlan(space, tuple(tuple(row) for row in gamma))

@@ -20,20 +20,15 @@ from genwass import (
     truncate_potential,
     validate_metric,
     verify_optimality,
-    zero_measure,
 )
 from genwass import measures
 from genwass.duality import _terms, feasibility_slack, is_feasible_pair, primal_value, verification_tol
-from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SpaceMismatch
-from genwass.measures import (
-    DiscreteMeasure,
-    TransportPlan,
-    is_submeasure,
-    lebesgue_decompose,
-    require_same_space,
-)
+from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SolverFailure, SpaceMismatch
+from genwass.measures import DiscreteMeasure, TransportPlan, require_same_space
 from genwass.scalars import coerce, is_exact
 from genwass.selftest import random_int_metric, random_rational_measure
+from genwass.solver_w1 import certified_report
+from reference import is_submeasure, lebesgue_decompose, marginals, zero_measure
 
 
 def test_truncation_cases():
@@ -300,6 +295,39 @@ def test_certificate_needs_a_plan_on_the_space(two_point, two_point_far, unit_pa
     pair = DualPotentials(phi1=(0, -1), phi2=(-1, 1), params=unit_params)
     with pytest.raises(SpaceMismatch, match="plan lives on a different space"):
         verify_optimality(two_point, mu, nu, unit_params, make_plan(two_point_far, [[0, 1], [0, 0]]), pair)
+
+
+def test_certificate_needs_potentials_of_its_parameters(two_point):
+    # the potentials of a = 3 would pass all four conditions at a = 1/4,
+    # where phi2 = -1 < -a is infeasible and the value is 1/2, not 1
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    report = solve_w1(two_point, mu, nu, EntropyParams(a=Fraction(3), b=Fraction(1), p=1))
+    low = EntropyParams(a=Fraction(1, 4), b=Fraction(1), p=1)
+    assert report.value == 1 and report.potentials.phi2 == (-1, 0)
+    assert solve_flat(two_point, mu, nu, low)[0] == Fraction(1, 2)
+    with pytest.raises(InvalidParams, match="computed for other parameters"):
+        verify_optimality(two_point, mu, nu, low, report.plan, report.potentials)
+    # equal rates written as other kinds of number are the same parameters
+    assert verify_optimality(two_point, mu, nu, EntropyParams(a=3, b=1.0), report.plan, report.potentials).passed
+
+
+@pytest.mark.parametrize(
+    "phi1, phi2",
+    [((math.nan, math.nan), (math.nan, math.nan)), ((0.0, math.nan), (-1.0, 1.0))],
+    ids=["all-nan", "nan-off-the-support"],
+)
+def test_nan_potentials_are_infeasible(two_point, phi1, phi2):
+    space = two_point.as_float()
+    params = EntropyParams(a=1.0, b=1.0, p=1)
+    mu, nu = dirac(space, 0), dirac(space, 1)
+    plan = make_plan(space, [[0, 1], [0, 0]])
+    pair = DualPotentials(phi1=phi1, phi2=phi2, params=params)
+    assert not is_feasible_pair(space, pair)
+    assert not evaluate_dual(pair, mu, nu)[0]
+    with pytest.raises(InfeasibleInputs, match="potentials violate the dual constraints"):
+        verify_optimality(space, mu, nu, params, plan, pair)
+    with pytest.raises(SolverFailure):
+        certified_report(space, mu, nu, params, plan, 1.0, 1.0, pair)
 
 
 def test_c_transform_needs_one_potential_per_point(two_point, unit_params):
@@ -623,7 +651,7 @@ def reference_lebesgue_verify_optimality(space, mu, nu, params, plan, potentials
     tol = verification_tol(tol, space.exact)
 
     try:
-        gammas = plan.marginals()
+        gammas = marginals(plan)
     except InvalidWeight:  # a marginal past float range exceeds any measure
         gammas = None
     if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):

