@@ -9,14 +9,16 @@ time, and the per-kind rules live here alone.  The kind of a sequence (all
 exact or not, any Fraction or not) is decided once, by :func:`exactness`
 from the set of its entries' types.  A row of ints is read as it is
 (:func:`parse_row`), found finite by one ``max(map(abs, row)) <= FLOAT_MAX``
-(:func:`first_nonfinite`) and made exact with one Fraction per distinct
-value, shared, since Fractions are immutable (:func:`coerce_rows`); float
-mode converts every row by ``map(float, row)``.  Per-entry code still runs
-in three places: rows of any other kind (floats, "p/q" strings, or a mix)
-are parsed and tested for finiteness entry by entry, rows that are not all
-ints are made exact entry by entry, and once a row-level test fails a walk
-of that row names the first witness, so errors name the same entry as an
-entry-by-entry scan.
+(:func:`first_nonfinite`), made exact with one Fraction per distinct
+value, shared, since Fractions are immutable (:func:`coerce_rows`), and is
+its own integer image for the metric checks (:func:`int_rows`); float mode
+converts every row by ``map(float, row)``.  A row of ints and strings, such
+as a row of an exact plan report, is parsed once per distinct entry.
+Per-entry code still runs in four places: rows that hold any other kind
+(floats, bools, or values that are not numbers) are parsed entry by entry,
+rows that are not all ints are tested for finiteness and made exact entry
+by entry, and once a row-level test fails a walk of that row names the
+first witness, so errors name the same entry as an entry-by-entry scan.
 """
 
 from __future__ import annotations
@@ -58,12 +60,31 @@ def parse_scalar(value) -> Scalar:
     raise ValueError(f"not a number: {value!r}")
 
 
+def is_int_row(row) -> bool:
+    """Whether every entry of row is an int (never a bool): one set of types."""
+    return set(map(type, row)) == {int}
+
+
+def int_rows(rows):
+    """The rows as they are when every row is all ints, else None."""
+    return rows if all(map(is_int_row, rows)) else None
+
+
 def parse_row(row) -> list:
     """parse_scalar of every entry, except that ints stay ints: a row of ints
-    is returned as it is, and any other row goes entry by entry, so the first
-    entry that does not parse is the one reported."""
-    if set(map(type, row)) == {int}:
+    is returned as it is.  A row of ints and strings parses each distinct
+    entry once, in the order of first appearance; no int equals a string, so
+    the entries are their own keys.  Any other row goes entry by entry, since
+    it may hold values that compare equal but parse apart (``0``, ``False``,
+    ``0.0``, ``-0.0``) or that cannot be keys.  Either way the first entry
+    that does not parse is the one reported."""
+    types = set(map(type, row))
+    if types == {int}:
         return row
+    if types <= {int, str}:
+        distinct = dict.fromkeys(row)
+        parsed = dict(zip(distinct, map(parse_scalar, distinct)))
+        return list(map(parsed.__getitem__, row))
     return list(map(parse_scalar, row))
 
 
@@ -111,7 +132,7 @@ def first_nonfinite(row) -> int | None:
     """The index of the first entry of row that is not is_finite, or None.  A
     row of ints takes one max(map(abs, row)) test, a row of any other kind
     all(map(is_finite, row)), and only a row that fails is walked."""
-    if set(map(type, row)) == {int}:
+    if is_int_row(row):
         if max(map(abs, row)) <= FLOAT_MAX:
             return None
     elif all(map(is_finite, row)):
@@ -139,7 +160,7 @@ def coerce_rows(rows, exact: bool) -> tuple[tuple[Scalar, ...], ...]:
             return tuple(tuple(map(float, row)) for row in rows)
         except OverflowError:  # an exact value past float range: coerce makes it an infinity
             return tuple(tuple(map(coerce, row, repeat(False))) for row in rows)
-    ints = [set(map(type, row)) == {int} for row in rows]
+    ints = list(map(is_int_row, rows))
     values = set().union(*(row for row, is_int in zip(rows, ints) if is_int))
     shared = dict(zip(values, map(Fraction, values)))
     return tuple(

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import add
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, and_, getitem, lshift, mul
 
 from .errors import (
     AsymmetricEntry,
@@ -17,7 +18,7 @@ from .errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .scalars import Scalar, coerce, coerce_rows, exactness, first_nonfinite, scaled
+from .scalars import Scalar, coerce, coerce_rows, exactness, first_nonfinite, int_rows, scaled
 
 # Relative slack for float-mode checks that must hold exactly in exact mode
 # (triangle inequality, isometry).  Scaled by the diameter.
@@ -76,6 +77,20 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
     the entries (all integers/rationals -> exact, any float -> float).
     Raises a :class:`~genwass.errors.MetricError` subclass naming the violated
     axiom and the witnessing indices.
+
+    Each axiom is first tested on whole rows; only a failed test walks the
+    entries, in the order of an entry-by-entry check, to name the first
+    witness.  The triangle inequality is tested on an integer image of the
+    distances when there is one: the space's scaled integers in exact mode,
+    or the given rows when every row is all ints in float mode.  Each row is
+    packed into one int, a field of w bits per column, with
+    2**(w-1) > 2 * max d, so that one big-int sum per ordered pair (i, k)
+    holds d[k][j] + d[i][k] + 2**(w-1) - d[i][j] in field j.  That value lies
+    in (0, 2**w), so no carry or borrow crosses a field, and its top bit is
+    clear exactly where d[i][j] > d[i][k] + d[k][j].  In float mode a pass on
+    the integers implies a pass of the float test (see below); a failure,
+    and float rows with fractional values, go to the per-pair scan, which
+    decides with the float slack and names the witness.
     """
     labels = tuple(str(x) for x in labels)
     if not labels:
@@ -98,31 +113,57 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
     # which keeps every comparison, and so every reported witness, unchanged.
     d = space._scaled[0] if exact else dist
 
-    for i in range(n):
-        for j in range(n):
-            if d[i][j] < 0:
-                raise NegativeEntry(i, j, labels)
-    for i in range(n):
-        if d[i][i] != 0:
-            raise NonzeroDiagonal(i, labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
-                raise AsymmetricEntry(i, j, labels)
-            if d[i][j] == 0:
-                raise ZeroOffDiagonal(i, j, labels)
+    if min(map(min, d)) < 0:
+        i, j = next((i, j) for i, row in enumerate(d) for j, x in enumerate(row) if x < 0)
+        raise NegativeEntry(i, j, labels)
+    diagonal = list(map(getitem, d, range(n)))
+    if any(diagonal):
+        raise NonzeroDiagonal(next(i for i, x in enumerate(diagonal) if x), labels)
+    # the diagonal is zero, so each row holds exactly one zero unless a pair does
+    if d != tuple(zip(*d)) or sum(map(tuple.count, d, repeat(0))) != n:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if d[i][j] != d[j][i]:
+                    raise AsymmetricEntry(i, j, labels)
+                if d[i][j] == 0:
+                    raise ZeroOffDiagonal(i, j, labels)
 
-    # d is symmetric and k in {i, j} never fails, so one test per pair i < j
-    # finds the first (i, j, k) witness of a scan over every ordered triple.
-    diam = max(max(row) for row in d)
-    slack = 0 if exact else FLOAT_METRIC_RTOL * float(diam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i][j] > min(map(add, d[i], d[j])) + slack:
-                k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + slack)
-                raise TriangleViolation(i, j, k, labels)
+    # A pass on the integers implies a pass of the float test.  Rounding is
+    # monotone, and where d[i][j] <= d[i][k] + d[k][j] the rounded entries
+    # and their rounded sum stray from the integers by at most about
+    # 3u * (d[i][k] + d[k][j]) <= 6u * diam in all (u = 2**-53; no error
+    # below 2**53), far inside the slack of 1e-12 * diam.  Symmetry was
+    # checked on the floats, so float(d[j][k]), which the scan reads,
+    # equals float(d[k][j]).
+    ints = space._scaled[0] if exact else int_rows(matrix)
+    if ints is None or not _packed_triangle_holds(ints):
+        # d is symmetric and k in {i, j} never fails, so one test per pair
+        # i < j finds the first (i, j, k) witness of a scan over every
+        # ordered triple.
+        slack = 0 if exact else FLOAT_METRIC_RTOL * float(space.diameter)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if d[i][j] > min(map(add, d[i], d[j])) + slack:
+                    k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + slack)
+                    raise TriangleViolation(i, j, k, labels)
 
     return space
+
+
+def _packed_triangle_holds(rows) -> bool:
+    """Whether d[i][j] <= d[i][k] + d[k][j] for every i, j, k, on rows of
+    non-negative ints, one big-int test per ordered pair (i, k)."""
+    n = len(rows)
+    width = (2 * max(map(max, rows))).bit_length() + 1
+    ones = sum(map(lshift, repeat(1), range(0, width * n, width)))
+    high = ones << (width - 1)
+    packed = [sum(map(lshift, row, range(0, width * n, width))) for row in rows]
+    for row, own in zip(rows, packed):
+        # field j of term k: d[k][j] + d[i][k] + 2**(w-1) - d[i][j]
+        offsets = map(add, map(mul, row, repeat(ones)), repeat(high - own))
+        if reduce(and_, map(add, packed, offsets), high) != high:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

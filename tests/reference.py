@@ -1,20 +1,23 @@
 """Reference helpers the suite compares the package against.
 
 No route of the package runs these: the certificate reads a plan's row and
-column sums in one pass, and the oracle walks its odometer without building
-plans.  They are kept here, as simple second implementations, so the tests
-can check the fast paths against them.
+column sums in one pass, the oracle walks its odometer without building
+plans, and the metric check tests whole rows and packed integer rows before
+it walks any entry.  They are kept here, as simple second implementations,
+so the tests can check the fast paths against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
+from genwass.errors import AsymmetricEntry, NegativeEntry, NonzeroDiagonal, TriangleViolation, ZeroOffDiagonal
 from genwass.measures import FLOAT_WEIGHT_ATOL, DiscreteMeasure, TransportPlan, measure, require_same_space
 from genwass.oracle import DEFAULT_PLAN_CAP, _odometer
-from genwass.scalars import Scalar, coerce
-from genwass.spaces import FiniteMetricSpace
+from genwass.scalars import Scalar, coerce, coerce_rows, scaled
+from genwass.spaces import FLOAT_METRIC_RTOL, FiniteMetricSpace
 
 
 def zero_measure(space: FiniteMetricSpace) -> DiscreteMeasure:
@@ -71,3 +74,40 @@ def enumerate_integer_plans(
     space = mu.space
     for gamma, _, _ in _odometer(mu, nu, cap, space.dist):
         yield TransportPlan(space, tuple(tuple(row) for row in gamma))
+
+
+def metric_violation(matrix, exact: bool):
+    """The error type and witness indices of the first violated metric axiom
+    of a finite square matrix, or None for a metric: an entry-by-entry walk
+    for sign, diagonal, symmetry and distinct points, then the per-pair
+    triangle scan with the float slack, in validate_metric's order.  Exact
+    entries are walked as integers over their common denominator."""
+    d = coerce_rows(matrix, exact)
+    n = len(d)
+    if exact:
+        flat, _ = scaled([x for row in d for x in row])
+        d = [flat[i * n : (i + 1) * n] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] < 0:
+                return NegativeEntry, (i, j)
+    for i in range(n):
+        if d[i][i] != 0:
+            return NonzeroDiagonal, (i,)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                return AsymmetricEntry, (i, j)
+            if d[i][j] == 0:
+                return ZeroOffDiagonal, (i, j)
+
+    # d is symmetric and k in {i, j} never fails, so one test per pair i < j
+    # finds the first (i, j, k) witness of a scan over every ordered triple.
+    diam = max(max(row) for row in d)
+    slack = 0 if exact else FLOAT_METRIC_RTOL * float(diam)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] > min(map(add, d[i], d[j])) + slack:
+                k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + slack)
+                return TriangleViolation, (i, j, k)
+    return None

@@ -3,13 +3,14 @@ it replaced is kept here as the reference it must match, value for value
 and error for error."""
 
 import copy
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genwass import jsonio
+from genwass import jsonio, scalars
 from genwass.errors import NonFiniteEntry
 from genwass.measures import TransportPlan
 from genwass.scalars import coerce, exactness, first_nonfinite, is_exact, is_finite, parse_row, parse_scalar
@@ -246,3 +247,39 @@ def test_parse_row_keeps_an_int_row_and_parses_any_other():
     assert parse_row([1, "1/2", 0.5]) == [Fraction(1), Fraction(1, 2), 0.5]
     with pytest.raises(ValueError, match="not a number: True"):
         parse_row([1, True, "x"])
+
+
+def test_parse_row_parses_each_distinct_entry_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scalars, "parse_scalar", lambda x: calls.append(x) or parse_scalar(x))
+    row = ["1/2", 0, "1/2", 0, "3", 0]
+    parsed = parse_row(row)
+    assert calls == ["1/2", 0, "3"]
+    assert parsed == [Fraction(1, 2), 0, Fraction(1, 2), 0, 3, 0]
+    assert all(type(x) is Fraction for x in parsed) and parsed[0] is parsed[2]
+
+
+def test_parse_row_keeps_apart_entries_that_compare_equal():
+    # 0 == False == 0.0 == -0.0, but they parse to a Fraction, an error, and
+    # two floats of opposite sign
+    zeros = parse_row([0, "0", 0.0, -0.0, "0"])
+    assert [type(x) for x in zeros] == [Fraction, Fraction, float, float, Fraction]
+    assert [math.copysign(1, x) for x in zeros[2:4]] == [1, -1]
+    with pytest.raises(ValueError, match="not a number: False"):
+        parse_row([0, "1/2", False, "x"])
+    with pytest.raises(ValueError, match="not a number: True"):
+        parse_row(["1", 1, True])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([0, "1/2", "x", "y", "1/2", "x"], "not a rational literal: 'x'"),
+        (["1/2", 0, "1/0", "x"], "not a rational literal: '1/0'"),
+        ([0, [1], "x"], r"not a number: \[1\]"),
+        ([0, "1/2", None, "x"], "not a number: None"),
+    ],
+)
+def test_parse_row_names_the_first_bad_entry(row, message):
+    with pytest.raises(ValueError, match=message):
+        parse_row(row)

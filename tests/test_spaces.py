@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -17,6 +20,7 @@ from genwass.errors import (
     ZeroOffDiagonal,
 )
 from genwass.spaces import FLOAT_METRIC_RTOL, compose
+from reference import metric_violation
 
 
 def test_two_point_metric_is_valid():
@@ -52,6 +56,9 @@ ENTRIES = {
     "int": st.integers(1, 20),
     # at least half the diameter: a metric unless a pair is nudged past its slack
     "float": st.floats(10, 20),
+    # ints past 2**53 checked in float mode: the float scan decides wherever
+    # the integer test fails
+    "big int": st.integers(2**60, 2**61),
 }
 
 
@@ -61,31 +68,132 @@ def test_rational_triangle_witness_matches_fraction_scan(n, kind, data):
     for i in range(n):
         for j in range(i + 1, n):
             d[i][j] = d[j][i] = data.draw(ENTRIES[kind])
-    float_mode = kind == "float"
+    float_mode = kind in ("float", "big int")
     if float_mode:
         # one pair just below or just above its shortest detour plus the slack
         i, j = data.draw(st.permutations(range(n)))[:2]
         detour = min(d[i][k] + d[k][j] for k in range(n) if k not in (i, j))
         slack = FLOAT_METRIC_RTOL * max(detour, *(max(row) for row in d))
-        d[i][j] = d[j][i] = detour + data.draw(st.sampled_from((0, 0.5, 0.99, 1.01, 2))) * slack
-    slack = FLOAT_METRIC_RTOL * float(max(max(row) for row in d)) if float_mode else 0
+        nudge = data.draw(st.sampled_from((0, 0.5, 0.99, 1.01, 2))) * slack
+        d[i][j] = d[j][i] = detour + (round(nudge) if kind == "big int" else nudge)
+    f = [[float(x) for x in row] for row in d] if float_mode else d
+    slack = FLOAT_METRIC_RTOL * max(max(row) for row in f) if float_mode else 0
     expected = next(
         (
             (i, j, k)
             for i in range(n)
             for j in range(n)
             for k in range(n)
-            if len({i, j, k}) == 3 and d[i][j] > d[i][k] + d[k][j] + slack
+            if len({i, j, k}) == 3 and f[i][j] > f[i][k] + f[k][j] + slack
         ),
         None,
     )
     labels = [f"p{i}" for i in range(n)]
     if expected is None:
-        assert validate_metric(labels, d).dist == tuple(tuple(row) for row in d)
+        assert validate_metric(labels, d, exact=not float_mode).dist == tuple(tuple(row) for row in f)
     else:
         with pytest.raises(TriangleViolation) as err:
-            validate_metric(labels, d)
+            validate_metric(labels, d, exact=not float_mode)
         assert (err.value.i, err.value.j, err.value.k) == expected
+
+
+def test_float_mode_int_rows_past_2_53_fall_back_to_the_float_slack():
+    # slack = 1e-12 * diameter, about 2.3e6 at diameter 2**61.  The detour
+    # through 1 is short of d[0][3] by u and the one through 2 by 4u: both
+    # inside the slack at u = 2**19, only the first at u = 2**21.  The
+    # integer test fails on both metrics; only the float scan may decide.
+    big = 2**60
+
+    def metric(u):
+        return [
+            [0, big, big, 2 * big + 4 * u],
+            [big, 0, big, big + 3 * u],
+            [big, big, 0, big],
+            [2 * big + 4 * u, big + 3 * u, big, 0],
+        ]
+
+    labels = ["a", "b", "c", "d"]
+    assert metric_violation(metric(2**19), exact=True)[0] is TriangleViolation
+    space = validate_metric(labels, metric(2**19), exact=False)
+    assert space.dist[0][3] == float(2 * big + 4 * 2**19)
+    with pytest.raises(TriangleViolation) as err:
+        validate_metric(labels, metric(2**21), exact=False)
+    assert (err.value.i, err.value.j, err.value.k) == (0, 3, 2)
+    assert metric_violation(metric(2**21), exact=False) == (TriangleViolation, (0, 3, 2))
+
+
+def closed_metric(rng, n, max_d=9):
+    """Integer distances in [1, max_d], closed under shortest paths."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, max_d)
+    for k in range(n):
+        for i in range(n):
+            d[i] = list(map(min, d[i], map(add, repeat(d[i][k]), d[k])))
+    return d
+
+
+def wide_metric(rng, n, low=1000):
+    """Integers in [low, 2 low]: every triangle holds with no closure."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(low, 2 * low)
+    return d
+
+
+def l1_metric(rng, n, side=1000):
+    """n distinct points of {0..side}^2 under the l1 distance."""
+    points = set()
+    while len(points) < n:
+        points.add((rng.randint(0, side), rng.randint(0, side)))
+    points = sorted(points)
+    return [[abs(x - u) + abs(y - v) for u, v in points] for x, y in points]
+
+
+FAMILIES = {"closed": closed_metric, "wide": wide_metric, "l1": l1_metric}
+
+
+def assert_same_verdict(matrix, exact):
+    labels = [f"p{i}" for i in range(len(matrix))]
+    expected = metric_violation(matrix, exact)
+    if expected is None:
+        assert validate_metric(labels, matrix, exact=exact).exact == exact
+        return
+    with pytest.raises(expected[0]) as err:
+        validate_metric(labels, matrix, exact=exact)
+    assert tuple(getattr(err.value, name) for name in ("i", "j", "k") if hasattr(err.value, name)) == expected[1]
+
+
+@pytest.mark.parametrize("n", [3, 24, 128])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_triangle_check_matches_the_per_pair_scan(family, n):
+    rng = random.Random(f"{family} {n}")
+    d = FAMILIES[family](rng, n)
+    i, j = rng.sample(range(n), 2)
+    detour = min(d[i][k] + d[k][j] for k in range(n) if k not in (i, j))
+    # as given, then one pair just below and just above its shortest detour
+    for value in (d[i][j], detour - 1, detour + 1):
+        m = [row[:] for row in d]
+        m[i][j] = m[j][i] = value
+        assert_same_verdict(m, exact=True)
+        assert_same_verdict(m, exact=False)  # int rows in float mode
+        assert_same_verdict([[x / 4 for x in row] for row in m], exact=False)
+
+
+CORRUPT = st.sampled_from((-1, 0, 1, 2, 9))
+
+
+@given(st.integers(1, 5), st.booleans(), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), CORRUPT), max_size=3))
+def test_axiom_witnesses_match_the_entry_walk(n, exact, corruptions):
+    # a metric with a few entries overwritten, so each axiom fails somewhere
+    d = [[0 if i == j else 1 + (i + j) % 2 for j in range(n)] for i in range(n)]
+    for i, j, x in corruptions:
+        d[i % n][j % n] = x
+    assert_same_verdict(d, exact)  # in float mode: int rows
+    if not exact:
+        assert_same_verdict([[float(x) for x in row] for row in d], exact)
 
 
 def test_float_triangle_witness_skips_detours_within_the_slack():

@@ -11,11 +11,15 @@ on some instances), two rational measures and rates a, b in {1/2, 1, 2},
 exact or float.  Per instance the lines are the ``repr`` of ``solve`` at
 p = 1, 2 and 3, of ``solve_wp`` at p = 1 and of ``solve_flat``; the
 ``verify_optimality`` certificate of each p = 1 report's plan and of a copy of
-it with one entry raised by 1/4, at the default tolerance and at 1/4; and the
-exit code, stdout and stderr of the CLI ``plan``, ``dual`` and
-``verify --report`` on a problem file (the report is the ``plan --format
-json`` output, and once more with the same raised entry).  Errors print as
-their type and message.  Standard library only: the inputs are built here.
+it with one entry raised by 1/4, at the default tolerance and at 1/4; one
+metric check, ``validate_metric`` on a copy of the distances with one pair
+moved by -1 or +1 unit (drawn from a generator of its own), in exact mode,
+in float mode and in float mode on the integer rows, each as the error type
+and witness, or "ok"; and the exit code, stdout and stderr of the CLI
+``plan``, ``dual`` and ``verify --report`` on a problem file (the report is
+the ``plan --format json`` output, and once more with the same raised
+entry).  Errors print as their type and message.  Standard library only:
+the inputs are built here.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 
 SEED = 20191
+NUDGE_SEED = 20192
 INSTANCES = 200
 RATES = (Fraction(1, 2), Fraction(1), Fraction(2))
 SCALES = (Fraction(1), Fraction(1), Fraction(2, 3))
@@ -91,11 +96,12 @@ def dump(cli_main, workdir: Path):
     )
     from genwass.jsonio import report_to_json
 
-    rng = random.Random(SEED)
+    rng, nudge_rng = random.Random(SEED), random.Random(NUDGE_SEED)
     for k in range(INSTANCES):
         n, exact = rng.randint(1, 8), rng.random() < 0.7
         scale = rng.choice(SCALES)
-        d = [[scale * x for x in row] for row in closed_metric(rng, n, rng.choice((3, 5, 9)))]
+        ints = closed_metric(rng, n, rng.choice((3, 5, 9)))
+        d = [[scale * x for x in row] for row in ints]
         mu_w, nu_w = ([Fraction(rng.randint(0, 6), rng.choice((1, 2, 4))) for _ in range(n)] for _ in range(2))
         a, b = rng.choice(RATES), rng.choice(RATES)
         labels = [f"x{i}" for i in range(n)]
@@ -121,6 +127,7 @@ def dump(cli_main, workdir: Path):
             for tol in (None, Fraction(1, 4)):
                 result = outcome(verify_optimality, space, mu, nu, p1, plan, potentials, tol=tol)
                 yield f"{tag} verify_optimality {name} tol={tol}: {result}"
+        yield f"{tag} {metric_check(validate_metric, nudge_rng, labels, ints, scale)}"
 
         doc = {
             "space": {"points": labels, "d": [[number(x, exact) for x in row] for row in d]},
@@ -142,6 +149,30 @@ def dump(cli_main, workdir: Path):
             for extra in ([], ["--format", "json"]):
                 argv = ["verify", "--input", str(problem), "--report", str(path), *extra]
                 yield f"{tag} cli verify {name}{' json' if extra else ''}: {run_cli(cli_main, argv)}"
+
+
+def metric_check(validate_metric, rng, labels, ints, scale) -> str:
+    """validate_metric on the distances with one pair moved by one unit."""
+    n = len(ints)
+    if n < 2:
+        return "validate_metric: no pair to nudge"
+    i, j = rng.sample(range(n), 2)
+    step = rng.choice((-1, 1))
+    nudged = [row[:] for row in ints]
+    nudged[i][j] = nudged[j][i] = ints[i][j] + step
+    results = []
+    for mode, rows, exact in (
+        ("exact", [[scale * x for x in row] for row in nudged], True),
+        ("float", [[float(scale * x) for x in row] for row in nudged], False),
+        ("float int rows", nudged, False),
+    ):
+        try:
+            validate_metric(labels, rows, exact=exact)
+            results.append(f"{mode} ok")
+        except Exception as exc:  # a raised error is an output too
+            witness = tuple(getattr(exc, name) for name in ("i", "j", "k") if hasattr(exc, name))
+            results.append(f"{mode} {type(exc).__name__} {witness}: {exc}")
+    return f"validate_metric d[{i}][{j}] {step:+d}: {'; '.join(results)}"
 
 
 def main(argv=None) -> int:
