@@ -34,11 +34,8 @@ from . import simplex
 from .errors import InfeasibleInputs, InvalidParams, SpaceMismatch
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import FLOAT_MAX, NEG_INF, Scalar, coerce, exactness, is_finite, scaled
+from .scalars import CERTIFY_TOL, FLOAT_MAX, NEG_INF, ROUNDING_TOL, Scalar, coerce, exactness, is_finite, scaled
 from .spaces import FiniteMetricSpace
-
-# Feasibility slack for float-mode potential checks, scaled by a + b*diam.
-FLOAT_DUAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def truncate_potential(phi: Scalar, a: Scalar) -> Scalar:
 def feasibility_slack(space: FiniteMetricSpace, params: EntropyParams) -> Scalar:
     if space.exact:
         return 0
-    return FLOAT_DUAL_RTOL * (1.0 + float(params.a) + float(params.b) * float(space.diameter))
+    return ROUNDING_TOL * (1.0 + float(params.a) + float(params.b) * float(space.diameter))
 
 
 def _terms(space: FiniteMetricSpace, potentials: DualPotentials, slack, plan: TransportPlan | None = None):
@@ -270,9 +267,9 @@ def solve_flat(
 
 
 def verification_tol(tol: Scalar | None, exact: bool) -> Scalar:
-    """The given tolerance, finite and nonnegative, or by default 0 (exact) or 1e-9 (float)."""
+    """The given tolerance, finite and nonnegative, or by default 0 (exact) or CERTIFY_TOL (float)."""
     if tol is None:
-        return 0 if exact else 1e-9
+        return 0 if exact else CERTIFY_TOL
     if not (is_finite(tol) and tol >= 0):
         raise InvalidParams(f"the tolerance must be finite and nonnegative, got {tol}")
     return tol

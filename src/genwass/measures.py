@@ -12,11 +12,8 @@ from itertools import chain, repeat
 from operator import lt
 
 from .errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from .scalars import Scalar, coerce, is_finite, scaled
+from .scalars import ROUNDING_TOL, Scalar, coerce, is_finite, scaled
 from .spaces import FiniteGroupAction, FiniteMetricSpace, QuotientResult
-
-# Absolute slack for float-mode pointwise comparisons between weights.
-FLOAT_WEIGHT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,11 +119,11 @@ def symmetrize(action: FiniteGroupAction, mu: DiscreteMeasure) -> DiscreteMeasur
 def is_invariant(action: FiniteGroupAction, mu: DiscreteMeasure):
     """None if mu is invariant under every element, else a witness (point, element).
 
-    Exact comparison in exact mode, absolute tolerance FLOAT_WEIGHT_ATOL in
-    float mode: invariance is a hypothesis, so near misses must fail loudly.
+    Exact comparison in exact mode, ROUNDING_TOL * (1 + max weight) in float
+    mode: invariance is a hypothesis, so near misses must fail loudly.
     """
     require_same_space(action, mu)
-    slack = 0 if mu.space.exact else FLOAT_WEIGHT_ATOL
+    slack = 0 if mu.space.exact else ROUNDING_TOL * (1.0 + max(mu.weights))
     for gi, g in enumerate(action.elements):
         for i in range(mu.space.n):
             if abs(mu.weights[g[i]] - mu.weights[i]) > slack:

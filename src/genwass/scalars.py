@@ -19,6 +19,11 @@ Per-entry code still runs in four places: rows that hold any other kind
 rows that are not all ints are tested for finiteness and made exact entry
 by entry, and once a row-level test fails a walk of that row names the
 first witness, so errors name the same entry as an entry-by-entry scan.
+
+Float mode's two tolerances live here too.  A float check of what exact mode
+asserts with equality allows ``ROUNDING_TOL`` times the size of what it
+compares, a size each check computes itself and only in float mode; a float
+answer is certified within ``CERTIFY_TOL``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ Scalar = Union[int, float, Fraction]
 INF = float("inf")
 NEG_INF = float("-inf")
 FLOAT_MAX = int(sys.float_info.max)
+ROUNDING_TOL = 1e-12
+CERTIFY_TOL = 1e-9
 
 
 def parse_scalar(value) -> Scalar:

@@ -18,6 +18,7 @@ from .measures import DiscreteMeasure, measure, symmetrize
 from .oracle import brute_force_value
 from .params import EntropyParams
 from .quotient import check_quotient_isometry
+from .scalars import CERTIFY_TOL
 from .solver_w1 import solve_w1
 from .solver_wp import solve
 from .spaces import FiniteGroupAction, FiniteMetricSpace, compose, validate_action, validate_metric
@@ -213,11 +214,9 @@ def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
         params = random_params(rng)
         expected = brute_force_value(space, mu, nu, params)
         got = solve(space, mu, nu, params).value
-        if params.p == 1:
-            agree = got == expected
-        else:
-            agree = abs(float(got) - float(expected)) <= 1e-9 * (1.0 + abs(float(expected)))
-        bad += 0 if agree else 1
+        tol = 0 if params.p == 1 else CERTIFY_TOL * (1.0 + abs(float(expected)))
+        if abs(got - expected) > tol:
+            bad += 1
     record("oracle agreement", bad == 0, f"({INSTANCES} instances)")
 
     bad = 0
@@ -244,7 +243,7 @@ def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
         mu = symmetrize(action, random_rational_measure(rng, space))
         nu = symmetrize(action, random_rational_measure(rng, space))
         up, down = check_quotient_isometry(action, mu, nu, params)
-        tol = 0 if params.p == 1 else 1e-9 * (1.0 + abs(float(up)))
+        tol = 0 if params.p == 1 else CERTIFY_TOL * (1.0 + abs(float(up)))
         if abs(up - down) > tol:
             bad += 1
     record("quotient isometry", bad == 0)

@@ -27,16 +27,12 @@ from .duality import (
     primal_value,
     verify_optimality,
 )
-from .errors import InvalidParams, SolverFailure
+from .errors import InfeasibleInputs, InvalidParams, SolverFailure
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import Scalar, coerce, scaled
+from .scalars import CERTIFY_TOL, Scalar, coerce, scaled
 from .spaces import FiniteMetricSpace
-
-# Float-mode certification threshold: gaps above 1e-9 * (1 + |value|) are a
-# solver failure, not a rounding artifact.
-GAP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,9 @@ def certified_report(
 ) -> SolveReport:
     """The p = 1 report of a plan of this value and mass, with the certificate of
     the plan against ``potentials``.  Their duality gap must be 0 in exact mode;
-    in float mode it is rounding up to GAP_RTOL * (1 + |value|), reported
-    clamped at 0.  An infeasible pair or a larger gap is a SolverFailure.
+    in float mode it is rounding up to CERTIFY_TOL * (1 + |value|), reported
+    clamped at 0.  An infeasible pair, a larger gap, or a plan and potentials
+    that fail the certificate's own checks is a SolverFailure.
     """
     feasible, objective = evaluate_dual(potentials, mu, nu)
     gap = value - objective
@@ -78,9 +75,13 @@ def certified_report(
         if not feasible or gap != 0:
             raise SolverFailure(f"exact solve left a duality gap of {gap}")
     else:
-        if not feasible or abs(gap) > GAP_RTOL * (1.0 + abs(float(value))):
+        if not feasible or abs(gap) > CERTIFY_TOL * (1.0 + abs(float(value))):
             raise SolverFailure(f"duality gap {gap} exceeds the certification threshold")
         gap = max(gap, 0.0)
+    try:
+        conditions = verify_optimality(space, mu, nu, params, plan, potentials)
+    except InfeasibleInputs as exc:
+        raise SolverFailure(f"the certificate rejects the solver's own plan: {exc}") from None
     return SolveReport(
         value=value,
         plan=plan,
@@ -89,7 +90,7 @@ def certified_report(
         destroyed_mass=mu.mass - mass,
         created_mass=nu.mass - mass,
         duality_gap=gap,
-        conditions=verify_optimality(space, mu, nu, params, plan, potentials),
+        conditions=conditions,
         curve=curve,
     )
 
@@ -119,10 +120,11 @@ def waste_route(
     # Exact ties b d = 2a are indifferent in value; the canonical plan does
     # not ship on them.  The potentials already saturate at a on both
     # endpoints of a tied shipped arc, so the certificate survives the strip.
-    # The cost is compared first: only a tie pays for the test x > 0.
-    zero, tie = coerce(0, space.exact), 2 * waste
+    # The cost is compared first: only a tie pays for the test x > 0, whose
+    # entry becomes 0 * x, a zero of the flow's own scalar type.
+    tie = 2 * waste
     plan = tuple(
-        tuple(zero if c == tie and x > 0 else x for x, c in zip(flows[:n], row))
+        tuple(0 * x if c == tie and x > 0 else x for x, c in zip(flows[:n], row))
         for flows, row in zip(sol.flow[:n], costs)
     )
     pot_src, pot_snk = sol.potential_src, sol.potential_snk

@@ -22,11 +22,9 @@ from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import FLOAT_MAX, Scalar, coerce, exactness
+from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness
 from .solver_w1 import SolveReport, certified_report, solve_w1, waste_route
 from .spaces import FiniteMetricSpace
-
-MASS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class ParametricCurve:
     (T_{k+1}-T_k)/(m_{k+1}-m_k) are nondecreasing (convexity).  Float curves
     carry rounding and are checked within it: a mass may repeat (an
     augmentation below its ulp), and a breakpoint may lie above the chord of
-    its neighbours by MASS_RTOL * (1 + max T_k).
+    its neighbours by ROUNDING_TOL * (1 + max T_k).
     """
 
     breakpoints: tuple[tuple[Scalar, Scalar], ...]
@@ -47,7 +45,7 @@ class ParametricCurve:
         if not pts or pts[0][0] != 0 or pts[0][1] != 0:
             raise ValueError("curve must start at (0, 0)")
         exact = exactness(chain.from_iterable(pts))[0]
-        slack = 0 if exact else MASS_RTOL * (1.0 + max(abs(t) for _, t in pts))
+        slack = 0 if exact else ROUNDING_TOL * (1.0 + max(abs(t) for _, t in pts))
         # (mp, tp) precedes (m0, t0); the first point precedes itself
         for (mp, tp), (m0, t0), (m1, t1) in zip((pts[0], *pts), pts, pts[1:]):
             if m1 < m0 or (exact and m1 == m0):
@@ -65,12 +63,12 @@ class ParametricCurve:
     def value_at(self, m: Scalar) -> Scalar:
         """Piecewise-linear interpolation of T at mass m."""
         pts = self.breakpoints
-        if m < 0 or m > self.max_mass:
+        if not 0 <= m <= self.max_mass:  # NaN fails both comparisons
             raise ValueError("mass outside the curve's range")
         for (m0, t0), (m1, t1) in zip(pts, pts[1:]):
             if m <= m1:
                 return t0 + (t1 - t0) * (m - m0) / (m1 - m0)
-        return pts[-1][1]
+        return pts[-1][1]  # m = 0 on the one-point curve of a zero measure
 
 
 def _power_costs(space: FiniteMetricSpace, p) -> tuple[list[list[Scalar]], int | None]:
@@ -121,7 +119,7 @@ def wasserstein_p(
     require_same_space(mu, nu, space=space)
     if p < 1:
         raise InvalidParams(f"p must be at least 1, got {p}")
-    slack = 0 if space.exact else MASS_RTOL * (1.0 + max(float(mu.mass), float(nu.mass)))
+    slack = 0 if space.exact else ROUNDING_TOL * (1.0 + max(float(mu.mass), float(nu.mass)))
     if abs(mu.mass - nu.mass) > slack:
         raise MassMismatch(f"|mu| = {mu.mass} differs from |nu| = {nu.mass}")
     if mu.mass == 0:

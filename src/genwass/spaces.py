@@ -18,11 +18,7 @@ from .errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .scalars import Scalar, coerce, coerce_rows, exactness, first_nonfinite, int_rows, scaled
-
-# Relative slack for float-mode checks that must hold exactly in exact mode
-# (triangle inequality, isometry).  Scaled by the diameter.
-FLOAT_METRIC_RTOL = 1e-12
+from .scalars import ROUNDING_TOL, Scalar, coerce, coerce_rows, exactness, first_nonfinite, int_rows, scaled
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
     # monotone, and where d[i][j] <= d[i][k] + d[k][j] the rounded entries
     # and their rounded sum stray from the integers by at most about
     # 3u * (d[i][k] + d[k][j]) <= 6u * diam in all (u = 2**-53; no error
-    # below 2**53), far inside the slack of 1e-12 * diam.  Symmetry was
+    # below 2**53), far inside the slack of ROUNDING_TOL * diam.  Symmetry was
     # checked on the floats, so float(d[j][k]), which the scan reads,
     # equals float(d[k][j]).
     ints = space._scaled[0] if exact else int_rows(matrix)
@@ -140,7 +136,7 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
         # d is symmetric and k in {i, j} never fails, so one test per pair
         # i < j finds the first (i, j, k) witness of a scan over every
         # ordered triple.
-        slack = 0 if exact else FLOAT_METRIC_RTOL * float(space.diameter)
+        slack = 0 if exact else ROUNDING_TOL * float(space.diameter)
         for i in range(n):
             for j in range(i + 1, n):
                 if d[i][j] > min(map(add, d[i], d[j])) + slack:
@@ -219,8 +215,7 @@ def validate_action(space: FiniteMetricSpace, permutations, labels=None) -> Fini
             if compose(g, h) not in known:
                 raise NotClosed(labels[gi], labels[hi])
 
-    diam = space.diameter
-    slack = 0 if space.exact else FLOAT_METRIC_RTOL * float(diam)
+    slack = 0 if space.exact else ROUNDING_TOL * float(space.diameter)
     for gi, g in enumerate(elements):
         for i in range(n):
             for j in range(n):

@@ -14,10 +14,12 @@ from operator import add
 from typing import Iterator
 
 from genwass.errors import AsymmetricEntry, NegativeEntry, NonzeroDiagonal, TriangleViolation, ZeroOffDiagonal
-from genwass.measures import FLOAT_WEIGHT_ATOL, DiscreteMeasure, TransportPlan, measure, require_same_space
+from genwass.measures import DiscreteMeasure, TransportPlan, measure, require_same_space
 from genwass.oracle import DEFAULT_PLAN_CAP, _odometer
+from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
+from genwass.scalars import ROUNDING_TOL as FLOAT_WEIGHT_ATOL
 from genwass.scalars import Scalar, coerce, coerce_rows, scaled
-from genwass.spaces import FLOAT_METRIC_RTOL, FiniteMetricSpace
+from genwass.spaces import FiniteMetricSpace
 
 
 def zero_measure(space: FiniteMetricSpace) -> DiscreteMeasure:

@@ -31,6 +31,7 @@ from genwass.duality import DualPotentials
 from genwass.gh import check_equivariant_stability, check_pushforward_stability
 from genwass.measures import TransportPlan, is_invariant, measure
 from genwass.quotient import check_quotient_contraction, check_quotient_isometry
+from genwass.scalars import CERTIFY_TOL as GAP_RTOL
 from genwass.scalars import scalar_to_json
 from genwass.selftest import (
     random_equivariant_target,
@@ -41,7 +42,6 @@ from genwass.selftest import (
     random_rational_measure,
     random_space_with_action,
 )
-from genwass.solver_w1 import GAP_RTOL
 from genwass.solver_wp import solve
 
 QUARTER = Fraction(1, 4)

@@ -385,6 +385,29 @@ def test_uncertified_solves_exit_1(problem_file, capsys, monkeypatch, mode, line
     assert captured.out == "" and captured.err == line + "\n"
 
 
+# A valid float file: a column sum of the float plan passes nu's weight at z,
+# of size 2.3e8, by 3e-8, more than the certificate's absolute default tol.
+ROUNDED_PAST_THE_CAP = {
+    "space": {"points": ["x", "y", "z"], "d": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]},
+    "mu": {"x": 229999999.99999997, "y": 110000000.00000001, "z": 5e7},
+    "nu": {"x": 1e7, "y": 7e7, "z": 229999999.99999997},
+    "params": {"a": 2.0, "b": 1.0, "p": 1},
+}
+
+
+@pytest.mark.parametrize("command", ["dist", "plan", "dual", "verify"])
+def test_a_plan_its_own_certificate_rejects_exits_1(problem_file, capsys, command):
+    path = problem_file(ROUNDED_PAST_THE_CAP)
+    assert main([command, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "solver failure: the certificate rejects the solver's own plan: "
+        "plan marginals exceed the problem measures\n"
+    )
+    assert main([command, "--input", path, "--mode", "exact"]) == 0
+
+
 def test_selftest_fails_on_a_wrong_solver(capsys, monkeypatch):
     solve = selftest.solve
 

@@ -11,8 +11,9 @@ from genwass import EntropyParams, flow, solve_w1
 from genwass.errors import SolverFailure
 from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
 from genwass.scalars import INF
+from genwass.scalars import ROUNDING_TOL as MASS_RTOL
 from genwass.selftest import random_int_metric, random_rational_measure
-from genwass.solver_wp import MASS_RTOL, solve_wp
+from genwass.solver_wp import solve_wp
 
 FIELDS = ("flow", "total", "cost", "breakpoints", "potential_src", "potential_snk")
 

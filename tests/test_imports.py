@@ -5,8 +5,8 @@ module other than ``__init__``,
 only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
 that turns exact values into integers over a common denominator, only
 ``scalars`` names ``is_exact``: ``scalars.exactness`` decides the kind of a
-whole sequence at once, and the independent cross-check routes never reach
-the flow solver through imports.
+whole sequence at once, only ``scalars`` writes a float tolerance, and the
+independent cross-check routes never reach the flow solver through imports.
 
 Neither ruff nor pyflakes is a dependency, so this is a small stdlib-``ast``
 check.  ``__init__.py`` is exempt from the import check: its imports are the
@@ -140,6 +140,25 @@ def test_only_scalars_names_lcm():
 def test_only_scalars_names_is_exact():
     # every other module asks scalars.exactness once for a whole sequence
     assert name_users({p.stem: p.read_text() for p in PACKAGE}, "is_exact") == ["scalars"]
+
+
+def small_float_literals(source: str) -> list[float]:
+    """The float literals of ``source`` in (0, 1e-6): tolerances, in this package."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-6
+    ]
+
+
+def test_only_scalars_holds_a_float_tolerance():
+    # every float check scales scalars.ROUNDING_TOL or scalars.CERTIFY_TOL
+    assert [p.stem for p in PACKAGE if small_float_literals(p.read_text())] == ["scalars"]
+
+
+def test_checker_flags_every_small_float_literal():
+    source = "a = 1e-9\nb = -1e-12\nc = 0.5\nd = 1e-6\ne = 0.0\nf = 1\ng = 2 * 1e-7\n"
+    assert small_float_literals(source) == [1e-9, 1e-12, 1e-7]
 
 
 def test_checker_flags_every_way_to_name_lcm():

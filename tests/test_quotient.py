@@ -82,6 +82,21 @@ def test_near_invariance_fails_loudly_in_float_mode(unit_params):
         check_quotient_isometry(action, almost, almost, EntropyParams(1.0, 1.0, 1))
 
 
+@pytest.mark.parametrize("size", [1e6, 1e9, 1e12])
+def test_symmetrized_float_measures_are_invariant_at_any_size(size):
+    # the float slack grows with the weights, as every float check's does
+    rng = random.Random(23)
+    for _ in range(8):
+        action = random_space_with_action(rng)
+        space = action.space.as_float()
+        action = validate_action(space, action.elements, action.labels)
+        weights = [[size * rng.random() for _ in range(space.n)] for _ in range(2)]
+        mu, nu = (symmetrize(action, measure(space, w)) for w in weights)
+        assert is_invariant(action, mu) is None and is_invariant(action, nu) is None
+        up, down = check_quotient_isometry(action, mu, nu, EntropyParams(1.0, 1.0, 1))
+        assert float(up) == pytest.approx(float(down), rel=1e-9)
+
+
 def test_lift_surjectivity_and_invariance():
     rng = random.Random(19)
     for _ in range(25):

@@ -13,6 +13,8 @@ from genwass import (
     validate_metric,
 )
 from genwass.errors import InvalidParams, SpaceMismatch
+from genwass.jsonio import report_to_json
+from genwass.measures import DiscreteMeasure
 from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
 from reference import is_submeasure, marginals
 
@@ -101,6 +103,16 @@ def test_tie_prefers_not_shipping():
     assert report.transported_mass == 0
     assert report.conditions.passed
     assert report.duality_gap == 0
+
+
+def test_float_masses_on_an_exact_space_give_an_all_float_plan(line3, unit_params):
+    # the flow runs on floats; the tie b d = 2a at (0, 2) is stripped to a float zero
+    mu = DiscreteMeasure(line3, (0.5, 1.0, 0.0))
+    nu = DiscreteMeasure(line3, (0.0, 0.25, 1.0))
+    report = solve_w1(line3, mu, nu, unit_params)
+    assert report.plan.gamma == ((0.0, 0.0, 0.0), (0.0, 0.25, 0.75), (0.0, 0.0, 0.0))
+    assert {type(x) for row in report.plan.gamma for x in row} == {float}
+    assert {type(x) for row in report_to_json(report)["plan"] for x in row} == {float}
 
 
 def test_no_mass_on_arcs_beyond_threshold():

@@ -68,6 +68,7 @@ def test_curve_of_zero_measure(two_point):
         two_point, measure(two_point, [0, 0]), dirac(two_point, 1), 1
     )
     assert curve.breakpoints == ((0, 0),)
+    assert curve.value_at(0) == 0
 
 
 def test_curve_interpolation_matches_segments():
@@ -122,6 +123,8 @@ def test_malformed_curves_are_rejected(points, message):
 def test_curve_value_outside_its_range_is_rejected():
     with pytest.raises(ValueError, match="mass outside the curve's range"):
         ParametricCurve(breakpoints=((0, 0), (1, 1))).value_at(2)
+    with pytest.raises(ValueError, match="mass outside the curve's range"):
+        ParametricCurve(breakpoints=((0, 0), (1, 1))).value_at(float("nan"))
 
 
 @pytest.mark.parametrize("call", ["EntropyParams", "wasserstein_p", "parametric_transport_curve"])

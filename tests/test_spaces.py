@@ -19,7 +19,8 @@ from genwass.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from genwass.spaces import FLOAT_METRIC_RTOL, compose
+from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
+from genwass.spaces import compose
 from reference import metric_violation
 
 
