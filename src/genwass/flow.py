@@ -61,8 +61,9 @@ float infinity.  Inputs that are not all exact, float ones and those that
 mix exact and float scalars, run it on floats, converted once by
 ``map(float, row)``, which leaves a float as it is.  One set of the input
 types (``scalars.exactness``) makes the choice, and the Fraction of each
-distinct scaled flow value is built once and shared.  The flat LP and the
-oracle keep their own Fraction arithmetic and never use this solver.
+distinct scaled flow value is built once and shared.  The flat LP's simplex
+and the oracle scale their own inputs to integers, each with its own
+``scalars.scaled`` call, and never use this solver or its scaled costs.
 """
 
 from __future__ import annotations

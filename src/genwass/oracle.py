@@ -9,16 +9,26 @@ integral vertices whenever mu and nu are integral; enumerating all integer
 sub-marginal matrices therefore covers every vertex.  Rational masses are
 rescaled to integers by callers before invoking the oracle.
 
+The enumeration stays exhaustive: every integer plan is walked.  What each
+plan costs to evaluate is cut instead.  The objective depends on a plan
+only through its shipped mass m and transport cost t = sum d^p gamma, so it
+is evaluated once per distinct (m, t), and on an exact space with an integer
+p, t is summed as an int over integer costs.  The oracle scales the
+distances itself; it does not read the integer image the space caches for
+the flow, so the two routes share no cost table.
+
 This module is deliberately slow and simple: it exists to cross-check the
 flow and simplex solvers, not to be used for solving.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import TooLarge
 from .measures import DiscreteMeasure, require_same_space
 from .params import EntropyParams
-from .scalars import Scalar
+from .scalars import Scalar, scaled
 from .spaces import FiniteMetricSpace
 
 DEFAULT_PLAN_CAP = 10_000_000
@@ -34,15 +44,30 @@ def brute_force_value(
     """Minimum objective over every enumerated integer plan.
 
     Exact (rational) for p = 1; for p > 1 the root is evaluated in floats.
+    On an exact space with an integer p the costs are D^p over F^p, for the
+    distances D over their common denominator F, and the objective takes
+    t = Fraction(t, F^p) once per distinct (m, t), in the order of first
+    appearance: the same value, and the same float root, as a Fraction sum
+    per plan.  Other spaces and orders evaluate their own float or Fraction
+    sums, de-duplicated the same way.
     """
     require_same_space(mu, nu, space=space)
     a, b, p = params.a, params.b, params.p
     exponent = int(p) if p == int(p) else float(p)
     total = mu.mass + nu.mass
     inv_p = 1.0 / float(p)
-    powered = [[d**exponent for d in row] for row in space.dist]
+    unit = None  # F^p, when the costs are integers
+    if space.exact and type(exponent) is int:
+        n = space.n
+        flat, factor = scaled([x for row in space.dist for x in row])
+        costs = [[x**exponent for x in flat[i * n : (i + 1) * n]] for i in range(n)]
+        unit = factor**exponent
+    else:
+        costs = [[d**exponent for d in row] for row in space.dist]
     best = None
-    for _, m, t in _odometer(mu, nu, cap, powered):
+    for m, t in dict.fromkeys((m, t) for _, m, t in _odometer(mu, nu, cap, costs)):
+        if unit is not None:
+            t = Fraction(t, unit)
         if p == 1:
             value = a * (total - 2 * m) + b * t
         else:

@@ -2,9 +2,12 @@
 
 No route of the package runs these: the certificate reads a plan's row and
 column sums in one pass, the oracle walks its odometer without building
-plans, and the metric check tests whole rows and packed integer rows before
-it walks any entry.  They are kept here, as simple second implementations,
-so the tests can check the fast paths against them.
+plans and evaluates its objective once per distinct (mass, cost) pair on
+integer costs, and the metric check tests whole rows and packed integer rows
+before it walks any entry.  They are kept here, as simple second
+implementations, so the tests can check the fast paths against them.  The
+metric families at the end are the non-degenerate inputs of the larger
+cross-checks.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from typing import Iterator
 from genwass.errors import AsymmetricEntry, NegativeEntry, NonzeroDiagonal, TriangleViolation, ZeroOffDiagonal
 from genwass.measures import DiscreteMeasure, TransportPlan, measure, require_same_space
 from genwass.oracle import DEFAULT_PLAN_CAP, _odometer
+from genwass.params import EntropyParams
 from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
 from genwass.scalars import ROUNDING_TOL as FLOAT_WEIGHT_ATOL
 from genwass.scalars import Scalar, coerce, coerce_rows, scaled
-from genwass.spaces import FiniteMetricSpace
+from genwass.spaces import FiniteMetricSpace, validate_metric
 
 
 def zero_measure(space: FiniteMetricSpace) -> DiscreteMeasure:
@@ -78,6 +82,34 @@ def enumerate_integer_plans(
         yield TransportPlan(space, tuple(tuple(row) for row in gamma))
 
 
+def brute_force_value(
+    space: FiniteMetricSpace,
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    params: EntropyParams,
+    cap: int = DEFAULT_PLAN_CAP,
+) -> Scalar:
+    """Minimum objective over every enumerated integer plan.
+
+    Exact (rational) for p = 1; for p > 1 the root is evaluated in floats.
+    """
+    require_same_space(mu, nu, space=space)
+    a, b, p = params.a, params.b, params.p
+    exponent = int(p) if p == int(p) else float(p)
+    total = mu.mass + nu.mass
+    inv_p = 1.0 / float(p)
+    powered = [[d**exponent for d in row] for row in space.dist]
+    best = None
+    for _, m, t in _odometer(mu, nu, cap, powered):
+        if p == 1:
+            value = a * (total - 2 * m) + b * t
+        else:
+            value = a * (total - 2 * m) + b * float(t) ** inv_p
+        if best is None or value < best:
+            best = value
+    return best
+
+
 def metric_violation(matrix, exact: bool):
     """The error type and witness indices of the first violated metric axiom
     of a finite square matrix, or None for a metric: an entry-by-entry walk
@@ -113,3 +145,24 @@ def metric_violation(matrix, exact: bool):
                 k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + slack)
                 return TriangleViolation, (i, j, k)
     return None
+
+
+def wide_metric(rng, n: int, low: int = 1000) -> FiniteMetricSpace:
+    """Unclosed integer distances in [low, 2 low]: every triangle holds with
+    no closure, since two distances sum to at least 2 low, a third point
+    lies between two others only when both legs are low and the pair is
+    2 low apart, so almost every pair is a row of the flat LP, and the
+    transport costs are generic."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(low, 2 * low)
+    return validate_metric([f"x{i}" for i in range(n)], d, exact=True)
+
+
+def l1_metric(rng, n: int, side: int = 1000) -> FiniteMetricSpace:
+    """n distinct points of {0..side}^2 under the l1 distance: many pairs have
+    a third point on a geodesic, and many slopes."""
+    points = [divmod(k, side + 1) for k in rng.sample(range((side + 1) ** 2), n)]
+    d = [[abs(x - u) + abs(y - v) for u, v in points] for x, y in points]
+    return validate_metric([f"x{i}" for i in range(n)], d, exact=True)

@@ -43,6 +43,7 @@ from genwass.selftest import (
     random_space_with_action,
 )
 from genwass.solver_wp import solve
+from reference import l1_metric, wide_metric
 
 QUARTER = Fraction(1, 4)
 
@@ -108,19 +109,19 @@ def test_criterion_3_flat_metric_equality(duality_instances):
     report("criterion 3 PASS: independent simplex matches the flow value on 500 instances")
 
 
-def check_flat_equality_at(n, seed):
+def check_flat_equality_at(n, seed, family=random_int_metric, params=None):
     rng = random.Random(seed)
-    space = random_int_metric(rng, n)
+    space = family(rng, n)
     mu = random_rational_measure(rng, space)
     nu = random_rational_measure(rng, space)
-    params = random_params(rng, p=1)
+    params = params or random_params(rng, p=1)
     rep = solve_w1(space, mu, nu, params)
     flat_value, witness = solve_flat(space, mu, nu, params)
     assert rep.transported_mass > 0
     assert rep.duality_gap == 0
     assert flat_value == rep.value
     assert all(-params.a <= v <= params.a for v in witness.f)
-    report(f"criterion 3 PASS at n = {n} (seed {seed}): simplex and flow agree on {rep.value}")
+    report(f"criterion 3 PASS at n = {n} ({family.__name__}, seed {seed}): simplex and flow agree on {rep.value}")
 
 
 @pytest.mark.parametrize("seed", [2401, 2402])
@@ -138,9 +139,35 @@ def test_criterion_3_flat_metric_equality_at_n48(seed):
     check_flat_equality_at(48, seed)
 
 
+# a = 500 and b = 1/2: 2a is at least b d on every pair of these families, so
+# mass ships everywhere
+SPREAD_PARAMS = EntropyParams(a=Fraction(500), b=Fraction(1, 2), p=1)
+
+
+@pytest.mark.parametrize(
+    "family, n, seed",
+    [
+        (wide_metric, 32, 3203),
+        (l1_metric, 32, 3203),
+        (wide_metric, 48, 4803),
+        (l1_metric, 48, 4803),
+        (wide_metric, 96, 9603),
+        (l1_metric, 128, 12803),
+    ],
+    ids=["wide-32", "l1-32", "wide-48", "l1-48", "wide-96", "l1-128"],
+)
+def test_criterion_3_flat_metric_equality_on_wide_and_l1(family, n, seed):
+    check_flat_equality_at(n, seed, family, SPREAD_PARAMS)
+
+
 @pytest.mark.parametrize("seed", [6403, 6406])
 def test_criterion_3_flat_metric_equality_at_n64(seed):
     check_flat_equality_at(64, seed)
+
+
+@pytest.mark.parametrize("seed", [9601])
+def test_criterion_3_flat_metric_equality_at_n96(seed):
+    check_flat_equality_at(96, seed)
 
 
 def test_criterion_2_exact_and_float_at_n64():

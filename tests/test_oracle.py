@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from genwass import (
     validate_metric,
 )
 from genwass.errors import TooLarge
+from genwass.selftest import random_int_metric, random_params
+from reference import brute_force_value as per_leaf_value
 from reference import enumerate_integer_plans, is_submeasure, marginals
 
 
@@ -84,3 +87,36 @@ def test_p1_value_is_homogeneous_in_mass(line3, unit_params):
     for k in (2, 3):
         scaled = brute_force_value(line3, mu.scale(k), nu.scale(k), unit_params)
         assert scaled == k * base
+
+
+ORDERS = (1, Fraction(3, 2), 2, 3)
+
+
+def oracle_instances(seed, count):
+    """Seeded spaces of 1 to 3 points, exact at scale 1 and 2/3 and float,
+    with integer masses up to 3, at every order of ORDERS."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        dist = random_int_metric(rng, n, max_d=rng.choice((3, 9))).dist
+        mu_w, nu_w = ([rng.randint(0, 3) for _ in range(n)] for _ in range(2))
+        params = random_params(rng, p=1)
+        for scale, exact in ((1, True), (Fraction(2, 3), True), (1, False)):
+            cast = (lambda x: x) if exact else float
+            d = [[cast(scale * x) for x in row] for row in dist]
+            space = validate_metric([f"x{i}" for i in range(n)], d, exact=exact)
+            mu, nu = (measure(space, list(map(cast, ws))) for ws in (mu_w, nu_w))
+            for p in ORDERS:
+                yield space, mu, nu, EntropyParams(a=cast(params.a), b=cast(params.b), p=cast(p))
+
+
+def test_brute_force_value_matches_the_per_leaf_reference():
+    # integer costs and one evaluation per distinct (m, t) give the value
+    # that a Fraction sum per plan gives
+    count = 0
+    for space, mu, nu, params in oracle_instances(31, 40):
+        got, want = brute_force_value(space, mu, nu, params), per_leaf_value(space, mu, nu, params)
+        # equal reprs: the same Fraction, or the same float to the last bit
+        assert type(got) is type(want) and repr(got) == repr(want), (space.dist, mu.weights, nu.weights, params)
+        count += 1
+    assert count == 40 * 3 * len(ORDERS)

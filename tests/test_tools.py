@@ -17,16 +17,18 @@ def _load_dump():
 def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     # per instance: solve at p = 1, 2, 3, solve_wp, solve_flat, six
     # certificates, one metric check and three CLI calls; four `verify --report` calls more
-    # when the problem file is at p = 1 (instances 1 and 2 of every 3)
+    # when the problem file is at p = 1 (instances 1 and 2 of every 3), and six
+    # oracle values more on at most 3 points (instance 2, of 1 point)
     dump = _load_dump()
     monkeypatch.setattr(dump, "INSTANCES", 3)
     lines = list(dump.dump(cli_main, tmp_path))
-    assert len(lines) == 15 + 19 + 19
+    assert len(lines) == 15 + 19 + 25
     tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in lines]
     assert all(tags)
     ks = [int(tag.group(2)) for tag in tags]
-    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [15, 19, 19]
+    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [15, 19, 25]
     # one instance, one tag
     assert len({tag.group(1) for tag in tags}) == 3
     assert sum(" cli verify " in line for line in lines) == 8
     assert sum(" validate_metric" in line for line in lines) == 3
+    assert sum(" brute_force_value " in line for line in lines) == 6

@@ -15,7 +15,9 @@ it with one entry raised by 1/4, at the default tolerance and at 1/4; one
 metric check, ``validate_metric`` on a copy of the distances with one pair
 moved by -1 or +1 unit (drawn from a generator of its own), in exact mode,
 in float mode and in float mode on the integer rows, each as the error type
-and witness, or "ok"; and the exit code, stdout and stderr of the CLI
+and witness, or "ok"; on instances of at most 3 points, the brute-force
+oracle at p = 1, 2 and 3, exact and float, on the masses min(floor(w), 3) of
+the instance's weights w; and the exit code, stdout and stderr of the CLI
 ``plan``, ``dual`` and ``verify --report`` on a problem file (the report is
 the ``plan --format json`` output, and once more with the same raised
 entry).  Errors print as their type and message.  Standard library only:
@@ -40,6 +42,8 @@ NUDGE_SEED = 20192
 INSTANCES = 200
 RATES = (Fraction(1, 2), Fraction(1), Fraction(2))
 SCALES = (Fraction(1), Fraction(1), Fraction(2, 3))
+ORACLE_MAX_N = 3
+ORACLE_MAX_W = 3
 
 
 def closed_metric(rng: random.Random, n: int, max_d: int) -> list[list[int]]:
@@ -87,6 +91,7 @@ def dump(cli_main, workdir: Path):
     from genwass import (
         EntropyParams,
         TransportPlan,
+        brute_force_value,
         measure,
         solve,
         solve_flat,
@@ -128,6 +133,15 @@ def dump(cli_main, workdir: Path):
                 result = outcome(verify_optimality, space, mu, nu, p1, plan, potentials, tol=tol)
                 yield f"{tag} verify_optimality {name} tol={tol}: {result}"
         yield f"{tag} {metric_check(validate_metric, nudge_rng, labels, ints, scale)}"
+        if n <= ORACLE_MAX_N:
+            masses = [[min(int(w), ORACLE_MAX_W) for w in ws] for ws in (mu_w, nu_w)]
+            for o_exact in (True, False):
+                o_space = validate_metric(labels, [[in_mode(x, o_exact) for x in row] for row in d], exact=o_exact)
+                o_mu, o_nu = (measure(o_space, [in_mode(w, o_exact) for w in ws]) for ws in masses)
+                for p in (1, 2, 3):
+                    o_params = EntropyParams(a=in_mode(a, o_exact), b=in_mode(b, o_exact), p=p)
+                    result = outcome(brute_force_value, o_space, o_mu, o_nu, o_params)
+                    yield f"{tag} brute_force_value {'exact' if o_exact else 'float'} p={p}: {result}"
 
         doc = {
             "space": {"points": labels, "d": [[number(x, exact) for x in row] for row in d]},
