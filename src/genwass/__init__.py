@@ -6,7 +6,7 @@ transport at rate b.  The package provides the primal flow solver, dual
 potentials with a four-condition optimality certificate, the equivalent
 flat-metric (bounded-Lipschitz) linear program as an independent
 cross-check, quotient constructions under finite isometric group actions,
-Gromov-Hausdorff stability bounds, and a brute-force oracle used by the
+Gromov-Hausdorff stability bounds, and an exhaustive oracle used by the
 verification suite.
 """
 

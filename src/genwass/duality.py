@@ -34,7 +34,8 @@ from . import simplex
 from .errors import InfeasibleInputs, InvalidParams, SpaceMismatch
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import CERTIFY_TOL, FLOAT_MAX, NEG_INF, ROUNDING_TOL, Scalar, coerce, exactness, is_finite, scaled
+from .scalars import CERTIFY_TOL, FLOAT_MAX, NEG_INF, ROUNDING_TOL, Scalar, coerce, exactness, is_finite
+from .scalars import scaled, scaled_rows
 from .spaces import FiniteMetricSpace
 
 
@@ -236,8 +237,7 @@ def solve_flat(
         dist, d = space.dist, space._scaled[0]
     else:
         dist = [[Fraction(x) for x in row] for row in space.dist]
-        flat, _ = scaled([x for row in dist for x in row])
-        d = [flat[i * n : (i + 1) * n] for i in range(n)]
+        d, _ = scaled_rows(dist)
 
     rows = []
     rhs = []

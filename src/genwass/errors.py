@@ -44,7 +44,7 @@ class NotInvariant(GenwassError):
 
 
 class TooLarge(GenwassError):
-    """Brute-force enumeration would exceed the configured plan cap."""
+    """The oracle's dynamic program would keep more states than its cap."""
 
 
 class SolverFailure(GenwassError):

@@ -12,7 +12,7 @@ from itertools import chain, repeat
 from operator import lt
 
 from .errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from .scalars import ROUNDING_TOL, Scalar, coerce, is_finite, scaled
+from .scalars import ROUNDING_TOL, Scalar, coerce, is_finite, scaled_rows
 from .spaces import FiniteGroupAction, FiniteMetricSpace, QuotientResult
 
 
@@ -161,7 +161,7 @@ class TransportPlan:
     space: FiniteMetricSpace
     gamma: tuple[tuple[Scalar, ...], ...]
     # The entries with the value of one unit of them: ints over their common
-    # denominator F_g with unit Fraction(1, F_g), from one scalars.scaled call,
+    # denominator F_g with unit Fraction(1, F_g), from scalars.scaled_rows,
     # when the space is exact and every entry is a Fraction; else the entries
     # as they are with unit 1.  Each sum is unit times a sum of rows, and the
     # certificate reads the ints only when the unit is a Fraction.
@@ -172,11 +172,10 @@ class TransportPlan:
         if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
             raise ValueError("plan must be n x n for the space")
         rows, unit = self.gamma, 1
-        entries = list(chain.from_iterable(rows))
-        if self.space.exact and all(type(x) is Fraction for x in entries):
-            entries, factor = scaled(entries)
-            rows, unit = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)), Fraction(1, factor)
-        if any(map(lt, entries, repeat(0))):
+        if self.space.exact and all(type(x) is Fraction for x in chain.from_iterable(rows)):
+            rows, factor = scaled_rows(rows)
+            unit = Fraction(1, factor)
+        if any(map(lt, chain.from_iterable(rows), repeat(0))):
             raise ValueError("plan entries must be nonnegative")
         object.__setattr__(self, "_scaled", (rows, unit))
 

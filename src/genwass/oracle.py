@@ -1,24 +1,30 @@
-"""Independent brute-force reference solver over integer-mass instances.
+"""Independent exhaustive reference solver over integer-mass instances.
 
-Why exhaustive integer enumeration is exact for every order p >= 1: the
+Why a minimum over integer plans is exact for every order p >= 1: the
 objective  a(|mu| + |nu| - 2 sum gamma) + b (sum d^p gamma)^(1/p)  is concave
 in gamma (a linear term plus an increasing concave function of a linear map),
 so its minimum over the feasible polytope {gamma >= 0, rows <= mu, cols <= nu}
 is attained at a vertex.  That polytope has transportation structure, hence
-integral vertices whenever mu and nu are integral; enumerating all integer
-sub-marginal matrices therefore covers every vertex.  Rational masses are
+integral vertices whenever mu and nu are integral, so a minimum over every
+integer sub-marginal matrix covers every vertex.  Rational masses are
 rescaled to integers by callers before invoking the oracle.
 
-The enumeration stays exhaustive: every integer plan is walked.  What each
-plan costs to evaluate is cut instead.  The objective depends on a plan
-only through its shipped mass m and transport cost t = sum d^p gamma, so it
-is evaluated once per distinct (m, t), and on an exact space with an integer
-p, t is summed as an int over integer costs.  The oracle scales the
-distances itself; it does not read the integer image the space caches for
-the flow, so the two routes share no cost table.
+That minimum is found by dynamic programming, not by walking plans.  The
+objective depends on a plan only through its shipped mass m and cost
+t = sum d^p gamma, and for a fixed m it never decreases as t grows.  The
+cells are taken in row-major order, t summed as t + cost * v cell by cell.
+Partial plans that leave the same column residuals and the same residual of
+the current row have the same completions, and as every sum (float rounding
+included) is monotone, the one with the least t stays least after each
+completion.  So only the least t per state is kept; a row's residual is
+dropped at its end, where equal states merge, and m is the column mass less
+the residuals.  The least t per m, T(m), is the least cost of an integer
+plan shipping m, and the value is the least a(|mu| + |nu| - 2m) + b T(m)^(1/p).
 
-This module is deliberately slow and simple: it exists to cross-check the
-flow and simplex solvers, not to be used for solving.
+On an exact space with an integer p, t is summed as an int over integer
+costs.  The oracle scales the distances itself; it does not read the
+integer image the space caches for the flow, so the two routes share no
+cost table.  It exists to cross-check the flow and simplex solvers.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 from .errors import TooLarge
 from .measures import DiscreteMeasure, require_same_space
 from .params import EntropyParams
-from .scalars import Scalar, scaled
+from .scalars import Scalar, scaled_rows
 from .spaces import FiniteMetricSpace
 
 DEFAULT_PLAN_CAP = 10_000_000
@@ -41,80 +47,60 @@ def brute_force_value(
     params: EntropyParams,
     cap: int = DEFAULT_PLAN_CAP,
 ) -> Scalar:
-    """Minimum objective over every enumerated integer plan.
+    """Minimum objective over every integer sub-marginal plan.
 
     Exact (rational) for p = 1; for p > 1 the root is evaluated in floats.
     On an exact space with an integer p the costs are D^p over F^p, for the
-    distances D over their common denominator F, and the objective takes
-    t = Fraction(t, F^p) once per distinct (m, t), in the order of first
-    appearance: the same value, and the same float root, as a Fraction sum
-    per plan.  Other spaces and orders evaluate their own float or Fraction
-    sums, de-duplicated the same way.
+    distances D over their common denominator F, and t = Fraction(t, F^p):
+    the same value, and the same float root, as a Fraction sum per plan.
+    Other spaces and orders sum their own float costs.
+
+    ``cap`` bounds the states the dynamic program keeps after any cell; a
+    cell that would keep more raises :class:`TooLarge`.  The states after a
+    cell are at most the partial plans over the cells so far, so an instance
+    with at most ``cap`` integer plans never reaches it.
     """
     require_same_space(mu, nu, space=space)
     a, b, p = params.a, params.b, params.p
     exponent = int(p) if p == int(p) else float(p)
+    rows, cols = _integer_weights(mu), _integer_weights(nu)
+    dist, unit = space.dist, None  # unit = F^p, when the costs are integers
+    if space.exact and type(exponent) is int:
+        dist, factor = scaled_rows(space.dist)
+        unit = factor**exponent
+    least = _least_costs(rows, cols, [[d**exponent for d in row] for row in dist], cap)
+    if unit is not None:
+        least = {m: Fraction(t, unit) for m, t in least.items()}
     total = mu.mass + nu.mass
     inv_p = 1.0 / float(p)
-    unit = None  # F^p, when the costs are integers
-    if space.exact and type(exponent) is int:
-        n = space.n
-        flat, factor = scaled([x for row in space.dist for x in row])
-        costs = [[x**exponent for x in flat[i * n : (i + 1) * n]] for i in range(n)]
-        unit = factor**exponent
-    else:
-        costs = [[d**exponent for d in row] for row in space.dist]
-    best = None
-    for m, t in dict.fromkeys((m, t) for _, m, t in _odometer(mu, nu, cap, costs)):
-        if unit is not None:
-            t = Fraction(t, unit)
-        if p == 1:
-            value = a * (total - 2 * m) + b * t
-        else:
-            value = a * (total - 2 * m) + b * float(t) ** inv_p
-        if best is None or value < best:
-            best = value
-    return best
+    return min(a * (total - 2 * m) + b * (t if p == 1 else float(t) ** inv_p) for m, t in least.items())
 
 
-def _odometer(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int, costs):
-    """Walk every integer sub-marginal plan once, yielding (gamma, m, t).
-
-    ``gamma`` is the live matrix (copy it to keep it), ``m`` its shipped
-    mass and ``t`` the sum of costs[i][j] * gamma[i][j], both carried along
-    the odometer so each leaf costs O(1).
-    """
-    require_same_space(mu, nu)
-    row_left = _integer_weights(mu)
-    col_left = _integer_weights(nu)
-    n = len(row_left)
-
-    bound_product = 1
-    for i in range(n):
-        for j in range(n):
-            bound_product *= min(row_left[i], col_left[j]) + 1
-            if bound_product > cap:
-                raise TooLarge(f"plan enumeration bound exceeds the cap of {cap}")
-
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    gamma = [[0] * n for _ in range(n)]
-
-    def rec(k: int, m: int, t):
-        if k == len(cells):
-            yield gamma, m, t
-            return
-        i, j = cells[k]
-        cost = costs[i][j]
-        for v in range(min(row_left[i], col_left[j]) + 1):
-            gamma[i][j] = v
-            row_left[i] -= v
-            col_left[j] -= v
-            yield from rec(k + 1, m + v, t + cost * v)
-            row_left[i] += v
-            col_left[j] += v
-        gamma[i][j] = 0
-
-    yield from rec(0, 0, 0)
+def _least_costs(rows: list[int], cols: list[int], costs, cap: int) -> dict:
+    """{m: least t} over the integer plans with row sums <= rows and column
+    sums <= cols, for t the row-major sum of costs[i][j] * gamma[i][j]."""
+    states = {(tuple(cols), 0): 0}  # (column residuals, row residual) -> least t
+    for row_left, cost_row in zip(rows, costs):
+        for j, cost in enumerate(cost_row):
+            grown = {}
+            for (left, r), t in states.items():
+                r = row_left if j == 0 else r  # a new row: the last one's residual is dropped
+                head, c, tail = left[:j], left[j], left[j + 1 :]
+                for v in range(min(r, c) + 1):
+                    key, tv = (head + (c - v,) + tail, r - v), t + cost * v
+                    if key not in grown:
+                        if len(grown) == cap:
+                            raise TooLarge(f"the oracle's dynamic program exceeds the cap of {cap} states")
+                        grown[key] = tv
+                    elif tv < grown[key]:
+                        grown[key] = tv
+            states = grown
+    shipped, least = sum(cols), {}
+    for (left, _), t in states.items():
+        m = shipped - sum(left)
+        if m not in least or t < least[m]:
+            least[m] = t
+    return least
 
 
 def _integer_weights(m: DiscreteMeasure) -> list[int]:

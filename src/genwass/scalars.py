@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, floordiv, mul
 from typing import Union
 
@@ -122,6 +122,14 @@ def scaled(values) -> tuple[list[int], int]:
     factor = math.lcm(*denominators)
     quotients = map(floordiv, repeat(factor), denominators)
     return list(map(mul, map(attrgetter("numerator"), values), quotients)), factor
+
+
+def scaled_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """:func:`scaled` of every entry of ``rows`` in one call, cut back into
+    rows of the same lengths: integer rows over one denominator, and it."""
+    flat, factor = scaled(list(chain.from_iterable(rows)))
+    entries = iter(flat)
+    return tuple(tuple(islice(entries, len(row))) for row in rows), factor
 
 
 def is_finite(value) -> bool:

@@ -206,17 +206,7 @@ def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
         lines.append(f"{name}: {'pass' if passed else 'FAIL'}{' ' + detail if detail else ''}")
 
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(INSTANCES):
-        space = random_int_metric(rng, rng.randint(1, 3))
-        mu = random_int_measure(rng, space)
-        nu = random_int_measure(rng, space)
-        params = random_params(rng)
-        expected = brute_force_value(space, mu, nu, params)
-        got = solve(space, mu, nu, params).value
-        tol = 0 if params.p == 1 else CERTIFY_TOL * (1.0 + abs(float(expected)))
-        if abs(got - expected) > tol:
-            bad += 1
+    bad = _oracle_disagreements(rng, 1, 3, INSTANCES)
     record("oracle agreement", bad == 0, f"({INSTANCES} instances)")
 
     bad = 0
@@ -269,7 +259,26 @@ def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
             bad += 1
     record("c-transform properties", bad == 0, f"({INSTANCES} instances)")
 
+    bad = _oracle_disagreements(rng, 4, 5, INSTANCES)
+    record("oracle agreement (n 4-5)", bad == 0, f"({INSTANCES} instances)")
+
     return ok, lines
+
+
+def _oracle_disagreements(rng: random.Random, low: int, high: int, count: int) -> int:
+    """How many of count random integer instances on low..high points solve off the oracle's value."""
+    bad = 0
+    for _ in range(count):
+        space = random_int_metric(rng, rng.randint(low, high))
+        mu = random_int_measure(rng, space)
+        nu = random_int_measure(rng, space)
+        params = random_params(rng)
+        expected = brute_force_value(space, mu, nu, params)
+        got = solve(space, mu, nu, params).value
+        tol = 0 if params.p == 1 else CERTIFY_TOL * (1.0 + abs(float(expected)))
+        if abs(got - expected) > tol:
+            bad += 1
+    return bad
 
 
 def _dual_objective_pair(space, phi1, phi2, params, rng) -> bool:

@@ -8,7 +8,7 @@ shortest paths produce exactly its breakpoints.  The unbalanced value is
 On each linear segment of T, V is concave (an increasing concave root of a
 linear function plus a linear term), so the minimum over the segment sits at
 an endpoint: scanning breakpoints is exact, no interior search is needed.
-The same scan justifies the brute-force oracle's restriction to polytope
+The same argument justifies the exhaustive oracle's restriction to polytope
 vertices.
 """
 

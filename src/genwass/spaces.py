@@ -18,7 +18,7 @@ from .errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .scalars import ROUNDING_TOL, Scalar, coerce, coerce_rows, exactness, first_nonfinite, int_rows, scaled
+from .scalars import ROUNDING_TOL, Scalar, coerce, coerce_rows, exactness, first_nonfinite, int_rows, scaled_rows
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,13 @@ class FiniteMetricSpace:
     dist: tuple[tuple[Scalar, ...], ...]
     exact: bool
     # Exact mode: the distances as ints over their common denominator, and
-    # that factor (rows, factor), from one scalars.scaled call.  The metric
+    # that factor (rows, factor), from scalars.scaled_rows.  The metric
     # checks, the certificate and the flat LP read it; None in float mode.
     _scaled: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.exact:
-            n = len(self.labels)
-            flat, factor = scaled(list(chain.from_iterable(self.dist)))
-            rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-            object.__setattr__(self, "_scaled", (rows, factor))
+            object.__setattr__(self, "_scaled", scaled_rows(self.dist))
 
     @property
     def n(self) -> int:

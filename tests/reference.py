@@ -1,13 +1,15 @@
 """Reference helpers the suite compares the package against.
 
 No route of the package runs these: the certificate reads a plan's row and
-column sums in one pass, the oracle walks its odometer without building
-plans and evaluates its objective once per distinct (mass, cost) pair on
-integer costs, and the metric check tests whole rows and packed integer rows
-before it walks any entry.  They are kept here, as simple second
-implementations, so the tests can check the fast paths against them.  The
-metric families at the end are the non-degenerate inputs of the larger
-cross-checks.
+column sums in one pass, the oracle keeps the least integer cost per state
+of a dynamic program instead of walking plans, and the metric check tests
+whole rows and packed integer rows before it walks any entry.  They are kept
+here, as simple second implementations, so the tests can check the fast
+paths against them.  The plan enumerator is this module's own, so the
+per-leaf oracle and the plan tests share no code with the package's oracle.
+Both oracles sum a plan's cost cell by cell in row-major order, so their
+float values agree bit for bit.  The metric families at the end are the
+non-degenerate inputs of the larger cross-checks.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from genwass.errors import AsymmetricEntry, NegativeEntry, NonzeroDiagonal, TriangleViolation, ZeroOffDiagonal
+from genwass.errors import (
+    AsymmetricEntry,
+    NegativeEntry,
+    NonzeroDiagonal,
+    TooLarge,
+    TriangleViolation,
+    ZeroOffDiagonal,
+)
 from genwass.measures import DiscreteMeasure, TransportPlan, measure, require_same_space
-from genwass.oracle import DEFAULT_PLAN_CAP, _odometer
 from genwass.params import EntropyParams
 from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
 from genwass.scalars import ROUNDING_TOL as FLOAT_WEIGHT_ATOL
-from genwass.scalars import Scalar, coerce, coerce_rows, scaled
+from genwass.scalars import Scalar, coerce, coerce_rows, scaled_rows
 from genwass.spaces import FiniteMetricSpace, validate_metric
 
 
@@ -72,13 +80,56 @@ def marginals(plan: TransportPlan) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     )
 
 
+PLAN_CAP = 10_000_000
+
+
+def odometer(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int, costs):
+    """Walk every integer sub-marginal plan once, yielding (gamma, m, t).
+
+    ``gamma`` is the live matrix (copy it to keep it), ``m`` its shipped
+    mass and ``t`` the sum of costs[i][j] * gamma[i][j], both carried along
+    the row-major odometer so each leaf costs O(1).  Raises TooLarge when
+    the product over the cells of min(mu_i, nu_j) + 1 exceeds cap.
+    """
+    require_same_space(mu, nu)
+    if any(w != int(w) for w in mu.weights + nu.weights):
+        raise ValueError("the odometer needs integer masses")
+    row_left, col_left = (list(map(int, m.weights)) for m in (mu, nu))
+    n = len(row_left)
+    bound_product = 1
+    for i in range(n):
+        for j in range(n):
+            bound_product *= min(row_left[i], col_left[j]) + 1
+            if bound_product > cap:
+                raise TooLarge(f"plan enumeration bound exceeds the cap of {cap}")
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    gamma = [[0] * n for _ in range(n)]
+
+    def rec(k: int, m: int, t):
+        if k == len(cells):
+            yield gamma, m, t
+            return
+        i, j = cells[k]
+        cost = costs[i][j]
+        for v in range(min(row_left[i], col_left[j]) + 1):
+            gamma[i][j] = v
+            row_left[i] -= v
+            col_left[j] -= v
+            yield from rec(k + 1, m + v, t + cost * v)
+            row_left[i] += v
+            col_left[j] += v
+        gamma[i][j] = 0
+
+    yield from rec(0, 0, 0)
+
+
 def enumerate_integer_plans(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int = DEFAULT_PLAN_CAP
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int = PLAN_CAP
 ) -> Iterator[TransportPlan]:
     """Yield every integer matrix gamma >= 0 with rows <= mu and cols <= nu,
     each exactly once (row-major odometer with residual-capacity pruning)."""
     space = mu.space
-    for gamma, _, _ in _odometer(mu, nu, cap, space.dist):
+    for gamma, _, _ in odometer(mu, nu, cap, space.dist):
         yield TransportPlan(space, tuple(tuple(row) for row in gamma))
 
 
@@ -87,9 +138,10 @@ def brute_force_value(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     params: EntropyParams,
-    cap: int = DEFAULT_PLAN_CAP,
+    cap: int = PLAN_CAP,
 ) -> Scalar:
-    """Minimum objective over every enumerated integer plan.
+    """Minimum objective over every enumerated integer plan, evaluated per
+    plan on the powered distances as they are (Fractions on an exact space).
 
     Exact (rational) for p = 1; for p > 1 the root is evaluated in floats.
     """
@@ -100,7 +152,7 @@ def brute_force_value(
     inv_p = 1.0 / float(p)
     powered = [[d**exponent for d in row] for row in space.dist]
     best = None
-    for _, m, t in _odometer(mu, nu, cap, powered):
+    for _, m, t in odometer(mu, nu, cap, powered):
         if p == 1:
             value = a * (total - 2 * m) + b * t
         else:
@@ -119,8 +171,7 @@ def metric_violation(matrix, exact: bool):
     d = coerce_rows(matrix, exact)
     n = len(d)
     if exact:
-        flat, _ = scaled([x for row in d for x in row])
-        d = [flat[i * n : (i + 1) * n] for i in range(n)]
+        d, _ = scaled_rows(d)
     for i in range(n):
         for j in range(n):
             if d[i][j] < 0:

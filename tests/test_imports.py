@@ -5,8 +5,10 @@ module other than ``__init__``,
 only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
 that turns exact values into integers over a common denominator, only
 ``scalars`` names ``is_exact``: ``scalars.exactness`` decides the kind of a
-whole sequence at once, only ``scalars`` writes a float tolerance, and the
-independent cross-check routes never reach the flow solver through imports.
+whole sequence at once, only ``scalars`` writes a float tolerance, the
+independent cross-check routes never reach the flow solver through imports,
+and the test references in ``tests/reference.py`` use no private name of the
+package, so they share no hidden helper with the routes they check.
 
 Neither ruff nor pyflakes is a dependency, so this is a small stdlib-``ast``
 check.  ``__init__.py`` is exempt from the import check: its imports are the
@@ -242,3 +244,49 @@ def test_checker_flags_every_way_to_reach_the_flow():
         "lazy -> flow",
         "indirect -> helper -> relative -> flow",
     ]
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_package_names(source: str) -> list[str]:
+    """``_``-private names that ``source`` takes from the package: imported
+    from a ``genwass`` module, or read as an attribute of a name it bound by
+    importing ``genwass`` or one of its modules."""
+    tree = ast.parse(source)
+    found, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {
+                (a.asname or a.name).split(".")[0] for a in node.names if a.name.split(".")[0] == "genwass"
+            }
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "genwass":
+            found |= {a.name for a in node.names if is_private(a.name)}
+            modules |= {a.asname or a.name for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if is_private(node.attr):
+                found.add(node.attr)
+    return sorted(found)
+
+
+def test_reference_uses_no_private_name_of_the_package():
+    source = (Path(__file__).parent / "reference.py").read_text()
+    assert private_package_names(source) == []
+
+
+def test_checker_flags_every_way_to_take_a_private_name():
+    source = (
+        "import genwass\n"
+        "import genwass.flow as f\n"
+        "from genwass import oracle\n"
+        "from genwass.oracle import _least_costs, brute_force_value\n"
+        "from genwass.scalars import scaled as _s\n"
+        "genwass._version\n"
+        "f._dijkstra()\n"
+        "oracle._integer_weights\n"
+        "space._scaled\n"
+        "brute_force_value.__doc__\n"
+    )
+    assert private_package_names(source) == ["_dijkstra", "_integer_weights", "_least_costs", "_version"]

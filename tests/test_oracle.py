@@ -59,6 +59,20 @@ def test_cap_enforced(two_point):
         list(enumerate_integer_plans(mu, nu, cap=10))
 
 
+def test_brute_force_value_enforces_its_state_cap(line3, unit_params):
+    # one cell: shipping v = 0..5 leaves 6 states (5 - v, 5 - v), the most
+    # the dynamic program keeps at once
+    space = validate_metric(["x"], [[0]], exact=True)
+    mu = nu = measure(space, [5])
+    assert brute_force_value(space, mu, nu, unit_params, cap=6) == 0
+    with pytest.raises(TooLarge):
+        brute_force_value(space, mu, nu, unit_params, cap=5)
+    mu = nu = measure(line3, [3, 3, 3])
+    assert brute_force_value(line3, mu, nu, unit_params) == 0
+    with pytest.raises(TooLarge):
+        brute_force_value(line3, mu, nu, unit_params, cap=10)
+
+
 def test_non_integer_masses_rejected(two_point):
     with pytest.raises(ValueError):
         brute_force_value(
