@@ -50,16 +50,17 @@ again from S: it would retrace the same steps (see :func:`_zero_path`).
 Dijkstra keeps its open nodes in a heap keyed by (distance, index).
 
 Exact inputs with rational entries are not run on Fractions: the masses are
-multiplied by the least common multiple M of their denominators and the
-costs by that of theirs, C (both by ``scalars.scaled``; a caller holding
-the costs as ints over C already passes C as ``cost_unit``), and the engine
-runs on the resulting Python ints.  Positive scaling preserves every
-comparison, so the augmenting paths, tie-breaks and breakpoints are the
-same; the result is divided once (masses by M, costs by M*C, potentials by
-C) and stays exact.  Scaled ints can pass float range, so no capacity is a
-float infinity.  Inputs that are not all exact, float ones and those that
-mix exact and float scalars, run it on floats, converted once by
-``map(float, row)``, which leaves a float as it is.  One set of the input
+multiplied by the least common multiple M of their denominators
+(``scalars.scaled``) and the cost rows by that of theirs, C
+(``scalars.scaled_rows``), and the engine runs on the resulting Python
+ints.  A caller holding the costs as int rows over C passes C as
+``cost_unit``, and its rows reach the engine as they are.  Positive scaling
+preserves every comparison, so the augmenting paths, tie-breaks and
+breakpoints are the same; the result is divided once (masses by M, costs by
+M*C, potentials by C) and stays exact.  Scaled ints can pass float range, so
+no capacity is a float infinity.  Inputs that are not all exact, float ones
+and those that mix exact and float scalars, run it on floats, converted once
+by ``map(float, row)``, which leaves a float as it is.  One set of the input
 types (``scalars.exactness``) makes the choice, and the Fraction of each
 distinct scaled flow value is built once and shared.  The flat LP's simplex
 and the oracle scale their own inputs to integers, each with its own
@@ -75,7 +76,7 @@ from itertools import chain, repeat
 from operator import mul
 
 from .errors import SolverFailure
-from .scalars import INF, Scalar, coerce, coerce_rows, exactness, scaled
+from .scalars import INF, Scalar, coerce, coerce_rows, exactness, scaled, scaled_rows
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
 # seeded closed metrics (edges in [1, 9]) takes 53, 107 and 225 phases at
@@ -113,8 +114,7 @@ def solve_transport(
     masses = [*supplies, *demands] + ([] if target is None else [target])
     if cost_unit is not None and not exactness(masses)[0]:
         costs, cost_unit = [[Fraction(c, cost_unit) for c in row] for row in costs], None
-    arc_costs = list(chain.from_iterable(costs))
-    exact, rational = exactness(masses + arc_costs)
+    exact, rational = exactness(chain(masses, *costs))
     if not exact:  # mixed exact and float scalars would spin the engine
         costs = coerce_rows(costs, False)
         supplies, demands = coerce_rows((supplies, demands), False)
@@ -123,13 +123,10 @@ def solve_transport(
         return _successive_shortest_paths(costs, supplies, demands, target)
 
     masses, M = scaled(masses)
-    arc_costs, C = scaled(arc_costs) if cost_unit is None else (arc_costs, cost_unit)
-    ns, nd, ints = len(supplies), len(demands), iter(arc_costs)
+    costs, C = scaled_rows(costs) if cost_unit is None else (costs, cost_unit)
+    ns, nd = len(supplies), len(demands)
     sol = _successive_shortest_paths(
-        [[next(ints) for _ in row] for row in costs],
-        masses[:ns],
-        masses[ns : ns + nd],
-        None if target is None else masses[-1],
+        costs, masses[:ns], masses[ns : ns + nd], None if target is None else masses[-1]
     )
     flows = set(chain.from_iterable(sol.flow))  # one Fraction per distinct flow value, shared
     shared = dict(zip(flows, (Fraction(x, M) for x in flows)))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from operator import lt
 
@@ -28,7 +29,7 @@ class DiscreteMeasure:
             raise ValueError("one weight per point required")
         _check_weights(self.weights)
 
-    @property
+    @cached_property  # summed once per measure; not a field, so eq, hash and repr skip it
     def mass(self) -> Scalar:
         return sum(self.weights)
 
@@ -144,11 +145,7 @@ def invariant_lift(
     exact = action.space.exact
     out = [coerce(0, exact)] * action.space.n
     for k, orbit in enumerate(quotient.orbits):
-        share = (
-            Fraction(nu_star.weights[k], len(orbit))
-            if exact
-            else nu_star.weights[k] / len(orbit)
-        )
+        share = coerce(nu_star.weights[k], exact) / len(orbit)
         for i in orbit:
             out[i] = share
     return DiscreteMeasure(action.space, tuple(out))

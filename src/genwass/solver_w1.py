@@ -67,7 +67,8 @@ def certified_report(
     the plan against ``potentials``.  Their duality gap must be 0 in exact mode;
     in float mode it is rounding up to CERTIFY_TOL * (1 + |value|), reported
     clamped at 0.  An infeasible pair, a larger gap, or a plan and potentials
-    that fail the certificate's own checks is a SolverFailure.
+    that fail the certificate's own checks is a SolverFailure.  The report
+    itself comes from :func:`_report`, as the p > 1 scan's does.
     """
     feasible, objective = evaluate_dual(potentials, mu, nu)
     gap = value - objective
@@ -82,40 +83,48 @@ def certified_report(
         conditions = verify_optimality(space, mu, nu, params, plan, potentials)
     except InfeasibleInputs as exc:
         raise SolverFailure(f"the certificate rejects the solver's own plan: {exc}") from None
+    return _report(mu, nu, value, plan, mass, curve, potentials, gap, conditions)
+
+
+def _report(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, value: Scalar, plan: TransportPlan, mass: Scalar,
+    curve, potentials: DualPotentials | None = None, gap: Scalar | None = None,
+    conditions: OptimalityCertificate | None = None,
+) -> SolveReport:
+    """The one constructor of a :class:`SolveReport`, for every order: a plan
+    that ships ``mass`` destroys ``mu.mass - mass`` and creates
+    ``nu.mass - mass``.  Potentials, gap and certificate come at p = 1 only,
+    from :func:`certified_report`; the curve comes from the curve scan."""
     return SolveReport(
-        value=value,
-        plan=plan,
-        potentials=potentials,
-        transported_mass=mass,
-        destroyed_mass=mu.mass - mass,
-        created_mass=nu.mass - mass,
-        duality_gap=gap,
-        conditions=conditions,
-        curve=curve,
+        value=value, plan=plan, potentials=potentials, transported_mass=mass,
+        destroyed_mass=mu.mass - mass, created_mass=nu.mass - mass,
+        duality_gap=gap, conditions=conditions, curve=curve,
     )
 
 
 def waste_route(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> tuple[TransportPlan, DualPotentials]:
-    """The canonical plan of the waste-network flow and the potentials of its last phase."""
+    """The canonical plan of the waste-network flow and the potentials of its last phase.
+
+    One cost matrix serves both modes: b d on the transport arcs, a on the
+    waste row and column, 0 at their corner.  In exact mode its entries are
+    ints over one unit: D times the int of b / F_d, where D / F_d is the
+    space's integer image, and the int of a; the flow divides the potentials
+    by the unit once.
+    """
     require_same_space(mu, nu, space=space)
     if params.p != 1:
         raise InvalidParams("this solver handles p = 1 only")
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
-    # Exact costs are built on ints over one common denominator, from the
-    # space's integer image D / F_d and the numerators and denominators of
-    # a and b; the flow divides the potentials by it once.
     n = space.n
     if space.exact:
-        D, F_d = space._scaled
-        (b_int, waste), unit = scaled([b / F_d, a])
-        costs = [[b_int * d for d in row] + [waste] for row in D]
-        costs.append([waste] * n + [0])
+        rows, F_d = space._scaled
+        (b_unit, waste), unit = scaled([b / F_d, a])
     else:
-        unit, waste = None, a
-        costs = [[b * d for d in row] + [a] for row in space.dist]
-        costs.append([a] * n + [0.0])
+        rows, b_unit, waste, unit = space.dist, b, a, None
+    costs = [[b_unit * d for d in row] + [waste] for row in rows]
+    costs.append([waste] * n + [0 * waste])  # a corner of the costs' own type
     sol = solve_transport(costs, [*mu.weights, nu.mass], [*nu.weights, mu.mass], cost_unit=unit)
     # Exact ties b d = 2a are indifferent in value; the canonical plan does
     # not ship on them.  The potentials already saturate at a on both

@@ -23,7 +23,7 @@ from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
 from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness
-from .solver_w1 import SolveReport, certified_report, solve_w1, waste_route
+from .solver_w1 import SolveReport, _report, certified_report, solve_w1, waste_route
 from .spaces import FiniteMetricSpace
 
 
@@ -155,7 +155,9 @@ def solve_wp(
     (:func:`solver_w1.waste_route`), and :func:`solver_w1.certified_report`,
     which builds every p = 1 report, closes the gap of the scan value against
     them and certifies the scan plan.  For p > 1 no duality theory is
-    claimed: potentials, gap and certificate are absent.
+    claimed: potentials, gap and certificate are absent, and the report
+    comes straight from :func:`solver_w1._report`, the one constructor of
+    every report.
     """
     require_same_space(mu, nu, space=space)
     a = coerce(params.a, space.exact)
@@ -187,17 +189,7 @@ def solve_wp(
     if p == 1:
         potentials = waste_route(space, mu, nu, params)[1]
         return certified_report(space, mu, nu, params, plan, best_value, m_star, potentials, list(curve))
-    return SolveReport(
-        value=best_value,
-        plan=plan,
-        potentials=None,
-        transported_mass=m_star,
-        destroyed_mass=mu.mass - m_star,
-        created_mass=nu.mass - m_star,
-        duality_gap=None,
-        conditions=None,
-        curve=list(curve),
-    )
+    return _report(mu, nu, best_value, plan, m_star, list(curve))
 
 
 def solve(

@@ -317,6 +317,46 @@ def test_criterion_6_certificate(duality_instances):
     report(f"criterion 6 PASS: certificate passes on all solver outputs; {tampered} tampered plans all fail")
 
 
+def tamper_spots(space, mu, nu, params, rep):
+    """Every pair (i, j) where a quarter unit fits under both marginals and
+    the arc is strictly suboptimal: phi1[i] + phi2[j] < b d[i][j]."""
+    rows, cols = rep.plan.row_sums(), rep.plan.col_sums()
+    phi1, phi2 = rep.potentials.phi1, rep.potentials.phi2
+    return [
+        (i, j)
+        for i in range(space.n)
+        if mu.weights[i] - rows[i] >= QUARTER
+        for j in range(space.n)
+        if nu.weights[j] - cols[j] >= QUARTER and phi1[i] + phi2[j] < params.b * space.dist[i][j]
+    ]
+
+
+@pytest.mark.parametrize("family", [wide_metric, l1_metric], ids=["wide", "l1"])
+@pytest.mark.parametrize("n", [24, 48])
+def test_criterion_6_certificate_on_wide_and_l1(family, n):
+    # the solver certifies itself at zero gap at SPREAD_PARAMS, where mass ships
+    # on every row, and at random rates; only the random rates leave slack
+    # under both marginals, so only there is a plan tampered with
+    rng = random.Random(100 * n + 6)
+    space = family(rng, n)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    params = random_params(rng, p=1)
+    spread, rep = solve_w1(space, mu, nu, SPREAD_PARAMS), solve_w1(space, mu, nu, params)
+    for solved in (spread, rep):
+        assert solved.duality_gap == 0
+        assert solved.conditions.passed
+    assert tamper_spots(space, mu, nu, SPREAD_PARAMS, spread) == []
+    found = tamper_spots(space, mu, nu, params, rep)
+    assert found
+    i, j = found[0]
+    gamma = [list(row) for row in rep.plan.gamma]
+    gamma[i][j] += QUARTER
+    bad_plan = TransportPlan(space, tuple(map(tuple, gamma)))
+    cert = verify_optimality(space, mu, nu, params, bad_plan, rep.potentials)
+    assert not (cert.tight_on_plan and cert.density_complementarity)
+    report(f"criterion 6 PASS on {family.__name__} n = {n}: gap 0 at both rates; {len(found)} spots, tampered plan fails")
+
+
 def test_criterion_6_cli_round_trip_at_n64(tmp_path, capsys):
     # exact p = 1 through the command line: plan --format json, then verify
     # --report on what it wrote, at n = 64 with rational weights and rates

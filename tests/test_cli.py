@@ -462,11 +462,13 @@ MISSING_FIELD = "input error: problem file is missing the "
         *[(["dist"], {k: v for k, v in TWO_POINT.items() if k != key}, f"{MISSING_FIELD}{key!r} field")
           for key in ("space", "mu", "nu", "params")],
         (["dist"], dict(TWO_POINT, mu=5), "input error: mu must map point labels to weights"),
+        (["dist"], dict(TWO_POINT, mode="fast"), "input error: mode must be 'exact' or 'float', got 'fast'"),
     ],
     ids=["dual-p2", "verify-p2", "flat-p2", "flat-p-override", "quotient-no-group", "verify-tol-negative",
          "verify-tol-nan", "verify-tol-inf", "quotient-tol-negative", "quotient-tol-nan", "quotient-tol-inf",
          "p-override-past-float-range", "dist-exact-a-near-float-max", "quotient-exact-a-near-float-max",
-         "file-list", "file-string", "file-number", "no-space", "no-mu", "no-nu", "no-params", "mu-number"],
+         "file-list", "file-string", "file-number", "no-space", "no-mu", "no-nu", "no-params", "mu-number",
+         "file-mode-fast"],
 )
 def test_handler_errors_print_one_line(problem_file, capsys, argv, doc, line):
     assert main([*argv, "--input", problem_file(doc)]) == 2

@@ -14,7 +14,7 @@ from genwass import (
     validate_metric,
 )
 from genwass.errors import GroupMismatch, InvalidParams
-from genwass.gh import check_equivariant_stability, check_pushforward_stability
+from genwass.gh import GHMap, check_equivariant_stability, check_pushforward_stability
 from genwass.selftest import (
     random_equivariant_target,
     random_gh_triple,
@@ -55,6 +55,13 @@ def test_inverse_of_stretched_bijection(stretched_pair):
     inv = approximate_inverse(m)
     assert inv.table == (0, 1)
     assert inv.epsilon <= 3 * m.epsilon
+
+
+def test_inverse_below_the_defect_takes_the_nearest_point(two_point, line3):
+    # the last point of the line lies 1 from the image, beyond epsilon = 0
+    m = GHMap(source=two_point, target=line3, table=(0, 1), epsilon=0)
+    assert gh_defect(m.table, two_point, line3) == 1
+    assert approximate_inverse(m).table == (0, 1, 1)
 
 
 def test_inverse_defect_and_roundtrips_hold_everywhere():

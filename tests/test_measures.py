@@ -1,3 +1,4 @@
+import builtins
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ from genwass import (
     validate_metric,
 )
 from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from genwass.measures import TransportPlan
+from genwass import measures
+from genwass.measures import TransportPlan, is_invariant
+from genwass.scalars import ROUNDING_TOL
 from reference import is_submeasure, lebesgue_decompose
 
 
@@ -44,6 +47,22 @@ def test_non_finite_weight_rejected(two_point, bad, exact):
 def test_measure_needs_one_weight_per_point(two_point):
     with pytest.raises(ValueError, match="one weight per point required"):
         DiscreteMeasure(two_point, (1,))
+
+
+def test_mass_sums_the_weights_once(two_point, monkeypatch):
+    mu = measure(two_point, [Fraction(1, 2), 3])
+    summed = []
+
+    def counting_sum(values, *start):
+        summed.append(values)
+        return builtins.sum(values, *start)
+
+    monkeypatch.setattr(measures, "sum", counting_sum, raising=False)
+    assert mu.mass == mu.mass == Fraction(7, 2)
+    assert [v for v in summed if v is mu.weights] == [mu.weights]
+    # the cached mass is no field: equality and repr ignore it
+    assert mu == measure(two_point, [Fraction(1, 2), 3])
+    assert "mass" not in repr(mu)
 
 
 def test_negative_scaling_rejected(two_point):
@@ -204,3 +223,25 @@ def test_lift_is_right_inverse_of_projection(line3):
     lifted = invariant_lift(action, q, nu_star)
     back = pushforward(q.projection, lifted, q.quotient)
     assert back.weights == nu_star.weights
+
+
+def test_invariant_lift_in_float_mode():
+    space = validate_metric(["a", "b", "c"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]], exact=False)
+    action = validate_action(space, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    q = build_quotient(action)
+    nu_star = measure(q.quotient, [0.1])
+    lifted = invariant_lift(action, q, nu_star)
+    assert is_invariant(action, lifted) is None
+    back = pushforward(q.projection, lifted, q.quotient)
+    assert abs(back.weights[0] - 0.1) <= ROUNDING_TOL * (1.0 + nu_star.mass)
+
+
+def test_invariant_lift_of_an_exact_quotient_measure_with_float_weights(line3):
+    action = validate_action(line3, [(0, 1, 2), (2, 1, 0)])
+    q = build_quotient(action)
+    nu_star = DiscreteMeasure(q.quotient, (0.5, 0.25))
+    lifted = invariant_lift(action, q, nu_star)
+    assert all(type(w) is Fraction for w in lifted.weights)
+    assert is_invariant(action, lifted) is None
+    back = pushforward(q.projection, lifted, q.quotient)
+    assert back.weights == (Fraction(1, 2), Fraction(1, 4))
