@@ -153,9 +153,7 @@ def cmd_verify(args) -> int:
     if args.report:
         with open(args.report) as fh:
             rep_doc = json.load(fh)
-        potentials = jsonio.parse_potentials(rep_doc, problem.space, problem.params)
-        plan = jsonio.parse_plan(rep_doc["plan"], problem.space)
-        value = coerce(parse_scalar(rep_doc["value"]), problem.space.exact)
+        plan, potentials, value = jsonio.parse_report(rep_doc, problem.space, problem.params)
     else:
         report = solve(problem.space, problem.mu, problem.nu, problem.params)
         plan, potentials = report.plan, report.potentials

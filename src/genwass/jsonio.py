@@ -152,10 +152,10 @@ def parse_plan(doc, space: FiniteMetricSpace) -> TransportPlan:
     return TransportPlan(space, coerce_rows(list(map(parse_row, doc)), space.exact))
 
 
-def parse_potentials(report, space: FiniteMetricSpace, params: EntropyParams) -> DualPotentials:
-    """The potential pair of a plan report (``report_to_json`` output), once
-    the report has the shape ``verify --report`` reads: an object with a
-    "value", "plan" a list of rows, and "phi1" and "phi2" lists."""
+def parse_report(report, space: FiniteMetricSpace, params: EntropyParams):
+    """The (plan, potentials, value) that ``report_to_json`` wrote, once the
+    report has the shape ``verify --report`` reads: an object with a "value",
+    "plan" a list of rows, and "phi1" and "phi2" lists, read as plan rows."""
     if not (
         isinstance(report, dict)
         and "value" in report
@@ -164,8 +164,8 @@ def parse_potentials(report, space: FiniteMetricSpace, params: EntropyParams) ->
         and isinstance(report.get("phi2"), list)
     ):
         raise ValueError('a report must be {"value": ..., "plan": [[...]], "phi1": [...], "phi2": [...]}')
-    one = [coerce(parse_scalar(x), space.exact) for x in report["phi1"]]
-    two = [coerce(parse_scalar(x), space.exact) for x in report["phi2"]]
+    one, two = coerce_rows([parse_row(report["phi1"]), parse_row(report["phi2"])], space.exact)
     if len(one) != space.n or len(two) != space.n:
         raise ValueError("potential vectors must match the space size")
-    return DualPotentials(phi1=tuple(one), phi2=tuple(two), params=params)
+    potentials = DualPotentials(phi1=one, phi2=two, params=params)
+    return parse_plan(report["plan"], space), potentials, coerce(parse_scalar(report["value"]), space.exact)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import lt
 
@@ -103,18 +103,14 @@ def pushforward(mapping, mu: DiscreteMeasure, target: FiniteMetricSpace | None =
 
 
 def symmetrize(action: FiniteGroupAction, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Uniform average of the group translates of mu; the result is invariant.
+    """The group mean (1/|G|) sum over g of g#mu; the result is invariant.
 
-    Finite groups are unimodular, so the averaging weight is 1/|G|.
+    Finite groups are unimodular, so the averaging weight is 1/|G|.  The
+    images are added in element order, as a running total would add them.
     """
     require_same_space(action, mu)
-    n = mu.space.n
-    acc = [coerce(0, mu.space.exact)] * n
-    for g in action.elements:
-        for i in range(n):
-            acc[g[i]] += mu.weights[i]
-    share = Fraction(1, action.order) if mu.space.exact else 1.0 / action.order
-    return DiscreteMeasure(mu.space, tuple(share * w for w in acc))
+    translates = (pushforward(g, mu) for g in action.elements)
+    return reduce(DiscreteMeasure.__add__, translates).scale(coerce(1, mu.space.exact) / action.order)
 
 
 def is_invariant(action: FiniteGroupAction, mu: DiscreteMeasure):
@@ -169,7 +165,7 @@ class TransportPlan:
         if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
             raise ValueError("plan must be n x n for the space")
         rows, unit = self.gamma, 1
-        if self.space.exact and all(type(x) is Fraction for x in chain.from_iterable(rows)):
+        if self.space.exact and set(map(type, chain.from_iterable(rows))) == {Fraction}:
             rows, factor = scaled_rows(rows)
             unit = Fraction(1, factor)
         if any(map(lt, chain.from_iterable(rows), repeat(0))):

@@ -192,6 +192,4 @@ def scalar_to_json(value: Scalar):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return value
-    return float(value)
+    return value

@@ -3,7 +3,8 @@
 No route of the package runs these: the certificate reads a plan's row and
 column sums in one pass, the oracle keeps the least integer cost per state
 of a dynamic program instead of walking plans, and the metric check tests
-whole rows and packed integer rows before it walks any entry.  They are kept
+whole rows and packed integer rows before it walks any entry, and the group
+mean is a fold of pushforwards, not a running total per point.  They are kept
 here, as simple second implementations, so the tests can check the fast
 paths against them.  The plan enumerator is this module's own, so the
 per-leaf oracle and the plan tests share no code with the package's oracle.
@@ -15,6 +16,7 @@ non-degenerate inputs of the larger cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 from typing import Iterator
 
@@ -31,7 +33,7 @@ from genwass.params import EntropyParams
 from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
 from genwass.scalars import ROUNDING_TOL as FLOAT_WEIGHT_ATOL
 from genwass.scalars import Scalar, coerce, coerce_rows, scaled_rows
-from genwass.spaces import FiniteMetricSpace, validate_metric
+from genwass.spaces import FiniteGroupAction, FiniteMetricSpace, validate_metric
 
 
 def zero_measure(space: FiniteMetricSpace) -> DiscreteMeasure:
@@ -78,6 +80,18 @@ def marginals(plan: TransportPlan) -> tuple[DiscreteMeasure, DiscreteMeasure]:
         DiscreteMeasure(plan.space, plan.row_sums()),
         DiscreteMeasure(plan.space, plan.col_sums()),
     )
+
+
+def symmetrize(action: FiniteGroupAction, mu: DiscreteMeasure) -> DiscreteMeasure:
+    """The group mean of mu as one running total per point, times 1/|G|."""
+    require_same_space(action, mu)
+    n = mu.space.n
+    acc = [coerce(0, mu.space.exact)] * n
+    for g in action.elements:
+        for i in range(n):
+            acc[g[i]] += mu.weights[i]
+    share = Fraction(1, action.order) if mu.space.exact else 1.0 / action.order
+    return DiscreteMeasure(mu.space, tuple(share * w for w in acc))
 
 
 PLAN_CAP = 10_000_000

@@ -363,6 +363,12 @@ def test_report_potentials_of_the_wrong_length_are_input_errors(problem_file, ca
     assert capsys.readouterr().err == "input error: potential vectors must match the space size\n"
 
 
+def test_a_report_plan_of_the_wrong_shape_is_an_input_error(problem_file, capsys):
+    report_path = problem_file(dict(TWO_POINT_REPORT, plan=[[0, 1, 0], [0, 0, 0]]), name="report.json")
+    assert main(["verify", "--input", problem_file(TWO_POINT), "--report", report_path]) == 2
+    assert capsys.readouterr().err == "input error: plan must be n x n for the space\n"
+
+
 @pytest.mark.parametrize(
     "mode, line",
     [

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genwass import jsonio, scalars
+from genwass.duality import DualPotentials
 from genwass.errors import NonFiniteEntry
 from genwass.measures import TransportPlan
 from genwass.scalars import coerce, exactness, first_nonfinite, is_exact, is_finite, parse_row, parse_scalar
@@ -84,6 +85,36 @@ def reference_all_exact(doc) -> bool:
 def reference_parse_plan(doc, space):
     gamma = [[coerce(parse_scalar(x), space.exact) for x in row] for row in doc]
     return TransportPlan(space, tuple(tuple(row) for row in gamma))
+
+
+def reference_parse_report(report, space, params):
+    """The three reads ``verify --report`` made: the potentials entry by
+    entry after the shape and before the lengths, then the plan, then the value."""
+    if not (
+        isinstance(report, dict)
+        and "value" in report
+        and jsonio._is_matrix(report.get("plan"))
+        and isinstance(report.get("phi1"), list)
+        and isinstance(report.get("phi2"), list)
+    ):
+        raise ValueError('a report must be {"value": ..., "plan": [[...]], "phi1": [...], "phi2": [...]}')
+    one = [coerce(parse_scalar(x), space.exact) for x in report["phi1"]]
+    two = [coerce(parse_scalar(x), space.exact) for x in report["phi2"]]
+    if len(one) != space.n or len(two) != space.n:
+        raise ValueError("potential vectors must match the space size")
+    potentials = DualPotentials(phi1=tuple(one), phi2=tuple(two), params=params)
+    plan = reference_parse_plan(report["plan"], space)
+    return plan, potentials, coerce(parse_scalar(report["value"]), space.exact)
+
+
+def report_outcome(read, report, space, params):
+    """``outcome`` for a report reader: the reprs of the plan, its integer
+    image, the potentials and the value, or the error raised."""
+    try:
+        plan, potentials, value = read(copy.deepcopy(report), space, params)
+    except Exception as exc:
+        return "error", type(exc), str(exc), vars(exc)
+    return "ok", repr(plan), repr(plan._scaled), repr(potentials), repr(value)
 
 
 def outcome(read, *args):
@@ -180,6 +211,53 @@ def test_readers_match_the_per_entry_reference(doc):
     if got[0] == "ok":
         space = jsonio.load_problem(copy.deepcopy(doc)).space
         assert outcome(jsonio.parse_plan, doc["plan"], space) == outcome(reference_parse_plan, doc["plan"], space)
+
+
+@st.composite
+def reports(draw):
+    """A space of 1-4 points, exact or float, and a report on it whose plan
+    and potentials are written as in ``documents``, now and then with a
+    vector one entry short or long, a bad entry, or a field of the wrong kind."""
+    n = draw(st.integers(1, 4))
+    exact = draw(st.booleans())
+    space = validate_metric([f"p{i}" for i in range(n)], [[abs(i - j) for j in range(n)] for i in range(n)], exact)
+    params = jsonio.parse_params({"a": 1, "b": "1/2"}, exact)
+
+    def written(length, entries):
+        row_kind = draw(st.sampled_from(["int", "int", "float", "str", "mixed"]))
+        out = []
+        for x in draw(st.lists(entries, min_size=length, max_size=length)):
+            kind = draw(st.sampled_from(["int", "float", "str"])) if row_kind == "mixed" else row_kind
+            out.append(x if kind == "int" else x / 3 if kind == "float" else f"{x}/3")
+        if length and draw(st.integers(0, 9)) == 0:
+            out[draw(st.integers(0, length - 1))] = draw(st.sampled_from(BAD))
+        return out
+
+    def length():
+        return draw(st.sampled_from([n] * 18 + [n - 1, n + 1]))
+
+    report = {
+        "value": draw(st.sampled_from([0, 1, 5, "7/2", 1.5] * 3 + ["x", None, 10**400])),
+        "plan": [written(length(), st.integers(0, 6)) for _ in range(length())],
+        "phi1": written(length(), st.integers(-3, 3)),
+        "phi2": written(length(), st.integers(-3, 3)),
+    }
+    broken = draw(st.sampled_from([None] * 16 + ["value", "plan", "phi1", "phi2"]))
+    if broken is not None:
+        report[broken] = draw(st.sampled_from([3, None, {"a": 1}, [1, 2]]))
+    return report, space, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+@example((dict(value=1, plan=[[0, 1], [0, 0]], phi1=["x", 1], phi2=[True, 1]), validate_metric("xy", [[0, 1], [1, 0]]),
+          jsonio.parse_params({"a": 1, "b": 1}, True)))  # phi1 is read before phi2
+@example((dict(value="x", plan=[[0, 1]], phi1=[1, 0], phi2=[-1]), validate_metric("xy", [[0, 1], [1, 0]]),
+          jsonio.parse_params({"a": 1, "b": 1}, True)))  # the lengths before the plan and the value
+def test_report_reader_matches_the_three_call_reference(drawn):
+    report, space, params = drawn
+    got = report_outcome(jsonio.parse_report, report, space, params)
+    assert got == report_outcome(reference_parse_report, report, space, params)
 
 
 @pytest.mark.parametrize("exact", [None, True, False], ids=["inferred", "exact", "float"])

@@ -1,4 +1,5 @@
 import builtins
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
 from genwass import measures
 from genwass.measures import TransportPlan, is_invariant
 from genwass.scalars import ROUNDING_TOL
+from genwass.selftest import random_rational_measure, random_space_with_action
 from reference import is_submeasure, lebesgue_decompose
+from reference import symmetrize as running_total_mean
 
 
 @pytest.fixture
@@ -188,6 +191,32 @@ def test_symmetrize_trivial_group(two_point):
     action = validate_action(two_point, [(0, 1)])
     mu = measure(two_point, [2, 0])
     assert symmetrize(action, mu).weights == mu.weights
+
+
+def seeded_actions_and_measures(seed, count):
+    """Seeded actions with a measure each: exact, the float copy of the
+    action with float weights, a non-faithful copy (every element twice, in
+    shuffled order), and measures whose weights are of the other mode."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        action = random_space_with_action(rng)
+        mu = random_rational_measure(rng, action.space)
+        space = action.space.as_float()
+        floats = validate_action(space, action.elements, action.labels)
+        doubled = list(action.elements) * 2
+        rng.shuffle(doubled)
+        yield action, mu
+        yield floats, measure(space, [rng.random() * 10 ** rng.randint(-3, 6) for _ in range(space.n)])
+        yield validate_action(action.space, doubled), mu
+        yield floats, DiscreteMeasure(space, mu.weights)
+        yield action, DiscreteMeasure(action.space, tuple(map(float, mu.weights)))
+
+
+def test_symmetrize_matches_the_running_total_reference():
+    for action, mu in seeded_actions_and_measures(seed=2300, count=120):
+        mean, reference = symmetrize(action, mu), running_total_mean(action, mu)
+        assert repr(mean) == repr(reference)
+        assert list(map(type, mean.weights)) == list(map(type, reference.weights))
 
 
 def test_invariant_lift_uniform_on_orbit(two_point, swap_action):
