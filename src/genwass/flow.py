@@ -32,11 +32,7 @@ of equal distances, and T (last index) loses every tie, so it builds the
 same parent chain with dist[T] = 0.  The potential update after it would
 add 0 everywhere, so it is skipped; in floats that addition changes no
 potential either, since they start at +0.0 and a float sum is -0.0 only
-when both terms are.  Dijkstra runs when the search fails, and without a
-search in the phase after a Dijkstra whose path cost rose: where most paths
-cost more than the last, as on metrics with many distinct distances, a
-failed search costs about as much as the Dijkstra after it.  A Dijkstra
-that finds a path of reduced cost 0 turns the search back on.
+when both terms are.  Dijkstra runs only when the search fails.
 
 Each phase redoes only what the last augmentation changed.  The potentials
 change only when Dijkstra runs, and with them the arcs of reduced cost <= 0:
@@ -80,9 +76,9 @@ from .scalars import INF, Scalar, coerce, coerce_rows, exactness, scaled, scaled
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
 # seeded closed metrics (edges in [1, 9]) takes 53, 107 and 225 phases at
-# n = 32, 64 and 128: about 2n.  Dijkstra runs 7 times in each, the final
-# refresh included; the zero-cost search starts from S 30, 58 and 135 times
-# and resumes 20, 46 and 87 times.
+# n = 32, 64 and 128: about 2n.  Dijkstra runs 4 times in each, the final
+# refresh included; the zero-cost search starts from S 32, 60 and 137 times
+# and resumes 21, 47 and 88 times.
 MAX_PHASES = 200_000
 
 
@@ -171,16 +167,15 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     cost_acc = zero
     breakpoints: list[tuple[Scalar, Scalar]] = [(pushed, cost_acc)]
 
-    zero_arcs, search, rose = [None] * (T + 1), None, False
+    zero_arcs, search = [None] * (T + 1), None
     for _phase in range(MAX_PHASES):
         if pushed >= target:
             break
-        search = None if rose else _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot)
+        search = _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot)
         if search is None:
             dist, parent = _dijkstra(adj, head, cap, cost, flow, pot)
             if dist[T] == INF:
                 break
-            rose = dist[T] > 0
             _update_potentials(pot, dist, T)
             zero_arcs = [None] * (T + 1)
         else:
@@ -280,9 +275,8 @@ def _dijkstra(adj, head, cap, cost, flow, pot):
 
     A heap keyed by (dist, index) settles the nearest node, the smallest
     index on ties; stale entries are skipped.  It runs in the phases where
-    :func:`_zero_path` fails or is skipped after a rise of the path cost,
-    and for the final refresh.  Float rounding can make a reduced cost
-    infinitesimally negative; it is clamped at zero.
+    :func:`_zero_path` fails, and for the final refresh.  Float rounding can
+    make a reduced cost infinitesimally negative; it is clamped at zero.
 
     It stops once the sink T (last index, so it loses ties) is settled: the
     nodes still open are farther away, cannot change the augmenting chain,

@@ -86,35 +86,54 @@ def test_criterion_1_oracle_equivalence():
     report(f"criterion 1 PASS: oracle equivalence on 500 instances in {elapsed:.1f}s")
 
 
+def check_oracle_equivalence(rng, n, p, family, max_w):
+    """solve against the oracle on full-support integer masses 1..max_w: a
+    closed metric with random rates, or a wide metric at a = 500, b = 1/2,
+    where mass ships at generic costs."""
+    if family == "closed":
+        space = random_int_metric(rng, n, max_d=5)
+        params = random_params(rng, p=p)
+    else:
+        space = wide_metric(rng, n)
+        params = EntropyParams(a=500, b=Fraction(1, 2), p=p)
+    mu, nu = (measure(space, [rng.randint(1, max_w) for _ in range(n)]) for _ in range(2))
+    expected = brute_force_value(space, mu, nu, params)
+    got = solve(space, mu, nu, params).value
+    if p == 1:
+        assert got == expected, (n, family)
+    else:
+        assert abs(float(got) - float(expected)) <= 1e-9 * (1.0 + abs(float(expected))), (n, p, family)
+
+
 def test_criterion_1_oracle_equivalence_at_n_4_to_8():
-    # full-support integer masses, 1-3 up to n = 6 and 1-2 beyond; per (n, p)
-    # two closed metrics with random rates and one wide metric at a = 500,
-    # b = 1/2, where mass ships at generic costs
+    # masses 1-3 up to n = 6 and 1-2 beyond; per (n, p) two closed metrics and one wide
     rng = random.Random(2025)
     start = time.time()
     count = 0
     for n in range(4, 9):
-        max_w = 3 if n <= 6 else 2
         for p in (1, 2, 3):
             for family in ("closed", "closed", "wide"):
-                if family == "closed":
-                    space = random_int_metric(rng, n, max_d=5)
-                    params = random_params(rng, p=p)
-                else:
-                    space = wide_metric(rng, n)
-                    params = EntropyParams(a=500, b=Fraction(1, 2), p=p)
-                mu, nu = (measure(space, [rng.randint(1, max_w) for _ in range(n)]) for _ in range(2))
-                expected = brute_force_value(space, mu, nu, params)
-                got = solve(space, mu, nu, params).value
-                if p == 1:
-                    assert got == expected, (n, family)
-                else:
-                    assert abs(float(got) - float(expected)) <= 1e-9 * (1.0 + abs(float(expected))), (n, p, family)
+                check_oracle_equivalence(rng, n, p, family, 3 if n <= 6 else 2)
                 count += 1
     elapsed = time.time() - start
     assert count == 45
     assert elapsed < 60.0
     report(f"criterion 1 PASS: oracle equivalence on {count} instances at n = 4..8 in {elapsed:.1f}s")
+
+
+def test_criterion_1_oracle_equivalence_at_n_9():
+    # masses 1-2 at p = 1 and 2, on one closed and one wide metric each
+    rng = random.Random(2026)
+    start = time.time()
+    count = 0
+    for family in ("closed", "wide"):
+        for p in (1, 2):
+            check_oracle_equivalence(rng, 9, p, family, 2)
+            count += 1
+    elapsed = time.time() - start
+    assert count == 4
+    assert elapsed < 60.0
+    report(f"criterion 1 PASS: oracle equivalence on {count} instances at n = 9 in {elapsed:.1f}s")
 
 
 def test_criterion_2_strong_duality(duality_instances):

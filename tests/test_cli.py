@@ -431,6 +431,29 @@ def test_selftest_fails_on_a_wrong_solver(capsys, monkeypatch):
     assert all(line.endswith(("pass", "pass (40 instances)")) for line in lines[1:-2])
 
 
+@pytest.mark.parametrize(
+    "check, name, spoil",
+    [
+        ("zero duality gap + certificate", "solve_w1", lambda rep: dataclasses.replace(rep, duality_gap=1)),
+        ("flat metric equality", "solve_flat", lambda flat: (flat[0] + 1, flat[1])),
+        ("quotient isometry", "check_quotient_isometry", lambda pair: (pair[0], pair[1] + 1)),
+        ("pushforward stability", "check_pushforward_stability", lambda result: dict(result, deviation_ok=False)),
+        # one above the capped transform is infeasible against its input
+        ("c-transform properties", "c_transform", lambda phi: tuple(x + 1 for x in phi)),
+        # a negated objective falls where the transforms raise it
+        ("c-transform properties", "evaluate_dual", lambda result: (result[0], -result[1])),
+    ],
+)
+def test_selftest_check_fails_on_a_broken_call(monkeypatch, check, name, spoil):
+    # a check reads FAIL when the one call it rests on answers wrong, and no other check does
+    call = getattr(selftest, name)
+    monkeypatch.setattr(selftest, name, lambda *args, **kwargs: spoil(call(*args, **kwargs)))
+    ok, lines = selftest.run_selftest()
+    assert not ok
+    failed = [line for line in lines if ": FAIL" in line]
+    assert len(failed) == 1 and failed[0].startswith(f"{check}: FAIL")
+
+
 def test_dual_needs_p1(problem_file):
     doc = dict(TWO_POINT, params={"a": 1, "b": 1, "p": 2})
     assert main(["dual", "--input", problem_file(doc)]) == 2

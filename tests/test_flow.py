@@ -550,32 +550,47 @@ def test_heap_dijkstra_matches_the_scan(problem):
 
 
 def test_search_counts_of_a_float_p2_solve(monkeypatch):
-    # 127 augmentations at n = 64: 83 searches from the source, 41 resumed,
-    # and 7 Dijkstra runs, the final refresh included
+    # 127 augmentations at n = 64: 85 searches from the source, 42 resumed,
+    # and 4 Dijkstra runs, the final refresh included
     rng = random.Random(6402)
     space = random_int_metric(rng, 64, max_d=9)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
     fspace = space.as_float()
-    zero_path, dijkstra = flow._zero_path, flow._dijkstra
+    zero_path, dijkstra, engine = flow._zero_path, flow._dijkstra, flow._successive_shortest_paths
     counts = {"fresh": 0, "resumed": 0, "dijkstra": 0}
+    calls = []
 
     def search(state, *args):
         counts["fresh" if state is None else "resumed"] += 1
-        return zero_path(state, *args)
+        found = zero_path(state, *args)
+        calls.append("search" if found else "failed search")
+        return found
 
     def shortest(*args):
         counts["dijkstra"] += 1
+        calls.append("dijkstra")
         return dijkstra(*args)
+
+    def solve(*args):
+        sol = engine(*args)
+        calls.append("end")
+        return sol
 
     monkeypatch.setattr(flow, "_zero_path", search)
     monkeypatch.setattr(flow, "_dijkstra", shortest)
+    monkeypatch.setattr(flow, "_successive_shortest_paths", solve)
     rep = solve_wp(fspace, mu.as_float(fspace), nu.as_float(fspace), EntropyParams(a=2.0, b=0.5, p=2))
     assert len(rep.curve) == 128
-    assert counts == {"fresh": 83, "resumed": 41, "dijkstra": 7}
+    assert counts == {"fresh": 85, "resumed": 42, "dijkstra": 4}
+    # every phase searches first: a Dijkstra run follows a failed search,
+    # or it is the final refresh, the last call of a solve
+    assert all(
+        calls[k - 1] == "failed search" or calls[k + 1] == "end" for k, call in enumerate(calls) if call == "dijkstra"
+    ), calls
 
 
 def test_dijkstra_runs_only_when_the_path_cost_changes(monkeypatch):
-    # 107 augmentations at n = 64 take 7 Dijkstra runs, the final refresh
+    # 107 augmentations at n = 64 take 4 Dijkstra runs, the final refresh
     # included; one per augmentation would show here long before it shows
     # in the Tier-1 wall time
     rng = random.Random(6401)

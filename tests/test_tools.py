@@ -21,14 +21,24 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     # oracle values more on at most 3 points (instance 2, of 1 point)
     dump = _load_dump()
     monkeypatch.setattr(dump, "INSTANCES", 3)
+    # the larger section, shrunk: three lines per family and mode
+    monkeypatch.setattr(dump, "LARGE", (("l1", 6, 500), ("wide", 5, 500), ("closed", 4, 2)))
     lines = list(dump.dump(cli_main, tmp_path))
-    assert len(lines) == 15 + 19 + 25
-    tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in lines]
+    small, large = lines[: 15 + 19 + 25], lines[15 + 19 + 25 :]
+    tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in small]
     assert all(tags)
     ks = [int(tag.group(2)) for tag in tags]
     assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [15, 19, 25]
     # one instance, one tag
     assert len({tag.group(1) for tag in tags}) == 3
-    assert sum(" cli verify " in line for line in lines) == 8
-    assert sum(" validate_metric" in line for line in lines) == 3
-    assert sum(" brute_force_value " in line for line in lines) == 6
+    assert sum(" cli verify " in line for line in small) == 8
+    assert sum(" validate_metric" in line for line in small) == 3
+    assert sum(" brute_force_value " in line for line in small) == 6
+    heads = [line.split(": ", 1) for line in large]
+    assert [head for head, _ in heads] == [
+        f"large {family} {mode} n={n} {call}"
+        for family, n in (("l1", 6), ("wide", 5), ("closed", 4))
+        for mode in ("exact", "float")
+        for call in ("solve p=1", "solve p=2", "solve_wp p=1")
+    ]
+    assert all(result.startswith("SolveReport(") for _, result in heads)

@@ -20,8 +20,18 @@ oracle at p = 1, 2 and 3, exact and float, on the masses min(floor(w), 3) of
 the instance's weights w; and the exit code, stdout and stderr of the CLI
 ``plan``, ``dual`` and ``verify --report`` on a problem file (the report is
 the ``plan --format json`` output, and once more with the same raised
-entry).  Errors print as their type and message.  Standard library only:
-the inputs are built here.
+entry).
+
+A second section runs larger instances, where most augmenting paths cost
+more than the last: l1 distances of points of {0..1000}^2 and wide
+unclosed integer distances in [1000, 2000], each at n = 48 and 96 with
+a = 500, and a closed integer metric at n = 64 with a = 2; b = 1/2, two
+rational measures, and each instance in exact and in float mode.  Per
+instance and mode the lines are the ``repr`` of ``solve`` at p = 1 and 2
+and of ``solve_wp`` at p = 1.
+
+Errors print as their type and message.  Standard library only: the inputs
+are built here.
 """
 
 from __future__ import annotations
@@ -44,6 +54,9 @@ RATES = (Fraction(1, 2), Fraction(1), Fraction(2))
 SCALES = (Fraction(1), Fraction(1), Fraction(2, 3))
 ORACLE_MAX_N = 3
 ORACLE_MAX_W = 3
+LARGE_SEED = 20193
+# the larger instances: (metric family, n, a), at b = 1/2
+LARGE = (("l1", 48, 500), ("l1", 96, 500), ("wide", 48, 500), ("wide", 96, 500), ("closed", 64, 2))
 
 
 def closed_metric(rng: random.Random, n: int, max_d: int) -> list[list[int]]:
@@ -57,6 +70,24 @@ def closed_metric(rng: random.Random, n: int, max_d: int) -> list[list[int]]:
             for j in range(n):
                 d[i][j] = min(d[i][j], d[i][k] + d[k][j])
     return d
+
+
+def large_metric(rng: random.Random, family: str, n: int) -> list[list[int]]:
+    """Integer distances of one family of the larger instances."""
+    if family == "l1":  # n distinct points of {0..1000}^2
+        points = [divmod(k, 1001) for k in rng.sample(range(1001**2), n)]
+        return [[abs(x - u) + abs(y - v) for u, v in points] for x, y in points]
+    if family == "wide":  # two distances sum to at least 2000, so no closure is needed
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = rng.randint(1000, 2000)
+        return d
+    return closed_metric(rng, n, 9)
+
+
+def random_weights(rng: random.Random, n: int) -> list[Fraction]:
+    return [Fraction(rng.randint(0, 6), rng.choice((1, 2, 4))) for _ in range(n)]
 
 
 def number(x: Fraction, exact: bool):
@@ -107,7 +138,7 @@ def dump(cli_main, workdir: Path):
         scale = rng.choice(SCALES)
         ints = closed_metric(rng, n, rng.choice((3, 5, 9)))
         d = [[scale * x for x in row] for row in ints]
-        mu_w, nu_w = ([Fraction(rng.randint(0, 6), rng.choice((1, 2, 4))) for _ in range(n)] for _ in range(2))
+        mu_w, nu_w = random_weights(rng, n), random_weights(rng, n)
         a, b = rng.choice(RATES), rng.choice(RATES)
         labels = [f"x{i}" for i in range(n)]
         tag = f"{k} {'exact' if exact else 'float'} n={n}"
@@ -163,6 +194,25 @@ def dump(cli_main, workdir: Path):
             for extra in ([], ["--format", "json"]):
                 argv = ["verify", "--input", str(problem), "--report", str(path), *extra]
                 yield f"{tag} cli verify {name}{' json' if extra else ''}: {run_cli(cli_main, argv)}"
+    yield from dump_large()
+
+
+def dump_large():
+    from genwass import EntropyParams, measure, solve, solve_wp, validate_metric
+
+    rng = random.Random(LARGE_SEED)
+    for family, n, a in LARGE:
+        d = large_metric(rng, family, n)
+        mu_w, nu_w = random_weights(rng, n), random_weights(rng, n)
+        labels = [f"x{i}" for i in range(n)]
+        for exact in (True, False):
+            tag = f"large {family} {'exact' if exact else 'float'} n={n}"
+            space = validate_metric(labels, [[in_mode(x, exact) for x in row] for row in d], exact=exact)
+            mu, nu = (measure(space, [in_mode(w, exact) for w in ws]) for ws in (mu_w, nu_w))
+            rates = {"a": in_mode(Fraction(a), exact), "b": in_mode(Fraction(1, 2), exact)}
+            for p in (1, 2):
+                yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, EntropyParams(**rates, p=p))}"
+            yield f"{tag} solve_wp p=1: {outcome(solve_wp, space, mu, nu, EntropyParams(**rates, p=1))}"
 
 
 def metric_check(validate_metric, rng, labels, ints, scale) -> str:
