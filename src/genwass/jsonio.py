@@ -64,10 +64,11 @@ def parse_measure(doc: dict, space: FiniteMetricSpace, name: str) -> DiscreteMea
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must map point labels to weights")
     weights = [0] * space.n
+    index = dict(zip(space.labels, range(space.n)))
     for label, w in doc.items():
-        if label not in space.labels:
+        if label not in index:
             raise ValueError(f"{name} references undeclared point {label!r}")
-        weights[space.index(label)] = parse_scalar(w)
+        weights[index[label]] = parse_scalar(w)
     return measure(space, weights)
 
 

@@ -9,16 +9,17 @@ time, and the per-kind rules live here alone.  The kind of a sequence (all
 exact or not, any Fraction or not) is decided once, by :func:`exactness`
 from the set of its entries' types.  A row of ints is read as it is
 (:func:`parse_row`), found finite by one ``max(map(abs, row)) <= FLOAT_MAX``
-(:func:`first_nonfinite`), made exact with one Fraction per distinct
-value, shared, since Fractions are immutable (:func:`coerce_rows`), and is
-its own integer image for the metric checks (:func:`int_rows`); float mode
-converts every row by ``map(float, row)``.  A row of ints and strings, such
-as a row of an exact plan report, is parsed once per distinct entry.
-Per-entry code still runs in four places: rows that hold any other kind
-(floats, bools, or values that are not numbers) are parsed entry by entry,
-rows that are not all ints are tested for finiteness and made exact entry
-by entry, and once a row-level test fails a walk of that row names the
-first witness, so errors name the same entry as an entry-by-entry scan.
+(:func:`first_nonfinite`), made exact with one Fraction per distinct value,
+shared, since Fractions are immutable (:func:`coerce_rows`), and is its own
+integer image with factor 1, for an exact space and the metric checks
+(:func:`int_rows`); float mode converts every row by ``map(float, row)``.  A
+row of ints and strings, such as a row of an exact plan report, is parsed
+once per distinct entry.  Per-entry code still runs in four places: rows
+that hold any other kind (floats, bools, or values that are not numbers) are
+parsed entry by entry, rows that are not all ints are tested for finiteness
+and made exact entry by entry, and once a row-level test fails a walk of
+that row names the first witness, so errors name the same entry as an
+entry-by-entry scan.
 
 Float mode's two tolerances live here too.  A float check of what exact mode
 asserts with equality allows ``ROUNDING_TOL`` times the size of what it
@@ -73,8 +74,8 @@ def is_int_row(row) -> bool:
 
 
 def int_rows(rows):
-    """The rows as they are when every row is all ints, else None."""
-    return rows if all(map(is_int_row, rows)) else None
+    """The rows as tuples, their own integer image, if every row is all ints."""
+    return tuple(map(tuple, rows)) if all(map(is_int_row, rows)) else None
 
 
 def parse_row(row) -> list:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import add, and_, getitem, lshift, mul
 
@@ -32,14 +32,13 @@ class FiniteMetricSpace:
     labels: tuple[str, ...]
     dist: tuple[tuple[Scalar, ...], ...]
     exact: bool
-    # Exact mode: the distances as ints over their common denominator, and
-    # that factor (rows, factor), from scalars.scaled_rows.  The metric
-    # checks, the certificate and the flat LP read it; None in float mode.
-    _scaled: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.exact:
-            object.__setattr__(self, "_scaled", scaled_rows(self.dist))
+    # Exact mode: (the distances as ints over their common denominator, that
+    # factor); None in float mode.  validate_metric fills it, other spaces
+    # derive it on first use.  Not a field, so eq, hash and repr skip it.
+    @cached_property
+    def _scaled(self) -> tuple | None:
+        return scaled_rows(self.dist) if self.exact else None
 
     @property
     def n(self) -> int:
@@ -48,9 +47,6 @@ class FiniteMetricSpace:
     @property
     def diameter(self) -> Scalar:
         return max(max(row) for row in self.dist)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
     def as_float(self) -> "FiniteMetricSpace":
         """The same space with float distances (float arithmetic mode)."""
@@ -73,17 +69,16 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
 
     Each axiom is first tested on whole rows; only a failed test walks the
     entries, in the order of an entry-by-entry check, to name the first
-    witness.  The triangle inequality is tested on an integer image of the
-    distances when there is one: the space's scaled integers in exact mode,
-    or the given rows when every row is all ints in float mode.  Each row is
-    packed into one int, a field of w bits per column, with
-    2**(w-1) > 2 * max d, so that one big-int sum per ordered pair (i, k)
-    holds d[k][j] + d[i][k] + 2**(w-1) - d[i][j] in field j.  That value lies
-    in (0, 2**w), so no carry or borrow crosses a field, and its top bit is
-    clear exactly where d[i][j] > d[i][k] + d[k][j].  In float mode a pass on
-    the integers implies a pass of the float test (see below); a failure,
-    and float rows with fractional values, go to the per-pair scan, which
-    decides with the float slack and names the witness.
+    witness.  The triangle inequality is tested on the integer image of the
+    distances when there is one: the given rows when every row is all ints,
+    else the scaled entries in exact mode.  Each row is packed into one int, a
+    field of w bits per column, with 2**(w-1) > 2 * max d, so that one big-int
+    sum per ordered pair (i, k) holds d[k][j] + d[i][k] + 2**(w-1) - d[i][j]
+    in field j.  That value lies in (0, 2**w), so no carry or borrow crosses a
+    field, and its top bit is clear exactly where d[i][j] > d[i][k] + d[k][j].
+    In float mode a pass on the integers implies a pass of the float test (see
+    below); a failure, and float rows with fractional values, go to the
+    per-pair scan, which decides with the float slack and names the witness.
     """
     labels = tuple(str(x) for x in labels)
     if not labels:
@@ -102,9 +97,12 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
         exact = exactness(chain.from_iterable(matrix))[0]
     dist = coerce_rows(matrix, exact)
     space = FiniteMetricSpace(labels=labels, dist=dist, exact=exact)
-    # Exact entries are checked as integers over their common denominator,
-    # which keeps every comparison, and so every reported witness, unchanged.
-    d = space._scaled[0] if exact else dist
+    # Exact entries are checked on the integer image, which keeps every
+    # comparison, and so every reported witness, unchanged.
+    ints, d = int_rows(matrix), dist
+    if exact:
+        vars(space)["_scaled"] = (ints, 1) if ints is not None else scaled_rows(dist)
+        d = ints = space._scaled[0]
 
     if min(map(min, d)) < 0:
         i, j = next((i, j) for i, row in enumerate(d) for j, x in enumerate(row) if x < 0)
@@ -128,7 +126,6 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
     # below 2**53), far inside the slack of ROUNDING_TOL * diam.  Symmetry was
     # checked on the floats, so float(d[j][k]), which the scan reads,
     # equals float(d[k][j]).
-    ints = space._scaled[0] if exact else int_rows(matrix)
     if ints is None or not _packed_triangle_holds(ints):
         # d is symmetric and k in {i, j} never fails, so one test per pair
         # i < j finds the first (i, j, k) witness of a scan over every

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import repeat
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genwass import build_quotient, validate_action, validate_metric
+from genwass import build_quotient, spaces, validate_action, validate_metric
 from genwass.errors import (
     AsymmetricEntry,
     MissingIdentity,
@@ -19,8 +20,10 @@ from genwass.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
+from genwass.jsonio import parse_space
 from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
-from genwass.spaces import compose
+from genwass.scalars import scaled_rows
+from genwass.spaces import FiniteMetricSpace, compose
 from reference import metric_violation
 
 
@@ -240,6 +243,11 @@ def test_non_finite_entry(bad, exact):
     assert (err.value.i, err.value.j) == (1, 2)
 
 
+def test_empty_space_rejected():
+    with pytest.raises(ValueError, match="^a space needs at least one point$"):
+        validate_metric([], [])
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         validate_metric(["x", "y"], [[0, 1]])
@@ -261,6 +269,51 @@ def test_exact_entries_are_kept_not_copied():
     assert space._scaled == (((0, 3), (3, 0)), 2)
     assert space == validate_metric(["x", "y"], [[0, Fraction(6, 4)], [Fraction(6, 4), 0]]) != space.as_float()
     assert "_scaled" not in repr(space) and space.as_float()._scaled is None
+
+
+LINE3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+
+def test_int_rows_are_their_own_image_without_scaling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spaces, "scaled_rows", lambda rows: calls.append(rows) or scaled_rows(rows))
+    exact = validate_metric("xyz", LINE3, exact=True)
+    inexact = validate_metric("xyz", LINE3, exact=False)
+    assert calls == []
+    assert exact._scaled == scaled_rows(exact.dist) == (tuple(map(tuple, LINE3)), 1)
+    assert inexact._scaled is None
+
+
+def _reflected_line(space):
+    return build_quotient(validate_action(space, [(0, 1, 2), (2, 1, 0)])).quotient
+
+
+HALF = Fraction(1, 2)
+HALVES = [[0, HALF, 1], [HALF, 0, HALF], [1, HALF, 0]]
+CONSTRUCTIONS = {
+    "int rows": lambda: validate_metric("xyz", LINE3),
+    "Fraction rows": lambda: validate_metric("xyz", HALVES),
+    "p/q strings": lambda: parse_space({"points": list("xyz"), "d": [[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]]}),
+    "int-valued floats": lambda: validate_metric("xyz", [[float(x) for x in row] for row in LINE3], exact=True),
+    "quotient": lambda: _reflected_line(validate_metric("xyz", HALVES)),
+    "dataclasses.replace": lambda: dataclasses.replace(validate_metric("xyz", LINE3)),
+    "direct": lambda: FiniteMetricSpace(("x", "y", "z"), validate_metric("xyz", LINE3).dist, True),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_every_exact_space_keeps_the_scaled_image_of_its_distances(build):
+    space = build()
+    assert space.exact and space._scaled == scaled_rows(space.dist)
+    assert space.as_float()._scaled is None
+
+
+def test_the_integer_image_stays_out_of_the_fields():
+    space = validate_metric("xyz", LINE3)
+    fresh = dataclasses.replace(space)
+    assert "_scaled" in vars(space) and "_scaled" not in vars(fresh)
+    assert fresh == space and hash(fresh) == hash(space) and repr(fresh) == repr(space)
+    assert [f.name for f in dataclasses.fields(space)] == ["labels", "dist", "exact"]
 
 
 def test_float_inference():
