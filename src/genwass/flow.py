@@ -20,6 +20,15 @@ problem; the engine records one breakpoint per augmentation.  It keeps only
 the final flow, not a plan per breakpoint: a caller that needs the plan at
 an earlier breakpoint solves again with ``target`` set to its mass.
 
+A ``rate`` adds one arc S -> T of that cost, last in the list of S, so the
+transport arcs keep their offsets.  It never carries flow: the engine stops
+when the chosen path is that arc, which Dijkstra and the zero-cost search
+both take on every tie (S is settled first, and a later path to T replaces
+it only when strictly shorter).  So a rate run augments the paths a plain
+run would, up to the first that costs the rate or more.  No target stops
+it: a float mass can round onto the maximum while a cheaper path is still
+residual.  The final refresh leaves pi_S = 0 <= pi <= pi_T = rate.
+
 Most phases need no Dijkstra.  After a potential update every residual arc
 has a reduced cost >= 0 (floats are clamped at zero), and on metrics with
 few distinct distances most augmentations repeat the last path cost: their
@@ -47,7 +56,7 @@ Dijkstra keeps its open nodes in a heap keyed by (distance, index).
 
 Exact inputs with rational entries are not run on Fractions: the masses are
 multiplied by the least common multiple M of their denominators
-(``scalars.scaled``) and the cost rows by that of theirs, C
+(``scalars.scaled``) and the cost rows, with the rate, by that of theirs, C
 (``scalars.scaled_rows``), and the engine runs on the resulting Python
 ints.  A caller holding the costs as int rows over C passes C as
 ``cost_unit``, and its rows reach the engine as they are.  Positive scaling
@@ -72,13 +81,13 @@ from itertools import chain, repeat
 from operator import mul
 
 from .errors import SolverFailure
-from .scalars import INF, Scalar, coerce, coerce_rows, exactness, scaled, scaled_rows
+from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
-# seeded closed metrics (edges in [1, 9]) takes 53, 107 and 225 phases at
-# n = 32, 64 and 128: about 2n.  Dijkstra runs 4 times in each, the final
-# refresh included; the zero-cost search starts from S 32, 60 and 137 times
-# and resumes 21, 47 and 88 times.
+# seeded closed metrics (edges in [1, 9], a = 2, b = 1/2) augments 41, 90 and
+# 211 times at n = 32, 64 and 128, then stops at the rate arc.  Dijkstra runs
+# 4 times in each, the final refresh included; the zero-cost search starts
+# from S 21, 44 and 136 times and resumes 21, 47 and 76 times.
 MAX_PHASES = 200_000
 
 
@@ -93,7 +102,8 @@ class FlowSolution:
 
 
 def solve_transport(
-    costs, supplies, demands, target: Scalar | None = None, cost_unit: int | None = None
+    costs, supplies, demands, target: Scalar | None = None, cost_unit: int | None = None,
+    rate: Scalar | None = None,
 ) -> FlowSolution:
     """Push ``target`` units (default: as much as fits) at minimum cost.
 
@@ -105,25 +115,28 @@ def solve_transport(
     A caller that holds exact costs as ints over a common positive
     denominator passes that denominator as ``cost_unit``: arc (i, j) then
     costs ``Fraction(costs[i][j], cost_unit)``, and the result is the one
-    for those Fractions, which are not built.
+    for those Fractions, which are not built.  A ``rate``, in the costs'
+    units, stops the flow before its first path that costs that much or more
+    instead, and ``target`` is not read.
     """
     masses = [*supplies, *demands] + ([] if target is None else [target])
+    rows = costs if rate is None else [*costs, [rate]]  # the rate scales with the costs
     if cost_unit is not None and not exactness(masses)[0]:
-        costs, cost_unit = [[Fraction(c, cost_unit) for c in row] for row in costs], None
-    exact, rational = exactness(chain(masses, *costs))
+        rows, cost_unit = [[Fraction(c, cost_unit) for c in row] for row in rows], None
+    exact, rational = exactness(chain(masses, *rows))
+    scale = exact and (rational or cost_unit is not None)
     if not exact:  # mixed exact and float scalars would spin the engine
-        costs = coerce_rows(costs, False)
-        supplies, demands = coerce_rows((supplies, demands), False)
-        target = None if target is None else coerce(target, False)
-    if not (exact and (rational or cost_unit is not None)):
-        return _successive_shortest_paths(costs, supplies, demands, target)
-
-    masses, M = scaled(masses)
-    costs, C = scaled_rows(costs) if cost_unit is None else (costs, cost_unit)
+        masses, *rows = coerce_rows([masses, *rows], False)
+    elif scale:
+        masses, M = scaled(masses)
+        rows, C = scaled_rows(rows) if cost_unit is None else (rows, cost_unit)
     ns, nd = len(supplies), len(demands)
-    sol = _successive_shortest_paths(
-        costs, masses[:ns], masses[ns : ns + nd], None if target is None else masses[-1]
-    )
+    costs, rate = (rows, None) if rate is None else (rows[:-1], rows[-1][0])
+    target = None if target is None else masses[-1]
+    sol = _successive_shortest_paths(costs, masses[:ns], masses[ns : ns + nd], target, rate)
+    if not scale:
+        return sol
+
     flows = set(chain.from_iterable(sol.flow))  # one Fraction per distinct flow value, shared
     shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
     return FlowSolution(
@@ -136,7 +149,7 @@ def solve_transport(
     )
 
 
-def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution:
+def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> FlowSolution:
     """The scalar-generic engine behind :func:`solve_transport`."""
     ns, nt = len(supplies), len(demands)
     max_total = min(sum(supplies), sum(demands))
@@ -152,6 +165,7 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
     arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
     arcs += [(1 + i, ns + 1 + j, total_mass, c) for i, row in enumerate(costs) for j, c in enumerate(row)]
     arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
+    arcs += [] if rate is None else [(S, T, zero + 1, rate)]  # the rate arc, last in adj[S]
     head, cap, cost = [], [], []
     adj = [[] for _ in range(T + 1)]
     for u, v, c, w in arcs:
@@ -169,7 +183,7 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
 
     zero_arcs, search = [None] * (T + 1), None
     for _phase in range(MAX_PHASES):
-        if pushed >= target:
+        if rate is None and pushed >= target:  # only the rate stops a rate run
             break
         search = _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot)
         if search is None:
@@ -180,6 +194,8 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
             zero_arcs = [None] * (T + 1)
         else:
             parent = search[0]
+        if rate is not None and parent[T] == len(head) - 2:  # the rate arc
+            break
 
         path = []
         v = T
@@ -187,7 +203,9 @@ def _successive_shortest_paths(costs, supplies, demands, target) -> FlowSolution
             path.append(parent[v])
             v = head[parent[v] ^ 1]
         # min keeps the first of equal rooms, walking back from T
-        delta = min(min(cap[e] - flow[e] for e in path), target - pushed)
+        delta = min(cap[e] - flow[e] for e in path)
+        if rate is None:
+            delta = min(delta, target - pushed)
         saturated = []
         for e in path:
             r = e ^ 1

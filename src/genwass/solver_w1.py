@@ -3,17 +3,17 @@
 The sub-marginal reformulation
     value = min over plans gamma (rows <= mu, cols <= nu) of
             a(|mu| - m) + a(|nu| - m) + b sum d[i][j] gamma[i][j],   m = sum gamma,
-reduces to min-cost flow on a bipartite network: supply nodes carry mu,
-demand nodes carry nu, transport arcs cost b d[i][j], and a waste route
-charges a per unit of unshipped supply and a per unit of unfilled demand
-(one extra pseudo-supply/pseudo-demand pair makes the network balanced).
-Equivalently, mass ships only where b d < 2a.
+ships a unit along a path of cost c only where c < 2a, the waste it saves.
+Successive shortest paths ship in nondecreasing path cost, so the optimum is
+the transport flow of the costs b d stopped at the rate 2a: it ships the
+smallest optimal mass, and no arc with b d >= 2a carries any of it.
 
-Dual potentials come from the terminal node potentials of the flow, clamped
-below at -a (the same truncation the dual objective applies); the resulting
-pair is feasible and complementary-slack with the plan, so the duality gap
-is zero in exact mode.  :func:`certified_report` builds every p = 1 report:
-this plan's, and the curve scan's, which borrows only these potentials.
+The duals are phi1_i = max(a - pi_i, -a) and phi2_j = max(pi_j - a, -a), from
+that flow's final node potentials pi: they lie in [0, 2a], pi_T = 2a, and
+pi_j - pi_i <= b d_ij with equality where flow ships.  The pair is feasible
+and complementary-slack with the plan, so the duality gap is zero in exact
+mode.  :func:`certified_report` builds every p = 1 report: this plan's, and
+the curve scan's, which takes the same plan and potentials.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def solve_w1(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> SolveReport:
     """Solve the order-1 problem, returning value, plan, and certified duals."""
-    plan, potentials = waste_route(space, mu, nu, params)
+    plan, potentials = _rate_flow(space, mu, nu, params)
     value = primal_value(plan, mu, nu, params)
     return certified_report(space, mu, nu, params, plan, value, plan.total, potentials)
 
@@ -76,7 +76,8 @@ def certified_report(
         if not feasible or gap != 0:
             raise SolverFailure(f"exact solve left a duality gap of {gap}")
     else:
-        if not feasible or abs(gap) > CERTIFY_TOL * (1.0 + abs(float(value))):
+        # written so that a NaN gap fails, as a NaN potential does
+        if not (feasible and abs(gap) <= CERTIFY_TOL * (1.0 + abs(float(value)))):
             raise SolverFailure(f"duality gap {gap} exceeds the certification threshold")
         gap = max(gap, 0.0)
     try:
@@ -102,41 +103,25 @@ def _report(
     )
 
 
-def waste_route(
+def _rate_flow(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> tuple[TransportPlan, DualPotentials]:
-    """The canonical plan of the waste-network flow and the potentials of its last phase.
+    """The plan and potentials of the flow of the costs b d stopped at the rate 2a.
 
-    One cost matrix serves both modes: b d on the transport arcs, a on the
-    waste row and column, 0 at their corner.  In exact mode its entries are
-    ints over one unit: D times the int of b / F_d, where D / F_d is the
-    space's integer image, and the int of a; the flow divides the potentials
-    by the unit once.
+    In exact mode the costs are ints over one unit, D times the int of b / F_d
+    for the space's integer image D / F_d, and the rate is twice the int of a.
     """
     require_same_space(mu, nu, space=space)
     if params.p != 1:
         raise InvalidParams("this solver handles p = 1 only")
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
-    n = space.n
     if space.exact:
         rows, F_d = space._scaled
-        (b_unit, waste), unit = scaled([b / F_d, a])
+        (b_unit, a_unit), unit = scaled([b / F_d, a])
     else:
-        rows, b_unit, waste, unit = space.dist, b, a, None
-    costs = [[b_unit * d for d in row] + [waste] for row in rows]
-    costs.append([waste] * n + [0 * waste])  # a corner of the costs' own type
-    sol = solve_transport(costs, [*mu.weights, nu.mass], [*nu.weights, mu.mass], cost_unit=unit)
-    # Exact ties b d = 2a are indifferent in value; the canonical plan does
-    # not ship on them.  The potentials already saturate at a on both
-    # endpoints of a tied shipped arc, so the certificate survives the strip.
-    # The cost is compared first: only a tie pays for the test x > 0, whose
-    # entry becomes 0 * x, a zero of the flow's own scalar type.
-    tie = 2 * waste
-    plan = tuple(
-        tuple(0 * x if c == tie and x > 0 else x for x, c in zip(flows[:n], row))
-        for flows, row in zip(sol.flow[:n], costs)
-    )
-    pot_src, pot_snk = sol.potential_src, sol.potential_snk
-    phi1 = tuple(max(pot_snk[n] - pot_src[i], -a) for i in range(n))
-    phi2 = tuple(max(pot_snk[j] - pot_src[n], -a) for j in range(n))
-    return TransportPlan(space, plan), DualPotentials(phi1=phi1, phi2=phi2, params=params)
+        rows, b_unit, a_unit, unit = space.dist, b, a, None
+    costs = [[b_unit * d for d in row] for row in rows]
+    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit, rate=2 * a_unit)
+    phi1 = tuple(max(a - pi, -a) for pi in sol.potential_src)
+    phi2 = tuple(max(pi - a, -a) for pi in sol.potential_snk)
+    return TransportPlan(space, tuple(map(tuple, sol.flow))), DualPotentials(phi1, phi2, params)

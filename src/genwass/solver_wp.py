@@ -23,7 +23,7 @@ from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
 from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness
-from .solver_w1 import SolveReport, _report, certified_report, solve_w1, waste_route
+from .solver_w1 import SolveReport, _rate_flow, _report, certified_report, solve_w1
 from .spaces import FiniteMetricSpace
 
 
@@ -147,17 +147,14 @@ def solve_wp(
     """Unbalanced value of order p by scanning the parametric curve.
 
     Returns the attaining plan, whose marginals are the optimal reduced
-    measures.  When the best breakpoint is the last one the plan is the
-    curve's final flow; otherwise it comes from a second solve with the
-    chosen mass as its target.  In float mode that re-solve may differ in the
-    last bits from the flow the curve passed through at that mass.  For
-    p = 1 the scan borrows only the potentials of the waste route
-    (:func:`solver_w1.waste_route`), and :func:`solver_w1.certified_report`,
-    which builds every p = 1 report, closes the gap of the scan value against
-    them and certifies the scan plan.  For p > 1 no duality theory is
-    claimed: potentials, gap and certificate are absent, and the report
-    comes straight from :func:`solver_w1._report`, the one constructor of
-    every report.
+    measures.  At p = 1 its plan and potentials come from the flow stopped at
+    the rate 2a (:func:`solver_w1._rate_flow`), which ships the smallest
+    optimal mass, the one the scan keeps, and :func:`solver_w1.certified_report`
+    closes the gap of the scan value against them.  At p > 1 the plan is the
+    curve's final flow, or a second solve with the chosen mass as its target
+    when that is not the last breakpoint (in floats it may differ in the last
+    bits from the flow the curve passed through there); no duality theory is
+    claimed, and :func:`solver_w1._report` builds the report.
     """
     require_same_space(mu, nu, space=space)
     a = coerce(params.a, space.exact)
@@ -182,13 +179,12 @@ def solve_wp(
             best_idx = k
 
     m_star = curve[best_idx][0]
+    if p == 1:
+        plan, potentials = _rate_flow(space, mu, nu, params)
+        return certified_report(space, mu, nu, params, plan, best_value, m_star, potentials, list(curve))
     if best_idx < len(curve) - 1:
         sol = solve_transport(costs, list(mu.weights), list(nu.weights), target=m_star, cost_unit=unit)
     plan = TransportPlan(space, tuple(tuple(row) for row in sol.flow))
-
-    if p == 1:
-        potentials = waste_route(space, mu, nu, params)[1]
-        return certified_report(space, mu, nu, params, plan, best_value, m_star, potentials, list(curve))
     return _report(mu, nu, best_value, plan, m_star, list(curve))
 
 

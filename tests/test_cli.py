@@ -317,8 +317,8 @@ def test_any_gh_field_value_exits_with_a_contract_code(path, value):
 
 
 TWO_POINT_REPORT = {
-    "value": 1, "plan": [[0, 1], [0, 0]], "m": 1, "destroyed": 0, "created": 0, "phi1": [1, 0],
-    "phi2": [-1, 0], "gap": 0, "conditions": {"i": True, "ii": True, "iii": True, "iv": True},
+    "value": 1, "plan": [[0, 1], [0, 0]], "m": 1, "destroyed": 0, "created": 0, "phi1": [0, -1],
+    "phi2": [0, 1], "gap": 0, "conditions": {"i": True, "ii": True, "iii": True, "iv": True},
 }
 
 
@@ -412,6 +412,25 @@ def test_a_plan_its_own_certificate_rejects_exits_1(problem_file, capsys, comman
         "plan marginals exceed the problem measures\n"
     )
     assert main([command, "--input", path, "--mode", "exact"]) == 0
+
+
+# float p = 1 with a near float max: the potentials are about +-a, and their
+# dual objective sums to inf - inf or -inf, a gap of nan or -inf
+HUGE_A = {
+    "space": {"points": ["x", "y"], "d": [[0, 1], [1, 0]]},
+    "mu": {"x": 0.8213, "y": 1.1787},
+    "nu": {"x": 0.7177, "y": 1.2823},
+}
+
+
+@pytest.mark.parametrize("a, gap", [(1e308, "-inf"), (1.7e308, "nan")])
+@pytest.mark.parametrize("command", ["plan", "dual"])
+def test_a_gap_past_float_range_exits_1(problem_file, capsys, command, a, gap):
+    doc = dict(HUGE_A, params={"a": a, "b": 1, "p": 1})
+    assert main([command, "--input", problem_file(doc), "--mode", "float", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solver failure: duality gap {gap} exceeds the certification threshold\n"
 
 
 def test_selftest_fails_on_a_wrong_solver(capsys, monkeypatch):

@@ -299,11 +299,11 @@ def test_certificate_needs_a_plan_on_the_space(two_point, two_point_far, unit_pa
 
 def test_certificate_needs_potentials_of_its_parameters(two_point):
     # the potentials of a = 3 would pass all four conditions at a = 1/4,
-    # where phi2 = -1 < -a is infeasible and the value is 1/2, not 1
+    # where phi2 = 3 > a is infeasible and the value is 1/2, not 1
     mu, nu = dirac(two_point, 0), dirac(two_point, 1)
     report = solve_w1(two_point, mu, nu, EntropyParams(a=Fraction(3), b=Fraction(1), p=1))
     low = EntropyParams(a=Fraction(1, 4), b=Fraction(1), p=1)
-    assert report.value == 1 and report.potentials.phi2 == (-1, 0)
+    assert report.value == 1 and report.potentials.phi2 == (2, 3)
     assert solve_flat(two_point, mu, nu, low)[0] == Fraction(1, 2)
     with pytest.raises(InvalidParams, match="computed for other parameters"):
         verify_optimality(two_point, mu, nu, low, report.plan, report.potentials)
@@ -328,6 +328,19 @@ def test_nan_potentials_are_infeasible(two_point, phi1, phi2):
         verify_optimality(space, mu, nu, params, plan, pair)
     with pytest.raises(SolverFailure):
         certified_report(space, mu, nu, params, plan, 1.0, 1.0, pair)
+
+
+def test_a_nan_gap_is_not_certified(two_point):
+    # abs(nan) > tol is False: the gap test must fail a NaN, as the
+    # feasibility test fails a NaN potential
+    space = two_point.as_float()
+    params = EntropyParams(a=1.0, b=1.0, p=1)
+    mu, nu = dirac(space, 0), dirac(space, 1)
+    plan = make_plan(space, [[0, 1], [0, 0]])
+    pair = DualPotentials(phi1=(0.0, -1.0), phi2=(0.0, 1.0), params=params)
+    assert certified_report(space, mu, nu, params, plan, 1.0, 1.0, pair).duality_gap == 0.0
+    with pytest.raises(SolverFailure, match="duality gap nan exceeds"):
+        certified_report(space, mu, nu, params, plan, math.nan, 1.0, pair)
 
 
 def test_c_transform_needs_one_potential_per_point(two_point, unit_params):

@@ -607,3 +607,43 @@ def test_dijkstra_runs_only_when_the_path_cost_changes(monkeypatch):
     rep = solve_w1(space, mu, nu, EntropyParams(a=Fraction(2), b=Fraction(1, 2), p=1))
     assert rep.duality_gap == 0
     assert len(calls) <= 8
+
+
+def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
+    # the flow stopped at a rate is the flow run to the mass of its last
+    # augmentation that costs less than the rate: the same flow and
+    # breakpoints, no shipped arc of cost >= the rate, and the final refresh
+    # leaves the sink potential at the rate, in the engine's units
+    engine, update = flow._successive_shortest_paths, flow._update_potentials
+    runs = []
+
+    def run(costs, supplies, demands, target, rate=None):
+        runs.append([rate])
+        return engine(costs, supplies, demands, target, rate)
+
+    def refresh(pot, dist, T):
+        update(pot, dist, T)
+        runs[-1].append(pot[T])
+
+    monkeypatch.setattr(flow, "_successive_shortest_paths", run)
+    monkeypatch.setattr(flow, "_update_potentials", refresh)
+    rng = random.Random(2601)
+    ties = 0
+    for n in (1, 2, 3, 5, 8, 13):
+        for max_d in (2, 3, 5):
+            space = random_int_metric(rng, n, max_d=max_d)
+            mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+            costs = [[int(d) for d in row] for row in space.dist]
+            supplies, demands = list(mu.weights), list(nu.weights)
+            full = solve_transport(costs, supplies, demands).breakpoints
+            slopes = [(t1 - t0) / (m1 - m0) for (m0, t0), (m1, t1) in zip(full, full[1:])]
+            # each path cost is a rate that ties with every path of that cost
+            for rate in sorted({0, *slopes, *(s + Fraction(1, 2) for s in slopes)}):
+                stopped = solve_transport(costs, supplies, demands, rate=rate)
+                engine_rate, *sinks = runs[-1]
+                reached = solve_transport(costs, supplies, demands, target=full[sum(s < rate for s in slopes)][0])
+                assert stopped.flow == reached.flow and stopped.breakpoints == reached.breakpoints
+                assert all(c < rate for c_row, f_row in zip(costs, stopped.flow) for c, f in zip(c_row, f_row) if f)
+                assert sinks[-1] == engine_rate
+                ties += rate in slopes
+    assert ties == 33  # rates equal to a path cost of the curve

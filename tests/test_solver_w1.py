@@ -12,6 +12,7 @@ from genwass import (
     solve_w1,
     validate_metric,
 )
+from genwass import flow, solver_w1
 from genwass.errors import InvalidParams, SpaceMismatch
 from genwass.jsonio import report_to_json
 from genwass.measures import DiscreteMeasure
@@ -106,7 +107,7 @@ def test_tie_prefers_not_shipping():
 
 
 def test_float_masses_on_an_exact_space_give_an_all_float_plan(line3, unit_params):
-    # the flow runs on floats; the tie b d = 2a at (0, 2) is stripped to a float zero
+    # the flow runs on floats; it stops before the tie b d = 2a at (0, 2), which keeps a float zero
     mu = DiscreteMeasure(line3, (0.5, 1.0, 0.0))
     nu = DiscreteMeasure(line3, (0.0, 0.25, 1.0))
     report = solve_w1(line3, mu, nu, unit_params)
@@ -251,3 +252,35 @@ def test_float_mode_gap_within_tolerance():
         report = solve_w1(space, mu, nu, params)
         assert 0 <= report.duality_gap <= 1e-9 * (1.0 + abs(float(report.value)))
         assert report.conditions.passed
+
+
+def test_only_the_rate_stops_a_float_rate_run(monkeypatch):
+    # draw 98 of the float instances of test_criterion_2_strong_duality: the
+    # last augmentation pushes the mass past min(|mu|, |nu|) as floats round
+    # it.  A run that also stopped at that mass would cut the augmentation
+    # short and leave a residual path of cost 1.5 < 2a = 4 open, and its
+    # potentials a gap of 5.75; the rate run ends with the sink at 4.
+    rng = random.Random(78)
+    for _ in range(99):
+        space = random_int_metric(rng, rng.randint(1, 8)).as_float()
+        mu = measure(space, [rng.uniform(0, 3) for _ in range(space.n)])
+        nu = measure(space, [rng.uniform(0, 3) for _ in range(space.n)])
+        params = EntropyParams(a=rng.choice((0.5, 1.0, 2.0)), b=rng.choice((0.5, 1.0, 2.0)), p=1)
+    assert params == EntropyParams(a=2.0, b=0.5, p=1)
+    transport, update = solver_w1.solve_transport, flow._update_potentials
+    sols, sinks = [], []
+
+    def kept(*args, **kwargs):
+        sols.append(transport(*args, **kwargs))
+        return sols[-1]
+
+    def refresh(pot, dist, T):
+        update(pot, dist, T)
+        sinks.append(pot[T])
+
+    monkeypatch.setattr(solver_w1, "solve_transport", kept)
+    monkeypatch.setattr(flow, "_update_potentials", refresh)
+    report = solve_w1(space, mu, nu, params)
+    assert sols[0].total > min(mu.mass, nu.mass)
+    assert sinks[-1] == 4.0
+    assert 0 <= report.duality_gap <= 1e-9 * (1.0 + abs(report.value))
