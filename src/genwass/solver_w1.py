@@ -12,8 +12,7 @@ The duals are phi1_i = max(a - pi_i, -a) and phi2_j = max(pi_j - a, -a), from
 that flow's final node potentials pi: they lie in [0, 2a], pi_T = 2a, and
 pi_j - pi_i <= b d_ij with equality where flow ships.  The pair is feasible
 and complementary-slack with the plan, so the duality gap is zero in exact
-mode.  :func:`certified_report` builds every p = 1 report: this plan's, and
-the curve scan's, which takes the same plan and potentials.
+mode.  :func:`certified_report` builds every p = 1 report.
 """
 
 from __future__ import annotations
@@ -53,19 +52,35 @@ class SolveReport:
 def solve_w1(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> SolveReport:
-    """Solve the order-1 problem, returning value, plan, and certified duals."""
-    plan, potentials = _rate_flow(space, mu, nu, params)
-    value = primal_value(plan, mu, nu, params)
-    return certified_report(space, mu, nu, params, plan, value, plan.total, potentials)
+    """Solve the order-1 problem, returning value, plan, and certified duals.
+
+    In exact mode the flow's costs are ints over one unit, D times the int of b / F_d
+    for the space's integer image D / F_d, and its rate is twice the int of a."""
+    require_same_space(mu, nu, space=space)
+    if params.p != 1:
+        raise InvalidParams("this solver handles p = 1 only")
+    a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
+    if space.exact:
+        rows, F_d = space._scaled
+        (b_unit, a_unit), unit = scaled([b / F_d, a])
+    else:
+        rows, b_unit, a_unit, unit = space.dist, b, a, None
+    costs = [[b_unit * d for d in row] for row in rows]
+    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit, rate=2 * a_unit)
+    phi1 = tuple(max(a - pi, -a) for pi in sol.potential_src)
+    phi2 = tuple(max(pi - a, -a) for pi in sol.potential_snk)
+    plan = TransportPlan(space, tuple(map(tuple, sol.flow)))
+    potentials = DualPotentials(phi1, phi2, params)
+    return certified_report(space, mu, nu, params, plan, primal_value(plan, mu, nu, params), potentials)
 
 
 def certified_report(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams,
-    plan: TransportPlan, value: Scalar, mass: Scalar, potentials: DualPotentials, curve=None,
+    plan: TransportPlan, value: Scalar, potentials: DualPotentials,
 ) -> SolveReport:
-    """The p = 1 report of a plan of this value and mass, with the certificate of
-    the plan against ``potentials``.  Their duality gap must be 0 in exact mode;
-    in float mode it is rounding up to CERTIFY_TOL * (1 + |value|), reported
+    """The p = 1 report of a plan of this value, with the certificate of the
+    plan against ``potentials``.  Their duality gap must be 0 in exact mode; in
+    float mode it is rounding up to CERTIFY_TOL * (1 + |value|), reported
     clamped at 0.  An infeasible pair, a larger gap, or a plan and potentials
     that fail the certificate's own checks is a SolverFailure.  The report
     itself comes from :func:`_report`, as the p > 1 scan's does.
@@ -84,7 +99,7 @@ def certified_report(
         conditions = verify_optimality(space, mu, nu, params, plan, potentials)
     except InfeasibleInputs as exc:
         raise SolverFailure(f"the certificate rejects the solver's own plan: {exc}") from None
-    return _report(mu, nu, value, plan, mass, curve, potentials, gap, conditions)
+    return _report(mu, nu, value, plan, plan.total, None, potentials, gap, conditions)
 
 
 def _report(
@@ -95,33 +110,10 @@ def _report(
     """The one constructor of a :class:`SolveReport`, for every order: a plan
     that ships ``mass`` destroys ``mu.mass - mass`` and creates
     ``nu.mass - mass``.  Potentials, gap and certificate come at p = 1 only,
-    from :func:`certified_report`; the curve comes from the curve scan."""
+    from :func:`certified_report`; the curve comes from the p > 1 scan."""
     return SolveReport(
         value=value, plan=plan, potentials=potentials, transported_mass=mass,
         destroyed_mass=mu.mass - mass, created_mass=nu.mass - mass,
         duality_gap=gap, conditions=conditions, curve=curve,
     )
 
-
-def _rate_flow(
-    space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
-) -> tuple[TransportPlan, DualPotentials]:
-    """The plan and potentials of the flow of the costs b d stopped at the rate 2a.
-
-    In exact mode the costs are ints over one unit, D times the int of b / F_d
-    for the space's integer image D / F_d, and the rate is twice the int of a.
-    """
-    require_same_space(mu, nu, space=space)
-    if params.p != 1:
-        raise InvalidParams("this solver handles p = 1 only")
-    a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
-    if space.exact:
-        rows, F_d = space._scaled
-        (b_unit, a_unit), unit = scaled([b / F_d, a])
-    else:
-        rows, b_unit, a_unit, unit = space.dist, b, a, None
-    costs = [[b_unit * d for d in row] for row in rows]
-    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit, rate=2 * a_unit)
-    phi1 = tuple(max(a - pi, -a) for pi in sol.potential_src)
-    phi2 = tuple(max(pi - a, -a) for pi in sol.potential_snk)
-    return TransportPlan(space, tuple(map(tuple, sol.flow))), DualPotentials(phi1, phi2, params)

@@ -1,5 +1,6 @@
-"""General-order solver: equal-mass transport cost, the parametric
-transported-mass curve, and the unbalanced value by breakpoint scan.
+"""General-order solver: equal-mass transport cost and the parametric
+transported-mass curve of any order p >= 1, and the unbalanced value of order
+p > 1 by breakpoint scan (order 1 is :mod:`solver_w1`'s).
 
 The accumulated cost T(m) of the cheapest plan shipping mass m (with
 sub-marginal constraints) is piecewise linear and convex; successive
@@ -14,6 +15,7 @@ vertices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -22,8 +24,8 @@ from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
-from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness
-from .solver_w1 import SolveReport, _rate_flow, _report, certified_report, solve_w1
+from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness, is_finite
+from .solver_w1 import SolveReport, _report, solve_w1
 from .spaces import FiniteMetricSpace
 
 
@@ -107,6 +109,19 @@ def _root(t: Scalar, p) -> Scalar:
         raise InvalidParams(f"a transport cost of {t} at p = {p} is beyond float range") from None
 
 
+def _order_p_flow(space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, p):
+    """Check an order-p problem, p by the rules of :class:`EntropyParams`, and
+    return its transport flow on the costs d^p, not yet run: ``flow(target)``
+    ships ``target`` units, ``flow()`` as many as fit."""
+    require_same_space(mu, nu, space=space)
+    if not is_finite(p):
+        raise InvalidParams(f"p must be finite and within float range, got {p}")
+    if not p >= 1:
+        raise InvalidParams(f"p must be at least 1, got {p}")
+    costs, unit = _power_costs(space, p)
+    return functools.partial(solve_transport, costs, list(mu.weights), list(nu.weights), cost_unit=unit)
+
+
 def wasserstein_p(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, p
 ) -> Scalar:
@@ -116,82 +131,57 @@ def wasserstein_p(
     marginals; this matches the normalized definition because scaling the
     plan by the total mass scales the integral accordingly.
     """
-    require_same_space(mu, nu, space=space)
-    if p < 1:
-        raise InvalidParams(f"p must be at least 1, got {p}")
+    flow = _order_p_flow(space, mu, nu, p)
     slack = 0 if space.exact else ROUNDING_TOL * (1.0 + max(float(mu.mass), float(nu.mass)))
     if abs(mu.mass - nu.mass) > slack:
         raise MassMismatch(f"|mu| = {mu.mass} differs from |nu| = {nu.mass}")
-    if mu.mass == 0:
-        return coerce(0, space.exact) if p == 1 else 0.0
-    costs, unit = _power_costs(space, p)
-    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit)
-    return _root(sol.cost, p)
+    return _root(flow().cost, p)
 
 
 def parametric_transport_curve(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, p
 ) -> ParametricCurve:
     """Breakpoints of m -> min { sum d^p gamma : rows <= mu, cols <= nu, sum gamma = m }."""
-    require_same_space(mu, nu, space=space)
-    if p < 1:
-        raise InvalidParams(f"p must be at least 1, got {p}")
-    costs, unit = _power_costs(space, p)
-    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit)
-    return ParametricCurve(breakpoints=tuple(sol.breakpoints))
+    return ParametricCurve(breakpoints=tuple(_order_p_flow(space, mu, nu, p)().breakpoints))
 
 
 def solve_wp(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> SolveReport:
-    """Unbalanced value of order p by scanning the parametric curve.
+    """Unbalanced value of order p > 1 by scanning the parametric curve.
 
     Returns the attaining plan, whose marginals are the optimal reduced
-    measures.  At p = 1 its plan and potentials come from the flow stopped at
-    the rate 2a (:func:`solver_w1._rate_flow`), which ships the smallest
-    optimal mass, the one the scan keeps, and :func:`solver_w1.certified_report`
-    closes the gap of the scan value against them.  At p > 1 the plan is the
-    curve's final flow, or a second solve with the chosen mass as its target
-    when that is not the last breakpoint (in floats it may differ in the last
-    bits from the flow the curve passed through there); no duality theory is
-    claimed, and :func:`solver_w1._report` builds the report.
+    measures: the curve's final flow, or a second solve with the chosen mass
+    as its target when that is not the last breakpoint (in floats it may
+    differ in the last bits from the flow the curve passed through there).
+    No duality theory is claimed, and :func:`solver_w1._report` builds the
+    report.  p = 1 raises InvalidParams: :func:`solve` sends it to
+    :func:`solver_w1.solve_w1`, which certifies its answer.
     """
-    require_same_space(mu, nu, space=space)
-    a = coerce(params.a, space.exact)
-    b = coerce(params.b, space.exact)
     p = params.p
-
-    costs, unit = _power_costs(space, p)
-    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit)
-    curve = sol.breakpoints
-    mass = mu.mass + nu.mass
-
-    best_idx = 0
-    best_value = None
-    for k, (m, t) in enumerate(curve):
-        try:
-            v = a * (mass - 2 * m) + b * _root(t, p)
-        except OverflowError:  # an exact waste term past float range meets the float root
-            raise InvalidParams(f"a = {float(a):g} puts the value at p = {p} beyond float range") from None
-        # ties keep the smaller transported mass (first hit wins)
-        if best_value is None or v < best_value:
-            best_value = v
-            best_idx = k
-
-    m_star = curve[best_idx][0]
     if p == 1:
-        plan, potentials = _rate_flow(space, mu, nu, params)
-        return certified_report(space, mu, nu, params, plan, best_value, m_star, potentials, list(curve))
-    if best_idx < len(curve) - 1:
-        sol = solve_transport(costs, list(mu.weights), list(nu.weights), target=m_star, cost_unit=unit)
-    plan = TransportPlan(space, tuple(tuple(row) for row in sol.flow))
-    return _report(mu, nu, best_value, plan, m_star, list(curve))
+        raise InvalidParams("solve_wp handles p > 1 only; use solve or solve_w1 at p = 1")
+    flow = _order_p_flow(space, mu, nu, p)
+    a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
+    sol = flow()
+    curve, mass = sol.breakpoints, mu.mass + nu.mass
+    try:
+        values = [a * (mass - 2 * m) + b * _root(t, p) for m, t in curve]
+    except OverflowError:  # an exact waste term past float range meets the float root
+        raise InvalidParams(f"a = {float(a):g} puts the value at p = {p} beyond float range") from None
+    # ties keep the smaller transported mass (min keeps the first)
+    best = min(range(len(curve)), key=values.__getitem__)
+    m_star = curve[best][0]
+    if best < len(curve) - 1:
+        sol = flow(m_star)
+    plan = TransportPlan(space, tuple(map(tuple, sol.flow)))
+    return _report(mu, nu, values[best], plan, m_star, list(curve))
 
 
 def solve(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> SolveReport:
-    """Dispatch on the order: the dedicated p = 1 solver or the curve scan."""
+    """Dispatch on the order: :func:`solve_w1` at p = 1, :func:`solve_wp` above."""
     if params.p == 1:
         return solve_w1(space, mu, nu, params)
     return solve_wp(space, mu, nu, params)

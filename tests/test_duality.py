@@ -327,7 +327,7 @@ def test_nan_potentials_are_infeasible(two_point, phi1, phi2):
     with pytest.raises(InfeasibleInputs, match="potentials violate the dual constraints"):
         verify_optimality(space, mu, nu, params, plan, pair)
     with pytest.raises(SolverFailure):
-        certified_report(space, mu, nu, params, plan, 1.0, 1.0, pair)
+        certified_report(space, mu, nu, params, plan, 1.0, pair)
 
 
 def test_a_nan_gap_is_not_certified(two_point):
@@ -338,9 +338,9 @@ def test_a_nan_gap_is_not_certified(two_point):
     mu, nu = dirac(space, 0), dirac(space, 1)
     plan = make_plan(space, [[0, 1], [0, 0]])
     pair = DualPotentials(phi1=(0.0, -1.0), phi2=(0.0, 1.0), params=params)
-    assert certified_report(space, mu, nu, params, plan, 1.0, 1.0, pair).duality_gap == 0.0
+    assert certified_report(space, mu, nu, params, plan, 1.0, pair).duality_gap == 0.0
     with pytest.raises(SolverFailure, match="duality gap nan exceeds"):
-        certified_report(space, mu, nu, params, plan, math.nan, 1.0, pair)
+        certified_report(space, mu, nu, params, plan, math.nan, pair)
 
 
 def test_c_transform_needs_one_potential_per_point(two_point, unit_params):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from genwass import (
 )
 from genwass import solver_w1, solver_wp
 from genwass.duality import primal_value
-from genwass.errors import InvalidParams, MassMismatch, SolverFailure, SpaceMismatch
+from genwass.errors import InvalidParams, MassMismatch, SpaceMismatch
 from genwass.measures import TransportPlan
 from genwass.solver_wp import ParametricCurve
 from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
@@ -129,14 +130,21 @@ def test_curve_value_outside_its_range_is_rejected():
 
 @pytest.mark.parametrize("call", ["EntropyParams", "wasserstein_p", "parametric_transport_curve"])
 def test_orders_below_one_are_rejected(two_point, call):
-    mu, nu, half = dirac(two_point, 0), dirac(two_point, 1), Fraction(1, 2)
+    # and the orders that are not finite numbers, with the same messages everywhere
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
     calls = {
-        "EntropyParams": lambda: EntropyParams(a=1, b=1, p=half),
-        "wasserstein_p": lambda: wasserstein_p(two_point, mu, nu, half),
-        "parametric_transport_curve": lambda: parametric_transport_curve(two_point, mu, nu, half),
+        "EntropyParams": lambda p: EntropyParams(a=1, b=1, p=p),
+        "wasserstein_p": lambda p: wasserstein_p(two_point, mu, nu, p),
+        "parametric_transport_curve": lambda p: parametric_transport_curve(two_point, mu, nu, p),
     }
-    with pytest.raises(InvalidParams, match="p must be at least 1, got 1/2"):
-        calls[call]()
+    for p, message in (
+        (Fraction(1, 2), "p must be at least 1, got 1/2"),
+        (math.nan, "p must be finite and within float range, got nan"),
+        (math.inf, "p must be finite and within float range, got inf"),
+        (-math.inf, "p must be finite and within float range, got -inf"),
+    ):
+        with pytest.raises(InvalidParams, match=message):
+            calls[call](p)
 
 
 P1 = EntropyParams(a=5, b=1, p=1)
@@ -189,7 +197,7 @@ def test_solve_wp_short_and_long(two_point, two_point_far):
 def test_solve_wp_empty_target(two_point):
     mu = measure(two_point, [2, 1])
     for p in (1, 2, 3):
-        report = solve_wp(two_point, mu, measure(two_point, [0, 0]), EntropyParams(1, 1, p))
+        report = solve(two_point, mu, measure(two_point, [0, 0]), EntropyParams(1, 1, p))
         assert float(report.value) == pytest.approx(3.0)
 
 
@@ -208,6 +216,8 @@ def test_wp_report_marginals_are_the_reduced_measures():
 
 
 def test_p1_consistency_with_dedicated_solver():
+    # the scan over the full p = 1 curve's breakpoints gives the value of the
+    # flow stopped at the rate 2a, exactly
     rng = random.Random(9)
     for _ in range(40):
         space = random_int_metric(rng, rng.randint(1, 5))
@@ -216,48 +226,30 @@ def test_p1_consistency_with_dedicated_solver():
         params = EntropyParams(
             a=rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))), b=Fraction(1), p=1
         )
-        scan = solve_wp(space, mu, nu, params)
+        curve = parametric_transport_curve(space, mu, nu, 1)
+        scan = min(params.a * (mu.mass + nu.mass - 2 * m) + params.b * t for m, t in curve.breakpoints)
         direct = solve_w1(space, mu, nu, params)
-        assert scan.value == direct.value
-        assert scan.duality_gap == 0
-        assert scan.conditions is not None and scan.conditions.passed
+        assert scan == direct.value
+        assert direct.duality_gap == 0
+        assert direct.conditions is not None and direct.conditions.passed
 
 
-
-def test_p1_conditions_certify_the_scan_plan():
-    # the scan's plan is solve_w1's, the flow stopped at the rate 2a, and the
-    # report's certificate is the one of the plan it carries
+def test_p1_conditions_certify_the_plan():
+    # the report's certificate is the one of the plan it carries
     rng = random.Random(7)
     rates = (Fraction(1, 2), Fraction(1), Fraction(2))
     for _ in range(400):
         space = random_int_metric(rng, rng.randint(1, 8), max_d=rng.choice((3, 5, 9)))
         mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
         params = EntropyParams(a=rng.choice(rates), b=rng.choice(rates), p=1)
-        report = solve_wp(space, mu, nu, params)
-        assert report.plan == solve_w1(space, mu, nu, params).plan
+        report = solve_w1(space, mu, nu, params)
         assert report.conditions == verify_optimality(space, mu, nu, params, report.plan, report.potentials)
         assert report.conditions.passed
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_p1_scan_value_must_close_the_gap(two_point, monkeypatch, exact):
-    # every breakpoint's value off by b/2 = 1/2: the rate flow's duals
-    # refute it, as they refute a wrong solve_w1 value
-    space, params = two_point, EntropyParams(a=Fraction(1), b=Fraction(1), p=1)
-    if not exact:
-        space, params = two_point.as_float(), EntropyParams(a=1.0, b=1.0, p=1)
-    mu, nu = measure(space, [1, 0]), measure(space, [0, 1])
-    assert solve_wp(space, mu, nu, params).duality_gap == 0
-    monkeypatch.setattr(solver_wp, "_root", lambda t, p: t + Fraction(1, 2))
-    with pytest.raises(SolverFailure, match="gap (of 1/2|0.5 exceeds)"):
-        solve_wp(space, mu, nu, params)
 
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_p1_scan_certifies_once(monkeypatch, seed):
-    # the curve flow for the value and the flow stopped at the rate for the
-    # plan and potentials, whatever the best breakpoint; one certificate,
-    # and the scan's own value, not the primal value of another plan
-    calls = {"verify_optimality": 0, "primal_value": 0, "solve_transport": 0}
+def _counted_calls(monkeypatch, names):
+    """Live call counts of the named functions, as solver_w1 and solver_wp call them."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -270,12 +262,45 @@ def test_p1_scan_certifies_once(monkeypatch, seed):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_p1_solve_certifies_once(monkeypatch, seed):
+    # solve at p = 1 runs one flow, stopped at the rate 2a, and certifies the
+    # primal value of its plan once
+    calls = _counted_calls(monkeypatch, ("verify_optimality", "primal_value", "solve_transport"))
     rng = random.Random(seed)
     space = random_int_metric(rng, 6)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
-    report = solve_wp(space, mu, nu, EntropyParams(a=Fraction(1), b=Fraction(1), p=1))
+    report = solve(space, mu, nu, EntropyParams(a=Fraction(1), b=Fraction(1), p=1))
     assert report.duality_gap == 0 and report.conditions.passed
-    assert calls == {"verify_optimality": 1, "primal_value": 0, "solve_transport": 2}
+    assert calls == {"verify_optimality": 1, "primal_value": 1, "solve_transport": 1}
+
+
+def test_solve_wp_rejects_order_one(two_point):
+    # one solve path per order: p = 1 goes through solve_w1 only
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    with pytest.raises(InvalidParams, match="solve_wp handles p > 1 only; use solve or solve_w1 at p = 1"):
+        solve_wp(two_point, mu, nu, EntropyParams(a=1, b=1, p=1))
+
+
+def test_solve_wp_runs_one_flow_or_two_when_interior(monkeypatch):
+    # one flow for the curve, a second only when the best breakpoint is not
+    # its last, and the d^p costs built once for both
+    calls = _counted_calls(monkeypatch, ("solve_transport", "_power_costs"))
+    rng = random.Random(2024)
+    flows = set()
+    for _ in range(40):
+        space = random_int_metric(rng, rng.randint(3, 6), max_d=6)
+        mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+        params = EntropyParams(a=Fraction(1), b=rng.choice((Fraction(1, 4), Fraction(1), Fraction(2))), p=2)
+        calls.update(solve_transport=0, _power_costs=0)
+        report = solve_wp(space, mu, nu, params)
+        interior = report.transported_mass < report.curve[-1][0]
+        assert calls == {"solve_transport": 1 + interior, "_power_costs": 1}
+        flows.add(calls["solve_transport"])
+    assert flows == {1, 2}
 
 
 def test_oracle_agreement_all_p():
@@ -290,7 +315,7 @@ def test_oracle_agreement_all_p():
             b=rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))),
             p=p,
         )
-        got = solve_wp(space, mu, nu, params).value
+        got = solve(space, mu, nu, params).value
         expected = brute_force_value(space, mu, nu, params)
         if p == 1:
             assert got == expected
@@ -311,7 +336,7 @@ def test_huge_a_degenerates_to_pure_transport():
         p = rng.choice((1, 2))
         b = Fraction(1)
         a = b * space.diameter * min(mu.mass, nu.mass) + 1
-        report = solve_wp(space, mu, nu, EntropyParams(a=a, b=b, p=p))
+        report = solve(space, mu, nu, EntropyParams(a=a, b=b, p=p))
         pure = wasserstein_p(space, mu, nu, p)
         assert float(report.value) == pytest.approx(float(b * pure), rel=1e-12, abs=1e-12)
         assert report.transported_mass == mu.mass
@@ -326,11 +351,11 @@ def test_value_monotone_in_a_and_b():
         nu = random_int_measure(rng, space)
         p = rng.choice((1, 2))
         for lo, hi in ((grid[0], grid[1]), (grid[1], grid[2])):
-            va = solve_wp(space, mu, nu, EntropyParams(a=lo, b=Fraction(1), p=p)).value
-            vb = solve_wp(space, mu, nu, EntropyParams(a=hi, b=Fraction(1), p=p)).value
+            va = solve(space, mu, nu, EntropyParams(a=lo, b=Fraction(1), p=p)).value
+            vb = solve(space, mu, nu, EntropyParams(a=hi, b=Fraction(1), p=p)).value
             assert float(va) <= float(vb) + 1e-12
-            wa = solve_wp(space, mu, nu, EntropyParams(a=Fraction(1), b=lo, p=p)).value
-            wb = solve_wp(space, mu, nu, EntropyParams(a=Fraction(1), b=hi, p=p)).value
+            wa = solve(space, mu, nu, EntropyParams(a=Fraction(1), b=lo, p=p)).value
+            wb = solve(space, mu, nu, EntropyParams(a=Fraction(1), b=hi, p=p)).value
             assert float(wa) <= float(wb) + 1e-12
 
 
@@ -345,7 +370,7 @@ def test_interior_points_never_beat_breakpoints():
         p = rng.choice((1, 2, 3))
         a, b = Fraction(1), Fraction(1)
         curve = parametric_transport_curve(space, mu, nu, p)
-        report = solve_wp(space, mu, nu, EntropyParams(a=a, b=b, p=p))
+        report = solve(space, mu, nu, EntropyParams(a=a, b=b, p=p))
         total = float(mu.mass + nu.mass)
         for (m0, t0), (m1, t1) in zip(curve.breakpoints, curve.breakpoints[1:]):
             for lam in (0.25, 0.5, 0.75):

@@ -4,31 +4,33 @@ from pathlib import Path
 
 from genwass.cli import main as cli_main
 
-DUMP = Path(__file__).resolve().parents[1] / "tools" / "dump_outputs.py"
+ROOT = Path(__file__).resolve().parents[1]
+DUMP = ROOT / "tools" / "dump_outputs.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def _load_dump():
-    spec = importlib.util.spec_from_file_location("dump_outputs", DUMP)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
-    # per instance: solve at p = 1, 2, 3, solve_wp, solve_flat, six
+    # per instance: solve at p = 1, 2, 3, solve_flat, four
     # certificates, one metric check and three CLI calls; four `verify --report` calls more
     # when the problem file is at p = 1 (instances 1 and 2 of every 3), and six
     # oracle values more on at most 3 points (instance 2, of 1 point)
-    dump = _load_dump()
+    dump = _load("dump_outputs", DUMP)
     monkeypatch.setattr(dump, "INSTANCES", 3)
-    # the larger section, shrunk: three lines per family and mode
+    # the larger section, shrunk: two lines per family and mode
     monkeypatch.setattr(dump, "LARGE", (("l1", 6, 500), ("wide", 5, 500), ("closed", 4, 2)))
     lines = list(dump.dump(cli_main, tmp_path))
-    small, large = lines[: 15 + 19 + 25], lines[15 + 19 + 25 :]
+    small, large = lines[: 12 + 16 + 22], lines[12 + 16 + 22 :]
     tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in small]
     assert all(tags)
     ks = [int(tag.group(2)) for tag in tags]
-    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [15, 19, 25]
+    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [12, 16, 22]
     # one instance, one tag
     assert len({tag.group(1) for tag in tags}) == 3
     assert sum(" cli verify " in line for line in small) == 8
@@ -39,6 +41,14 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
         f"large {family} {mode} n={n} {call}"
         for family, n in (("l1", 6), ("wide", 5), ("closed", 4))
         for mode in ("exact", "float")
-        for call in ("solve p=1", "solve p=2", "solve_wp p=1")
+        for call in ("solve p=1", "solve p=2")
     ]
     assert all(result.startswith("SolveReport(") for _, result in heads)
+
+
+def test_tracer_names_resolve_in_the_package():
+    # perfbench/run.py --trace 1 wraps each of these by name; a renamed one
+    # would fail there with an AttributeError
+    tracing = _load("tracing", TRACING)
+    for module, function in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"genwass.{module}"), function)), (module, function)

@@ -9,26 +9,24 @@ Two runs on two source trees, diffed, show whether a change keeps every output:
 Each instance is a shortest-path closed integer metric (scaled by a rational
 on some instances), two rational measures and rates a, b in {1/2, 1, 2},
 exact or float.  Per instance the lines are the ``repr`` of ``solve`` at
-p = 1, 2 and 3, of ``solve_wp`` at p = 1 and of ``solve_flat``; the
-``verify_optimality`` certificate of each p = 1 report's plan and of a copy of
-it with one entry raised by 1/4, at the default tolerance and at 1/4; one
-metric check, ``validate_metric`` on a copy of the distances with one pair
-moved by -1 or +1 unit (drawn from a generator of its own), in exact mode,
-in float mode and in float mode on the integer rows, each as the error type
-and witness, or "ok"; on instances of at most 3 points, the brute-force
-oracle at p = 1, 2 and 3, exact and float, on the masses min(floor(w), 3) of
-the instance's weights w; and the exit code, stdout and stderr of the CLI
-``plan``, ``dual`` and ``verify --report`` on a problem file (the report is
-the ``plan --format json`` output, and once more with the same raised
-entry).
+p = 1, 2 and 3 and of ``solve_flat``; the ``verify_optimality`` certificate of
+the p = 1 report's plan and of a copy of it with one entry raised by 1/4, at
+the default tolerance and at 1/4; one metric check, ``validate_metric`` on a
+copy of the distances with one pair moved by -1 or +1 unit (drawn from a
+generator of its own), in exact mode, in float mode and in float mode on the
+integer rows, each as the error type and witness, or "ok"; on instances of at
+most 3 points, the brute-force oracle at p = 1, 2 and 3, exact and float, on
+the masses min(floor(w), 3) of the instance's weights w; and the exit code,
+stdout and stderr of the CLI ``plan``, ``dual`` and ``verify --report`` on a
+problem file (the report is the ``plan --format json`` output, and once more
+with the same raised entry).
 
 A second section runs larger instances, where most augmenting paths cost
 more than the last: l1 distances of points of {0..1000}^2 and wide
 unclosed integer distances in [1000, 2000], each at n = 48 and 96 with
 a = 500, and a closed integer metric at n = 64 with a = 2; b = 1/2, two
 rational measures, and each instance in exact and in float mode.  Per
-instance and mode the lines are the ``repr`` of ``solve`` at p = 1 and 2
-and of ``solve_wp`` at p = 1.
+instance and mode the lines are the ``repr`` of ``solve`` at p = 1 and 2.
 
 Errors print as their type and message.  Standard library only: the inputs
 are built here.
@@ -126,7 +124,6 @@ def dump(cli_main, workdir: Path):
         measure,
         solve,
         solve_flat,
-        solve_wp,
         validate_metric,
         verify_optimality,
     )
@@ -149,15 +146,13 @@ def dump(cli_main, workdir: Path):
         for p, order_p in params.items():
             yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, order_p)}"
         p1 = params[1]
-        report, scan = solve(space, mu, nu, p1), solve_wp(space, mu, nu, p1)
-        yield f"{tag} solve_wp p=1: {scan!r}"
+        report = solve(space, mu, nu, p1)
         yield f"{tag} solve_flat: {outcome(solve_flat, space, mu, nu, p1)}"
         gamma = [list(row) for row in report.plan.gamma]
         gamma[rng.randrange(n)][rng.randrange(n)] += in_mode(Fraction(1, 4), exact)
         raised = TransportPlan(space, tuple(map(tuple, gamma)))
         for name, plan, potentials in (
             ("solve", report.plan, report.potentials),
-            ("solve_wp", scan.plan, scan.potentials),
             ("raised", raised, report.potentials),
         ):
             for tol in (None, Fraction(1, 4)):
@@ -198,7 +193,7 @@ def dump(cli_main, workdir: Path):
 
 
 def dump_large():
-    from genwass import EntropyParams, measure, solve, solve_wp, validate_metric
+    from genwass import EntropyParams, measure, solve, validate_metric
 
     rng = random.Random(LARGE_SEED)
     for family, n, a in LARGE:
@@ -212,7 +207,6 @@ def dump_large():
             rates = {"a": in_mode(Fraction(a), exact), "b": in_mode(Fraction(1, 2), exact)}
             for p in (1, 2):
                 yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, EntropyParams(**rates, p=p))}"
-            yield f"{tag} solve_wp p=1: {outcome(solve_wp, space, mu, nu, EntropyParams(**rates, p=1))}"
 
 
 def metric_check(validate_metric, rng, labels, ints, scale) -> str:
