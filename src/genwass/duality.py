@@ -10,17 +10,24 @@ through I(phi) = inf_{s>=0} (s phi + a|1-s|), which is phi on [-a, a], a
 above, and minus infinity below.
 
 Each p = 1 check has one implementation, run on integers when its inputs
-are exact.  The space carries its distances as ints D over one factor F_d
-and the plan its entries as ints G over F_g (both from ``scalars.scaled``);
-one more ``scaled`` call puts a, the slack and the potentials over a common
-factor F_p, and b enters as b_num / b_den.  With L = b_den F_d and
-R = b_num F_p the dual feasibility test phi1_i + phi2_j <= b d_ij + slack
-reads P1_i L + P2_j L <= R D_ij + S L, the certificate's tightness gap
+are exact.  The space carries its distances as ints D over one factor F_d,
+the plan its entries as ints G over F_g and each measure its weights as ints
+W over its own F_w (all from ``scalars.scaled``); the plan's row and column
+sums are int sums Gs of G over F_g.  One more ``scaled`` call puts a, the
+slack and the potentials over a common factor F_p (ints A, S, P), and b
+enters as b_num / b_den.  With L = b_den F_d and R = b_num F_p the dual
+feasibility test phi1_i + phi2_j <= b d_ij + slack reads
+P1_i L + P2_j L <= R D_ij + S L, the certificate's tightness gap
 b d_ij - phi1_i - phi2_j reads R D_ij - P1_i L - P2_j L, and the primal
-value is one running sum of D G divided once.  A float tolerance enters as
-``Fraction(tol)``, which is exact.  Float mode, and exact inputs that hold a
-float, run the same expressions on the values themselves with every factor
-1: the direct expressions, in the same floating-point order.
+value is one running sum of D G divided once.  The certificate's per-point
+tests read gamma_i <= mu_i as Gs F_w <= W F_g, gamma_i > 0 as Gs > 0,
+mu_i > tol as W F_p > S F_w, and |(a - phi)(1 - g / w)| > tol as
+|(A - P) N| > S Q with (N, Q) = (W F_g - Gs F_w, W F_g).  The dual
+objective sums T W with T the truncated P and builds one Fraction at the
+end.  A float tolerance enters as ``Fraction(tol)``, which is exact.  Float
+mode, and exact inputs that hold a float, run the same expressions on the
+values themselves with every factor 1 and (N, Q) = (1 - g / w, 1): the
+direct expressions, in the same floating-point order.
 """
 
 from __future__ import annotations
@@ -104,37 +111,60 @@ def feasibility_slack(space: FiniteMetricSpace, params: EntropyParams) -> Scalar
     return ROUNDING_TOL * (1.0 + float(params.a) + float(params.b) * float(space.diameter))
 
 
-def _terms(space: FiniteMetricSpace, potentials: DualPotentials, slack, plan: TransportPlan | None = None):
+def _terms(
+    space: FiniteMetricSpace, potentials: DualPotentials, slack, plan: TransportPlan | None = None,
+    measures: tuple[DiscreteMeasure, ...] = (),
+):
     """The inputs of one p = 1 check: integer images when all of them are exact,
-    else the values as they are with every factor 1 (F_g = F_p = L = 1, R = b).
+    else the values as they are with every factor 1 (F_g = F_p = F_w = L = 1, R = b).
 
-    Returns (D, G, F_g, A, S, P1, P2, F_p, L, R), in the notation of the
-    module docstring; a finite float slack enters the image as
-    ``Fraction(slack)``.  The choice is made once per call, so one object's
-    integer image never meets another object's raw values.
+    Returns (D, G, F_g, A, S, P1, P2, F_p, L, R, sides, ints), in the notation
+    of the module docstring.  ``sides`` holds one (Gs, W, F_w) per measure in
+    ``measures`` (mu, then nu): the plan's row sums for the first and column
+    sums for the second, over F_g (empty without a plan), and the weights W
+    over F_w.  ``ints`` tells which images were chosen.  A finite float slack
+    enters the image as ``Fraction(slack)``.  The choice is made once per
+    call, so one object's integer image never meets another object's raw
+    values.  The potentials' lengths are checked by :func:`_feasible`, which
+    every check runs before it reads P1 and P2.
     """
     params, phi1, phi2, n = potentials.params, potentials.phi1, potentials.phi2, space.n
-    if len(phi1) != n or len(phi2) != n:
-        raise SpaceMismatch("potential vectors do not match the space")
     exact_slack = Fraction(slack) if isinstance(slack, float) and is_finite(slack) else slack
     values = (params.a, exact_slack, *phi1, *phi2)
-    # a plan has an integer image when its unit is a Fraction; with no plan
-    # the space and the duals decide alone
+    # a plan has an integer image when its unit is a Fraction, a measure when
+    # its weights are exact; with no plan the space, the measures and the duals decide
     G, unit = plan._scaled if plan is not None else ((), Fraction(1))
-    if not (space.exact and isinstance(unit, Fraction) and exactness((params.b, *values))[0]):
+    ints = (
+        space.exact
+        and isinstance(unit, Fraction)
+        and all(m._scaled for m in measures)
+        and exactness((params.b, *values))[0]
+    )
+    if not ints:
         gamma = plan.gamma if plan is not None else ()
-        return space.dist, gamma, 1, params.a, slack, phi1, phi2, 1, 1, params.b
-    ints, F_p = scaled(values)
+        sums = (plan.row_sums(), plan.col_sums()) if plan is not None else ((), ())
+        sides = tuple((s, m.weights, 1) for s, m in zip(sums, measures))
+        return space.dist, gamma, 1, params.a, slack, phi1, phi2, 1, 1, params.b, sides, False
+    scaled_values, F_p = scaled(values)
     (D, F_d), b = space._scaled, params.b
-    P1, P2 = ints[2 : n + 2], ints[n + 2 :]
-    return D, G, unit.denominator, ints[0], ints[1], P1, P2, F_p, b.denominator * F_d, b.numerator * F_p
+    P1, P2 = scaled_values[2 : n + 2], scaled_values[n + 2 :]
+    sides = tuple((tuple(map(sum, rows)), *m._scaled) for rows, m in zip((G, zip(*G)), measures))
+    L, R = b.denominator * F_d, b.numerator * F_p
+    return D, G, unit.denominator, scaled_values[0], scaled_values[1], P1, P2, F_p, L, R, sides, True
 
 
 def is_feasible_pair(space: FiniteMetricSpace, potentials: DualPotentials, slack=None) -> bool:
     """phi_i >= -a - slack, and phi1_i + phi2_j <= b d_ij + slack for every pair (i, j)."""
     if slack is None:
         slack = feasibility_slack(space, potentials.params)
-    D, _, _, A, S, P1, P2, _, L, R = _terms(space, potentials, slack)
+    return _feasible(space, potentials, _terms(space, potentials, slack))
+
+
+def _feasible(space: FiniteMetricSpace, potentials: DualPotentials, terms) -> bool:
+    """:func:`is_feasible_pair` on the images ``terms`` of the potentials and its slack."""
+    if len(potentials.phi1) != space.n or len(potentials.phi2) != space.n:
+        raise SpaceMismatch("potential vectors do not match the space")
+    D, _, _, A, S, P1, P2, _, L, R, _, _ = terms
     # each test is written so that a NaN fails it
     floor = -A - S
     if not (all(map(ge, P1, repeat(floor))) and all(map(ge, P2, repeat(floor)))):
@@ -153,23 +183,28 @@ def evaluate_dual(
     """Feasibility of the pair plus its truncated dual objective.
 
     A potential below -a meeting positive mass short-circuits the objective
-    to -inf, so the sentinel never enters ordinary arithmetic.
+    to -inf, so the sentinel never enters ordinary arithmetic.  The objective
+    is one running sum of T W, phi1 first, with T the truncated potential;
+    on integer images each side's weights are brought over F_w1 F_w2 and the
+    sum is divided once, else it runs on the values themselves.
     """
     require_same_space(mu, nu)
     space = mu.space
-    a = potentials.params.a
-    feasible = is_feasible_pair(space, potentials)
+    terms = _terms(space, potentials, feasibility_slack(space, potentials.params), measures=(mu, nu))
+    feasible = _feasible(space, potentials, terms)
+    _, _, _, A, _, P1, P2, F_p, _, _, sides, ints = terms
+    (_, W1, F1), (_, W2, F2) = sides
 
-    total = coerce(0, space.exact)
-    for phi, m in ((potentials.phi1, mu), (potentials.phi2, nu)):
-        for v, w in zip(phi, m.weights):
+    total = 0 if ints else coerce(0, space.exact)
+    for P, W, other in ((P1, W1, F2), (P2, W2, F1)):
+        for p, w in zip(P, W):
             if w == 0:
                 continue
-            t = truncate_potential(v, a)
+            t = truncate_potential(p, A)
             if t == NEG_INF:
                 return feasible, NEG_INF
-            total += t * w
-    return feasible, total
+            total += t * w * other
+    return feasible, Fraction(total, F_p * F1 * F2) if ints else total
 
 
 def primal_value(
@@ -303,6 +338,8 @@ def verify_optimality(
     which is (iv).  So after the test gamma_i <= mu_i, one pass over the row
     and column sums checks (iii) with the density g / w where gamma_i > 0 and
     (iv) elsewhere, the latter only at points whose mass mu_i[x] exceeds tol.
+    Every test reads the images of :func:`_terms`, as the module docstring
+    writes them.
     """
     if params.p != 1:
         raise InvalidParams("the certificate is only defined for p = 1")
@@ -313,19 +350,18 @@ def verify_optimality(
         raise InvalidParams("the potentials were computed for other parameters")
     tol = verification_tol(tol, space.exact)
 
-    gammas = plan.row_sums(), plan.col_sums()
-    for gamma, m in zip(gammas, (mu, nu)):
+    D, G, F_g, A, S, P1, P2, F_p, L, R, sides, ints = _terms(space, potentials, tol, plan, (mu, nu))
+    for Gs, W, F_w in sides:
         # a float w + tol may round to inf; FLOAT_MAX then still refuses a
         # marginal past float range, which exceeds any measure
-        caps = m.weights if space.exact else [min(w + tol, FLOAT_MAX) for w in m.weights]
-        if not all(map(le, gamma, caps)):
+        caps = W if space.exact else [min(w + tol, FLOAT_MAX) for w in W]
+        if not all(map(le, map(mul, Gs, repeat(F_w)), map(mul, caps, repeat(F_g)))):
             raise InfeasibleInputs("plan marginals exceed the problem measures")
     slack = max(tol, feasibility_slack(space, params))
     if not is_feasible_pair(space, potentials, slack=slack):
         raise InfeasibleInputs("potentials violate the dual constraints")
 
     # (ii) where the plan ships more than tol: |b d_ij - phi1_i - phi2_j| <= tol
-    D, G, F_g, _, S, P1, P2, F_p, L, R = _terms(space, potentials, tol, plan)
     shipped, loose = S * F_g, S * L
     violations: list[tuple[str, tuple]] = [
         ("ii", (i, j))
@@ -335,16 +371,18 @@ def verify_optimality(
     ]
     tight_on_plan = not violations
 
-    a = params.a
     sets = []
     unsaturated = {"iii": [], "iv": []}
-    sides = zip(gammas, (mu, nu), (potentials.phi1, potentials.phi2))
-    for side, (gamma, m, phi) in enumerate(sides, 1):
-        sets.append(tuple(x for x, (g, w) in enumerate(zip(gamma, m.weights)) if g > 0 or w == 0))
-        for x, (g, w, v) in enumerate(zip(gamma, m.weights, phi)):
+    for side, ((Gs, W, F_w), P) in enumerate(zip(sides, (P1, P2)), 1):
+        sets.append(tuple(x for x, (g, w) in enumerate(zip(Gs, W)) if g > 0 or w == 0))
+        destroyed = S * F_w  # (iv) only where w > tol
+        for x, (g, w, p) in enumerate(zip(Gs, W, P)):
             shipped = g > 0  # (iii) on the support of gamma_i, else (iv); g / w only where w > 0
-            if w > (0 if shipped else tol) and abs((a - v) * (1 - g / w)) > tol:
-                unsaturated["iii" if shipped else "iv"].append((side, x))
+            if w * F_p > (0 if shipped else destroyed):
+                # |(a - phi)(1 - g / w)| > tol, with 1 - g / w = N / Q
+                N, Q = (w * F_g - g * F_w, w * F_g) if ints else (1 - g / w, 1)
+                if abs((A - p) * N) > S * Q:
+                    unsaturated["iii" if shipped else "iv"].append((side, x))
     violations += [(cond, w) for cond, ws in unsaturated.items() for w in ws]
 
     return OptimalityCertificate(

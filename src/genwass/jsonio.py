@@ -132,7 +132,7 @@ def report_to_json(report: SolveReport) -> dict:
     if report.duality_gap is not None:
         doc["gap"] = scalar_to_json(report.duality_gap)
     if report.conditions is not None:
-        doc["conditions"] = certificate_to_json(report.conditions)["conditions"]
+        doc["conditions"] = report.conditions.conditions()
     else:
         doc["conditions"] = "not-applicable"
     if report.curve is not None:

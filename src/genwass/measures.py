@@ -13,7 +13,7 @@ from itertools import chain, repeat
 from operator import lt
 
 from .errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from .scalars import ROUNDING_TOL, Scalar, coerce, is_finite, scaled_rows
+from .scalars import ROUNDING_TOL, Scalar, coerce, exactness, is_finite, scaled, scaled_rows
 from .spaces import FiniteGroupAction, FiniteMetricSpace, QuotientResult
 
 
@@ -32,6 +32,10 @@ class DiscreteMeasure:
     @cached_property  # summed once per measure; not a field, so eq, hash and repr skip it
     def mass(self) -> Scalar:
         return sum(self.weights)
+
+    @cached_property  # as mass: the weights as ints over one factor, or None if any is not exact
+    def _scaled(self) -> tuple | None:
+        return scaled(self.weights) if exactness(self.weights)[0] else None
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         require_same_space(self, other)

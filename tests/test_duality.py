@@ -25,7 +25,7 @@ from genwass import measures
 from genwass.duality import _terms, feasibility_slack, is_feasible_pair, primal_value, verification_tol
 from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SolverFailure, SpaceMismatch
 from genwass.measures import DiscreteMeasure, TransportPlan, require_same_space
-from genwass.scalars import coerce, is_exact
+from genwass.scalars import NEG_INF, coerce, is_exact
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_w1 import certified_report
 from reference import is_submeasure, lebesgue_decompose, marginals, zero_measure
@@ -535,13 +535,13 @@ CASE_MODES = ("exact", "float", "float potentials", "float plan")
 
 
 @st.composite
-def exact_certificate_cases(draw):
+def exact_certificate_cases(draw, mode=None):
     """A solved exact instance on a rational metric with a non-integer b,
     its potentials shifted by fractions of mixed and large prime
     denominators, possibly one potential off by 1/p for a large prime p,
     possibly a tampered plan, and a tolerance that may be a float; then, by
-    a mode draw, kept exact, or made its float copy, or given float
-    potentials or float plan entries on the exact space."""
+    ``mode`` or else a mode draw, kept exact, or made its float copy, or
+    given float potentials or float plan entries on the exact space."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     base = random_int_metric(rng, draw(st.integers(1, 6)), max_d=9)
     scale = draw(st.sampled_from((Fraction(1), Fraction(2, 3), Fraction(5, 7))))
@@ -568,7 +568,7 @@ def exact_certificate_cases(draw):
     if draw(st.booleans()):
         i, j = draw(st.integers(0, space.n - 1)), draw(st.integers(0, space.n - 1))
         gamma[i][j] = max(gamma[i][j] + Fraction(draw(st.integers(-1, 1)), draw(dens)), Fraction(0))
-    mode = draw(st.sampled_from(CASE_MODES))
+    mode = draw(st.sampled_from(CASE_MODES)) if mode is None else mode
     if mode == "float":
         space = space.as_float()
         mu, nu = mu.as_float(space), nu.as_float(space)
@@ -624,6 +624,116 @@ def test_integer_checks_match_the_fraction_checks(case):
     assert_same((plan.total, plan.row_sums(), plan.col_sums()), reference_plan_sums(plan))
 
 
+# The dual objective as a running sum of Fractions (or floats), from before
+# exact mode summed it on integer images.  Its feasibility flag is
+# is_feasible_pair's, as it was: reference_is_feasible_pair passes a NaN.
+
+
+def reference_evaluate_dual(potentials, mu, nu):
+    require_same_space(mu, nu)
+    space = mu.space
+    a = potentials.params.a
+    feasible = is_feasible_pair(space, potentials)
+    total = coerce(0, space.exact)
+    for phi, m in ((potentials.phi1, mu), (potentials.phi2, nu)):
+        for v, w in zip(phi, m.weights):
+            if w == 0:
+                continue
+            t = truncate_potential(v, a)
+            if t == NEG_INF:
+                return feasible, NEG_INF
+            total += t * w
+    return feasible, total
+
+
+@pytest.mark.parametrize("mode", CASE_MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dual_objective_matches_the_fraction_loop(mode, data):
+    space, mu, nu, params, plan, potentials, tol = data.draw(exact_certificate_cases(mode))
+    assert_same(evaluate_dual(potentials, mu, nu), reference_evaluate_dual(potentials, mu, nu))
+
+
+def test_dual_objective_truncates_as_the_fraction_loop(two_point, unit_params):
+    mu, nu = measure(two_point, [Fraction(1, 2), 0]), measure(two_point, [0, 3])
+    space = two_point.as_float()
+    params = EntropyParams(a=1.0, b=1.0, p=1)
+    float_mu, float_nu = mu.as_float(space), nu.as_float(space)
+    huge_mu, huge_nu = measure(space, [1e308, 0.0]), measure(space, [0.0, 1e308])
+    big = EntropyParams(a=1e308, b=1.0, p=1)
+    cases = [
+        # above a: a, against the weight 1/2, and phi2 = 1/3 against 3
+        ((unit_params, mu, nu), (Fraction(5, 2), 0), (0, Fraction(1, 3)), Fraction(3, 2)),
+        # below -a at positive weight: the sentinel
+        ((unit_params, mu, nu), (-2, 0), (0, 1), NEG_INF),
+        # below -a at zero weight only: skipped
+        ((unit_params, mu, nu), (0, -2), (-2, Fraction(-1, 3)), Fraction(-1)),
+        # float weights on the exact space: the values themselves, in floats
+        ((unit_params, DiscreteMeasure(two_point, (0.5, 0.0)), DiscreteMeasure(two_point, (0.0, 3.0))),
+         (Fraction(5, 2), 0), (0, Fraction(1, 3)), 1.5),
+        ((params, float_mu, float_nu), (2.5, -2.0), (-2.0, 0.25), 1.25),
+        # a NaN potential fails both tests of the truncation: the sentinel at
+        # positive weight, skipped at zero weight
+        ((params, float_mu, float_nu), (math.nan, 0.0), (0.0, 0.0), NEG_INF),
+        ((params, float_mu, float_nu), (0.0, math.nan), (math.nan, 0.5), 1.5),
+        # the terms overflow to +inf and -inf, and their sum is NaN
+        ((big, huge_mu, huge_nu), (1e308, 0.0), (0.0, -1e308), math.nan),
+    ]
+    for (case_params, case_mu, case_nu), phi1, phi2, value in cases:
+        pair = DualPotentials(phi1=phi1, phi2=phi2, params=case_params)
+        got = evaluate_dual(pair, case_mu, case_nu)
+        assert repr(got) == repr(reference_evaluate_dual(pair, case_mu, case_nu))
+        assert repr(got[1]) == repr(value)
+
+
+def test_float_weights_on_an_exact_space_meet_the_references():
+    # the weights decide the images with the plan and the potentials: a float
+    # weight sends the whole check to the values themselves
+    seen = 0
+    for space, mu, nu, params, plan, potentials, tol in seeded_certificate_cases(random.Random(43), 120):
+        if not space.exact:
+            continue
+        mu, nu = (DiscreteMeasure(space, tuple(map(float, m.weights))) for m in (mu, nu))
+        assert_same_certificate(space, mu, nu, params, plan, potentials, tol)
+        assert_same(evaluate_dual(potentials, mu, nu), reference_evaluate_dual(potentials, mu, nu))
+        seen += 1
+    assert seen >= 20
+
+
+def test_certificate_builds_as_many_fractions_at_any_size(monkeypatch):
+    # the per-point loops run on integer images, so a larger space builds no
+    # more Fractions; the Fraction loop of the dual objective does
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    counts = {}
+    for n in (8, 32):
+        rng = random.Random(n)
+        space = random_int_metric(rng, n, max_d=9)
+        mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+        params = EntropyParams(a=Fraction(3, 2), b=Fraction(2, 3), p=1)
+        report = solve_w1(space, mu, nu, params)
+        calls = {
+            "verify_optimality": lambda: verify_optimality(space, mu, nu, params, report.plan, report.potentials),
+            "evaluate_dual": lambda: evaluate_dual(report.potentials, mu, nu),
+            "reference": lambda: reference_evaluate_dual(report.potentials, mu, nu),
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counting)
+            for name, call in calls.items():
+                built.clear()
+                result = call()
+                counts[name, n] = len(built)
+        assert result == (True, report.value)
+    assert counts["verify_optimality", 8] == counts["verify_optimality", 32]
+    assert counts["evaluate_dual", 8] == counts["evaluate_dual", 32]
+    assert counts["reference", 8] < counts["reference", 32]
+
+
 def test_float_tolerance_is_added_exactly():
     # phi1[x] + phi2[y] = 7/12 = b d(x, y) + 1/4 exactly, with b d = 1/3:
     # float(1/3) + 0.25 rounds below 7/12, so adding a float tol in floats
@@ -673,7 +783,7 @@ def reference_lebesgue_verify_optimality(space, mu, nu, params, plan, potentials
     if not is_feasible_pair(space, potentials, slack=slack):
         raise InfeasibleInputs("potentials violate the dual constraints")
 
-    D, G, F_g, _, S, P1, P2, F_p, L, R = _terms(space, potentials, tol, plan)
+    D, G, F_g, _, S, P1, P2, F_p, L, R, _, _ = _terms(space, potentials, tol, plan)
     shipped, loose = S * F_g, S * L
     violations = [
         ("ii", (i, j))

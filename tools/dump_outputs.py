@@ -10,8 +10,11 @@ Each instance is a shortest-path closed integer metric (scaled by a rational
 on some instances), two rational measures and rates a, b in {1/2, 1, 2},
 exact or float.  Per instance the lines are the ``repr`` of ``solve`` at
 p = 1, 2 and 3 and of ``solve_flat``; the ``verify_optimality`` certificate of
-the p = 1 report's plan and of a copy of it with one entry raised by 1/4, at
-the default tolerance and at 1/4; one metric check, ``validate_metric`` on a
+the p = 1 report's plan at the default tolerance, at 1/4 and at the float
+2^-10, and of a copy of it with one entry raised by 1/4, at the default
+tolerance and at 1/4; ``evaluate_dual`` of the report's potentials with the
+first of phi1 set to a + 1/4 and the phi2 of the first point of least nu
+weight to -a - 1/4 (a weight of 0 keeps it out of the objective); one metric check, ``validate_metric`` on a
 copy of the distances with one pair moved by -1 or +1 unit (drawn from a
 generator of its own), in exact mode, in float mode and in float mode on the
 integer rows, each as the error type and witness, or "ok"; on instances of at
@@ -121,6 +124,7 @@ def dump(cli_main, workdir: Path):
         EntropyParams,
         TransportPlan,
         brute_force_value,
+        evaluate_dual,
         measure,
         solve,
         solve_flat,
@@ -151,13 +155,18 @@ def dump(cli_main, workdir: Path):
         gamma = [list(row) for row in report.plan.gamma]
         gamma[rng.randrange(n)][rng.randrange(n)] += in_mode(Fraction(1, 4), exact)
         raised = TransportPlan(space, tuple(map(tuple, gamma)))
-        for name, plan, potentials in (
-            ("solve", report.plan, report.potentials),
-            ("raised", raised, report.potentials),
+        for name, plan, tols in (
+            ("solve", report.plan, (None, Fraction(1, 4), 2**-10)),
+            ("raised", raised, (None, Fraction(1, 4))),
         ):
-            for tol in (None, Fraction(1, 4)):
-                result = outcome(verify_optimality, space, mu, nu, p1, plan, potentials, tol=tol)
+            for tol in tols:
+                result = outcome(verify_optimality, space, mu, nu, p1, plan, report.potentials, tol=tol)
                 yield f"{tag} verify_optimality {name} tol={tol}: {result}"
+        phi1, phi2 = list(report.potentials.phi1), list(report.potentials.phi2)
+        phi1[0] = in_mode(a + Fraction(1, 4), exact)
+        phi2[nu_w.index(min(nu_w))] = in_mode(-a - Fraction(1, 4), exact)
+        pushed = dataclasses.replace(report.potentials, phi1=tuple(phi1), phi2=tuple(phi2))
+        yield f"{tag} evaluate_dual pushed: {outcome(evaluate_dual, pushed, mu, nu)}"
         yield f"{tag} {metric_check(validate_metric, nudge_rng, labels, ints, scale)}"
         if n <= ORACLE_MAX_N:
             masses = [[min(int(w), ORACLE_MAX_W) for w in ws] for ws in (mu_w, nu_w)]
