@@ -114,10 +114,9 @@ def cmd_dist(args) -> int:
 def cmd_plan(args) -> int:
     problem = _load(args)
     report = solve(problem.space, problem.mu, problem.nu, problem.params)
-    doc = jsonio.report_to_json(report)
-    lines = [f"value: {report.value}", f"transported mass: {report.transported_mass}"]
-    for i, row in enumerate(report.plan.gamma):
-        lines.append(f"  {problem.space.labels[i]}: " + " ".join(map(str, row)))
+    doc = jsonio.report_to_json(report)  # the text reads it: str(scalar_to_json(x)) == str(x)
+    lines = [f"value: {doc['value']}", f"transported mass: {doc['m']}"]
+    lines += [f"  {label}: " + " ".join(map(str, row)) for label, row in zip(problem.space.labels, doc["plan"])]
     _emit(args, doc, lines)
     return 0
 
@@ -127,14 +126,9 @@ def cmd_dual(args) -> int:
     if problem.params.p != 1:
         raise InvalidParams("dual potentials are only available for p = 1")
     report = solve(problem.space, problem.mu, problem.nu, problem.params)
-    doc = jsonio.report_to_json(report)
-    lines = [
-        f"value: {report.value}",
-        "phi1: " + " ".join(str(x) for x in report.potentials.phi1),
-        "phi2: " + " ".join(str(x) for x in report.potentials.phi2),
-        f"gap: {report.duality_gap}",
-    ]
-    _emit(args, doc, lines)
+    doc = jsonio.report_to_json(report)  # the text reads it, as in cmd_plan
+    phis = [f"{name}: " + " ".join(map(str, doc[name])) for name in ("phi1", "phi2")]
+    _emit(args, doc, [f"value: {doc['value']}", *phis, f"gap: {doc['gap']}"])
     return 0
 
 

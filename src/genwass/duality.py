@@ -12,8 +12,10 @@ above, and minus infinity below.
 Each p = 1 check has one implementation, run on integers when its inputs
 are exact.  The space carries its distances as ints D over one factor F_d,
 the plan its entries as ints G over F_g and each measure its weights as ints
-W over its own F_w (all from ``scalars.scaled``); the plan's row and column
-sums are int sums Gs of G over F_g.  One more ``scaled`` call puts a, the
+W over its own F_w (all from ``scalars.scaled``), by one rule: a plan or a
+measure has its image when the space is exact and ``scalars.exactness``
+finds every entry exact, ints included.  The plan's row and column sums are
+int sums Gs of G over F_g.  One more ``scaled`` call puts a, the
 slack and the potentials over a common factor F_p (ints A, S, P), and b
 enters as b_num / b_den.  With L = b_den F_d and R = b_num F_p the dual
 feasibility test phi1_i + phi2_j <= b d_ij + slack reads
@@ -131,8 +133,9 @@ def _terms(
     params, phi1, phi2, n = potentials.params, potentials.phi1, potentials.phi2, space.n
     exact_slack = Fraction(slack) if isinstance(slack, float) and is_finite(slack) else slack
     values = (params.a, exact_slack, *phi1, *phi2)
-    # a plan has an integer image when its unit is a Fraction, a measure when
-    # its weights are exact; with no plan the space, the measures and the duals decide
+    # one rule on an exact space: the plan (its unit then a Fraction), the
+    # measures, a, b, the slack and the potentials have integer images when all
+    # their values are exact, ints included; a float anywhere sends the raw values
     G, unit = plan._scaled if plan is not None else ((), Fraction(1))
     ints = (
         space.exact

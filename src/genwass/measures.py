@@ -6,7 +6,7 @@ keeps the exact arithmetic simple).  The zero measure is legal everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, repeat
@@ -157,26 +157,25 @@ class TransportPlan:
 
     space: FiniteMetricSpace
     gamma: tuple[tuple[Scalar, ...], ...]
-    # The entries with the value of one unit of them: ints over their common
-    # denominator F_g with unit Fraction(1, F_g), from scalars.scaled_rows,
-    # when the space is exact and every entry is a Fraction; else the entries
-    # as they are with unit 1.  Each sum is unit times a sum of rows, and the
-    # certificate reads the ints only when the unit is a Fraction.
-    _scaled: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n
         if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
             raise ValueError("plan must be n x n for the space")
-        rows, unit = self.gamma, 1
-        if self.space.exact and set(map(type, chain.from_iterable(rows))) == {Fraction}:
-            rows, factor = scaled_rows(rows)
-            unit = Fraction(1, factor)
-        if any(map(lt, chain.from_iterable(rows), repeat(0))):
+        if any(map(lt, chain.from_iterable(self._scaled[0]), repeat(0))):
             raise ValueError("plan entries must be nonnegative")
-        object.__setattr__(self, "_scaled", (rows, unit))
 
-    @property
+    # As DiscreteMeasure._scaled, built by the sign check: ints G over one factor F_g
+    # with unit Fraction(1, F_g) when the space and every entry are exact, else the
+    # entries as they are with unit 1.  Each sum is unit times a sum of rows.
+    @cached_property
+    def _scaled(self) -> tuple:
+        if self.space.exact and exactness(chain.from_iterable(self.gamma))[0]:
+            rows, factor = scaled_rows(self.gamma)
+            return rows, Fraction(1, factor)
+        return self.gamma, 1
+
+    @cached_property  # summed once per plan, as DiscreteMeasure.mass
     def total(self) -> Scalar:
         rows, unit = self._scaled
         return unit * sum(map(sum, rows))

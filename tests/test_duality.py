@@ -700,9 +700,8 @@ def test_float_weights_on_an_exact_space_meet_the_references():
     assert seen >= 20
 
 
-def test_certificate_builds_as_many_fractions_at_any_size(monkeypatch):
-    # the per-point loops run on integer images, so a larger space builds no
-    # more Fractions; the Fraction loop of the dual objective does
+def fractions_built(monkeypatch, call):
+    """call() and the number of Fractions it builds, counted on Fraction.__new__."""
     original = Fraction.__new__
     built = []
 
@@ -710,6 +709,15 @@ def test_certificate_builds_as_many_fractions_at_any_size(monkeypatch):
         built.append(cls)
         return original(cls, *args, **kwargs)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        result = call()
+    return result, len(built)
+
+
+def test_certificate_builds_as_many_fractions_at_any_size(monkeypatch):
+    # the per-point loops run on integer images, so a larger space builds no
+    # more Fractions; the Fraction loop of the dual objective does
     counts = {}
     for n in (8, 32):
         rng = random.Random(n)
@@ -722,16 +730,37 @@ def test_certificate_builds_as_many_fractions_at_any_size(monkeypatch):
             "evaluate_dual": lambda: evaluate_dual(report.potentials, mu, nu),
             "reference": lambda: reference_evaluate_dual(report.potentials, mu, nu),
         }
-        with monkeypatch.context() as patch:
-            patch.setattr(Fraction, "__new__", counting)
-            for name, call in calls.items():
-                built.clear()
-                result = call()
-                counts[name, n] = len(built)
+        for name, call in calls.items():
+            result, counts[name, n] = fractions_built(monkeypatch, call)
         assert result == (True, report.value)
     assert counts["verify_optimality", 8] == counts["verify_optimality", 32]
     assert counts["evaluate_dual", 8] == counts["evaluate_dual", 32]
     assert counts["reference", 8] < counts["reference", 32]
+
+
+def test_a_plan_of_ints_certifies_as_its_fraction_twin(monkeypatch):
+    # ints are exact too: an exact plan written with int entries has the
+    # integer image of its Fraction twin, so its sums are Fractions and its
+    # certificate and primal value build as many Fractions as the twin's
+    rng = random.Random(24)
+    space = random_int_metric(rng, 24, max_d=9)
+    mu, nu = (measure(space, [rng.randint(0, 6) for _ in range(space.n)]) for _ in range(2))
+    params = EntropyParams(a=Fraction(3, 2), b=Fraction(2, 3), p=1)
+    report = solve_w1(space, mu, nu, params)
+    gamma = report.plan.gamma
+    assert all(x.denominator == 1 for row in gamma for x in row)  # integer masses ship whole units
+    twin, ints = TransportPlan(space, gamma), TransportPlan(space, tuple(tuple(map(int, row)) for row in gamma))
+    for plan in (twin, ints):  # read before the counts, so both totals are cached
+        sums = (plan.total, plan.row_sums(), plan.col_sums())
+        assert_same(sums, (report.transported_mass, *reference_plan_sums(report.plan)[1:]))
+
+    def certify(plan):
+        return verify_optimality(space, mu, nu, params, plan, report.potentials), primal_value(plan, mu, nu, params)
+
+    results = [fractions_built(monkeypatch, lambda: certify(plan)) for plan in (twin, ints)]
+    (by_twin, twin_built), (by_ints, ints_built) = results
+    assert by_twin == by_ints == (report.conditions, report.value)
+    assert twin_built == ints_built
 
 
 def test_float_tolerance_is_added_exactly():

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from genwass import (
 from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
 from genwass import measures
 from genwass.measures import TransportPlan, is_invariant
-from genwass.scalars import ROUNDING_TOL
+from genwass.scalars import ROUNDING_TOL, scaled_rows
 from genwass.selftest import random_rational_measure, random_space_with_action
 from reference import is_submeasure, lebesgue_decompose
 from reference import symmetrize as running_total_mean
@@ -76,6 +77,29 @@ def test_negative_scaling_rejected(two_point):
 def test_negative_plan_entry_rejected(two_point):
     with pytest.raises(ValueError, match="plan entries must be nonnegative"):
         TransportPlan(two_point, ((0, -1), (0, 0)))
+
+
+def test_the_plan_image_stays_out_of_the_fields(two_point, monkeypatch):
+    # the integer image and the total are cached properties, as a space's and
+    # a measure's are: built once per plan, and no field, so eq, hash and repr skip them
+    built = []
+
+    def counting_scaled_rows(rows):
+        built.append(rows)
+        return scaled_rows(rows)
+
+    monkeypatch.setattr(measures, "scaled_rows", counting_scaled_rows)
+    gamma = ((Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 6)))
+    plan, twin = TransportPlan(two_point, gamma), TransportPlan(two_point, gamma)
+    for _ in range(3):
+        assert plan.total == Fraction(1)
+        assert plan.row_sums() == (Fraction(1, 2), Fraction(1, 2))
+        assert plan.col_sums() == (Fraction(5, 6), Fraction(1, 6))
+    assert built == [gamma, gamma]
+    assert [f.name for f in dataclasses.fields(TransportPlan)] == ["space", "gamma"]
+    assert {"_scaled", "total"} <= set(vars(plan)) and "total" not in vars(twin)
+    assert twin == plan and hash(twin) == hash(plan) and repr(twin) == repr(plan)
+    assert "_scaled" not in repr(plan) and "total" not in repr(plan)
 
 
 def test_submeasure_basic(two_point):

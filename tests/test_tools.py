@@ -20,23 +20,25 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     # per instance: solve at p = 1, 2, 3, solve_flat, five certificates, one
     # dual objective, one metric check and three CLI calls; four `verify --report`
     # calls more when the problem file is at p = 1 (instances 1 and 2 of every 3),
-    # and six oracle values more on at most 3 points (instance 2, of 1 point)
+    # and on at most 3 points (instance 2, of 1 point) six oracle values and the
+    # certificate and primal value of a plan of ints more
     dump = _load("dump_outputs", DUMP)
     monkeypatch.setattr(dump, "INSTANCES", 3)
     # the larger section, shrunk: two lines per family and mode
     monkeypatch.setattr(dump, "LARGE", (("l1", 6, 500), ("wide", 5, 500), ("closed", 4, 2)))
     lines = list(dump.dump(cli_main, tmp_path))
-    small, large = lines[: 14 + 18 + 24], lines[14 + 18 + 24 :]
+    small, large = lines[: 14 + 18 + 26], lines[14 + 18 + 26 :]
     tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in small]
     assert all(tags)
     ks = [int(tag.group(2)) for tag in tags]
-    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [14, 18, 24]
+    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [14, 18, 26]
     # one instance, one tag
     assert len({tag.group(1) for tag in tags}) == 3
     assert sum(" cli verify " in line for line in small) == 8
     assert sum(" validate_metric" in line for line in small) == 3
     assert sum(" evaluate_dual " in line for line in small) == 3
     assert sum(" brute_force_value " in line for line in small) == 6
+    assert sum(" int plan: " in line for line in small) == 2
     heads = [line.split(": ", 1) for line in large]
     assert [head for head, _ in heads] == [
         f"large {family} {mode} n={n} {call}"

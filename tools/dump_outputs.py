@@ -19,7 +19,9 @@ copy of the distances with one pair moved by -1 or +1 unit (drawn from a
 generator of its own), in exact mode, in float mode and in float mode on the
 integer rows, each as the error type and witness, or "ok"; on instances of at
 most 3 points, the brute-force oracle at p = 1, 2 and 3, exact and float, on
-the masses min(floor(w), 3) of the instance's weights w; and the exit code,
+the masses min(floor(w), 3) of the instance's weights w, and on those masses
+the ``verify_optimality`` certificate and ``primal_value`` of the exact p = 1
+plan rebuilt with int entries (integer masses ship whole units); and the exit code,
 stdout and stderr of the CLI ``plan``, ``dual`` and ``verify --report`` on a
 problem file (the report is the ``plan --format json`` output, and once more
 with the same raised entry).
@@ -131,6 +133,7 @@ def dump(cli_main, workdir: Path):
         validate_metric,
         verify_optimality,
     )
+    from genwass.duality import primal_value
     from genwass.jsonio import report_to_json
 
     rng, nudge_rng = random.Random(SEED), random.Random(NUDGE_SEED)
@@ -177,6 +180,13 @@ def dump(cli_main, workdir: Path):
                     o_params = EntropyParams(a=in_mode(a, o_exact), b=in_mode(b, o_exact), p=p)
                     result = outcome(brute_force_value, o_space, o_mu, o_nu, o_params)
                     yield f"{tag} brute_force_value {'exact' if o_exact else 'float'} p={p}: {result}"
+                if o_exact:
+                    o_p1 = EntropyParams(a=a, b=b, p=1)
+                    o_report = solve(o_space, o_mu, o_nu, o_p1)
+                    int_plan = TransportPlan(o_space, tuple(tuple(map(int, row)) for row in o_report.plan.gamma))
+                    result = outcome(verify_optimality, o_space, o_mu, o_nu, o_p1, int_plan, o_report.potentials)
+                    yield f"{tag} verify_optimality int plan: {result}"
+                    yield f"{tag} primal_value int plan: {outcome(primal_value, int_plan, o_mu, o_nu, o_p1)}"
 
         doc = {
             "space": {"points": labels, "d": [[number(x, exact) for x in row] for row in d]},
