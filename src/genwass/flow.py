@@ -1,17 +1,27 @@
 """Min-cost flow by successive shortest paths with node potentials.
 
-One engine runs on a residual arc list: parallel lists ``head``, ``cap``,
-``cost`` and ``flow`` by arc id, the reverse of arc ``e`` at ``e ^ 1``
-(capacity zero, cost negated), and the arc ids of each node.  An arc is
-residual while ``flow[e] < cap[e]``.  Arc costs must be nonnegative, which
-lets the engine run Dijkstra on reduced costs.
+One loop (:func:`_augment`) runs on a list of arcs (tail, head, capacity,
+cost), which it turns into a residual arc list: parallel lists ``head``,
+``cap``, ``cost`` and ``flow`` by arc id, the reverse of arc ``e`` at
+``e ^ 1`` (capacity zero, cost negated), and the arc ids of each node.  An
+arc is residual while ``flow[e] < cap[e]``.  Arc costs must be nonnegative,
+which lets the loop run Dijkstra on reduced costs.  Node 0 is the source S
+and the sink T is last.
 
-The transport network is complete bipartite: node 0 is the source S, then
-come the supplies and the demands, and the sink T is last.  S feeds every
-supply (capacity its mass), every supply reaches every demand (the given
-cost; capacity the total of all masses, which no flow reaches), and every
-demand drains into T (capacity its mass).  Dijkstra settles the smallest
-index on ties, so this numbering fixes every path, plan and potential.
+Two builders make the arc list.  The bipartite network takes any costs:
+after S come the supplies and the demands.  S feeds every supply (capacity
+its mass), every supply reaches every demand (the given cost; capacity the
+total of all masses, which no flow reaches), and every demand drains into T
+(capacity its mass).  The skeleton network serves exact p = 1 on a metric,
+whose cost between two points is the shortest path over its irreducible
+pairs (those with no third point on a geodesic between them; Beckmann's
+form of transport, as in Essid & Solomon 2018): after S comes one node per
+point, fed by S (capacity mu_i) and draining into T (capacity nu_i), with an
+uncapped arc each way at its cost on every irreducible pair.  Its edge flow
+is cut into a plan by paths (:func:`_skeleton_paths`).  On a tree metric it
+has n - 1 pairs; at n = 32 on closed metrics with edges 1 to 5, about 260
+arcs against the bipartite 1,024.  Dijkstra settles the smallest index on
+ties, so each numbering fixes every path, plan and potential.
 
 The engine is scalar-generic: ints, Fractions and floats.  Successive
 shortest paths augment in nondecreasing path-cost order, so the accumulated
@@ -21,7 +31,7 @@ the final flow, not a plan per breakpoint: a caller that needs the plan at
 an earlier breakpoint solves again with ``target`` set to its mass.
 
 A ``rate`` adds one arc S -> T of that cost, last in the list of S, so the
-transport arcs keep their offsets.  It never carries flow: the engine stops
+built arcs keep their ids.  It never carries flow: the engine stops
 when the chosen path is that arc, which Dijkstra and the zero-cost search
 both take on every tie (S is settled first, and a later path to T replaces
 it only when strictly shorter).  So a rate run augments the paths a plain
@@ -78,16 +88,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from operator import mul
+from operator import getitem, mul
 
 from .errors import SolverFailure
 from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
-# seeded closed metrics (edges in [1, 9], a = 2, b = 1/2) augments 41, 90 and
-# 211 times at n = 32, 64 and 128, then stops at the rate arc.  Dijkstra runs
-# 4 times in each, the final refresh included; the zero-cost search starts
-# from S 21, 44 and 136 times and resumes 21, 47 and 76 times.
+# closed metrics (edges in [1, 9], seed n, a = 2, b = 1/2) augments 47, 106
+# and 210 times on the skeleton at n = 32, 64 and 128 (45, 101 and 209 on
+# the bipartite network), then stops at the rate arc.  Dijkstra runs 4 times
+# in each, the final refresh included; the zero-cost search starts from S
+# 30, 65 and 130 times and resumes 18, 42 and 81 times.
 MAX_PHASES = 200_000
 
 
@@ -103,7 +114,7 @@ class FlowSolution:
 
 def solve_transport(
     costs, supplies, demands, target: Scalar | None = None, cost_unit: int | None = None,
-    rate: Scalar | None = None,
+    rate: Scalar | None = None, pairs=None,
 ) -> FlowSolution:
     """Push ``target`` units (default: as much as fits) at minimum cost.
 
@@ -118,6 +129,12 @@ def solve_transport(
     for those Fractions, which are not built.  A ``rate``, in the costs'
     units, stops the flow before its first path that costs that much or more
     instead, and ``target`` is not read.
+
+    ``pairs``, exact inputs only, runs the flow on the skeleton network of a
+    metric instead: supplies and demands sit on the same points, ``costs``
+    is symmetric and equals the shortest-path costs over the listed pairs
+    (i, j), and only those pairs' entries are read.  One potential per point
+    is returned as both ``potential_src`` and ``potential_snk`` (two lists).
     """
     masses = [*supplies, *demands] + ([] if target is None else [target])
     rows = costs if rate is None else [*costs, [rate]]  # the rate scales with the costs
@@ -126,6 +143,8 @@ def solve_transport(
     exact, rational = exactness(chain(masses, *rows))
     scale = exact and (rational or cost_unit is not None)
     if not exact:  # mixed exact and float scalars would spin the engine
+        if pairs is not None:
+            raise ValueError("the skeleton network takes exact inputs only")
         masses, *rows = coerce_rows([masses, *rows], False)
     elif scale:
         masses, M = scaled(masses)
@@ -133,7 +152,11 @@ def solve_transport(
     ns, nd = len(supplies), len(demands)
     costs, rate = (rows, None) if rate is None else (rows[:-1], rows[-1][0])
     target = None if target is None else masses[-1]
-    sol = _successive_shortest_paths(costs, masses[:ns], masses[ns : ns + nd], target, rate)
+    supplies, demands = masses[:ns], masses[ns : ns + nd]
+    if pairs is None:
+        sol = _successive_shortest_paths(costs, supplies, demands, target, rate)
+    else:
+        sol = _skeleton_paths(costs, pairs, supplies, demands, target, rate)
     if not scale:
         return sol
 
@@ -150,14 +173,8 @@ def solve_transport(
 
 
 def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> FlowSolution:
-    """The scalar-generic engine behind :func:`solve_transport`."""
+    """The engine behind :func:`solve_transport` on the bipartite network."""
     ns, nt = len(supplies), len(demands)
-    max_total = min(sum(supplies), sum(demands))
-    if target is None:
-        target = max_total
-    elif target > max_total:
-        raise ValueError("target flow exceeds what supplies/demands allow")
-
     # a zero of the inputs' scalar type; their float sum could overflow to inf
     zero = sum(map(mul, repeat(0), chain(supplies, demands, *costs)))
     S, T = 0, ns + nt + 1
@@ -165,10 +182,102 @@ def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> F
     arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
     arcs += [(1 + i, ns + 1 + j, total_mass, c) for i, row in enumerate(costs) for j, c in enumerate(row)]
     arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
-    arcs += [] if rate is None else [(S, T, zero + 1, rate)]  # the rate arc, last in adj[S]
+    flow, pushed, cost, breakpoints, pot = _augment(arcs, T, zero, _target(supplies, demands, target), rate)
+
+    first = ns  # the transport arcs follow the ns source arcs, row by row
+    return FlowSolution(
+        flow=[flow[first + i * nt : first + (i + 1) * nt] for i in range(ns)],
+        total=pushed,
+        cost=cost,
+        breakpoints=breakpoints,
+        potential_src=pot[1 : ns + 1],
+        potential_snk=pot[ns + 1 : T],
+    )
+
+
+def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSolution:
+    """The engine on the skeleton network of :func:`solve_transport`, on ints.
+
+    Node 1 + i is point i: S feeds it (capacity mu_i), it drains into T
+    (capacity nu_i), and each listed pair (i, j) is an arc each way at its
+    cost, uncapped.  With a rate, a pair that costs at least the rate is
+    left out, which changes no path and no potential: while the run goes on,
+    every potential lies in [0, pi_T], so that arc's reduced cost is at
+    least rate - pi_T, the rate arc's, which wins every tie; and a distance
+    through it is at least dist[T], where the potential update caps it
+    anyway.  The arcs into T come last, so each point lists its arc into T
+    last, as the resumed search needs.
+
+    The edge flow is cut into a plan by paths.  First gamma_ii is the flow
+    through i straight from S to T, min(src_i, snk_i).  Then from each point
+    i with supply left, a walk follows arcs that still carry flow to the
+    first point with demand left, j, and ships along it the least of what
+    is left, to gamma_ij.  Every cost is positive, so the least-cost flow
+    has no cycle and each walk ends; every arc on it is tight under the
+    final potentials, so the walk costs pi_j - pi_i <= costs[i][j], and no
+    path costs less: gamma costs what the flow does.
+    """
+    n = len(supplies)
+    S, T = 0, n + 1
+    total_mass = sum(supplies) + sum(demands)
+    links = [(i, j) for i, j in pairs if rate is None or costs[i][j] < rate]
+    arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
+    arcs += [(1 + u, 1 + v, total_mass, costs[u][v]) for i, j in links for u, v in ((i, j), (j, i))]
+    arcs += [(1 + j, T, d, 0) for j, d in enumerate(demands)]
+    flow, pushed, cost, breakpoints, pot = _augment(arcs, T, 0, _target(supplies, demands, target), rate)
+
+    gamma = [[0] * n for _ in range(n)]
+    out = [{} for _ in range(n)]  # the arcs that carry flow, by tail and head
+    for (i, j), there, back in zip(links, flow[n::2], flow[n + 1 :: 2]):
+        if there:
+            out[i][j] = there
+        if back:
+            out[j][i] = back
+    left, need = flow[:n], flow[-n:]  # the flow out of S and into T, then what is left of it
+    for i in range(n):
+        gamma[i][i] = both = min(left[i], need[i])
+        left[i] -= both
+        need[i] -= both
+    for i in range(n):
+        while left[i]:
+            walk, v = [i], i
+            while not need[v]:
+                v = next(iter(out[v]))
+                walk.append(v)
+            delta = min(left[i], need[v], *map(getitem, map(out.__getitem__, walk), walk[1:]))
+            for u, w in zip(walk, walk[1:]):
+                out[u][w] -= delta
+                if not out[u][w]:
+                    del out[u][w]
+            left[i] -= delta
+            need[v] -= delta
+            gamma[i][v] += delta
+    points = pot[1:T]
+    return FlowSolution(gamma, pushed, cost, breakpoints, points, points[:])
+
+
+def _target(supplies, demands, target):
+    """The mass a run pushes: ``target``, by default as much as fits."""
+    max_total = min(sum(supplies), sum(demands))
+    if target is None:
+        return max_total
+    if target > max_total:
+        raise ValueError("target flow exceeds what supplies/demands allow")
+    return target
+
+
+def _augment(arcs, T, zero, target, rate):
+    """Successive shortest paths from the source, node 0, to the sink T on
+    the network ``arcs`` of (tail, head, capacity, cost), in ``zero``'s
+    scalar type.  A ``rate`` adds the arc S -> T last and stops the run on
+    it; else the run stops at ``target``.  Returns the flow of each arc in
+    the order given, the mass pushed, its cost, the breakpoints and the node
+    potentials after the final refresh.
+    """
+    S, given = 0, len(arcs)
     head, cap, cost = [], [], []
     adj = [[] for _ in range(T + 1)]
-    for u, v, c, w in arcs:
+    for u, v, c, w in arcs + ([] if rate is None else [(S, T, zero + 1, rate)]):  # the rate arc, last in adj[S]
         adj[u].append(len(head))
         adj[v].append(len(head) + 1)
         head += (v, u)
@@ -230,16 +339,7 @@ def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> F
     # Final potential refresh so the duals reflect the terminal residual graph.
     dist, _ = _dijkstra(adj, head, cap, cost, flow, pot)
     _update_potentials(pot, dist, T)
-
-    first = 2 * ns  # the transport arcs follow the ns source arcs, row by row
-    return FlowSolution(
-        flow=[[flow[first + 2 * (i * nt + j)] for j in range(nt)] for i in range(ns)],
-        total=pushed,
-        cost=cost_acc,
-        breakpoints=breakpoints,
-        potential_src=pot[1 : ns + 1],
-        potential_snk=pot[ns + 1 : T],
-    )
+    return flow[: 2 * given : 2], pushed, cost_acc, breakpoints, pot
 
 
 def _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot):
@@ -256,7 +356,8 @@ def _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot):
     ``search`` is None for a search from the source, or the state returned
     by the last call, which resumes without T.  The caller resumes only when
     the last augmentation saturated just the path's arc into T: that arc
-    was the last one scanned (each demand lists its arc to T last), the
+    was the last one scanned (each demand of the bipartite network, and
+    each point of the skeleton, lists its arc to T last), the
     arcs it made residual are reverses of path arcs and point to nodes
     already reached, and no other arc changed its residual state, so a
     search from the source would settle the same nodes in the same order up

@@ -121,7 +121,7 @@ def _all_exact(doc) -> bool:
 def report_to_json(report: SolveReport) -> dict:
     doc = {
         "value": scalar_to_json(report.value),
-        "plan": [list(map(scalar_to_json, row)) for row in report.plan.gamma],
+        "plan": _plan_to_json(report.plan),
         "m": scalar_to_json(report.transported_mass),
         "destroyed": scalar_to_json(report.destroyed_mass),
         "created": scalar_to_json(report.created_mass),
@@ -140,6 +140,18 @@ def report_to_json(report: SolveReport) -> dict:
     return doc
 
 
+def _plan_to_json(plan: TransportPlan) -> list:
+    """The plan's rows as JSON scalars.  On an exact space each distinct entry
+    object is formatted once, keyed by ``id``: the flow's plans share a few
+    Fractions over all n^2 entries.  Float rows go entry by entry."""
+    if not plan.space.exact:
+        return [list(map(scalar_to_json, row)) for row in plan.gamma]
+    ids = [list(map(id, row)) for row in plan.gamma]
+    distinct = dict(zip(chain.from_iterable(ids), chain.from_iterable(plan.gamma)))
+    formatted = dict(zip(distinct, map(scalar_to_json, distinct.values())))
+    return [list(map(formatted.__getitem__, row)) for row in ids]
+
+
 def certificate_to_json(cert: OptimalityCertificate) -> dict:
     return {
         "conditions": cert.conditions(),
@@ -150,6 +162,15 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
 
 
 def parse_plan(doc, space: FiniteMetricSpace) -> TransportPlan:
+    """The plan of a list of rows.  On an exact space, rows of ints and "p/q"
+    strings parse each distinct entry once across the whole matrix, to one
+    shared Fraction; any other rows go through ``parse_row`` and
+    ``coerce_rows``.  Either way the first bad entry, row by row, is the
+    one reported."""
+    if space.exact and set(map(type, chain.from_iterable(doc))) <= {int, str}:
+        distinct = dict.fromkeys(chain.from_iterable(doc))
+        parsed = dict(zip(distinct, map(parse_scalar, distinct)))
+        return TransportPlan(space, tuple(tuple(map(parsed.__getitem__, row)) for row in doc))
     return TransportPlan(space, coerce_rows(list(map(parse_row, doc)), space.exact))
 
 

@@ -127,9 +127,17 @@ def scaled(values) -> tuple[list[int], int]:
 
 def scaled_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     """:func:`scaled` of every entry of ``rows`` in one call, cut back into
-    rows of the same lengths: integer rows over one denominator, and it."""
-    flat, factor = scaled(list(chain.from_iterable(rows)))
-    entries = iter(flat)
+    rows of the same lengths: integer rows over one denominator, and it.
+
+    Each distinct entry object is scaled once: the rows of a plan or a space
+    share a few Fraction objects over many entries.  The key is ``id``, not
+    the value, since hashing a Fraction costs more than scaling it; the rows
+    keep every entry alive while its id is in use."""
+    flat = list(chain.from_iterable(rows))
+    ids = list(map(id, flat))
+    distinct = dict(zip(ids, flat))
+    ints, factor = scaled(list(distinct.values()))
+    entries = map(dict(zip(distinct, ints)).__getitem__, ids)
     return tuple(tuple(islice(entries, len(row))) for row in rows), factor
 
 

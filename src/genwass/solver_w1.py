@@ -8,11 +8,28 @@ Successive shortest paths ship in nondecreasing path cost, so the optimum is
 the transport flow of the costs b d stopped at the rate 2a: it ships the
 smallest optimal mass, and no arc with b d >= 2a carries any of it.
 
+When the space and both measures have integer images, that flow runs on the
+metric's skeleton, Beckmann's form of the problem (Essid & Solomon 2018):
+    min over edge flows F and sub-marginals of
+            a(|mu| - m) + a(|nu| - m) + b sum over irreducible pairs d_ij |F_ij|,
+where F moves the shipped part of mu onto the shipped part of nu along the
+irreducible pairs, those with no third point on a geodesic between them.
+Every distance is a shortest path over them, so the value is the same; it is
+the LP dual of the flat metric, whose Lipschitz rows need only these pairs.
+The flow keeps one potential pi_i per point, and the plan is its edge flow
+cut into paths.  Float and mixed inputs, where rounding cannot decide
+geodesic equality, run on the complete bipartite network, which keeps a
+potential per supply and per demand.
+
 The duals are phi1_i = max(a - pi_i, -a) and phi2_j = max(pi_j - a, -a), from
-that flow's final node potentials pi: they lie in [0, 2a], pi_T = 2a, and
-pi_j - pi_i <= b d_ij with equality where flow ships.  The pair is feasible
-and complementary-slack with the plan, so the duality gap is zero in exact
-mode.  :func:`certified_report` builds every p = 1 report.
+that flow's final node potentials pi: the supply's and the demand's, which
+on the skeleton are the one potential of the point.  They lie in [0, 2a],
+pi_T = 2a, and pi_j - pi_i <= b d_ij with equality where flow ships.  On the
+skeleton the arcs give that bound on the irreducible pairs, a geodesic of
+them on every other pair, and the range [0, 2a] on pairs with b d >= 2a,
+which the network leaves out.  The pair is feasible and complementary-slack
+with the plan, so the duality gap is zero in exact mode.  :func:`certified_report` builds
+every p = 1 report.
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ from .duality import (
     DualPotentials,
     OptimalityCertificate,
     evaluate_dual,
+    feasibility_slack,
     primal_value,
     verify_optimality,
 )
@@ -55,7 +73,8 @@ def solve_w1(
     """Solve the order-1 problem, returning value, plan, and certified duals.
 
     In exact mode the flow's costs are ints over one unit, D times the int of b / F_d
-    for the space's integer image D / F_d, and its rate is twice the int of a."""
+    for the space's integer image D / F_d, and its rate is twice the int of a.
+    With exact measures too it runs on the space's irreducible pairs."""
     require_same_space(mu, nu, space=space)
     if params.p != 1:
         raise InvalidParams("this solver handles p = 1 only")
@@ -65,8 +84,12 @@ def solve_w1(
         (b_unit, a_unit), unit = scaled([b / F_d, a])
     else:
         rows, b_unit, a_unit, unit = space.dist, b, a, None
-    costs = [[b_unit * d for d in row] for row in rows]
-    sol = solve_transport(costs, list(mu.weights), list(nu.weights), cost_unit=unit, rate=2 * a_unit)
+    costs = rows if b_unit == 1 else [[b_unit * d for d in row] for row in rows]
+    # the skeleton needs integer images of the space and of both measures
+    pairs = space._irreducible if mu._scaled and nu._scaled else None
+    sol = solve_transport(
+        costs, list(mu.weights), list(nu.weights), cost_unit=unit, rate=2 * a_unit, pairs=pairs
+    )
     phi1 = tuple(max(a - pi, -a) for pi in sol.potential_src)
     phi2 = tuple(max(pi - a, -a) for pi in sol.potential_snk)
     plan = TransportPlan(space, tuple(map(tuple, sol.flow)))
@@ -84,6 +107,11 @@ def certified_report(
     clamped at 0.  An infeasible pair, a larger gap, or a plan and potentials
     that fail the certificate's own checks is a SolverFailure.  The report
     itself comes from :func:`_report`, as the p > 1 scan's does.
+
+    The certificate skips its dual feasibility test where that test is the
+    one :func:`evaluate_dual` passed, at the same slack: in exact mode both
+    are 0.  In float mode the certificate's slack is at least CERTIFY_TOL,
+    and both tests run.
     """
     feasible, objective = evaluate_dual(potentials, mu, nu)
     gap = value - objective
@@ -96,7 +124,8 @@ def certified_report(
             raise SolverFailure(f"duality gap {gap} exceeds the certification threshold")
         gap = max(gap, 0.0)
     try:
-        conditions = verify_optimality(space, mu, nu, params, plan, potentials)
+        slack = feasibility_slack(space, params)  # evaluate_dual's, which the pair passed
+        conditions = verify_optimality(space, mu, nu, params, plan, potentials, feasible_at=slack)
     except InfeasibleInputs as exc:
         raise SolverFailure(f"the certificate rejects the solver's own plan: {exc}") from None
     return _report(mu, nu, value, plan, plan.total, None, potentials, gap, conditions)

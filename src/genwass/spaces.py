@@ -40,6 +40,15 @@ class FiniteMetricSpace:
     def _scaled(self) -> tuple | None:
         return scaled_rows(self.dist) if self.exact else None
 
+    # Exact mode: the irreducible pairs (i, j), i < j, those with no third
+    # point k on a geodesic, d[i][k] + d[k][j] = d[i][j]; the arcs of the
+    # p = 1 skeleton network.  None in float mode, where rounding cannot
+    # decide that equality.  Built on first use only: not every validated
+    # space is solved.
+    @cached_property
+    def _irreducible(self) -> tuple | None:
+        return _irreducible_pairs(self._scaled[0]) if self.exact else None
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -154,6 +163,37 @@ def _packed_triangle_holds(rows) -> bool:
         if reduce(and_, map(add, packed, offsets), high) != high:
             return False
     return True
+
+
+def _irreducible_pairs(rows) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j, with d[i][k] + d[k][j] > d[i][j] for every k
+    outside {i, j}, in row-major order, on the rows of a metric as
+    non-negative ints: one big-int AND per row over the other rows.
+
+    As in :func:`_packed_triangle_holds`, field j of term k holds
+    d[i][k] + d[k][j] + 2**(w-1) - 1 - d[i][j], whose top bit is set exactly
+    where the excess d[i][k] + d[k][j] - d[i][j] is at least 1.  Row k is
+    packed with d[k][k] = 1, so term k never clears its own field j = k,
+    and term i, whose excess is 0 everywhere, is left out.
+    """
+    n = len(rows)
+    if n < 2:
+        return ()
+    width = (2 * max(map(max, rows))).bit_length() + 1
+    shifts = range(0, width * n, width)
+    ones = sum(map(lshift, repeat(1), shifts))
+    high = ones << (width - 1)
+    packed = [sum(map(lshift, row, shifts)) + (1 << shift) for row, shift in zip(rows, shifts)]
+    pairs = []
+    for i, row in enumerate(rows):
+        own = packed[i] - (1 << shifts[i])
+        others, legs = packed[:i] + packed[i + 1 :], row[:i] + row[i + 1 :]
+        offsets = map(add, map(mul, legs, repeat(ones)), repeat(high - ones - own))
+        tops = reduce(and_, map(add, others, offsets), high) >> (width - 1)
+        # the top bit of field j is bit j * width of tops; read from the right
+        bits = format(tops, f"0{width * n}b")[::-1]
+        pairs += [(i, j) for j in range(i + 1, n) if bits[j * width] == "1"]
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)

@@ -203,8 +203,9 @@ SPREAD_PARAMS = EntropyParams(a=Fraction(500), b=Fraction(1, 2), p=1)
         (l1_metric, 48, 4803),
         (wide_metric, 96, 9603),
         (l1_metric, 128, 12803),
+        (l1_metric, 192, 19203),  # about 1 s, 0.2 s of it the flow on the skeleton's 1,415 pairs
     ],
-    ids=["wide-32", "l1-32", "wide-48", "l1-48", "wide-96", "l1-128"],
+    ids=["wide-32", "l1-32", "wide-48", "l1-48", "wide-96", "l1-128", "l1-192"],
 )
 def test_criterion_3_flat_metric_equality_on_wide_and_l1(family, n, seed):
     check_flat_equality_at(n, seed, family, SPREAD_PARAMS)

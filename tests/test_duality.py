@@ -21,7 +21,7 @@ from genwass import (
     validate_metric,
     verify_optimality,
 )
-from genwass import measures
+from genwass import duality, measures
 from genwass.duality import _terms, feasibility_slack, is_feasible_pair, primal_value, verification_tol
 from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SolverFailure, SpaceMismatch
 from genwass.measures import DiscreteMeasure, TransportPlan, require_same_space
@@ -959,3 +959,37 @@ def test_certificate_builds_no_measure(two_point, unit_params, monkeypatch):
     float_pair = DualPotentials(phi1=(0.0, -1.0), phi2=(-1.0, 1.0), params=float_params)
     plan = make_plan(space, [[0, 1], [0, 0]])
     assert verify_optimality(space, float_mu, float_nu, float_params, plan, float_pair).passed
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_p1_solve_tests_dual_feasibility_once_at_each_slack(monkeypatch, exact):
+    # evaluate_dual and the certificate test at slack 0 in exact mode, so the
+    # certificate takes evaluate_dual's answer; in float mode the slacks
+    # differ and both tests run
+    tested = []
+    feasible = duality._feasible
+    monkeypatch.setattr(duality, "_feasible", lambda *args: tested.append(args[2][4]) or feasible(*args))
+    rng = random.Random(3015)
+    space = random_int_metric(rng, 12)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    params = EntropyParams(a=Fraction(2), b=Fraction(1, 2), p=1)
+    if not exact:
+        space, params = space.as_float(), EntropyParams(a=2.0, b=0.5, p=1)
+        mu, nu = mu.as_float(space), nu.as_float(space)
+    report = solve_w1(space, mu, nu, params)
+    assert report.conditions.passed and len(tested) == (1 if exact else 2)
+    assert len(set(tested)) == len(tested)
+    # the same certificate with the test run again
+    tested.clear()
+    assert verify_optimality(space, mu, nu, params, report.plan, report.potentials) == report.conditions
+    assert len(tested) == 1
+
+
+def test_the_certificate_skips_only_the_test_run_at_its_own_slack(two_point, unit_params):
+    # infeasible potentials: phi1 + phi2 = 3 > b d = 1 on the pair (0, 1)
+    plan = make_plan(two_point, [[0, 0], [0, 0]])
+    mu, nu = dirac(two_point, 0), dirac(two_point, 1)
+    bad = DualPotentials((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)), unit_params)
+    for feasible_at in (None, Fraction(1, 4)):
+        with pytest.raises(InfeasibleInputs, match="potentials violate the dual constraints"):
+            verify_optimality(two_point, mu, nu, unit_params, plan, bad, feasible_at=feasible_at)

@@ -14,6 +14,7 @@ from genwass.scalars import INF
 from genwass.scalars import ROUNDING_TOL as MASS_RTOL
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_wp import solve_wp
+from reference import l1_metric, wide_metric
 
 FIELDS = ("flow", "total", "cost", "breakpoints", "potential_src", "potential_snk")
 
@@ -457,6 +458,45 @@ def test_zero_path_reuse_matches_dijkstra_every_phase(monkeypatch, kind, max_d):
         assert_same_solution(got, solve_transport(*problem))
 
 
+def skeleton_problems(kind):
+    """Exact p = 1 problems on the skeleton network, as positional arguments
+    of solve_transport: the distances of closed, l1 and wide metrics as
+    costs, random masses of ``kind``, and each with no stop, a target, a rate
+    that leaves pairs out, and a rate that keeps them all."""
+    scalar = SCALARS[kind]
+    rng = random.Random(3013)
+    spaces = [random_int_metric(rng, n, max_d=max_d) for max_d in (2, 5) for n in (8, 24)]
+    spaces += [l1_metric(rng, n) for n in (12, 32)] + [wide_metric(rng, n) for n in (12, 24)]
+    problems = []
+    for space in spaces:
+        n = space.n
+        costs = [[int(d) for d in row] for row in space.dist]
+        supplies = [scalar(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(n)]
+        demands = [scalar(rng.randint(0, 12), rng.choice((1, 2, 5))) for _ in range(n)]
+        most, diameter = min(sum(supplies), sum(demands)), max(map(max, costs))
+        for target, rate in ((None, None), (scalar(most * 2, 3), None), (None, diameter // 2), (None, 2 * diameter)):
+            problems.append((costs, supplies, demands, target, None, rate, space._irreducible))
+    return problems
+
+
+def recording(zero_path, chains, fresh):
+    """``zero_path``, recording each search's chain of arcs from T back to
+    the source, or None, and whether it resumed; ``fresh`` starts every
+    search from the source."""
+
+    def search(state, zero_arcs, adj, head, *rest):
+        resumed = state is not None and not fresh
+        state = zero_path(None if fresh else state, zero_arcs, adj, head, *rest)
+        chain, v = [], len(adj) - 1
+        while state is not None and v:
+            chain.append(state[0][v])
+            v = head[chain[-1] ^ 1]
+        chains.append((resumed, None if state is None else chain))
+        return state
+
+    return search
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
 @pytest.mark.parametrize("family", ["closed", "wide"])
 def test_resumed_search_matches_a_fresh_one(monkeypatch, kind, family):
@@ -465,30 +505,58 @@ def test_resumed_search_matches_a_fresh_one(monkeypatch, kind, family):
         problems = [pb for max_d in (2, 3, 5) for pb in closed_metric_problems(kind, max_d)]
     else:
         problems = wide_metric_problems(kind)
-    zero_path = flow._zero_path
+    check_resumed_searches(monkeypatch, problems)
 
-    def recording(chains, fresh):
-        # each search's chain of arcs from T back to the source, or None
-        def search(state, zero_arcs, adj, head, *rest):
-            resumed = state is not None and not fresh
-            state = zero_path(None if fresh else state, zero_arcs, adj, head, *rest)
-            chain, v = [], len(adj) - 1
-            while state is not None and v:
-                chain.append(state[0][v])
-                v = head[chain[-1] ^ 1]
-            chains.append((resumed, None if state is None else chain))
-            return state
 
-        return search
-
-    resumed, fresh = [], []
-    monkeypatch.setattr(flow, "_zero_path", recording(resumed, False))
+def check_resumed_searches(monkeypatch, problems):
+    resumed, fresh, zero_path = [], [], flow._zero_path
+    monkeypatch.setattr(flow, "_zero_path", recording(zero_path, resumed, False))
     solved = [solve_transport(*problem) for problem in problems]
-    monkeypatch.setattr(flow, "_zero_path", recording(fresh, True))
+    monkeypatch.setattr(flow, "_zero_path", recording(zero_path, fresh, True))
     for problem, got in zip(problems, solved):
         assert_same_solution(got, solve_transport(*problem))
     assert any(was_resumed for was_resumed, _ in resumed)
     assert [chain for _, chain in resumed] == [chain for _, chain in fresh]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_skeleton_resumed_search_matches_a_fresh_one(monkeypatch, kind):
+    # each point lists its arc into T last, so the resume rule holds there too
+    check_resumed_searches(monkeypatch, skeleton_problems(kind))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_skeleton_zero_path_reuse_matches_dijkstra_every_phase(monkeypatch, kind):
+    problems = skeleton_problems(kind)
+    reused = [solve_transport(*problem) for problem in problems]
+    monkeypatch.setattr(flow, "_zero_path", lambda *args: None)
+    for problem, got in zip(problems, reused):
+        assert_same_solution(got, solve_transport(*problem))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_skeleton_flow_matches_the_bipartite_flow(kind):
+    # the same mass at the same cost; the plan is the edge flow cut into
+    # paths: within the masses, gamma_ii = min(mu_i, nu_i) when nothing stops
+    # the run early, and it costs what the flow does; the one potential per
+    # point is feasible for every pair and tight where the plan ships
+    for costs, supplies, demands, target, _, rate, pairs in skeleton_problems(kind):
+        got = solve_transport(costs, supplies, demands, target, rate=rate, pairs=pairs)
+        want = solve_transport(costs, supplies, demands, target, rate=rate)
+        assert (got.total, got.cost) == (want.total, want.cost)
+        gamma, pot = got.flow, got.potential_src
+        assert got.potential_snk == pot and got.potential_snk is not pot
+        assert all(x >= 0 for row in gamma for x in row)
+        assert all(sum(row) <= s for row, s in zip(gamma, supplies))
+        assert all(sum(col) <= d for col, d in zip(zip(*gamma), demands))
+        assert sum(map(sum, gamma)) == got.total
+        assert sum(c * x for c_row, g_row in zip(costs, gamma) for c, x in zip(c_row, g_row)) == got.cost
+        if target is None:
+            assert [gamma[i][i] for i in range(len(gamma))] == list(map(min, supplies, demands))
+        for i, (c_row, g_row) in enumerate(zip(costs, gamma)):
+            for j, (c, x) in enumerate(zip(c_row, g_row)):
+                assert pot[j] - pot[i] <= c
+                assert not x or pot[j] - pot[i] == c
 
 
 def scan_dijkstra(adj, head, cap, cost, flow, pot):

@@ -4,17 +4,19 @@ and error for error."""
 
 import copy
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genwass import jsonio, scalars
+from genwass import EntropyParams, jsonio, scalars, solve_w1
 from genwass.duality import DualPotentials
 from genwass.errors import NonFiniteEntry
 from genwass.measures import TransportPlan
 from genwass.scalars import coerce, exactness, first_nonfinite, is_exact, is_finite, parse_row, parse_scalar
+from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.spaces import validate_metric
 
 
@@ -361,3 +363,50 @@ def test_parse_row_keeps_apart_entries_that_compare_equal():
 def test_parse_row_names_the_first_bad_entry(row, message):
     with pytest.raises(ValueError, match=message):
         parse_row(row)
+
+
+def test_parse_plan_parses_each_distinct_entry_once_across_the_matrix(monkeypatch):
+    # an exact plan of ints and "p/q" strings: one parse per distinct JSON
+    # entry over all rows, and one shared Fraction per entry, ints included
+    calls = []
+    monkeypatch.setattr(jsonio, "parse_scalar", lambda x: calls.append(x) or parse_scalar(x))
+    space = validate_metric("xyz", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    doc = [[0, "1/2", 0], ["1/2", 0, 3], [0, 3, "1/2"]]
+    plan = jsonio.parse_plan(doc, space)
+    assert calls == [0, "1/2", 3]
+    assert plan == reference_parse_plan(doc, space)
+    entries = [x for row in plan.gamma for x in row]
+    assert all(type(x) is Fraction for x in entries)
+    assert len({id(x) for x in entries}) == 3
+
+
+def test_float_and_mixed_plans_keep_the_row_path(monkeypatch):
+    # float spaces, and exact plans with a float entry, go through parse_row
+    calls = []
+    monkeypatch.setattr(jsonio, "parse_row", lambda row: calls.append(row) or parse_row(row))
+    exact, inexact = (validate_metric("xy", [[0, 1], [1, 0]], mode) for mode in (True, False))
+    for space, doc in ((inexact, [[0, "1/2"], [1, 0]]), (exact, [[0, 0.5], [1, 0]]), (exact, [[0, "1/2"], [1, 0]])):
+        assert jsonio.parse_plan(doc, space) == reference_parse_plan(doc, space)
+    assert len(calls) == 4
+
+
+def test_an_exact_report_formats_each_plan_entry_object_once(monkeypatch):
+    # the flow's plan shares a few Fractions over its n^2 entries; a float
+    # plan is formatted entry by entry
+    rng = random.Random(3014)
+    space = random_int_metric(rng, 16)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    formatted = []
+    monkeypatch.setattr(jsonio, "scalar_to_json", lambda x: formatted.append(x) or scalars.scalar_to_json(x))
+    for space, params in ((space, EntropyParams(a=Fraction(2), b=Fraction(1, 2), p=1)), (space.as_float(), None)):
+        if params is None:
+            mu, nu = mu.as_float(space), nu.as_float(space)
+            params = EntropyParams(a=2.0, b=0.5, p=1)
+        report = solve_w1(space, mu, nu, params)
+        formatted.clear()
+        doc = jsonio.report_to_json(report)
+        assert doc["plan"] == [[scalars.scalar_to_json(x) for x in row] for row in report.plan.gamma]
+        objects = len({id(x) for row in report.plan.gamma for x in row})
+        plan_calls = objects if space.exact else space.n**2
+        # the plan's entries, then value, m, destroyed, created, phi1, phi2 and gap
+        assert len(formatted) == plan_calls + 4 + 2 * space.n + 1

@@ -19,9 +19,9 @@ from genwass import (
     validate_metric,
 )
 from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from genwass import measures
+from genwass import measures, scalars
 from genwass.measures import TransportPlan, is_invariant
-from genwass.scalars import ROUNDING_TOL, scaled_rows
+from genwass.scalars import ROUNDING_TOL, scaled, scaled_rows
 from genwass.selftest import random_rational_measure, random_space_with_action
 from reference import is_submeasure, lebesgue_decompose
 from reference import symmetrize as running_total_mean
@@ -298,3 +298,18 @@ def test_invariant_lift_of_an_exact_quotient_measure_with_float_weights(line3):
     assert is_invariant(action, lifted) is None
     back = pushforward(q.projection, lifted, q.quotient)
     assert back.weights == (Fraction(1, 2), Fraction(1, 4))
+
+
+def test_scaled_rows_scales_each_entry_object_once(monkeypatch):
+    # keyed by the object, not the value: equal Fractions that are distinct
+    # objects are scaled apart, and every one to the same image as one
+    # scaled() call over all the entries gives
+    calls = []
+    monkeypatch.setattr(scalars, "scaled", lambda values: calls.append(list(values)) or scaled(values))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = ((half, 0, half, third), (0, Fraction(1, 2), 5, half))
+    flat, factor = scaled([*rows[0], *rows[1]])
+    assert scaled_rows(rows) == ((tuple(flat[:4]), tuple(flat[4:])), factor) == (((3, 0, 3, 2), (0, 3, 30, 3)), 6)
+    assert calls == [[half, 0, third, Fraction(1, 2), 5]]
+    assert calls[0][0] is half and calls[0][3] is rows[1][1]
+    assert scaled_rows(()) == ((), 1) and scaled_rows(((), ())) == (((), ()), 1)

@@ -9,15 +9,17 @@ from genwass import (
     dirac,
     evaluate_dual,
     measure,
+    solve_flat,
     solve_w1,
     validate_metric,
 )
 from genwass import flow, solver_w1
+from genwass.duality import primal_value
 from genwass.errors import InvalidParams, SpaceMismatch
 from genwass.jsonio import report_to_json
 from genwass.measures import DiscreteMeasure
 from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
-from reference import is_submeasure, marginals
+from reference import is_submeasure, l1_metric, marginals, wide_metric
 
 
 def test_short_distance_ships(two_point, unit_params):
@@ -284,3 +286,66 @@ def test_only_the_rate_stops_a_float_rate_run(monkeypatch):
     assert sols[0].total > min(mu.mass, nu.mass)
     assert sinks[-1] == 4.0
     assert 0 <= report.duality_gap <= 1e-9 * (1.0 + abs(report.value))
+
+
+def stopped_bipartite_value(space, mu, nu, params):
+    """The reference value: the flow of the costs b d on the complete
+    bipartite network, stopped at the rate 2a, as a(|mu| + |nu| - 2m) + cost."""
+    costs = [[params.b * d for d in row] for row in space.dist]
+    sol = flow.solve_transport(costs, list(mu.weights), list(nu.weights), rate=2 * params.a)
+    return params.a * (mu.mass + nu.mass - 2 * sol.total) + sol.cost
+
+
+SPREAD = EntropyParams(a=Fraction(500), b=Fraction(1, 2), p=1)
+SKELETON_CASES = {
+    # (metric, sizes, rates): the closed draws include rates where b d >= 2a
+    # leaves pairs out of the network, and all of them out at 2a = 1 with b = 2
+    "closed": (random_int_metric, (1, 2, 3, 5, 8, 12, 16, 24), None),
+    "l1": (l1_metric, (2, 5, 12, 24), SPREAD),
+    "wide": (wide_metric, (2, 5, 12, 24), SPREAD),
+    "wide-tight": (wide_metric, (12,), EntropyParams(a=Fraction(300), b=Fraction(1, 2), p=1)),
+}
+
+
+@pytest.mark.parametrize("case", SKELETON_CASES.values(), ids=SKELETON_CASES.keys())
+def test_the_skeleton_solve_matches_the_bipartite_flow_and_the_flat_lp(monkeypatch, case):
+    family, sizes, params = case
+    rng = random.Random(3012)
+    pairs = []
+    transport = solver_w1.solve_transport
+
+    def recorded(*args, **kwargs):
+        pairs.append(kwargs["pairs"])
+        return transport(*args, **kwargs)
+
+    monkeypatch.setattr(solver_w1, "solve_transport", recorded)
+    for n in sizes:
+        for _ in range(3):
+            space = family(rng, n)
+            mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+            rates = params or EntropyParams(
+                a=rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))),
+                b=rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))),
+                p=1,
+            )
+            rep = solve_w1(space, mu, nu, rates)
+            assert pairs[-1] is space._irreducible
+            assert rep.value == stopped_bipartite_value(space, mu, nu, rates) == solve_flat(space, mu, nu, rates)[0]
+            assert [rep.plan.gamma[i][i] for i in range(n)] == list(map(min, mu.weights, nu.weights))
+            assert primal_value(rep.plan, mu, nu, rates) == rep.value
+            assert rep.duality_gap == 0 and rep.conditions.passed
+
+
+def test_float_and_mixed_p1_stay_on_the_bipartite_network(monkeypatch, line3, unit_params):
+    # floats cannot decide geodesic equality; an exact space with float
+    # masses has no integer image of them
+    pairs = []
+    transport = solver_w1.solve_transport
+    monkeypatch.setattr(solver_w1, "solve_transport", lambda *a, **k: pairs.append(k["pairs"]) or transport(*a, **k))
+    fspace = line3.as_float()
+    solve_w1(fspace, measure(fspace, [1, 0, 0]), measure(fspace, [0, 0, 1]), EntropyParams(a=1.0, b=1.0, p=1))
+    solve_w1(line3, DiscreteMeasure(line3, (1.0, 0.0, 0.0)), DiscreteMeasure(line3, (0.0, 0.0, 1.0)), unit_params)
+    solve_w1(line3, measure(line3, [1, 0, 0]), measure(line3, [0, 0, 1]), unit_params)
+    assert pairs == [None, None, ((0, 1), (1, 2))]
+    with pytest.raises(ValueError, match="the skeleton network takes exact inputs only"):
+        flow.solve_transport([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], [0.0, 1.0], pairs=((0, 1),))

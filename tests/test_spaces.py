@@ -316,6 +316,74 @@ def test_the_integer_image_stays_out_of_the_fields():
     assert [f.name for f in dataclasses.fields(space)] == ["labels", "dist", "exact"]
 
 
+def irreducible_by_definition(d):
+    """The pairs (i, j), i < j, with d[i][k] + d[k][j] > d[i][j] for every k outside {i, j}."""
+    n = len(d)
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if all(d[i][k] + d[k][j] > d[i][j] for k in range(n) if k not in (i, j))
+    )
+
+
+def shortest_paths_over(pairs, d):
+    """Floyd-Warshall from the distances of the listed pairs alone."""
+    n = len(d)
+    far = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        far[i][j] = far[j][i] = d[i][j]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if far[i][k] is not None and far[k][j] is not None:
+                    through = far[i][k] + far[k][j]
+                    if far[i][j] is None or through < far[i][j]:
+                        far[i][j] = through
+    return far
+
+
+def _path_metric(rng, n):
+    # points on a line: only neighbours are irreducible
+    xs = sorted(rng.sample(range(100), n))
+    return validate_metric(range(n), [[abs(x - y) for y in xs] for x in xs])
+
+
+SKELETON_FAMILIES = {
+    **{name: lambda rng, n, make=make: validate_metric(range(n), make(rng, n)) for name, make in FAMILIES.items()},
+    "closed-rational": lambda rng, n: validate_metric(
+        range(n), [[d * Fraction(2, 3) for d in row] for row in closed_metric(rng, n)]
+    ),
+    "path": _path_metric,
+}
+
+
+@pytest.mark.parametrize("family", SKELETON_FAMILIES.values(), ids=SKELETON_FAMILIES.keys())
+def test_irreducible_pairs_match_the_definition(family):
+    # every n from 1 to 12, then two larger draws; the shortest paths over
+    # the pairs give back every distance
+    rng = random.Random(3011)
+    for n in [*range(1, 13), 24, 40]:
+        space = family(rng, n)
+        pairs = space._irreducible
+        assert pairs == irreducible_by_definition(space.dist)
+        assert shortest_paths_over(pairs, space.dist) == [list(row) for row in space.dist]
+        if family is _path_metric:
+            assert len(pairs) == n - 1
+
+
+def test_irreducible_pairs_are_built_on_first_use_only():
+    # validation does not build them, float spaces have none, and they stay
+    # out of the fields
+    space = validate_metric("xyz", LINE3)
+    assert "_irreducible" not in vars(space)
+    assert space._irreducible == ((0, 1), (1, 2))
+    assert "_irreducible" in vars(space) and space == dataclasses.replace(space)
+    assert space.as_float()._irreducible is None
+    assert validate_metric("x", [[0]])._irreducible == ()
+    assert validate_metric("xy", [[0, 7], [7, 0]])._irreducible == ((0, 1),)
+
+
 def test_float_inference():
     space = validate_metric(["x", "y"], [[0, 1.5], [1.5, 0]])
     assert not space.exact

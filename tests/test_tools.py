@@ -18,20 +18,22 @@ def _load(name, path):
 
 def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     # per instance: solve at p = 1, 2, 3, solve_flat, five certificates, one
-    # dual objective, one metric check and three CLI calls; four `verify --report`
+    # dual objective, one metric check and three CLI calls; the skeleton pair
+    # count more on exact instances (all three here); four `verify --report`
     # calls more when the problem file is at p = 1 (instances 1 and 2 of every 3),
     # and on at most 3 points (instance 2, of 1 point) six oracle values and the
     # certificate and primal value of a plan of ints more
     dump = _load("dump_outputs", DUMP)
     monkeypatch.setattr(dump, "INSTANCES", 3)
-    # the larger section, shrunk: two lines per family and mode
+    # the larger section, shrunk: two lines per family and mode, and the
+    # skeleton pair count first in exact mode
     monkeypatch.setattr(dump, "LARGE", (("l1", 6, 500), ("wide", 5, 500), ("closed", 4, 2)))
     lines = list(dump.dump(cli_main, tmp_path))
-    small, large = lines[: 14 + 18 + 26], lines[14 + 18 + 26 :]
+    small, large = lines[: 15 + 19 + 27], lines[15 + 19 + 27 :]
     tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in small]
     assert all(tags)
     ks = [int(tag.group(2)) for tag in tags]
-    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [14, 18, 26]
+    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [15, 19, 27]
     # one instance, one tag
     assert len({tag.group(1) for tag in tags}) == 3
     assert sum(" cli verify " in line for line in small) == 8
@@ -39,14 +41,17 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     assert sum(" evaluate_dual " in line for line in small) == 3
     assert sum(" brute_force_value " in line for line in small) == 6
     assert sum(" int plan: " in line for line in small) == 2
+    assert [line.split(": ", 1)[1] for line in small if " skeleton pairs: " in line] == ["5", "12", "0"]
     heads = [line.split(": ", 1) for line in large]
     assert [head for head, _ in heads] == [
         f"large {family} {mode} n={n} {call}"
         for family, n in (("l1", 6), ("wide", 5), ("closed", 4))
         for mode in ("exact", "float")
-        for call in ("solve p=1", "solve p=2")
+        for call in ("skeleton pairs", "solve p=1", "solve p=2")[mode == "float" :]
     ]
-    assert all(result.startswith("SolveReport(") for _, result in heads)
+    pairs = [result for head, result in heads if head.endswith(" skeleton pairs")]
+    assert pairs == ["10", "10", "5"]
+    assert all(result.startswith("SolveReport(") for head, result in heads if " solve " in head)
 
 
 def test_tracer_names_resolve_in_the_package():

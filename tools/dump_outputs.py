@@ -9,7 +9,8 @@ Two runs on two source trees, diffed, show whether a change keeps every output:
 Each instance is a shortest-path closed integer metric (scaled by a rational
 on some instances), two rational measures and rates a, b in {1/2, 1, 2},
 exact or float.  Per instance the lines are the ``repr`` of ``solve`` at
-p = 1, 2 and 3 and of ``solve_flat``; the ``verify_optimality`` certificate of
+p = 1, 2 and 3; on exact instances the number of irreducible pairs, the
+skeleton network that exact p = 1 runs on; the ``repr`` of ``solve_flat``; the ``verify_optimality`` certificate of
 the p = 1 report's plan at the default tolerance, at 1/4 and at the float
 2^-10, and of a copy of it with one entry raised by 1/4, at the default
 tolerance and at 1/4; ``evaluate_dual`` of the report's potentials with the
@@ -31,7 +32,8 @@ more than the last: l1 distances of points of {0..1000}^2 and wide
 unclosed integer distances in [1000, 2000], each at n = 48 and 96 with
 a = 500, and a closed integer metric at n = 64 with a = 2; b = 1/2, two
 rational measures, and each instance in exact and in float mode.  Per
-instance and mode the lines are the ``repr`` of ``solve`` at p = 1 and 2.
+instance and mode the lines are the number of irreducible pairs (exact mode
+only) and the ``repr`` of ``solve`` at p = 1 and 2.
 
 Errors print as their type and message.  Standard library only: the inputs
 are built here.
@@ -152,6 +154,8 @@ def dump(cli_main, workdir: Path):
         params = {p: EntropyParams(a=in_mode(a, exact), b=in_mode(b, exact), p=p) for p in (1, 2, 3)}
         for p, order_p in params.items():
             yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, order_p)}"
+        if exact:
+            yield f"{tag} {skeleton_pairs(space)}"
         p1 = params[1]
         report = solve(space, mu, nu, p1)
         yield f"{tag} solve_flat: {outcome(solve_flat, space, mu, nu, p1)}"
@@ -224,8 +228,16 @@ def dump_large():
             space = validate_metric(labels, [[in_mode(x, exact) for x in row] for row in d], exact=exact)
             mu, nu = (measure(space, [in_mode(w, exact) for w in ws]) for ws in (mu_w, nu_w))
             rates = {"a": in_mode(Fraction(a), exact), "b": in_mode(Fraction(1, 2), exact)}
+            if exact:
+                yield f"{tag} {skeleton_pairs(space)}"
             for p in (1, 2):
                 yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, EntropyParams(**rates, p=p))}"
+
+
+def skeleton_pairs(space) -> str:
+    """The number of irreducible pairs, the arcs of the exact p = 1 network;
+    a source tree that has no such list prints the error."""
+    return f"skeleton pairs: {outcome(lambda: len(space._irreducible))}"
 
 
 def metric_check(validate_metric, rng, labels, ints, scale) -> str:
