@@ -362,9 +362,9 @@ def verify_optimality(
 
     D, G, F_g, A, S, P1, P2, F_p, L, R, sides, ints = _terms(space, potentials, tol, plan, (mu, nu))
     for Gs, W, F_w in sides:
-        # a float w + tol may round to inf; FLOAT_MAX then still refuses a
-        # marginal past float range, which exceeds any measure
-        caps = W if space.exact else [min(w + tol, FLOAT_MAX) for w in W]
+        # a float cap is w + tol + ROUNDING_TOL * w; where that rounds to inf,
+        # FLOAT_MAX still refuses a marginal past float range
+        caps = W if space.exact else [min(w + tol + ROUNDING_TOL * w, FLOAT_MAX) for w in W]
         if not all(map(le, map(mul, Gs, repeat(F_w)), map(mul, caps, repeat(F_g)))):
             raise InfeasibleInputs("plan marginals exceed the problem measures")
     slack = max(tol, feasibility_slack(space, params))

@@ -108,8 +108,7 @@ class FlowSolution:
     total: Scalar
     cost: Scalar
     breakpoints: list[tuple[Scalar, Scalar]]
-    potential_src: list[Scalar]
-    potential_snk: list[Scalar]
+    potentials: list[Scalar]  # of the nodes between S and T, in node order
 
 
 def solve_transport(
@@ -119,9 +118,9 @@ def solve_transport(
     """Push ``target`` units (default: as much as fits) at minimum cost.
 
     Returns the final flow matrix, the parametric breakpoints, and the node
-    potentials of the last phase.  The potentials satisfy, for every pair,
-    pot_snk[j] - pot_src[i] <= costs[i][j], with equality on arcs that carry
-    flow: they are the linear-programming duals of the transport problem.
+    potentials of the last phase, the supplies' pi_i then the demands' pi_j:
+    pi_j - pi_i <= costs[i][j] for every pair, with equality on arcs that
+    carry flow, the linear-programming duals of the transport problem.
 
     A caller that holds exact costs as ints over a common positive
     denominator passes that denominator as ``cost_unit``: arc (i, j) then
@@ -133,8 +132,8 @@ def solve_transport(
     ``pairs``, exact inputs only, runs the flow on the skeleton network of a
     metric instead: supplies and demands sit on the same points, ``costs``
     is symmetric and equals the shortest-path costs over the listed pairs
-    (i, j), and only those pairs' entries are read.  One potential per point
-    is returned as both ``potential_src`` and ``potential_snk`` (two lists).
+    (i, j), and only those pairs' entries are read.  The potentials are one
+    per point, both the supply's and the demand's.
     """
     masses = [*supplies, *demands] + ([] if target is None else [target])
     rows = costs if rate is None else [*costs, [rate]]  # the rate scales with the costs
@@ -167,8 +166,7 @@ def solve_transport(
         total=Fraction(sol.total, M),
         cost=Fraction(sol.cost, M * C),
         breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
-        potential_src=[Fraction(x, C) for x in sol.potential_src],
-        potential_snk=[Fraction(x, C) for x in sol.potential_snk],
+        potentials=[Fraction(x, C) for x in sol.potentials],
     )
 
 
@@ -190,8 +188,7 @@ def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> F
         total=pushed,
         cost=cost,
         breakpoints=breakpoints,
-        potential_src=pot[1 : ns + 1],
-        potential_snk=pot[ns + 1 : T],
+        potentials=pot[1:T],
     )
 
 
@@ -252,8 +249,7 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
             left[i] -= delta
             need[v] -= delta
             gamma[i][v] += delta
-    points = pot[1:T]
-    return FlowSolution(gamma, pushed, cost, breakpoints, points, points[:])
+    return FlowSolution(gamma, pushed, cost, breakpoints, pot[1:T])
 
 
 def _target(supplies, demands, target):

@@ -8,8 +8,8 @@ Successive shortest paths ship in nondecreasing path cost, so the optimum is
 the transport flow of the costs b d stopped at the rate 2a: it ships the
 smallest optimal mass, and no arc with b d >= 2a carries any of it.
 
-When the space and both measures have integer images, that flow runs on the
-metric's skeleton, Beckmann's form of the problem (Essid & Solomon 2018):
+On an exact space that flow runs on the metric's skeleton, Beckmann's form
+of the problem (Essid & Solomon 2018):
     min over edge flows F and sub-marginals of
             a(|mu| - m) + a(|nu| - m) + b sum over irreducible pairs d_ij |F_ij|,
 where F moves the shipped part of mu onto the shipped part of nu along the
@@ -17,13 +17,13 @@ irreducible pairs, those with no third point on a geodesic between them.
 Every distance is a shortest path over them, so the value is the same; it is
 the LP dual of the flat metric, whose Lipschitz rows need only these pairs.
 The flow keeps one potential pi_i per point, and the plan is its edge flow
-cut into paths.  Float and mixed inputs, where rounding cannot decide
-geodesic equality, run on the complete bipartite network, which keeps a
-potential per supply and per demand.
+cut into paths; a float weight there is read as the rational it holds.
+Float spaces, where rounding cannot decide geodesic equality, run on the
+complete bipartite network, with a potential per supply and per demand.
 
 The duals are phi1_i = max(a - pi_i, -a) and phi2_j = max(pi_j - a, -a), from
-that flow's final node potentials pi: the supply's and the demand's, which
-on the skeleton are the one potential of the point.  They lie in [0, 2a],
+that flow's final node potentials pi, the first n for phi1 and the last n for
+phi2: on the skeleton the same n, one per point.  They lie in [0, 2a],
 pi_T = 2a, and pi_j - pi_i <= b d_ij with equality where flow ships.  On the
 skeleton the arcs give that bound on the irreducible pairs, a geodesic of
 them on every other pair, and the range [0, 2a] on pairs with b d >= 2a,
@@ -46,7 +46,7 @@ from .duality import (
 )
 from .errors import InfeasibleInputs, InvalidParams, SolverFailure
 from .flow import solve_transport
-from .measures import DiscreteMeasure, TransportPlan, require_same_space
+from .measures import DiscreteMeasure, TransportPlan, measure, require_same_space
 from .params import EntropyParams
 from .scalars import CERTIFY_TOL, Scalar, coerce, scaled
 from .spaces import FiniteMetricSpace
@@ -74,7 +74,7 @@ def solve_w1(
 
     In exact mode the flow's costs are ints over one unit, D times the int of b / F_d
     for the space's integer image D / F_d, and its rate is twice the int of a.
-    With exact measures too it runs on the space's irreducible pairs."""
+    It runs on the space's irreducible pairs, float weights read as rationals."""
     require_same_space(mu, nu, space=space)
     if params.p != 1:
         raise InvalidParams("this solver handles p = 1 only")
@@ -82,16 +82,15 @@ def solve_w1(
     if space.exact:
         rows, F_d = space._scaled
         (b_unit, a_unit), unit = scaled([b / F_d, a])
+        mu, nu = (m if m._scaled else measure(space, m.weights) for m in (mu, nu))
     else:
         rows, b_unit, a_unit, unit = space.dist, b, a, None
     costs = rows if b_unit == 1 else [[b_unit * d for d in row] for row in rows]
-    # the skeleton needs integer images of the space and of both measures
-    pairs = space._irreducible if mu._scaled and nu._scaled else None
     sol = solve_transport(
-        costs, list(mu.weights), list(nu.weights), cost_unit=unit, rate=2 * a_unit, pairs=pairs
+        costs, list(mu.weights), list(nu.weights), cost_unit=unit, rate=2 * a_unit, pairs=space._irreducible
     )
-    phi1 = tuple(max(a - pi, -a) for pi in sol.potential_src)
-    phi2 = tuple(max(pi - a, -a) for pi in sol.potential_snk)
+    phi1 = tuple(max(a - pi, -a) for pi in sol.potentials[: space.n])
+    phi2 = tuple(max(pi - a, -a) for pi in sol.potentials[-space.n :])
     plan = TransportPlan(space, tuple(map(tuple, sol.flow)))
     potentials = DualPotentials(phi1, phi2, params)
     return certified_report(space, mu, nu, params, plan, primal_value(plan, mu, nu, params), potentials)

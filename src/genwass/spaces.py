@@ -177,8 +177,6 @@ def _irreducible_pairs(rows) -> tuple[tuple[int, int], ...]:
     and term i, whose excess is 0 everywhere, is left out.
     """
     n = len(rows)
-    if n < 2:
-        return ()
     width = (2 * max(map(max, rows))).bit_length() + 1
     shifts = range(0, width * n, width)
     ones = sum(map(lshift, repeat(1), shifts))

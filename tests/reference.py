@@ -52,11 +52,13 @@ class Decomposition:
     singular: DiscreteMeasure
 
 
-def is_submeasure(sigma: DiscreteMeasure, tau: DiscreteMeasure, atol: float = FLOAT_WEIGHT_ATOL) -> bool:
-    """Pointwise sigma <= tau (exact, or within atol absolute in float mode)."""
+def is_submeasure(
+    sigma: DiscreteMeasure, tau: DiscreteMeasure, atol: float = FLOAT_WEIGHT_ATOL, rtol: float = 0.0
+) -> bool:
+    """Pointwise sigma <= tau (exact, or within atol + rtol * tau in float mode)."""
     require_same_space(sigma, tau)
-    slack = 0 if sigma.space.exact else atol
-    return all(s <= t + slack for s, t in zip(sigma.weights, tau.weights))
+    slack, rel = (0, 0) if sigma.space.exact else (atol, rtol)
+    return all(s <= t + slack + rel * t for s, t in zip(sigma.weights, tau.weights))
 
 
 def lebesgue_decompose(sigma: DiscreteMeasure, tau: DiscreteMeasure) -> Decomposition:

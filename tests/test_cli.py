@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from genwass import flow, quotient, selftest, solver_w1
 from genwass.cli import build_parser, main
+from genwass.errors import InfeasibleInputs
 
 
 @pytest.fixture
@@ -377,22 +378,22 @@ def test_a_report_plan_of_the_wrong_shape_is_an_input_error(problem_file, capsys
     ],
 )
 def test_uncertified_solves_exit_1(problem_file, capsys, monkeypatch, mode, line):
-    # one supply potential off by 1/2 lowers phi1 where mu has its mass: a gap of 1/2
-    transport = solver_w1.solve_transport
+    # phi1 lowered by 1/2 where mu has its mass: a gap of 1/2
+    report = solver_w1.certified_report
 
-    def shifted(*args, **kwargs):
-        sol = transport(*args, **kwargs)
-        sol.potential_src[0] += Fraction(1, 2)
-        return sol
+    def shifted(space, mu, nu, params, plan, value, potentials):
+        phi1 = (potentials.phi1[0] - Fraction(1, 2), *potentials.phi1[1:])
+        return report(space, mu, nu, params, plan, value, dataclasses.replace(potentials, phi1=phi1))
 
-    monkeypatch.setattr(solver_w1, "solve_transport", shifted)
+    monkeypatch.setattr(solver_w1, "certified_report", shifted)
     assert main(["dist", "--input", problem_file(TWO_POINT), "--mode", mode]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == line + "\n"
 
 
 # A valid float file: a column sum of the float plan passes nu's weight at z,
-# of size 2.3e8, by 3e-8, more than the certificate's absolute default tol.
+# of size 2.3e8, by 3e-8, more than the certificate's default tol of 1e-9 but
+# within its cap of tol + ROUNDING_TOL times the weight.
 ROUNDED_PAST_THE_CAP = {
     "space": {"points": ["x", "y", "z"], "d": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]},
     "mu": {"x": 229999999.99999997, "y": 110000000.00000001, "z": 5e7},
@@ -401,17 +402,25 @@ ROUNDED_PAST_THE_CAP = {
 }
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
 @pytest.mark.parametrize("command", ["dist", "plan", "dual", "verify"])
-def test_a_plan_its_own_certificate_rejects_exits_1(problem_file, capsys, command):
-    path = problem_file(ROUNDED_PAST_THE_CAP)
-    assert main([command, "--input", path]) == 1
+def test_a_plan_rounded_past_a_weight_certifies(problem_file, command, mode):
+    assert main([command, "--input", problem_file(ROUNDED_PAST_THE_CAP), "--mode", mode]) == 0
+
+
+@pytest.mark.parametrize("command", ["dist", "plan", "dual", "verify"])
+def test_a_plan_its_own_certificate_rejects_exits_1(problem_file, capsys, monkeypatch, command):
+    def rejects(*args, **kwargs):
+        raise InfeasibleInputs("plan marginals exceed the problem measures")
+
+    monkeypatch.setattr(solver_w1, "verify_optimality", rejects)
+    assert main([command, "--input", problem_file(ROUNDED_PAST_THE_CAP)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "solver failure: the certificate rejects the solver's own plan: "
         "plan marginals exceed the problem measures\n"
     )
-    assert main([command, "--input", path, "--mode", "exact"]) == 0
 
 
 # float p = 1 with a near float max: the potentials are about +-a, and their

@@ -25,7 +25,7 @@ from genwass import duality, measures
 from genwass.duality import _terms, feasibility_slack, is_feasible_pair, primal_value, verification_tol
 from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SolverFailure, SpaceMismatch
 from genwass.measures import DiscreteMeasure, TransportPlan, require_same_space
-from genwass.scalars import NEG_INF, coerce, is_exact
+from genwass.scalars import CERTIFY_TOL, NEG_INF, ROUNDING_TOL, coerce, is_exact
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_w1 import certified_report
 from reference import is_submeasure, lebesgue_decompose, marginals, zero_measure
@@ -493,7 +493,9 @@ def reference_verify_optimality(space, mu, nu, params, plan, potentials, tol=Non
         gammas = (DiscreteMeasure(space, rows), DiscreteMeasure(space, cols))
     except InvalidWeight:
         gammas = None
-    if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):
+    if gammas is None or not all(
+        is_submeasure(g, m, atol=tol, rtol=ROUNDING_TOL) for g, m in zip(gammas, (mu, nu))
+    ):
         raise InfeasibleInputs("plan marginals exceed the problem measures")
     if not reference_is_feasible_pair(space, potentials, slack=max(tol, feasibility_slack(space, params))):
         raise InfeasibleInputs("potentials violate the dual constraints")
@@ -806,7 +808,9 @@ def reference_lebesgue_verify_optimality(space, mu, nu, params, plan, potentials
         gammas = marginals(plan)
     except InvalidWeight:  # a marginal past float range exceeds any measure
         gammas = None
-    if gammas is None or not all(is_submeasure(g, m, atol=tol) for g, m in zip(gammas, (mu, nu))):
+    if gammas is None or not all(
+        is_submeasure(g, m, atol=tol, rtol=ROUNDING_TOL) for g, m in zip(gammas, (mu, nu))
+    ):
         raise InfeasibleInputs("plan marginals exceed the problem measures")
     slack = max(tol, feasibility_slack(space, params))
     if not is_feasible_pair(space, potentials, slack=slack):
@@ -941,6 +945,35 @@ def test_certificate_matches_the_reference_past_float_range(two_point, two_point
     plan = make_plan(two_point, [[0, 1], [0, 0]])
     got = assert_same_certificate(two_point, far_mu, dirac(two_point_far, 1), unit_params, plan, pair, None)
     assert got == ("SpaceMismatch", "objects live on different spaces")
+
+
+def test_float_marginal_caps_scale_with_the_weight(two_point):
+    # a float cap is w + tol + ROUNDING_TOL * w: a row sum inside it passes,
+    # and one past it by 10 ROUNDING_TOL * w is refused, at every size of w
+    space = two_point.as_float()
+    params = EntropyParams(a=1.0, b=1.0, p=1)
+    pair = DualPotentials(phi1=(0.0, 0.0), phi2=(0.0, 0.0), params=params)
+    refused = ("InfeasibleInputs", "plan marginals exceed the problem measures")
+    for w in (1.0, 2e8, 2e12, 1e15):
+        mu = nu = measure(space, [w, 0.0])
+        for tol in (None, 0.0, 1e-9):
+            slack = CERTIFY_TOL if tol is None else tol
+            inside = TransportPlan(space, ((w + slack + ROUNDING_TOL * w / 2, 0.0), (0.0, 0.0)))
+            past = TransportPlan(space, ((w + slack + 11 * ROUNDING_TOL * w, 0.0), (0.0, 0.0)))
+            assert isinstance(assert_same_certificate(space, mu, nu, params, inside, pair, tol), OptimalityCertificate)
+            assert assert_same_certificate(space, mu, nu, params, past, pair, tol) == refused
+
+
+def test_float_p1_certifies_its_own_plan_at_any_weight_size():
+    # seeded float sweep: before the caps scaled with the weight, 13, 15 and
+    # 18 of these 200 solves at each size rejected their own plan
+    rng = random.Random(7)
+    for top in (2e8, 2e12, 1e15):
+        for _ in range(200):
+            space = random_int_metric(rng, rng.randint(2, 12)).as_float()
+            mu, nu = (measure(space, [rng.uniform(0, top) for _ in range(space.n)]) for _ in "mn")
+            params = EntropyParams(a=rng.choice((0.5, 1.0, 2.0)), b=rng.choice((0.5, 1.0)), p=1)
+            assert solve_w1(space, mu, nu, params).conditions.passed
 
 
 def test_certificate_builds_no_measure(two_point, unit_params, monkeypatch):

@@ -16,7 +16,7 @@ from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_wp import solve_wp
 from reference import l1_metric, wide_metric
 
-FIELDS = ("flow", "total", "cost", "breakpoints", "potential_src", "potential_snk")
+FIELDS = ("flow", "total", "cost", "breakpoints", "potentials")
 
 
 def reference_transport(costs, supplies, demands, target) -> FlowSolution:
@@ -103,8 +103,7 @@ def reference_transport(costs, supplies, demands, target) -> FlowSolution:
         total=pushed,
         cost=cost_acc,
         breakpoints=breakpoints,
-        potential_src=pot[1 : ns + 1],
-        potential_snk=pot[ns + 1 : ns + nt + 1],
+        potentials=pot[1 : ns + nt + 1],
     )
 
 
@@ -227,7 +226,7 @@ def test_potentials_are_feasible_duals():
         sol = solve_transport(costs, supplies, demands)
         for i in range(ns):
             for j in range(nt):
-                red = costs[i][j] + sol.potential_src[i] - sol.potential_snk[j]
+                red = costs[i][j] + sol.potentials[i] - sol.potentials[ns + j]
                 assert red >= 0
                 if sol.flow[i][j] > 0:
                     assert red == 0
@@ -544,8 +543,8 @@ def test_skeleton_flow_matches_the_bipartite_flow(kind):
         got = solve_transport(costs, supplies, demands, target, rate=rate, pairs=pairs)
         want = solve_transport(costs, supplies, demands, target, rate=rate)
         assert (got.total, got.cost) == (want.total, want.cost)
-        gamma, pot = got.flow, got.potential_src
-        assert got.potential_snk == pot and got.potential_snk is not pot
+        gamma, pot = got.flow, got.potentials
+        assert len(pot) == len(supplies)
         assert all(x >= 0 for row in gamma for x in row)
         assert all(sum(row) <= s for row, s in zip(gamma, supplies))
         assert all(sum(col) <= d for col, d in zip(zip(*gamma), demands))

@@ -22,7 +22,10 @@ integer rows, each as the error type and witness, or "ok"; on instances of at
 most 3 points, the brute-force oracle at p = 1, 2 and 3, exact and float, on
 the masses min(floor(w), 3) of the instance's weights w, and on those masses
 the ``verify_optimality`` certificate and ``primal_value`` of the exact p = 1
-plan rebuilt with int entries (integer masses ship whole units); and the exit code,
+plan rebuilt with int entries (integer masses ship whole units), and, when
+the instance is exact, the p = 1 report on its weights as floats over the
+exact space and the float p = 1 certificate with the weights times
+10^12 / 3 (:func:`float_weights`); and the exit code,
 stdout and stderr of the CLI ``plan``, ``dual`` and ``verify --report`` on a
 problem file (the report is the ``plan --format json`` output, and once more
 with the same raised entry).
@@ -59,6 +62,8 @@ RATES = (Fraction(1, 2), Fraction(1), Fraction(2))
 SCALES = (Fraction(1), Fraction(1), Fraction(2, 3))
 ORACLE_MAX_N = 3
 ORACLE_MAX_W = 3
+# weights of about 1e12, where a float plan marginal can round past its weight
+HUGE_WEIGHT = Fraction(10**12, 3)
 LARGE_SEED = 20193
 # the larger instances: (metric family, n, a), at b = 1/2
 LARGE = (("l1", 48, 500), ("l1", 96, 500), ("wide", 48, 500), ("wide", 96, 500), ("closed", 64, 2))
@@ -191,6 +196,8 @@ def dump(cli_main, workdir: Path):
                     result = outcome(verify_optimality, o_space, o_mu, o_nu, o_p1, int_plan, o_report.potentials)
                     yield f"{tag} verify_optimality int plan: {result}"
                     yield f"{tag} primal_value int plan: {outcome(primal_value, int_plan, o_mu, o_nu, o_p1)}"
+            if exact:
+                yield from float_weights(space, mu_w, nu_w, a, b, tag)
 
         doc = {
             "space": {"points": labels, "d": [[number(x, exact) for x in row] for row in d]},
@@ -232,6 +239,20 @@ def dump_large():
                 yield f"{tag} {skeleton_pairs(space)}"
             for p in (1, 2):
                 yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, EntropyParams(**rates, p=p))}"
+
+
+def float_weights(space, mu_w, nu_w, a, b, tag):
+    """The p = 1 report on the weights as floats over the exact space, and
+    the float p = 1 certificate, or its error, on the float space with the
+    weights times HUGE_WEIGHT."""
+    from genwass import DiscreteMeasure, EntropyParams, measure, solve
+
+    mu, nu = (DiscreteMeasure(space, tuple(map(float, ws))) for ws in (mu_w, nu_w))
+    yield f"{tag} solve p=1 float weights: {outcome(solve, space, mu, nu, EntropyParams(a=a, b=b, p=1))}"
+    f_space = space.as_float()
+    mu, nu = (measure(f_space, [float(w * HUGE_WEIGHT) for w in ws]) for ws in (mu_w, nu_w))
+    params = EntropyParams(a=float(a), b=float(b), p=1)
+    yield f"{tag} float p=1 huge weights: {outcome(lambda: solve(f_space, mu, nu, params).conditions)}"
 
 
 def skeleton_pairs(space) -> str:
