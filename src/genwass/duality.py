@@ -11,32 +11,34 @@ above, and minus infinity below.
 
 Each p = 1 check has one implementation, run on integers when its inputs
 are exact.  The space carries its distances as ints D over one factor F_d,
-the plan its entries as ints G over F_g and each measure its weights as ints
-W over its own F_w (all from ``scalars.scaled``), by one rule: a plan or a
-measure has its image when the space is exact and ``scalars.exactness``
-finds every entry exact, ints included.  The plan's row and column sums are
-int sums Gs of G over F_g.  One more ``scaled`` call puts a, the
-slack and the potentials over a common factor F_p (ints A, S, P), and b
-enters as b_num / b_den.  With L = b_den F_d and R = b_num F_p the dual
-feasibility test phi1_i + phi2_j <= b d_ij + slack reads
-P1_i L + P2_j L <= R D_ij + S L, the certificate's tightness gap
-b d_ij - phi1_i - phi2_j reads R D_ij - P1_i L - P2_j L, and the primal
-value is one running sum of D G divided once.  The certificate's per-point
-tests read gamma_i <= mu_i as Gs F_w <= W F_g, gamma_i > 0 as Gs > 0,
-mu_i > tol as W F_p > S F_w, and |(a - phi)(1 - g / w)| > tol as
-|(A - P) N| > S Q with (N, Q) = (W F_g - Gs F_w, W F_g).  The dual
-objective sums T W with T the truncated P and builds one Fraction at the
-end.  A float tolerance enters as ``Fraction(tol)``, which is exact.  Float
-mode, and exact inputs that hold a float, run the same expressions on the
-values themselves with every factor 1 and (N, Q) = (1 - g / w, 1): the
-direct expressions, in the same floating-point order.
+the plan its support as triples (i, j, G_ij) with ints G over F_g, and each
+measure its weights as ints W over its own F_w (all from
+``scalars.scaled``), by one rule: a plan or a measure has its image when
+the space is exact and ``scalars.exactness`` finds every entry exact, ints
+included.  The plan's row and column sums are int sums Gs of G over F_g,
+and every reader of the plan runs over its support, not over n^2 entries.
+One more ``scaled`` call puts a, the slack and the potentials over a
+common factor F_p (ints A, S, P), and b enters as b_num / b_den.  With
+L = b_den F_d and R = b_num F_p the dual feasibility test
+phi1_i + phi2_j <= b d_ij + slack reads P1_i L + P2_j L <= R D_ij + S L,
+the certificate's tightness gap b d_ij - phi1_i - phi2_j reads
+R D_ij - P1_i L - P2_j L, and the primal value is one running sum of D G
+over the support, divided once.  The certificate's per-point tests read
+gamma_i <= mu_i as Gs F_w <= W F_g, gamma_i > 0 as Gs > 0, mu_i > tol as
+W F_p > S F_w, and |(a - phi)(1 - g / w)| > tol as |(A - P) N| > S Q with
+(N, Q) = (W F_g - Gs F_w, W F_g).  The dual objective sums T W with T the
+truncated P and builds one Fraction at the end.  A float tolerance enters
+as ``Fraction(tol)``, which is exact.  Float mode, and exact inputs that
+hold a float, run the same expressions on the values themselves with every
+factor 1 and (N, Q) = (1 - g / w, 1): the direct expressions, in the same
+floating-point order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, ge, le, mul
 
 from . import simplex
@@ -121,10 +123,10 @@ def _terms(
     else the values as they are with every factor 1 (F_g = F_p = F_w = L = 1, R = b).
 
     Returns (D, G, F_g, A, S, P1, P2, F_p, L, R, sides, ints), in the notation
-    of the module docstring.  ``sides`` holds one (Gs, W, F_w) per measure in
-    ``measures`` (mu, then nu): the plan's row sums for the first and column
-    sums for the second, over F_g (empty without a plan), and the weights W
-    over F_w.  ``ints`` tells which images were chosen.  A finite float slack
+    of the module docstring, G the plan's support over F_g.  ``sides``
+    holds one (Gs, W, F_w) per measure in ``measures`` (mu, then nu): the
+    plan's row sums for the first and column sums for the second, over F_g
+    (empty without a plan), and the weights W over F_w.  ``ints`` tells which images were chosen.  A finite float slack
     enters the image as ``Fraction(slack)``.  The choice is made once per
     call, so one object's integer image never meets another object's raw
     values.  The potentials' lengths are checked by :func:`_feasible`, which
@@ -144,14 +146,15 @@ def _terms(
         and exactness((params.b, *values))[0]
     )
     if not ints:
-        gamma = plan.gamma if plan is not None else ()
+        support = plan.support if plan is not None else ()
         sums = (plan.row_sums(), plan.col_sums()) if plan is not None else ((), ())
         sides = tuple((s, m.weights, 1) for s, m in zip(sums, measures))
-        return space.dist, gamma, 1, params.a, slack, phi1, phi2, 1, 1, params.b, sides, False
+        return space.dist, support, 1, params.a, slack, phi1, phi2, 1, 1, params.b, sides, False
     scaled_values, F_p = scaled(values)
     (D, F_d), b = space._scaled, params.b
     P1, P2 = scaled_values[2 : n + 2], scaled_values[n + 2 :]
-    sides = tuple((tuple(map(sum, rows)), *m._scaled) for rows, m in zip((G, zip(*G)), measures))
+    sums = plan._sums if plan is not None else ((), ())
+    sides = tuple((Gs, *m._scaled) for Gs, m in zip(sums, measures))
     L, R = b.denominator * F_d, b.numerator * F_p
     return D, G, unit.denominator, scaled_values[0], scaled_values[1], P1, P2, F_p, L, R, sides, True
 
@@ -215,9 +218,10 @@ def primal_value(
 ) -> Scalar:
     """The p = 1 primal objective a(|mu| - m) + a(|nu| - m) + b sum d gamma of a plan of mass m.
 
-    sum d gamma is one row-major running sum of D G: over the integer images
-    of the metric and the plan when the plan has one, divided once by the
-    product of their factors, else over the values themselves.
+    sum d gamma is one running sum of D G over the plan's support, in
+    row-major order: over the integer images of the metric and the plan when
+    the plan has one, divided once by the product of their factors, else
+    over the values themselves.
     """
     if params.p != 1:
         raise InvalidParams("this primal objective is only defined for p = 1")
@@ -226,7 +230,7 @@ def primal_value(
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
     G, unit = plan._scaled
     D, F_d = space._scaled if isinstance(unit, Fraction) else (space.dist, 1)
-    cost = sum(map(mul, chain.from_iterable(D), chain.from_iterable(G)))
+    cost = sum(D[i][j] * g for i, j, g in G)
     return a * (mu.mass - m) + a * (nu.mass - m) + b * (coerce(cost, space.exact) / (F_d * unit.denominator))
 
 
@@ -374,10 +378,7 @@ def verify_optimality(
     # (ii) where the plan ships more than tol: |b d_ij - phi1_i - phi2_j| <= tol
     shipped, loose = S * F_g, S * L
     violations: list[tuple[str, tuple]] = [
-        ("ii", (i, j))
-        for i, (g_row, d_row, p1) in enumerate(zip(G, D, P1))
-        for j, g in enumerate(g_row)
-        if g and g * F_p > shipped and abs(R * d_row[j] - p1 * L - P2[j] * L) > loose
+        ("ii", (i, j)) for i, j, g in G if g * F_p > shipped and abs(R * D[i][j] - P1[i] * L - P2[j] * L) > loose
     ]
     tight_on_plan = not violations
 

@@ -76,22 +76,27 @@ M*C, potentials by C) and stays exact.  Scaled ints can pass float range, so
 no capacity is a float infinity.  Inputs that are not all exact, float ones
 and those that mix exact and float scalars, run it on floats, converted once
 by ``map(float, row)``, which leaves a float as it is.  One set of the input
-types (``scalars.exactness``) makes the choice, and the Fraction of each
-distinct scaled flow value is built once and shared.  The flat LP's simplex
-and the oracle scale their own inputs to integers, each with its own
-``scalars.scaled`` call, and never use this solver or its scaled costs.
+types (``scalars.exactness``) makes the choice.  Only the flow's support
+is divided: the Fraction of each distinct flow value on it is built once and
+shared, and the dense flow is that support over a Fraction zero.  The
+breakpoints are divided when they are first read, so a run whose caller
+never reads them, every p = 1 solve, builds none of their Fractions.  The
+flat LP's simplex and the oracle scale their own inputs to integers, each
+with its own ``scalars.scaled`` call, and never use this solver or its
+scaled costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, repeat
 from operator import getitem, mul
 
 from .errors import SolverFailure
-from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows
+from .scalars import INF, Scalar, coerce_rows, dense, exactness, scaled, scaled_rows, sparse
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
 # closed metrics (edges in [1, 9], seed n, a = 2, b = 1/2) augments 47, 106
@@ -102,13 +107,43 @@ from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows
 MAX_PHASES = 200_000
 
 
+class _OnFirstRead:
+    """A dataclass field that is given its value, or a function of no
+    arguments that makes it: the first read calls the function and keeps
+    what it returns.  It has no default, so the field stays required."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class FlowSolution:
+    """The flow's plan, its mass and cost, the breakpoints and the
+    potentials.  ``support`` is the plan's support (``scalars.sparse`` of
+    ``flow``); a scaled run knows it as it builds the flow, and its
+    breakpoints become Fractions only when they are read: a p = 1 solve
+    reads neither the breakpoints nor the dense flow."""
+
     flow: list[list[Scalar]]
     total: Scalar
     cost: Scalar
-    breakpoints: list[tuple[Scalar, Scalar]]
+    breakpoints: list[tuple[Scalar, Scalar]] = _OnFirstRead()
     potentials: list[Scalar]  # of the nodes between S and T, in node order
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, int, Scalar], ...]:
+        return sparse(self.flow)
 
 
 def solve_transport(
@@ -159,15 +194,18 @@ def solve_transport(
     if not scale:
         return sol
 
-    flows = set(chain.from_iterable(sol.flow))  # one Fraction per distinct flow value, shared
+    flows = {x for _, _, x in sol.support}  # one Fraction per distinct flow value, shared
     shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
-    return FlowSolution(
-        flow=[list(map(shared.__getitem__, row)) for row in sol.flow],
+    support = tuple((i, j, shared[x]) for i, j, x in sol.support)
+    scaled_sol = FlowSolution(
+        flow=dense(support, ns, nd, Fraction(0)),
         total=Fraction(sol.total, M),
         cost=Fraction(sol.cost, M * C),
-        breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
+        breakpoints=lambda: [(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
         potentials=[Fraction(x, C) for x in sol.potentials],
     )
+    scaled_sol.support = support  # known here: the cached property never reads the flow
+    return scaled_sol
 
 
 def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> FlowSolution:

@@ -15,7 +15,7 @@ from itertools import chain
 from .duality import DualPotentials, OptimalityCertificate
 from .measures import DiscreteMeasure, TransportPlan, measure
 from .params import EntropyParams
-from .scalars import coerce, coerce_rows, parse_row, parse_scalar, scalar_to_json
+from .scalars import coerce, coerce_rows, dense, parse_row, parse_scalar, scalar_to_json, sparse
 from .solver_w1 import SolveReport
 from .spaces import FiniteGroupAction, FiniteMetricSpace, validate_action, validate_metric
 
@@ -63,12 +63,17 @@ def parse_space(doc: dict, exact: bool | None = None) -> FiniteMetricSpace:
 def parse_measure(doc: dict, space: FiniteMetricSpace, name: str) -> DiscreteMeasure:
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must map point labels to weights")
-    weights = [0] * space.n
     index = dict(zip(space.labels, range(space.n)))
-    for label, w in doc.items():
-        if label not in index:
-            raise ValueError(f"{name} references undeclared point {label!r}")
-        weights[index[label]] = parse_scalar(w)
+    labels = list(doc)
+    # the weights before the first undeclared label parse first, as a row, so
+    # a bad weight ahead of that label is the error reported
+    known = next((k for k, label in enumerate(labels) if label not in index), len(labels))
+    parsed = parse_row(list(doc.values())[:known])
+    if known < len(labels):
+        raise ValueError(f"{name} references undeclared point {labels[known]!r}")
+    weights = [0] * space.n
+    for i, w in zip(map(index.__getitem__, labels), parsed):
+        weights[i] = w
     return measure(space, weights)
 
 
@@ -141,15 +146,11 @@ def report_to_json(report: SolveReport) -> dict:
 
 
 def _plan_to_json(plan: TransportPlan) -> list:
-    """The plan's rows as JSON scalars.  On an exact space each distinct entry
-    object is formatted once, keyed by ``id``: the flow's plans share a few
-    Fractions over all n^2 entries.  Float rows go entry by entry."""
-    if not plan.space.exact:
-        return [list(map(scalar_to_json, row)) for row in plan.gamma]
-    ids = [list(map(id, row)) for row in plan.gamma]
-    distinct = dict(zip(chain.from_iterable(ids), chain.from_iterable(plan.gamma)))
-    formatted = dict(zip(distinct, map(scalar_to_json, distinct.values())))
-    return [list(map(formatted.__getitem__, row)) for row in ids]
+    """The plan's dense rows as JSON scalars, written from its support: each
+    support entry is formatted once, and every other entry is the space's
+    zero, 0 or 0.0."""
+    n, zero = plan.space.n, scalar_to_json(coerce(0, plan.space.exact))
+    return dense([(i, j, scalar_to_json(x)) for i, j, x in plan.support], n, n, zero)
 
 
 def certificate_to_json(cert: OptimalityCertificate) -> dict:
@@ -162,16 +163,22 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
 
 
 def parse_plan(doc, space: FiniteMetricSpace) -> TransportPlan:
-    """The plan of a list of rows.  On an exact space, rows of ints and "p/q"
-    strings parse each distinct entry once across the whole matrix, to one
-    shared Fraction; any other rows go through ``parse_row`` and
-    ``coerce_rows``.  Either way the first bad entry, row by row, is the
-    one reported."""
+    """The plan of a list of rows, kept as its support.  On an exact space,
+    rows of ints and "p/q" strings parse each distinct entry once across the
+    whole matrix, to one shared Fraction, and an entry that parses to zero
+    becomes the int 0, whose truth test in ``scalars.sparse`` runs in C; any
+    other rows go through ``parse_row`` and ``coerce_rows``.  Either way the
+    first bad entry, row by row, is the one reported, then a matrix that is
+    not n x n, then a negative entry."""
     if space.exact and set(map(type, chain.from_iterable(doc))) <= {int, str}:
         distinct = dict.fromkeys(chain.from_iterable(doc))
-        parsed = dict(zip(distinct, map(parse_scalar, distinct)))
-        return TransportPlan(space, tuple(tuple(map(parsed.__getitem__, row)) for row in doc))
-    return TransportPlan(space, coerce_rows(list(map(parse_row, doc)), space.exact))
+        parsed = {x: value or 0 for x, value in zip(distinct, map(parse_scalar, distinct))}
+        rows = [list(map(parsed.__getitem__, row)) for row in doc]
+    else:
+        rows = coerce_rows(list(map(parse_row, doc)), space.exact)
+    if len(rows) != space.n or any(len(row) != space.n for row in rows):
+        raise ValueError("plan must be n x n for the space")
+    return TransportPlan(space, sparse(rows))
 
 
 def parse_report(report, space: FiniteMetricSpace, params: EntropyParams):

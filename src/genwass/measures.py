@@ -1,7 +1,9 @@
 """Discrete measures on a finite space, and transport plans on its square.
 
 Measures are dense weight vectors (point sizes here are desk scale, so dense
-keeps the exact arithmetic simple).  The zero measure is legal everywhere.
+keeps the exact arithmetic simple).  Plans are sparse: a plan holds the
+support of its matrix, the few pairs that ship (see :class:`TransportPlan`).
+The zero measure is legal everywhere.
 """
 
 from __future__ import annotations
@@ -9,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from operator import lt
 
 from .errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from .scalars import ROUNDING_TOL, Scalar, coerce, exactness, is_finite, scaled, scaled_rows
+from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, coerce_rows, dense, exactness, first_nonfinite
+from .scalars import is_finite, scaled
 from .spaces import FiniteGroupAction, FiniteMetricSpace, QuotientResult
 
 
@@ -27,13 +30,21 @@ class DiscreteMeasure:
     def __post_init__(self):
         if len(self.weights) != self.space.n:
             raise ValueError("one weight per point required")
-        _check_weights(self.weights)
+        _check_weights(self.weights, self._scaled)
 
-    @cached_property  # summed once per measure; not a field, so eq, hash and repr skip it
+    # Summed once per measure; not a field, so eq, hash and repr skip it.
+    # Weights with a Fraction are summed on their integer image, into one
+    # Fraction; ints, floats and mixed weights are summed as they are.
+    @cached_property
     def mass(self) -> Scalar:
-        return sum(self.weights)
+        if self._scaled is None or not exactness(self.weights)[1]:
+            return sum(self.weights)
+        W, F = self._scaled
+        return Fraction(sum(W), F)
 
-    @cached_property  # as mass: the weights as ints over one factor, or None if any is not exact
+    # As mass, built by the weight check: the weights as ints over one factor,
+    # or None if any is not exact.
+    @cached_property
     def _scaled(self) -> tuple | None:
         return scaled(self.weights) if exactness(self.weights)[0] else None
 
@@ -50,7 +61,19 @@ class DiscreteMeasure:
         return DiscreteMeasure(space or self.space.as_float(), tuple(float(w) for w in self.weights))
 
 
-def _check_weights(weights) -> None:
+def _check_weights(weights, image) -> None:
+    """Every weight is finite and nonnegative.  The whole vector is tested
+    first: exact weights by one max and one min over their integer image
+    ``image``, ints W over F (|w| <= FLOAT_MAX is |W| <= FLOAT_MAX F), and
+    any others, with ``image`` None, by ``first_nonfinite`` and one min.
+    Only a vector that fails is walked, so the error names the first bad
+    weight, of either kind."""
+    if image is not None:
+        W, F = image
+        if not W or (max(map(abs, W)) <= FLOAT_MAX * F and min(W) >= 0):
+            return
+    elif first_nonfinite(weights) is None and not (weights and min(weights) < 0):
+        return
     for i, w in enumerate(weights):
         if not is_finite(w):
             raise InvalidWeight(f"weight at point {i} is not finite: {w}")
@@ -61,12 +84,16 @@ def _check_weights(weights) -> None:
 def measure(space: FiniteMetricSpace, weights) -> DiscreteMeasure:
     """Build a measure, coercing the weights into the space's arithmetic mode.
 
-    The weights are checked before coercion, so a non-finite float is
-    reported as such rather than failing its conversion to a Fraction.
+    Weights that coercion could change are checked before it, as given, so
+    a non-finite float is reported as such rather than failing its
+    conversion to a Fraction, and an exact weight past float range is named
+    as it is, not as the infinity it would become.  Exact weights on an
+    exact space keep their values, and the measure's own check names them.
     """
     weights = tuple(weights)
-    _check_weights(weights)
-    return DiscreteMeasure(space, tuple(coerce(w, space.exact) for w in weights))
+    if not (space.exact and exactness(weights)[0]):
+        _check_weights(weights, None)
+    return DiscreteMeasure(space, coerce_rows([weights], space.exact)[0])
 
 
 def dirac(space: FiniteMetricSpace, point: int, mass: Scalar = 1) -> DiscreteMeasure:
@@ -153,37 +180,70 @@ def invariant_lift(
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A nonnegative matrix on X x X; rows/columns are the sub-marginals."""
+    """A nonnegative matrix on X x X, held as its support: the (i, j, mass)
+    triples of its nonzero entries in row-major order (``scalars.sparse`` of
+    its rows).  Rows and columns are the sub-marginals.
+
+    An optimal plan ships along few pairs (about 31 of 576 entries at
+    n = 24 on the bench's metrics), so its sums, its cost and its
+    certificate run over the support.  The dense matrix ``gamma``, the zero
+    of the space's mode off the support, is built on first read, for a
+    caller that wants one; like the integer image and the sums it is a
+    ``cached_property``, not a field, so eq, hash and repr skip it.
+    """
 
     space: FiniteMetricSpace
-    gamma: tuple[tuple[Scalar, ...], ...]
+    support: tuple[tuple[int, int, Scalar], ...]
 
     def __post_init__(self):
         n = self.space.n
-        if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
-            raise ValueError("plan must be n x n for the space")
-        if any(map(lt, chain.from_iterable(self._scaled[0]), repeat(0))):
+        cells = [i * n + j for i, j, _ in self.support if type(i) is type(j) is int and 0 <= i < n and 0 <= j < n]
+        if len(cells) != len(self.support) or not all(map(lt, cells, cells[1:])):
+            raise ValueError("a plan's support lists cells of the space once each, in row-major order")
+        masses = [g for _, _, g in self._scaled[0]]  # the image's: ints when the plan is exact
+        if not all(masses):
+            raise ValueError("a plan's support holds no zero entry")
+        if any(map(lt, masses, repeat(0))):
             raise ValueError("plan entries must be nonnegative")
 
-    # As DiscreteMeasure._scaled, built by the sign check: ints G over one factor F_g
-    # with unit Fraction(1, F_g) when the space and every entry are exact, else the
-    # entries as they are with unit 1.  Each sum is unit times a sum of rows.
+    # As DiscreteMeasure._scaled, built by the sign check: the support with its
+    # masses as ints G over one factor F_g and unit Fraction(1, F_g) when the
+    # space and every mass are exact, else the support as it is with unit 1.
+    # Each sum is unit times a sum of G.
     @cached_property
     def _scaled(self) -> tuple:
-        if self.space.exact and exactness(chain.from_iterable(self.gamma))[0]:
-            rows, factor = scaled_rows(self.gamma)
-            return rows, Fraction(1, factor)
-        return self.gamma, 1
+        masses = [x for _, _, x in self.support]
+        if self.space.exact and exactness(masses)[0]:
+            ints, factor = scaled(masses)
+            return tuple((i, j, g) for (i, j, _), g in zip(self.support, ints)), Fraction(1, factor)
+        return self.support, 1
+
+    # The row sums and the column sums of the image, each added in the
+    # support's order from the zero of its kind: 0 for ints, else the space's
+    # zero, so that a float row with no support sums to 0.0 as a dense one did.
+    @cached_property
+    def _sums(self) -> tuple[list, list]:
+        G, unit = self._scaled
+        zero = 0 if isinstance(unit, Fraction) else coerce(0, self.space.exact)
+        rows, cols = [zero] * self.space.n, [zero] * self.space.n
+        for i, j, g in G:
+            rows[i] += g
+            cols[j] += g
+        return rows, cols
 
     @cached_property  # summed once per plan, as DiscreteMeasure.mass
     def total(self) -> Scalar:
-        rows, unit = self._scaled
-        return unit * sum(map(sum, rows))
+        return self._scaled[1] * sum(self._sums[0])
+
+    @cached_property
+    def gamma(self) -> tuple[tuple[Scalar, ...], ...]:
+        n = self.space.n
+        return tuple(map(tuple, dense(self.support, n, n, coerce(0, self.space.exact))))
 
     def row_sums(self) -> tuple[Scalar, ...]:
-        rows, unit = self._scaled
-        return tuple(unit * sum(row) for row in rows)
+        unit = self._scaled[1]
+        return tuple(unit * s for s in self._sums[0])
 
     def col_sums(self) -> tuple[Scalar, ...]:
-        rows, unit = self._scaled
-        return tuple(unit * sum(col) for col in zip(*rows))
+        unit = self._scaled[1]
+        return tuple(unit * s for s in self._sums[1])

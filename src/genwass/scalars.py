@@ -21,6 +21,11 @@ and made exact entry by entry, and once a row-level test fails a walk of
 that row names the first witness, so errors name the same entry as an
 entry-by-entry scan.
 
+A sparse matrix crosses as its support, the (i, j, x) triples of its
+nonzero entries in row-major order: :func:`sparse` filters each row by one
+``itertools.compress``, a truth test per entry that runs in C on ints and
+floats, and :func:`dense` writes a support back into rows of one zero.
+
 Float mode's two tolerances live here too.  A float check of what exact mode
 asserts with equality allows ``ROUNDING_TOL`` times the size of what it
 compares, a size each check computes itself and only in float mode; a float
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, floordiv, mul
 from typing import Union
 
@@ -139,6 +144,20 @@ def scaled_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     ints, factor = scaled(list(distinct.values()))
     entries = map(dict(zip(distinct, ints)).__getitem__, ids)
     return tuple(tuple(islice(entries, len(row))) for row in rows), factor
+
+
+def sparse(rows) -> tuple[tuple[int, int, Scalar], ...]:
+    """The support of rows: (i, j, rows[i][j]) for every entry that is true,
+    in row-major order.  0, 0.0 and -0.0 are left out, NaN is kept."""
+    return tuple((i, j, row[j]) for i, row in enumerate(rows) for j in compress(count(), row))
+
+
+def dense(support, ns: int, nt: int, zero) -> list[list]:
+    """The ns x nt rows that hold a support's entries and ``zero`` elsewhere."""
+    rows = [[zero] * nt for _ in range(ns)]
+    for i, j, x in support:
+        rows[i][j] = x
+    return rows
 
 
 def is_finite(value) -> bool:

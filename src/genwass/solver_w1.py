@@ -91,7 +91,7 @@ def solve_w1(
     )
     phi1 = tuple(max(a - pi, -a) for pi in sol.potentials[: space.n])
     phi2 = tuple(max(pi - a, -a) for pi in sol.potentials[-space.n :])
-    plan = TransportPlan(space, tuple(map(tuple, sol.flow)))
+    plan = TransportPlan(space, sol.support)
     potentials = DualPotentials(phi1, phi2, params)
     return certified_report(space, mu, nu, params, plan, primal_value(plan, mu, nu, params), potentials)
 

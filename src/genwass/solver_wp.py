@@ -174,7 +174,7 @@ def solve_wp(
     m_star = curve[best][0]
     if best < len(curve) - 1:
         sol = flow(m_star)
-    plan = TransportPlan(space, tuple(map(tuple, sol.flow)))
+    plan = TransportPlan(space, sol.support)
     return _report(mu, nu, values[best], plan, m_star, list(curve))
 
 

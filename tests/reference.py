@@ -6,7 +6,9 @@ of a dynamic program instead of walking plans, and the metric check tests
 whole rows and packed integer rows before it walks any entry, and the group
 mean is a fold of pushforwards, not a running total per point.  They are kept
 here, as simple second implementations, so the tests can check the fast
-paths against them.  The plan enumerator is this module's own, so the
+paths against them.  A plan is checked against :class:`DensePlan`, which
+holds all n^2 entries, as the package held plans before they became their
+support.  The plan enumerator is this module's own, so the
 per-leaf oracle and the plan tests share no code with the package's oracle.
 Both oracles sum a plan's cost cell by cell in row-major order, so their
 float values agree bit for bit.  The metric families at the end are the
@@ -32,7 +34,7 @@ from genwass.measures import DiscreteMeasure, TransportPlan, measure, require_sa
 from genwass.params import EntropyParams
 from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
 from genwass.scalars import ROUNDING_TOL as FLOAT_WEIGHT_ATOL
-from genwass.scalars import Scalar, coerce, coerce_rows, scaled_rows
+from genwass.scalars import Scalar, coerce, coerce_rows, scalar_to_json, scaled_rows
 from genwass.spaces import FiniteGroupAction, FiniteMetricSpace, validate_metric
 
 
@@ -75,6 +77,43 @@ def lebesgue_decompose(sigma: DiscreteMeasure, tau: DiscreteMeasure) -> Decompos
             density.append(zero)
             singular.append(s)
     return Decomposition(density=tuple(density), singular=DiscreteMeasure(sigma.space, tuple(singular)))
+
+
+@dataclass(frozen=True)
+class DensePlan:
+    """A plan as its n x n matrix: the package's plans before they kept only
+    their support.  It refuses what they refused, with the same messages; a
+    row or column sum adds every entry of it from 0, the total adds the row
+    sums, and the JSON rows format every entry.  ``plan`` is the package's
+    plan of the same matrix, its support found here by a walk of every entry."""
+
+    space: FiniteMetricSpace
+    gamma: tuple[tuple[Scalar, ...], ...]
+
+    def __post_init__(self):
+        n = self.space.n
+        if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
+            raise ValueError("plan must be n x n for the space")
+        if any(x < 0 for row in self.gamma for x in row):
+            raise ValueError("plan entries must be nonnegative")
+
+    @property
+    def plan(self) -> TransportPlan:
+        support = [(i, j, x) for i, row in enumerate(self.gamma) for j, x in enumerate(row) if x != 0]
+        return TransportPlan(self.space, tuple(support))
+
+    @property
+    def total(self) -> Scalar:
+        return sum(self.row_sums())
+
+    def row_sums(self) -> tuple[Scalar, ...]:
+        return tuple(sum(row) for row in self.gamma)
+
+    def col_sums(self) -> tuple[Scalar, ...]:
+        return tuple(sum(col) for col in zip(*self.gamma))
+
+    def to_json(self) -> list:
+        return [list(map(scalar_to_json, row)) for row in self.gamma]
 
 
 def marginals(plan: TransportPlan) -> tuple[DiscreteMeasure, DiscreteMeasure]:
@@ -146,7 +185,7 @@ def enumerate_integer_plans(
     each exactly once (row-major odometer with residual-capacity pruning)."""
     space = mu.space
     for gamma, _, _ in odometer(mu, nu, cap, space.dist):
-        yield TransportPlan(space, tuple(tuple(row) for row in gamma))
+        yield DensePlan(space, gamma).plan
 
 
 def brute_force_value(

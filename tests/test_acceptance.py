@@ -27,9 +27,10 @@ from genwass import (
     wasserstein_p,
 )
 from genwass.cli import main
-from genwass.duality import DualPotentials
+from genwass.duality import DualPotentials, primal_value
 from genwass.gh import check_equivariant_stability, check_pushforward_stability
-from genwass.measures import TransportPlan, is_invariant, measure
+from genwass.jsonio import parse_report, report_to_json
+from genwass.measures import is_invariant, measure
 from genwass.quotient import check_quotient_contraction, check_quotient_isometry
 from genwass.scalars import CERTIFY_TOL as GAP_RTOL
 from genwass.scalars import scalar_to_json
@@ -43,7 +44,7 @@ from genwass.selftest import (
     random_space_with_action,
 )
 from genwass.solver_wp import solve
-from reference import l1_metric, wide_metric
+from reference import DensePlan, l1_metric, wide_metric
 
 QUARTER = Fraction(1, 4)
 
@@ -255,6 +256,26 @@ def test_criterion_2_certified_exact_at_n128():
     report(f"criterion 2 PASS at n = 128: certified exact value {rep.value}")
 
 
+def test_criterion_6_certified_exact_round_trip_at_n384():
+    # a plan is its support, so the report of a larger exact p = 1 instance
+    # costs what it ships (606 of 147,456 entries here): it solves, goes
+    # through report_to_json, json and parse_report, and what it reads back
+    # certifies at zero tolerance; about 1.3 s, 1 s of it the solve
+    rng = random.Random(38403)
+    space = l1_metric(rng, 384)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    rep = solve_w1(space, mu, nu, SPREAD_PARAMS)
+    assert rep.duality_gap == 0 and rep.conditions.passed
+    doc = json.loads(json.dumps(report_to_json(rep)))
+    plan, potentials, value = parse_report(doc, space, SPREAD_PARAMS)
+    assert (plan, potentials, value) == (rep.plan, rep.potentials, rep.value)
+    assert 0 < len(plan.support) < space.n**2 / 100
+    cert = verify_optimality(space, mu, nu, SPREAD_PARAMS, plan, potentials, tol=0)
+    assert cert.passed and cert.violations == ()
+    assert primal_value(plan, mu, nu, SPREAD_PARAMS) == value
+    report(f"criterion 6 PASS at n = 384: the report round-trips and certifies the value {value}")
+
+
 def test_criterion_4_metric_axioms_and_midpoint():
     rng = random.Random(41)
     half = Fraction(1, 2)
@@ -330,7 +351,7 @@ def test_criterion_6_certificate(duality_instances):
         tampered += 1
         gamma = [list(row) for row in rep.plan.gamma]
         gamma[spot[0]][spot[1]] += QUARTER
-        bad_plan = TransportPlan(space, tuple(tuple(r) for r in gamma))
+        bad_plan = DensePlan(space, tuple(tuple(r) for r in gamma)).plan
         cert = verify_optimality(space, mu, nu, params, bad_plan, rep.potentials)
         assert not (cert.tight_on_plan and cert.density_complementarity)
     assert tampered >= 150
@@ -371,7 +392,7 @@ def test_criterion_6_certificate_on_wide_and_l1(family, n):
     i, j = found[0]
     gamma = [list(row) for row in rep.plan.gamma]
     gamma[i][j] += QUARTER
-    bad_plan = TransportPlan(space, tuple(map(tuple, gamma)))
+    bad_plan = DensePlan(space, tuple(map(tuple, gamma))).plan
     cert = verify_optimality(space, mu, nu, params, bad_plan, rep.potentials)
     assert not (cert.tight_on_plan and cert.density_complementarity)
     report(f"criterion 6 PASS on {family.__name__} n = {n}: gap 0 at both rates; {len(found)} spots, tampered plan fails")

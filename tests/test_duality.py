@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,14 +23,14 @@ from genwass import (
     validate_metric,
     verify_optimality,
 )
-from genwass import duality, measures
+from genwass import duality, jsonio, measures
 from genwass.duality import _terms, feasibility_slack, is_feasible_pair, primal_value, verification_tol
 from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SolverFailure, SpaceMismatch
-from genwass.measures import DiscreteMeasure, TransportPlan, require_same_space
+from genwass.measures import DiscreteMeasure, require_same_space
 from genwass.scalars import CERTIFY_TOL, NEG_INF, ROUNDING_TOL, coerce, is_exact
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_w1 import certified_report
-from reference import is_submeasure, lebesgue_decompose, marginals, zero_measure
+from reference import DensePlan, is_submeasure, lebesgue_decompose, marginals, zero_measure
 
 
 def test_truncation_cases():
@@ -185,7 +187,7 @@ def test_antisymmetric_pair_from_flat_witness():
 
 
 def make_plan(space, gamma):
-    return TransportPlan(space, tuple(tuple(coerce(x, space.exact) for x in row) for row in gamma))
+    return DensePlan(space, tuple(tuple(coerce(x, space.exact) for x in row) for row in gamma)).plan
 
 
 def test_certificate_passes_on_hand_example(two_point, unit_params):
@@ -407,7 +409,7 @@ def test_certificate_fails_after_tampering():
         gamma = [list(row) for row in report.plan.gamma]
         gamma[spot[0]][spot[1]] += quarter
         cert = verify_optimality(
-            space, mu, nu, params, TransportPlan(space, tuple(tuple(r) for r in gamma)),
+            space, mu, nu, params, DensePlan(space, tuple(tuple(r) for r in gamma)).plan,
             report.potentials,
         )
         assert not (cert.tight_on_plan and cert.density_complementarity)
@@ -579,7 +581,7 @@ def exact_certificate_cases(draw, mode=None):
         phi1, phi2 = [float(v) for v in phi1], [float(v) for v in phi2]
     if mode in ("float", "float plan"):
         gamma = [[float(x) for x in row] for row in gamma]
-    plan = TransportPlan(space, tuple(tuple(row) for row in gamma))
+    plan = DensePlan(space, tuple(tuple(row) for row in gamma)).plan
     tols = (None, 0, 0.0, 0.25, 2**-10, 1e-3, Fraction(1, 3), Fraction(1, LARGE_PRIMES[0]))
     tol = draw(st.sampled_from(tols))
     potentials = DualPotentials(phi1=tuple(phi1), phi2=tuple(phi2), params=params)
@@ -751,7 +753,7 @@ def test_a_plan_of_ints_certifies_as_its_fraction_twin(monkeypatch):
     report = solve_w1(space, mu, nu, params)
     gamma = report.plan.gamma
     assert all(x.denominator == 1 for row in gamma for x in row)  # integer masses ship whole units
-    twin, ints = TransportPlan(space, gamma), TransportPlan(space, tuple(tuple(map(int, row)) for row in gamma))
+    twin, ints = DensePlan(space, gamma).plan, DensePlan(space, tuple(tuple(map(int, row)) for row in gamma)).plan
     for plan in (twin, ints):  # read before the counts, so both totals are cached
         sums = (plan.total, plan.row_sums(), plan.col_sums())
         assert_same(sums, (report.transported_mass, *reference_plan_sums(report.plan)[1:]))
@@ -763,6 +765,53 @@ def test_a_plan_of_ints_certifies_as_its_fraction_twin(monkeypatch):
     (by_twin, twin_built), (by_ints, ints_built) = results
     assert by_twin == by_ints == (report.conditions, report.value)
     assert twin_built == ints_built
+
+
+def dense_and_support_plans(rng, count):
+    """Seeded p = 1 instances of n = 1 to 12, exact and float in turn (the
+    float ones on distances times 0.37, with weights 0 or uniform), each with the
+    solver's plan as a dense matrix, possibly with one entry moved by 1/4 or
+    to zero: the reference holds it as it is, and the package's plan of it
+    is the reference's support."""
+    rates = (Fraction(1, 2), Fraction(1), Fraction(2))
+    for k in range(count):
+        space = random_int_metric(rng, rng.randint(1, 12), max_d=9)
+        mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+        params = EntropyParams(a=rng.choice(rates), b=rng.choice(rates), p=1)
+        if k % 2:  # distances and weights that round, so a sum's order shows in its bits
+            space = validate_metric(space.labels, [[0.37 * d for d in row] for row in space.dist], exact=False)
+            mu, nu = (measure(space, [rng.choice((0.0, rng.uniform(0, 3))) for _ in range(space.n)]) for _ in range(2))
+            params = EntropyParams(a=float(params.a), b=float(params.b), p=1)
+        report = solve_w1(space, mu, nu, params)
+        rows = [list(row) for row in report.plan.gamma]
+        i, j = rng.randrange(space.n), rng.randrange(space.n)
+        rows[i][j] = rng.choice((rows[i][j], 0 * rows[i][j], rows[i][j] + coerce(Fraction(1, 4), space.exact)))
+        yield space, mu, nu, params, report, DensePlan(space, tuple(map(tuple, rows)))
+
+
+def test_the_support_plan_reads_as_its_dense_reference():
+    # the sums, the total, the primal value, the certificate (violations and
+    # A1/A2 in the same order) and the JSON report of a plan held as its
+    # support are those of its dense matrix: equal values of equal types, and
+    # float values to the bit, an empty float row summing to 0.0
+    kinds = {"passed": 0, "failed": 0, "raised": 0, "empty float row": 0}
+    for space, mu, nu, params, report, dense in dense_and_support_plans(random.Random(3201), 160):
+        plan = dense.plan
+        sums = (plan.total, plan.row_sums(), plan.col_sums())
+        assert_same(sums, (dense.total, dense.row_sums(), dense.col_sums()))
+        kinds["empty float row"] += not space.exact and 0.0 in sums[1]
+        assert_same(primal_value(plan, mu, nu, params), reference_primal_value(dense, mu, nu, params))
+        for tol in CERTIFICATE_TOLS:
+            got = certificate_or_error(verify_optimality, space, mu, nu, params, plan, report.potentials, tol=tol)
+            args = space, mu, nu, params, dense, report.potentials
+            assert_same(got, certificate_or_error(reference_verify_optimality, *args, tol=tol))
+            if isinstance(got, OptimalityCertificate):
+                kinds["passed" if got.passed else "failed"] += 1
+            else:
+                kinds["raised"] += 1
+        doc = jsonio.report_to_json(dataclasses.replace(report, plan=plan))
+        assert json.dumps(doc) == json.dumps(dict(doc, plan=dense.to_json()))
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_float_tolerance_is_added_exactly():
@@ -783,7 +832,7 @@ def test_float_plan_entries_never_meet_integer_potentials(two_point, unit_params
     # tol 0.1), and 0.1 * F_p rounds above the scaled tol, which would count
     # the entry 0.1, equal to tol, as shipped
     mu, nu = dirac(two_point, 0), dirac(two_point, 1)
-    plan = TransportPlan(two_point, ((0.0, 0.1), (0.0, 0.0)))
+    plan = DensePlan(two_point, ((0.0, 0.1), (0.0, 0.0))).plan
     pair = DualPotentials(phi1=(Fraction(1, 3), Fraction(0)), phi2=(Fraction(-1, 3), Fraction(0)), params=unit_params)
     cert = verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=0.1)
     assert cert == reference_verify_optimality(two_point, mu, nu, unit_params, plan, pair, tol=0.1)
@@ -818,11 +867,9 @@ def reference_lebesgue_verify_optimality(space, mu, nu, params, plan, potentials
 
     D, G, F_g, _, S, P1, P2, F_p, L, R, _, _ = _terms(space, potentials, tol, plan)
     shipped, loose = S * F_g, S * L
+    # G is the plan's support, over F_g when it has an integer image
     violations = [
-        ("ii", (i, j))
-        for i, (g_row, d_row, p1) in enumerate(zip(G, D, P1))
-        for j, g in enumerate(g_row)
-        if g and g * F_p > shipped and abs(R * d_row[j] - p1 * L - P2[j] * L) > loose
+        ("ii", (i, j)) for i, j, g in G if g * F_p > shipped and abs(R * D[i][j] - P1[i] * L - P2[j] * L) > loose
     ]
     tight_on_plan = not violations
 
@@ -893,7 +940,7 @@ def seeded_certificate_cases(rng, count):
             phi1, phi2 = [float(v) for v in phi1], [float(v) for v in phi2]
         if mode != "exact":
             gamma = [[float(x) for x in row] for row in gamma]
-        plan = TransportPlan(space, tuple(tuple(row) for row in gamma))
+        plan = DensePlan(space, tuple(tuple(row) for row in gamma)).plan
         potentials = DualPotentials(phi1=tuple(phi1), phi2=tuple(phi2), params=params)
         yield space, mu, nu, params, plan, potentials, rng.choice(CERTIFICATE_TOLS)
 
@@ -922,13 +969,13 @@ def test_certificate_matches_the_reference_past_float_range(two_point, two_point
     params = EntropyParams(a=1.0, b=1.0, p=1)
     float_pair = DualPotentials(phi1=(0.0, 0.0), phi2=(0.0, 0.0), params=params)
     huge_mu, huge_nu = measure(space, [1.5e308, 0.0]), measure(space, [0.0, 1.5e308])
-    overflowing = TransportPlan(space, ((1e308, 1e308), (0.0, 0.0)))
+    overflowing = DensePlan(space, ((1e308, 1e308), (0.0, 0.0))).plan
     cases = [
         # exact row sum past float range
         ((two_point, mu, nu, unit_params, make_plan(two_point, [[10**400, 0], [0, 0]]), pair), None),
         # float row sum inf, on a float space and as a float plan on the exact space
         ((space, mu.as_float(space), nu.as_float(space), params, overflowing, float_pair), None),
-        ((two_point, mu, nu, unit_params, TransportPlan(two_point, ((1e308, 1e308), (0.0, 0.0))), pair), 0),
+        ((two_point, mu, nu, unit_params, DensePlan(two_point, ((1e308, 1e308), (0.0, 0.0))).plan, pair), 0),
         # w + tol rounds to inf, so only the range of the row sum refuses it
         ((space, huge_mu, huge_nu, params, overflowing, float_pair), 1e308),
     ]
@@ -937,7 +984,7 @@ def test_certificate_matches_the_reference_past_float_range(two_point, two_point
         for t in (tol, *CERTIFICATE_TOLS):
             assert assert_same_certificate(*args, t) == refused
     # sums inside float range, with room for them in the measures
-    fits = TransportPlan(space, ((1e307, 1e307), (0.0, 0.0)))
+    fits = DensePlan(space, ((1e307, 1e307), (0.0, 0.0))).plan
     got = assert_same_certificate(space, huge_mu, huge_nu, params, fits, float_pair, 1e308)
     assert isinstance(got, OptimalityCertificate)
     # a measure on another space
@@ -958,8 +1005,8 @@ def test_float_marginal_caps_scale_with_the_weight(two_point):
         mu = nu = measure(space, [w, 0.0])
         for tol in (None, 0.0, 1e-9):
             slack = CERTIFY_TOL if tol is None else tol
-            inside = TransportPlan(space, ((w + slack + ROUNDING_TOL * w / 2, 0.0), (0.0, 0.0)))
-            past = TransportPlan(space, ((w + slack + 11 * ROUNDING_TOL * w, 0.0), (0.0, 0.0)))
+            inside = DensePlan(space, ((w + slack + ROUNDING_TOL * w / 2, 0.0), (0.0, 0.0))).plan
+            past = DensePlan(space, ((w + slack + 11 * ROUNDING_TOL * w, 0.0), (0.0, 0.0))).plan
             assert isinstance(assert_same_certificate(space, mu, nu, params, inside, pair, tol), OptimalityCertificate)
             assert assert_same_certificate(space, mu, nu, params, past, pair, tol) == refused
 

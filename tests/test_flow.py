@@ -714,3 +714,28 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
                 assert sinks[-1] == engine_rate
                 ties += rate in slopes
     assert ties == 33  # rates equal to a path cost of the curve
+
+
+@pytest.mark.parametrize("network", ["bipartite", "skeleton"])
+def test_a_scaled_run_builds_its_breakpoint_fractions_only_when_read(monkeypatch, network):
+    # a rate run on rational masses divides its support, total, cost and
+    # potentials; the breakpoints become Fractions at their first read, two
+    # per breakpoint, once, and are those an unwatched run reads
+    rng = random.Random(3202)
+    space = random_int_metric(rng, 12, max_d=5)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    costs = [[int(d) for d in row] for row in space.dist]
+    supplies, demands = list(mu.weights), list(nu.weights)
+    pairs = space._irreducible if network == "skeleton" else None
+    want = solve_transport(costs, supplies, demands, rate=4, pairs=pairs).breakpoints
+    if pairs is None:  # the engine run on the Fractions themselves
+        assert want == _successive_shortest_paths(costs, supplies, demands, None, 4).breakpoints
+    built = []
+    monkeypatch.setattr(flow, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    sol = solve_transport(costs, supplies, demands, rate=4, pairs=pairs)
+    distinct = {id(x) for _, _, x in sol.support}
+    assert len(built) == len(distinct) + 3 + len(sol.potentials)  # the zero, the total and the cost
+    assert len(want) > 2
+    points = sol.breakpoints
+    assert len(built) == len(distinct) + 3 + len(sol.potentials) + 2 * len(points)
+    assert sol.breakpoints is points and points == want

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from genwass import EntropyParams, jsonio, scalars, solve_w1
 from genwass.duality import DualPotentials
 from genwass.errors import NonFiniteEntry
-from genwass.measures import TransportPlan
 from genwass.scalars import coerce, exactness, first_nonfinite, is_exact, is_finite, parse_row, parse_scalar
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.spaces import validate_metric
+from reference import DensePlan
 
 
 def reference_load_problem(doc, mode=None):
@@ -86,7 +86,7 @@ def reference_all_exact(doc) -> bool:
 
 def reference_parse_plan(doc, space):
     gamma = [[coerce(parse_scalar(x), space.exact) for x in row] for row in doc]
-    return TransportPlan(space, tuple(tuple(row) for row in gamma))
+    return DensePlan(space, tuple(tuple(row) for row in gamma)).plan
 
 
 def reference_parse_report(report, space, params):
@@ -367,7 +367,8 @@ def test_parse_row_names_the_first_bad_entry(row, message):
 
 def test_parse_plan_parses_each_distinct_entry_once_across_the_matrix(monkeypatch):
     # an exact plan of ints and "p/q" strings: one parse per distinct JSON
-    # entry over all rows, and one shared Fraction per entry, ints included
+    # entry over all rows, and one shared Fraction per entry, ints included;
+    # the plan keeps the nonzero ones as its support, in row-major order
     calls = []
     monkeypatch.setattr(jsonio, "parse_scalar", lambda x: calls.append(x) or parse_scalar(x))
     space = validate_metric("xyz", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -375,9 +376,47 @@ def test_parse_plan_parses_each_distinct_entry_once_across_the_matrix(monkeypatc
     plan = jsonio.parse_plan(doc, space)
     assert calls == [0, "1/2", 3]
     assert plan == reference_parse_plan(doc, space)
-    entries = [x for row in plan.gamma for x in row]
+    half = Fraction(1, 2)
+    assert plan.support == ((0, 1, half), (1, 0, half), (1, 2, 3), (2, 1, 3), (2, 2, half))
+    entries = [x for _, _, x in plan.support]
     assert all(type(x) is Fraction for x in entries)
-    assert len({id(x) for x in entries}) == 3
+    assert len({id(x) for x in entries}) == 2
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_zero_written_any_way_parses_to_the_plan_of_plain_zeros(exact):
+    space = validate_metric("xy", [[0, 1], [1, 0]], exact)
+    plain = jsonio.parse_plan([[0, "1/2"], [1, 0]], space)
+    assert plain.support == ((0, 1, 0.5), (1, 0, 1))
+    for zero in ("0/7", "0", 0.0, -0.0):
+        for doc in ([[zero, "1/2"], [1, 0]], [[0, "1/2"], [1, zero]], [[zero, "1/2"], [1, zero]]):
+            plan = jsonio.parse_plan(doc, space)
+            assert plan == plain and plan.support == plain.support
+            assert [type(x) for _, _, x in plan.support] == [Fraction if exact else float] * 2
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ([[0, 1], [1]], "plan must be n x n for the space"),  # ragged
+        ([[0, 1], [1, 0], [0, 0]], "plan must be n x n for the space"),
+        ([[0, 1, 0], [1, 0, 0]], "plan must be n x n for the space"),
+        ([[0, "-1/2"], [1, 0]], "plan entries must be nonnegative"),
+        ([[0, -1], [1]], "plan must be n x n for the space"),  # the shape before the sign
+        ([[0, float("nan")], [1, 0]], "not a finite number: nan"),
+        ([[0, 1], [True, 0]], "not a number: True"),
+        ([[0, 1], [[1], 0]], r"not a number: \[1\]"),
+        ([[0, "x"], [1, [1]]], "not a rational literal: 'x'"),  # the first bad entry
+        ([[0, 1], ["1/2"]], "plan must be n x n for the space"),
+        ([[0, 1], [-1, "y"]], "not a rational literal: 'y'"),  # entries before the shape and the sign
+    ],
+)
+def test_bad_plans_fail_as_the_dense_reference_does(doc, error, exact):
+    space = validate_metric("xy", [[0, 1], [1, 0]], exact)
+    with pytest.raises(ValueError, match=error):
+        jsonio.parse_plan(doc, space)
+    assert outcome(jsonio.parse_plan, doc, space) == outcome(reference_parse_plan, doc, space)
 
 
 def test_float_and_mixed_plans_keep_the_row_path(monkeypatch):
@@ -391,8 +430,9 @@ def test_float_and_mixed_plans_keep_the_row_path(monkeypatch):
 
 
 def test_an_exact_report_formats_each_plan_entry_object_once(monkeypatch):
-    # the flow's plan shares a few Fractions over its n^2 entries; a float
-    # plan is formatted entry by entry
+    # the dense rows are written from the plan's support: each support entry
+    # is formatted once, exact or float, and every other entry is the zero
+    # of the space's mode, formatted once per report
     rng = random.Random(3014)
     space = random_int_metric(rng, 16)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
@@ -405,8 +445,7 @@ def test_an_exact_report_formats_each_plan_entry_object_once(monkeypatch):
         report = solve_w1(space, mu, nu, params)
         formatted.clear()
         doc = jsonio.report_to_json(report)
-        assert doc["plan"] == [[scalars.scalar_to_json(x) for x in row] for row in report.plan.gamma]
-        objects = len({id(x) for row in report.plan.gamma for x in row})
-        plan_calls = objects if space.exact else space.n**2
-        # the plan's entries, then value, m, destroyed, created, phi1, phi2 and gap
-        assert len(formatted) == plan_calls + 4 + 2 * space.n + 1
+        assert doc["plan"] == DensePlan(space, report.plan.gamma).to_json()
+        assert 0 < len(report.plan.support) < space.n**2 / 4
+        # the zero and the support's entries, then value, m, destroyed, created, phi1, phi2 and gap
+        assert len(formatted) == 1 + len(report.plan.support) + 4 + 2 * space.n + 1

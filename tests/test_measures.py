@@ -19,9 +19,9 @@ from genwass import (
     validate_metric,
 )
 from genwass.errors import InvalidWeight, SpaceMismatch, TargetIndexOutOfRange
-from genwass import measures, scalars
+from genwass import jsonio, measures, scalars
 from genwass.measures import TransportPlan, is_invariant
-from genwass.scalars import ROUNDING_TOL, scaled, scaled_rows
+from genwass.scalars import ROUNDING_TOL, coerce, is_finite, scaled, scaled_rows
 from genwass.selftest import random_rational_measure, random_space_with_action
 from reference import is_submeasure, lebesgue_decompose
 from reference import symmetrize as running_total_mean
@@ -48,6 +48,36 @@ def test_non_finite_weight_rejected(two_point, bad, exact):
         DiscreteMeasure(space, (bad, 1.0))
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_the_first_bad_weight_is_the_one_named(exact):
+    # a weight vector is tested whole, and only a failing one is walked: the
+    # error names the first bad weight, negative or not finite, in the
+    # measure's own check and, for weights given in another kind, before
+    # coercion; a problem file's weights reach the same check
+    space = validate_metric("xyz", [[0, 1, 2], [1, 0, 1], [2, 1, 0]], exact=exact)
+    huge = 10**400
+    cases = [
+        ([-1, float("nan"), 1], "negative weight at point 0"),
+        ([1, -1, float("inf")], "negative weight at point 1"),
+        ([float("nan"), -1, 0], "weight at point 0 is not finite: nan"),
+        ([0, huge, -1], f"weight at point 1 is not finite: {huge}"),
+        ([0, -1, huge], "negative weight at point 1"),
+        ([Fraction(1, 3), -Fraction(1, 3), huge], "negative weight at point 1"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(InvalidWeight) as err:
+            measure(space, weights)
+        assert str(err.value) == message
+        if all(type(w) is int for w in weights):  # a problem file's ints, parsed as a row
+            with pytest.raises(InvalidWeight) as err:
+                jsonio.parse_measure(dict(zip(space.labels, weights)), space, "mu")
+            assert str(err.value) == message
+    for weights, message in cases[:3]:  # already in the space's mode
+        with pytest.raises(InvalidWeight) as err:
+            DiscreteMeasure(space, tuple(coerce(w, exact) if is_finite(w) else w for w in weights))
+        assert str(err.value) == message
+
+
 def test_measure_needs_one_weight_per_point(two_point):
     with pytest.raises(ValueError, match="one weight per point required"):
         DiscreteMeasure(two_point, (1,))
@@ -63,7 +93,11 @@ def test_mass_sums_the_weights_once(two_point, monkeypatch):
 
     monkeypatch.setattr(measures, "sum", counting_sum, raising=False)
     assert mu.mass == mu.mass == Fraction(7, 2)
-    assert [v for v in summed if v is mu.weights] == [mu.weights]
+    # once, over the integer image: one Fraction, not one per weight
+    assert len(summed) == 1 and summed[0] is mu._scaled[0]
+    # weights without a Fraction sum as they are, to an int or a float
+    ints, floats = DiscreteMeasure(two_point, (1, 3)), measure(two_point.as_float(), [0.5, 3])
+    assert repr((ints.mass, floats.mass)) == "(4, 3.5)"
     # the cached mass is no field: equality and repr ignore it
     assert mu == measure(two_point, [Fraction(1, 2), 3])
     assert "mass" not in repr(mu)
@@ -76,30 +110,55 @@ def test_negative_scaling_rejected(two_point):
 
 def test_negative_plan_entry_rejected(two_point):
     with pytest.raises(ValueError, match="plan entries must be nonnegative"):
-        TransportPlan(two_point, ((0, -1), (0, 0)))
+        TransportPlan(two_point, ((0, 1, -1),))
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        (((0, 2, 1),), "row-major"),  # a column outside the space
+        (((-1, 0, 1),), "row-major"),
+        (((True, 0, 1),), "row-major"),  # a bool is no point index
+        (((0, 1, 1), (0, 1, 2)), "row-major"),  # a cell twice
+        (((1, 0, 1), (0, 1, 1)), "row-major"),  # out of order
+        (((0, 1, Fraction(0)),), "no zero entry"),
+        (((0, 1, -0.0),), "no zero entry"),
+    ],
+)
+def test_a_plan_support_lists_nonzero_entries_of_distinct_cells_in_order(two_point, support, message):
+    with pytest.raises(ValueError, match=message):
+        TransportPlan(two_point, support)
 
 
 def test_the_plan_image_stays_out_of_the_fields(two_point, monkeypatch):
-    # the integer image and the total are cached properties, as a space's and
-    # a measure's are: built once per plan, and no field, so eq, hash and repr skip them
+    # the plan's one field is its support; the integer image, the sums, the
+    # total and the dense matrix are cached properties, as a space's and a
+    # measure's image are: built once per plan, and no field, so eq, hash and
+    # repr skip them
     built = []
 
-    def counting_scaled_rows(rows):
-        built.append(rows)
-        return scaled_rows(rows)
+    def counting_scaled(values):
+        built.append(values)
+        return scaled(values)
 
-    monkeypatch.setattr(measures, "scaled_rows", counting_scaled_rows)
-    gamma = ((Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 6)))
-    plan, twin = TransportPlan(two_point, gamma), TransportPlan(two_point, gamma)
+    monkeypatch.setattr(measures, "scaled", counting_scaled)
+    support = ((0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 3)), (1, 1, Fraction(1, 6)))
+    plan, twin = TransportPlan(two_point, support), TransportPlan(two_point, support)
     for _ in range(3):
         assert plan.total == Fraction(1)
         assert plan.row_sums() == (Fraction(1, 2), Fraction(1, 2))
         assert plan.col_sums() == (Fraction(5, 6), Fraction(1, 6))
-    assert built == [gamma, gamma]
-    assert [f.name for f in dataclasses.fields(TransportPlan)] == ["space", "gamma"]
-    assert {"_scaled", "total"} <= set(vars(plan)) and "total" not in vars(twin)
+        assert plan.gamma == ((Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 6)))
+    assert built == [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]] * 2  # the sign check builds each
+    assert [f.name for f in dataclasses.fields(TransportPlan)] == ["space", "support"]
+    assert {"_scaled", "_sums", "total", "gamma"} <= set(vars(plan)) and "total" not in vars(twin)
     assert twin == plan and hash(twin) == hash(plan) and repr(twin) == repr(plan)
-    assert "_scaled" not in repr(plan) and "total" not in repr(plan)
+    assert not any(name in repr(plan) for name in ("_scaled", "_sums", "total", "gamma"))
+    # the dense matrix has the zero of the space's mode off the support
+    assert [type(x) for row in plan.gamma for x in row] == [Fraction] * 4
+    float_plan = TransportPlan(two_point.as_float(), ((0, 1, 0.5),))
+    assert float_plan.gamma == ((0.0, 0.5), (0.0, 0.0)) and float_plan.row_sums() == (0.5, 0.0)
+    assert [type(x) for x in float_plan.row_sums() + float_plan.col_sums()] == [float] * 4
 
 
 def test_submeasure_basic(two_point):

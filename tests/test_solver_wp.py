@@ -21,10 +21,9 @@ from genwass import (
 from genwass import solver_w1, solver_wp
 from genwass.duality import primal_value
 from genwass.errors import InvalidParams, MassMismatch, SpaceMismatch
-from genwass.measures import TransportPlan
 from genwass.solver_wp import ParametricCurve
 from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
-from reference import is_submeasure, marginals
+from reference import DensePlan, is_submeasure, marginals
 
 
 def test_wasserstein_zero_for_equal_measures(line3):
@@ -164,7 +163,7 @@ def _corner_plan(space):
     # one unit from the first point to the last, on the given space
     gamma = [[0] * space.n for _ in range(space.n)]
     gamma[0][-1] = Fraction(1)
-    return TransportPlan(space, tuple(map(tuple, gamma)))
+    return DensePlan(space, tuple(map(tuple, gamma))).plan
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

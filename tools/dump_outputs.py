@@ -38,8 +38,12 @@ rational measures, and each instance in exact and in float mode.  Per
 instance and mode the lines are the number of irreducible pairs (exact mode
 only) and the ``repr`` of ``solve`` at p = 1 and 2.
 
-Errors print as their type and message.  Standard library only: the inputs
-are built here.
+Errors print as their type and message.  A report prints as its ``repr``
+with the plan written as its dense matrix, ``TransportPlan(space=...,
+gamma=...)``, and the plans built here are made from dense rows by
+:func:`make_plan`, so a source tree whose plans hold a dense matrix and one
+whose plans hold their support print the same lines.  Standard library
+only: the inputs are built here.
 """
 
 from __future__ import annotations
@@ -113,9 +117,28 @@ def in_mode(x: Fraction, exact: bool):
 
 def outcome(call, *args, **kwargs) -> str:
     try:
-        return repr(call(*args, **kwargs))
+        result = call(*args, **kwargs)
     except Exception as exc:  # a raised error is an output too
         return f"{type(exc).__name__}: {exc}"
+    if type(result).__name__ != "SolveReport":
+        return repr(result)
+    # the dataclass repr, with the plan as its dense matrix
+    shown = (
+        f"TransportPlan(space={value.space!r}, gamma={value.gamma!r})" if field.name == "plan" else repr(value)
+        for field in dataclasses.fields(result)
+        for value in [getattr(result, field.name)]
+    )
+    names = (field.name for field in dataclasses.fields(result))
+    return f"SolveReport({', '.join(f'{name}={text}' for name, text in zip(names, shown))})"
+
+
+def make_plan(TransportPlan, space, rows):
+    """The plan of these dense rows: from its support, the (i, j, x) of its
+    nonzero entries in row-major order, when the plan class holds one, else
+    from the rows themselves."""
+    if "support" in (field.name for field in dataclasses.fields(TransportPlan)):
+        return TransportPlan(space, tuple((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x))
+    return TransportPlan(space, tuple(map(tuple, rows)))
 
 
 def run_cli(main, argv) -> str:
@@ -166,7 +189,7 @@ def dump(cli_main, workdir: Path):
         yield f"{tag} solve_flat: {outcome(solve_flat, space, mu, nu, p1)}"
         gamma = [list(row) for row in report.plan.gamma]
         gamma[rng.randrange(n)][rng.randrange(n)] += in_mode(Fraction(1, 4), exact)
-        raised = TransportPlan(space, tuple(map(tuple, gamma)))
+        raised = make_plan(TransportPlan, space, gamma)
         for name, plan, tols in (
             ("solve", report.plan, (None, Fraction(1, 4), 2**-10)),
             ("raised", raised, (None, Fraction(1, 4))),
@@ -192,7 +215,7 @@ def dump(cli_main, workdir: Path):
                 if o_exact:
                     o_p1 = EntropyParams(a=a, b=b, p=1)
                     o_report = solve(o_space, o_mu, o_nu, o_p1)
-                    int_plan = TransportPlan(o_space, tuple(tuple(map(int, row)) for row in o_report.plan.gamma))
+                    int_plan = make_plan(TransportPlan, o_space, [list(map(int, row)) for row in o_report.plan.gamma])
                     result = outcome(verify_optimality, o_space, o_mu, o_nu, o_p1, int_plan, o_report.potentials)
                     yield f"{tag} verify_optimality int plan: {result}"
                     yield f"{tag} primal_value int plan: {outcome(primal_value, int_plan, o_mu, o_nu, o_p1)}"
