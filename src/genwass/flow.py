@@ -78,18 +78,17 @@ and those that mix exact and float scalars, run it on floats, converted once
 by ``map(float, row)``, which leaves a float as it is.  One set of the input
 types (``scalars.exactness``) makes the choice.  Only the flow's support
 is divided: the Fraction of each distinct flow value on it is built once and
-shared, and the dense flow is that support over a Fraction zero.  The
-breakpoints are divided when they are first read, so a run whose caller
-never reads them, every p = 1 solve, builds none of their Fractions.  The
-flat LP's simplex and the oracle scale their own inputs to integers, each
-with its own ``scalars.scaled`` call, and never use this solver or its
-scaled costs.
+shared.  The dense flow (that support over a Fraction zero) and the
+breakpoints are built when they are first read, so a run whose caller reads
+neither, every p = 1 solve, builds no n^2 rows and none of the breakpoints'
+Fractions.  The flat LP's simplex and the oracle scale their own inputs to
+integers, each with its own ``scalars.scaled`` call, and never use this
+solver or its scaled costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, repeat
@@ -130,20 +129,21 @@ class _OnFirstRead:
 @dataclass
 class FlowSolution:
     """The flow's plan, its mass and cost, the breakpoints and the
-    potentials.  ``support`` is the plan's support (``scalars.sparse`` of
-    ``flow``); a scaled run knows it as it builds the flow, and its
-    breakpoints become Fractions only when they are read: a p = 1 solve
-    reads neither the breakpoints nor the dense flow."""
+    potentials.  ``support`` is the plan's support, ``scalars.sparse`` of
+    ``flow`` unless it is given.  A scaled run gives it, and hands over its
+    dense flow and its breakpoints as functions that build them on first
+    read: a p = 1 solve reads neither."""
 
-    flow: list[list[Scalar]]
+    flow: list[list[Scalar]] = _OnFirstRead()
     total: Scalar
     cost: Scalar
     breakpoints: list[tuple[Scalar, Scalar]] = _OnFirstRead()
     potentials: list[Scalar]  # of the nodes between S and T, in node order
+    support: tuple[tuple[int, int, Scalar], ...] | None = field(default=None, repr=False, compare=False)
 
-    @cached_property
-    def support(self) -> tuple[tuple[int, int, Scalar], ...]:
-        return sparse(self.flow)
+    def __post_init__(self):
+        if self.support is None:
+            self.support = sparse(self.flow)
 
 
 def solve_transport(
@@ -196,16 +196,16 @@ def solve_transport(
 
     flows = {x for _, _, x in sol.support}  # one Fraction per distinct flow value, shared
     shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
-    support = tuple((i, j, shared[x]) for i, j, x in sol.support)
-    scaled_sol = FlowSolution(
-        flow=dense(support, ns, nd, Fraction(0)),
+    support = tuple([(i, j, shared[x]) for i, j, x in sol.support])  # a list first, as scalars.sparse
+    points = sol.breakpoints
+    return FlowSolution(
+        flow=lambda: dense(support, ns, nd, Fraction(0)),
         total=Fraction(sol.total, M),
         cost=Fraction(sol.cost, M * C),
-        breakpoints=lambda: [(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
+        breakpoints=lambda: [(Fraction(m, M), Fraction(t, M * C)) for m, t in points],
         potentials=[Fraction(x, C) for x in sol.potentials],
+        support=support,
     )
-    scaled_sol.support = support  # known here: the cached property never reads the flow
-    return scaled_sol
 
 
 def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> FlowSolution:

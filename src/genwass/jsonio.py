@@ -147,9 +147,9 @@ def report_to_json(report: SolveReport) -> dict:
 
 def _plan_to_json(plan: TransportPlan) -> list:
     """The plan's dense rows as JSON scalars, written from its support: each
-    support entry is formatted once, and every other entry is the space's
-    zero, 0 or 0.0."""
-    n, zero = plan.space.n, scalar_to_json(coerce(0, plan.space.exact))
+    support entry is formatted once, and every other entry is the plan's
+    zero, 0 or 0.0 (see ``TransportPlan``)."""
+    n, zero = plan.space.n, scalar_to_json(plan._zero)
     return dense([(i, j, scalar_to_json(x)) for i, j, x in plan.support], n, n, zero)
 
 

@@ -32,15 +32,9 @@ class DiscreteMeasure:
             raise ValueError("one weight per point required")
         _check_weights(self.weights, self._scaled)
 
-    # Summed once per measure; not a field, so eq, hash and repr skip it.
-    # Weights with a Fraction are summed on their integer image, into one
-    # Fraction; ints, floats and mixed weights are summed as they are.
-    @cached_property
+    @cached_property  # summed once per measure; not a field, so eq, hash and repr skip it
     def mass(self) -> Scalar:
-        if self._scaled is None or not exactness(self.weights)[1]:
-            return sum(self.weights)
-        W, F = self._scaled
-        return Fraction(sum(W), F)
+        return sum(self.weights)
 
     # As mass, built by the weight check: the weights as ints over one factor,
     # or None if any is not exact.
@@ -186,10 +180,13 @@ class TransportPlan:
 
     An optimal plan ships along few pairs (about 31 of 576 entries at
     n = 24 on the bench's metrics), so its sums, its cost and its
-    certificate run over the support.  The dense matrix ``gamma``, the zero
-    of the space's mode off the support, is built on first read, for a
-    caller that wants one; like the integer image and the sums it is a
-    ``cached_property``, not a field, so eq, hash and repr skip it.
+    certificate run over the support.  The dense matrix ``gamma`` is built
+    on first read, for a caller that wants one; like the integer image and
+    the sums it is a ``cached_property``, not a field, so eq, hash and repr
+    skip it.  Off the support it holds ``Fraction(0)`` when the space and
+    every mass are exact, else ``0.0``: the zero a dense plan of those
+    masses held.  A plan with no support has no mass to tell, so on an
+    exact space it reads as exact, whatever zeros it was written with.
     """
 
     space: FiniteMetricSpace
@@ -215,16 +212,21 @@ class TransportPlan:
         masses = [x for _, _, x in self.support]
         if self.space.exact and exactness(masses)[0]:
             ints, factor = scaled(masses)
-            return tuple((i, j, g) for (i, j, _), g in zip(self.support, ints)), Fraction(1, factor)
+            return tuple([(i, j, g) for (i, j, _), g in zip(self.support, ints)]), Fraction(1, factor)
         return self.support, 1
 
+    @cached_property  # the entry off the support, Fraction(0) or 0.0 (see the class docstring)
+    def _zero(self) -> Scalar:
+        return Fraction(0) if isinstance(self._scaled[1], Fraction) else 0.0
+
     # The row sums and the column sums of the image, each added in the
-    # support's order from the zero of its kind: 0 for ints, else the space's
-    # zero, so that a float row with no support sums to 0.0 as a dense one did.
+    # support's order from the zero of its kind: 0 for the ints of the image,
+    # else 0.0, so that a row with no support in a plan of floats sums to 0.0
+    # as its dense row of 0.0 did.
     @cached_property
     def _sums(self) -> tuple[list, list]:
         G, unit = self._scaled
-        zero = 0 if isinstance(unit, Fraction) else coerce(0, self.space.exact)
+        zero = 0 if isinstance(unit, Fraction) else self._zero
         rows, cols = [zero] * self.space.n, [zero] * self.space.n
         for i, j, g in G:
             rows[i] += g
@@ -238,7 +240,7 @@ class TransportPlan:
     @cached_property
     def gamma(self) -> tuple[tuple[Scalar, ...], ...]:
         n = self.space.n
-        return tuple(map(tuple, dense(self.support, n, n, coerce(0, self.space.exact))))
+        return tuple(map(tuple, dense(self.support, n, n, self._zero)))
 
     def row_sums(self) -> tuple[Scalar, ...]:
         unit = self._scaled[1]

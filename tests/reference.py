@@ -115,6 +115,15 @@ class DensePlan:
     def to_json(self) -> list:
         return [list(map(scalar_to_json, row)) for row in self.gamma]
 
+    def as_read(self) -> "DensePlan":
+        """The matrix that the package's plan of this one reads as: this one,
+        but for a matrix of zeros on an exact space.  Its plan has no mass to
+        tell floats or ints from Fractions, and reads as Fraction zeros."""
+        n = self.space.n
+        if self.space.exact and not any(x for row in self.gamma for x in row):
+            return DensePlan(self.space, ((Fraction(0),) * n,) * n)
+        return self
+
 
 def marginals(plan: TransportPlan) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     return (

@@ -186,8 +186,12 @@ def test_antisymmetric_pair_from_flat_witness():
         assert obj == value
 
 
+def dense_plan(space, gamma):
+    return DensePlan(space, tuple(tuple(coerce(x, space.exact) for x in row) for row in gamma))
+
+
 def make_plan(space, gamma):
-    return DensePlan(space, tuple(tuple(coerce(x, space.exact) for x in row) for row in gamma)).plan
+    return dense_plan(space, gamma).plan
 
 
 def test_certificate_passes_on_hand_example(two_point, unit_params):
@@ -545,7 +549,9 @@ def exact_certificate_cases(draw, mode=None):
     denominators, possibly one potential off by 1/p for a large prime p,
     possibly a tampered plan, and a tolerance that may be a float; then, by
     ``mode`` or else a mode draw, kept exact, or made its float copy, or
-    given float potentials or float plan entries on the exact space."""
+    given float potentials or float plan entries on the exact space.  The
+    plan is the drawn matrix, a ``DensePlan``: the package checks its
+    ``.plan``, the references the matrix itself."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     base = random_int_metric(rng, draw(st.integers(1, 6)), max_d=9)
     scale = draw(st.sampled_from((Fraction(1), Fraction(2, 3), Fraction(5, 7))))
@@ -581,11 +587,11 @@ def exact_certificate_cases(draw, mode=None):
         phi1, phi2 = [float(v) for v in phi1], [float(v) for v in phi2]
     if mode in ("float", "float plan"):
         gamma = [[float(x) for x in row] for row in gamma]
-    plan = DensePlan(space, tuple(tuple(row) for row in gamma)).plan
+    dense = DensePlan(space, tuple(tuple(row) for row in gamma))
     tols = (None, 0, 0.0, 0.25, 2**-10, 1e-3, Fraction(1, 3), Fraction(1, LARGE_PRIMES[0]))
     tol = draw(st.sampled_from(tols))
     potentials = DualPotentials(phi1=tuple(phi1), phi2=tuple(phi2), params=params)
-    return space, mu, nu, params, plan, potentials, tol
+    return space, mu, nu, params, dense, potentials, tol
 
 
 def outcome(check, *args, **kwargs):
@@ -610,7 +616,8 @@ def assert_same(got, want):
 @settings(max_examples=600, deadline=None)
 @given(exact_certificate_cases())
 def test_integer_checks_match_the_fraction_checks(case):
-    space, mu, nu, params, plan, potentials, tol = case
+    space, mu, nu, params, dense, potentials, tol = case
+    plan, dense = dense.plan, dense.as_read()
     # Exact potentials on an exact space add a float tolerance exactly, as
     # Fraction(tol), where the reference adds it in floats, rounding b d + tol
     # (test_float_tolerance_is_added_exactly); the reference gets Fraction(tol)
@@ -622,10 +629,10 @@ def test_integer_checks_match_the_fraction_checks(case):
         is_feasible_pair(space, potentials, verification_tol(tol, space.exact)),
         reference_is_feasible_pair(space, potentials, verification_tol(ref_tol, space.exact)),
     )
-    want = outcome(reference_verify_optimality, space, mu, nu, params, plan, potentials, tol=ref_tol)
+    want = outcome(reference_verify_optimality, space, mu, nu, params, dense, potentials, tol=ref_tol)
     assert_same(outcome(verify_optimality, space, mu, nu, params, plan, potentials, tol=tol), want)
-    assert_same(primal_value(plan, mu, nu, params), reference_primal_value(plan, mu, nu, params))
-    assert_same((plan.total, plan.row_sums(), plan.col_sums()), reference_plan_sums(plan))
+    assert_same(primal_value(plan, mu, nu, params), reference_primal_value(dense, mu, nu, params))
+    assert_same((plan.total, plan.row_sums(), plan.col_sums()), reference_plan_sums(dense))
 
 
 # The dual objective as a running sum of Fractions (or floats), from before
@@ -768,17 +775,18 @@ def test_a_plan_of_ints_certifies_as_its_fraction_twin(monkeypatch):
 
 
 def dense_and_support_plans(rng, count):
-    """Seeded p = 1 instances of n = 1 to 12, exact and float in turn (the
-    float ones on distances times 0.37, with weights 0 or uniform), each with the
-    solver's plan as a dense matrix, possibly with one entry moved by 1/4 or
-    to zero: the reference holds it as it is, and the package's plan of it
-    is the reference's support."""
+    """Seeded p = 1 instances of n = 1 to 12, exact, float, and exact with
+    the plan's entries as floats, in turn (the float ones on distances times
+    0.37, with weights 0 or uniform), each with the solver's plan as a dense
+    matrix, possibly with one entry moved by 1/4 or to zero: the reference
+    holds it as it is, and the package's plan of it is the reference's
+    support."""
     rates = (Fraction(1, 2), Fraction(1), Fraction(2))
     for k in range(count):
         space = random_int_metric(rng, rng.randint(1, 12), max_d=9)
         mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
         params = EntropyParams(a=rng.choice(rates), b=rng.choice(rates), p=1)
-        if k % 2:  # distances and weights that round, so a sum's order shows in its bits
+        if k % 3 == 1:  # distances and weights that round, so a sum's order shows in its bits
             space = validate_metric(space.labels, [[0.37 * d for d in row] for row in space.dist], exact=False)
             mu, nu = (measure(space, [rng.choice((0.0, rng.uniform(0, 3))) for _ in range(space.n)]) for _ in range(2))
             params = EntropyParams(a=float(params.a), b=float(params.b), p=1)
@@ -786,6 +794,8 @@ def dense_and_support_plans(rng, count):
         rows = [list(row) for row in report.plan.gamma]
         i, j = rng.randrange(space.n), rng.randrange(space.n)
         rows[i][j] = rng.choice((rows[i][j], 0 * rows[i][j], rows[i][j] + coerce(Fraction(1, 4), space.exact)))
+        if k % 3 == 2:  # a float plan on the exact space: its zeros are 0.0
+            rows = [[float(x) for x in row] for row in rows]
         yield space, mu, nu, params, report, DensePlan(space, tuple(map(tuple, rows)))
 
 
@@ -793,13 +803,15 @@ def test_the_support_plan_reads_as_its_dense_reference():
     # the sums, the total, the primal value, the certificate (violations and
     # A1/A2 in the same order) and the JSON report of a plan held as its
     # support are those of its dense matrix: equal values of equal types, and
-    # float values to the bit, an empty float row summing to 0.0
-    kinds = {"passed": 0, "failed": 0, "raised": 0, "empty float row": 0}
-    for space, mu, nu, params, report, dense in dense_and_support_plans(random.Random(3201), 160):
-        plan = dense.plan
+    # float values to the bit, an empty float row summing to 0.0 on a float
+    # space and on an exact one
+    kinds = {"passed": 0, "failed": 0, "raised": 0, "empty float row": 0, "empty float row, exact space": 0}
+    for space, mu, nu, params, report, dense in dense_and_support_plans(random.Random(3201), 240):
+        plan, dense = dense.plan, dense.as_read()
         sums = (plan.total, plan.row_sums(), plan.col_sums())
         assert_same(sums, (dense.total, dense.row_sums(), dense.col_sums()))
-        kinds["empty float row"] += not space.exact and 0.0 in sums[1]
+        empty_float_row = any(type(s) is float and not s for s in sums[1])
+        kinds["empty float row, exact space" if space.exact else "empty float row"] += empty_float_row
         assert_same(primal_value(plan, mu, nu, params), reference_primal_value(dense, mu, nu, params))
         for tol in CERTIFICATE_TOLS:
             got = certificate_or_error(verify_optimality, space, mu, nu, params, plan, report.potentials, tol=tol)
@@ -865,9 +877,9 @@ def reference_lebesgue_verify_optimality(space, mu, nu, params, plan, potentials
     if not is_feasible_pair(space, potentials, slack=slack):
         raise InfeasibleInputs("potentials violate the dual constraints")
 
-    D, G, F_g, _, S, P1, P2, F_p, L, R, _, _ = _terms(space, potentials, tol, plan)
+    D, G, F_g, _, S, P1, P2, F_p, L, R, _, _ = _terms(space, potentials, tol, plan.plan)
     shipped, loose = S * F_g, S * L
-    # G is the plan's support, over F_g when it has an integer image
+    # G is the package plan's support, over F_g when it has an integer image
     violations = [
         ("ii", (i, j)) for i, j, g in G if g * F_p > shipped and abs(R * D[i][j] - P1[i] * L - P2[j] * L) > loose
     ]
@@ -906,9 +918,11 @@ def certificate_or_error(check, *args, **kwargs):
         return (type(exc).__name__, str(exc))
 
 
-def assert_same_certificate(space, mu, nu, params, plan, potentials, tol):
-    args = space, mu, nu, params, plan, potentials
-    got = certificate_or_error(verify_optimality, *args, tol=tol)
+def assert_same_certificate(space, mu, nu, params, dense, potentials, tol):
+    # the package checks the plan of the DensePlan ``dense``, the reference
+    # reads the marginals off the matrix itself
+    got = certificate_or_error(verify_optimality, space, mu, nu, params, dense.plan, potentials, tol=tol)
+    args = space, mu, nu, params, dense.as_read(), potentials
     assert_same(got, certificate_or_error(reference_lebesgue_verify_optimality, *args, tol=tol))
     return got
 
@@ -917,7 +931,8 @@ def seeded_certificate_cases(rng, count):
     """Solved exact instances, half with one plan entry moved by a multiple
     of 1/4 and half with one potential moved by a multiple of 1/8, kept
     exact, made their float copy, or given float plan entries on the exact
-    space; each with a tolerance from CERTIFICATE_TOLS."""
+    space; each with a tolerance from CERTIFICATE_TOLS.  The plan is the
+    ``DensePlan`` of the matrix, as in :func:`exact_certificate_cases`."""
     rates = (Fraction(1, 2), Fraction(1), Fraction(2))
     for _ in range(count):
         space = random_int_metric(rng, rng.randint(1, 6), max_d=9)
@@ -940,9 +955,9 @@ def seeded_certificate_cases(rng, count):
             phi1, phi2 = [float(v) for v in phi1], [float(v) for v in phi2]
         if mode != "exact":
             gamma = [[float(x) for x in row] for row in gamma]
-        plan = DensePlan(space, tuple(tuple(row) for row in gamma)).plan
+        dense = DensePlan(space, tuple(tuple(row) for row in gamma))
         potentials = DualPotentials(phi1=tuple(phi1), phi2=tuple(phi2), params=params)
-        yield space, mu, nu, params, plan, potentials, rng.choice(CERTIFICATE_TOLS)
+        yield space, mu, nu, params, dense, potentials, rng.choice(CERTIFICATE_TOLS)
 
 
 def test_certificate_matches_the_marginal_measure_reference():
@@ -969,13 +984,13 @@ def test_certificate_matches_the_reference_past_float_range(two_point, two_point
     params = EntropyParams(a=1.0, b=1.0, p=1)
     float_pair = DualPotentials(phi1=(0.0, 0.0), phi2=(0.0, 0.0), params=params)
     huge_mu, huge_nu = measure(space, [1.5e308, 0.0]), measure(space, [0.0, 1.5e308])
-    overflowing = DensePlan(space, ((1e308, 1e308), (0.0, 0.0))).plan
+    overflowing = DensePlan(space, ((1e308, 1e308), (0.0, 0.0)))
     cases = [
         # exact row sum past float range
-        ((two_point, mu, nu, unit_params, make_plan(two_point, [[10**400, 0], [0, 0]]), pair), None),
+        ((two_point, mu, nu, unit_params, dense_plan(two_point, [[10**400, 0], [0, 0]]), pair), None),
         # float row sum inf, on a float space and as a float plan on the exact space
         ((space, mu.as_float(space), nu.as_float(space), params, overflowing, float_pair), None),
-        ((two_point, mu, nu, unit_params, DensePlan(two_point, ((1e308, 1e308), (0.0, 0.0))).plan, pair), 0),
+        ((two_point, mu, nu, unit_params, DensePlan(two_point, ((1e308, 1e308), (0.0, 0.0))), pair), 0),
         # w + tol rounds to inf, so only the range of the row sum refuses it
         ((space, huge_mu, huge_nu, params, overflowing, float_pair), 1e308),
     ]
@@ -984,12 +999,12 @@ def test_certificate_matches_the_reference_past_float_range(two_point, two_point
         for t in (tol, *CERTIFICATE_TOLS):
             assert assert_same_certificate(*args, t) == refused
     # sums inside float range, with room for them in the measures
-    fits = DensePlan(space, ((1e307, 1e307), (0.0, 0.0))).plan
+    fits = DensePlan(space, ((1e307, 1e307), (0.0, 0.0)))
     got = assert_same_certificate(space, huge_mu, huge_nu, params, fits, float_pair, 1e308)
     assert isinstance(got, OptimalityCertificate)
     # a measure on another space
     far_mu = dirac(two_point_far, 0)
-    plan = make_plan(two_point, [[0, 1], [0, 0]])
+    plan = dense_plan(two_point, [[0, 1], [0, 0]])
     got = assert_same_certificate(two_point, far_mu, dirac(two_point_far, 1), unit_params, plan, pair, None)
     assert got == ("SpaceMismatch", "objects live on different spaces")
 
@@ -1005,8 +1020,8 @@ def test_float_marginal_caps_scale_with_the_weight(two_point):
         mu = nu = measure(space, [w, 0.0])
         for tol in (None, 0.0, 1e-9):
             slack = CERTIFY_TOL if tol is None else tol
-            inside = DensePlan(space, ((w + slack + ROUNDING_TOL * w / 2, 0.0), (0.0, 0.0))).plan
-            past = DensePlan(space, ((w + slack + 11 * ROUNDING_TOL * w, 0.0), (0.0, 0.0))).plan
+            inside = DensePlan(space, ((w + slack + ROUNDING_TOL * w / 2, 0.0), (0.0, 0.0)))
+            past = DensePlan(space, ((w + slack + 11 * ROUNDING_TOL * w, 0.0), (0.0, 0.0)))
             assert isinstance(assert_same_certificate(space, mu, nu, params, inside, pair, tol), OptimalityCertificate)
             assert assert_same_certificate(space, mu, nu, params, past, pair, tol) == refused
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from genwass import EntropyParams, flow, solve_w1
 from genwass.errors import SolverFailure
 from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
-from genwass.scalars import INF
+from genwass.scalars import INF, sparse
 from genwass.scalars import ROUNDING_TOL as MASS_RTOL
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_wp import solve_wp
@@ -720,22 +720,27 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
 def test_a_scaled_run_builds_its_breakpoint_fractions_only_when_read(monkeypatch, network):
     # a rate run on rational masses divides its support, total, cost and
     # potentials; the breakpoints become Fractions at their first read, two
-    # per breakpoint, once, and are those an unwatched run reads
+    # per breakpoint, once, and are those an unwatched run reads; the dense
+    # flow, built at its first read, adds only its shared zero
     rng = random.Random(3202)
     space = random_int_metric(rng, 12, max_d=5)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
     costs = [[int(d) for d in row] for row in space.dist]
     supplies, demands = list(mu.weights), list(nu.weights)
     pairs = space._irreducible if network == "skeleton" else None
-    want = solve_transport(costs, supplies, demands, rate=4, pairs=pairs).breakpoints
+    want = solve_transport(costs, supplies, demands, rate=4, pairs=pairs)
+    want_points, want_rows = want.breakpoints, want.flow
     if pairs is None:  # the engine run on the Fractions themselves
-        assert want == _successive_shortest_paths(costs, supplies, demands, None, 4).breakpoints
+        assert want_points == _successive_shortest_paths(costs, supplies, demands, None, 4).breakpoints
     built = []
     monkeypatch.setattr(flow, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     sol = solve_transport(costs, supplies, demands, rate=4, pairs=pairs)
     distinct = {id(x) for _, _, x in sol.support}
-    assert len(built) == len(distinct) + 3 + len(sol.potentials)  # the zero, the total and the cost
-    assert len(want) > 2
+    assert len(built) == len(distinct) + 2 + len(sol.potentials)  # the total and the cost
+    assert len(want_points) > 2
     points = sol.breakpoints
+    assert len(built) == len(distinct) + 2 + len(sol.potentials) + 2 * len(points)
+    assert sol.breakpoints is points and points == want_points
+    rows = sol.flow
     assert len(built) == len(distinct) + 3 + len(sol.potentials) + 2 * len(points)
-    assert sol.breakpoints is points and points == want
+    assert sol.flow is rows and rows == want_rows and sparse(rows) == sol.support

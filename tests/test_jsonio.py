@@ -431,8 +431,8 @@ def test_float_and_mixed_plans_keep_the_row_path(monkeypatch):
 
 def test_an_exact_report_formats_each_plan_entry_object_once(monkeypatch):
     # the dense rows are written from the plan's support: each support entry
-    # is formatted once, exact or float, and every other entry is the zero
-    # of the space's mode, formatted once per report
+    # is formatted once, exact or float, and every other entry is the plan's
+    # zero, formatted once per report
     rng = random.Random(3014)
     space = random_int_metric(rng, 16)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)

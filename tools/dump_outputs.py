@@ -40,10 +40,11 @@ only) and the ``repr`` of ``solve`` at p = 1 and 2.
 
 Errors print as their type and message.  A report prints as its ``repr``
 with the plan written as its dense matrix, ``TransportPlan(space=...,
-gamma=...)``, and the plans built here are made from dense rows by
-:func:`make_plan`, so a source tree whose plans hold a dense matrix and one
-whose plans hold their support print the same lines.  Standard library
-only: the inputs are built here.
+gamma=...)``: the form dumps took while a plan held that matrix, so a dump
+still compares line for line with those.  The plans built here are made
+from their support by :func:`make_plan`, so the source tree must be one
+whose plans hold their support.  Standard library only: the inputs are
+built here.
 """
 
 from __future__ import annotations
@@ -133,12 +134,9 @@ def outcome(call, *args, **kwargs) -> str:
 
 
 def make_plan(TransportPlan, space, rows):
-    """The plan of these dense rows: from its support, the (i, j, x) of its
-    nonzero entries in row-major order, when the plan class holds one, else
-    from the rows themselves."""
-    if "support" in (field.name for field in dataclasses.fields(TransportPlan)):
-        return TransportPlan(space, tuple((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x))
-    return TransportPlan(space, tuple(map(tuple, rows)))
+    """The plan of these dense rows, built from its support: the (i, j, x) of
+    their nonzero entries in row-major order."""
+    return TransportPlan(space, tuple((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x))
 
 
 def run_cli(main, argv) -> str:
