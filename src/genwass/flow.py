@@ -26,9 +26,12 @@ ties, so each numbering fixes every path, plan and potential.
 The engine is scalar-generic: ints, Fractions and floats.  Successive
 shortest paths augment in nondecreasing path-cost order, so the accumulated
 (mass, cost) pairs trace the convex parametric curve of the transport
-problem; the engine records one breakpoint per augmentation.  It keeps only
-the final flow, not a plan per breakpoint: a caller that needs the plan at
-an earlier breakpoint solves again with ``target`` set to its mass.
+problem.  The engine records its vertices: the start, the point where each
+Dijkstra run (below) raises the path cost, and the end (parametric min-cost
+flow; Ahuja, Magnanti & Orlin 1993, ch. 9).  Exact slopes strictly increase;
+a float point whose mass repeats, after a push below the mass's ulp,
+replaces the last.  Only the final flow is kept: a caller that needs the
+plan at an earlier vertex solves again with ``target`` set to its mass.
 
 A ``rate`` adds one arc S -> T of that cost, last in the list of S, so the
 built arcs keep their ids.  It never carries flow: the engine stops
@@ -69,33 +72,31 @@ multiplied by the least common multiple M of their denominators
 (``scalars.scaled``) and the cost rows, with the rate, by that of theirs, C
 (``scalars.scaled_rows``), and the engine runs on the resulting Python
 ints.  A caller holding the costs as int rows over C passes C as
-``cost_unit``, and its rows reach the engine as they are.  Positive scaling
-preserves every comparison, so the augmenting paths, tie-breaks and
-breakpoints are the same; the result is divided once (masses by M, costs by
-M*C, potentials by C) and stays exact.  Scaled ints can pass float range, so
-no capacity is a float infinity.  Inputs that are not all exact, float ones
-and those that mix exact and float scalars, run it on floats, converted once
-by ``map(float, row)``, which leaves a float as it is.  One set of the input
-types (``scalars.exactness``) makes the choice.  Only the flow's support
-is divided: the Fraction of each distinct flow value on it is built once and
-shared.  The dense flow (that support over a Fraction zero) and the
-breakpoints are built when they are first read, so a run whose caller reads
-neither, every p = 1 solve, builds no n^2 rows and none of the breakpoints'
-Fractions.  The flat LP's simplex and the oracle scale their own inputs to
-integers, each with its own ``scalars.scaled`` call, and never use this
-solver or its scaled costs.
+``cost_unit``, and its rows reach the engine as they are; its masses must be
+exact too.  Positive scaling preserves every comparison, so the augmenting
+paths, tie-breaks and breakpoints are the same; the result is divided once
+(masses by M, costs by M*C, potentials by C) and stays exact.  Scaled ints
+can pass float range, so no capacity is a float infinity.  Inputs that are
+not all exact, float ones and those that mix exact and float scalars, run
+it on floats, converted once by ``map(float, row)``, which leaves a float as
+it is.  One set of the input types (``scalars.exactness``) makes the
+choice.  The flow is handed over as its support, and only that is divided:
+the Fraction of each distinct flow value on it is built once and shared.
+The flat LP's simplex and the oracle scale their own inputs to integers,
+each with its own ``scalars.scaled`` call, and never use this solver or its
+scaled costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, repeat
 from operator import getitem, mul
 
 from .errors import SolverFailure
-from .scalars import INF, Scalar, coerce_rows, dense, exactness, scaled, scaled_rows, sparse
+from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows, sparse
 
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
 # closed metrics (edges in [1, 9], seed n, a = 2, b = 1/2) augments 47, 106
@@ -106,44 +107,16 @@ from .scalars import INF, Scalar, coerce_rows, dense, exactness, scaled, scaled_
 MAX_PHASES = 200_000
 
 
-class _OnFirstRead:
-    """A dataclass field that is given its value, or a function of no
-    arguments that makes it: the first read calls the function and keeps
-    what it returns.  It has no default, so the field stays required."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name]
-        if callable(value):
-            value = obj.__dict__[self.name] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass
 class FlowSolution:
-    """The flow's plan, its mass and cost, the breakpoints and the
-    potentials.  ``support`` is the plan's support, ``scalars.sparse`` of
-    ``flow`` unless it is given.  A scaled run gives it, and hands over its
-    dense flow and its breakpoints as functions that build them on first
-    read: a p = 1 solve reads neither."""
+    """The flow's plan as its support, its mass and cost, the vertices of its
+    curve and the potentials."""
 
-    flow: list[list[Scalar]] = _OnFirstRead()
+    support: tuple[tuple[int, int, Scalar], ...]  # (i, j, flow) of the nonzero flows, row-major
     total: Scalar
     cost: Scalar
-    breakpoints: list[tuple[Scalar, Scalar]] = _OnFirstRead()
+    breakpoints: list[tuple[Scalar, Scalar]]  # (mass, cost) from (0, 0) to (total, cost)
     potentials: list[Scalar]  # of the nodes between S and T, in node order
-    support: tuple[tuple[int, int, Scalar], ...] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.support is None:
-            self.support = sparse(self.flow)
 
 
 def solve_transport(
@@ -152,16 +125,18 @@ def solve_transport(
 ) -> FlowSolution:
     """Push ``target`` units (default: as much as fits) at minimum cost.
 
-    Returns the final flow matrix, the parametric breakpoints, and the node
-    potentials of the last phase, the supplies' pi_i then the demands' pi_j:
-    pi_j - pi_i <= costs[i][j] for every pair, with equality on arcs that
-    carry flow, the linear-programming duals of the transport problem.
+    Returns the support of the final flow, its mass and cost, the vertices
+    of the parametric curve, and the node potentials of the last phase, the
+    supplies' pi_i then the demands' pi_j: pi_j - pi_i <= costs[i][j] for
+    every pair, with equality on arcs that carry flow, the linear-programming
+    duals of the transport problem.
 
     A caller that holds exact costs as ints over a common positive
     denominator passes that denominator as ``cost_unit``: arc (i, j) then
     costs ``Fraction(costs[i][j], cost_unit)``, and the result is the one
-    for those Fractions, which are not built.  A ``rate``, in the costs'
-    units, stops the flow before its first path that costs that much or more
+    for those Fractions, which are not built.  The masses must then be
+    exact: a float one is a ValueError.  A ``rate``, in the costs' units,
+    stops the flow before its first path that costs that much or more
     instead, and ``target`` is not read.
 
     ``pairs``, exact inputs only, runs the flow on the skeleton network of a
@@ -172,13 +147,13 @@ def solve_transport(
     """
     masses = [*supplies, *demands] + ([] if target is None else [target])
     rows = costs if rate is None else [*costs, [rate]]  # the rate scales with the costs
-    if cost_unit is not None and not exactness(masses)[0]:
-        rows, cost_unit = [[Fraction(c, cost_unit) for c in row] for row in rows], None
     exact, rational = exactness(chain(masses, *rows))
     scale = exact and (rational or cost_unit is not None)
     if not exact:  # mixed exact and float scalars would spin the engine
         if pairs is not None:
             raise ValueError("the skeleton network takes exact inputs only")
+        if cost_unit is not None:
+            raise ValueError("a cost unit takes exact inputs only")
         masses, *rows = coerce_rows([masses, *rows], False)
     elif scale:
         masses, M = scaled(masses)
@@ -196,15 +171,12 @@ def solve_transport(
 
     flows = {x for _, _, x in sol.support}  # one Fraction per distinct flow value, shared
     shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
-    support = tuple([(i, j, shared[x]) for i, j, x in sol.support])  # a list first, as scalars.sparse
-    points = sol.breakpoints
     return FlowSolution(
-        flow=lambda: dense(support, ns, nd, Fraction(0)),
+        support=tuple([(i, j, shared[x]) for i, j, x in sol.support]),  # a list first, as scalars.sparse
         total=Fraction(sol.total, M),
         cost=Fraction(sol.cost, M * C),
-        breakpoints=lambda: [(Fraction(m, M), Fraction(t, M * C)) for m, t in points],
+        breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
         potentials=[Fraction(x, C) for x in sol.potentials],
-        support=support,
     )
 
 
@@ -220,14 +192,9 @@ def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> F
     arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
     flow, pushed, cost, breakpoints, pot = _augment(arcs, T, zero, _target(supplies, demands, target), rate)
 
-    first = ns  # the transport arcs follow the ns source arcs, row by row
-    return FlowSolution(
-        flow=[flow[first + i * nt : first + (i + 1) * nt] for i in range(ns)],
-        total=pushed,
-        cost=cost,
-        breakpoints=breakpoints,
-        potentials=pot[1:T],
-    )
+    # the transport arcs follow the ns source arcs, row by row
+    support = sparse(flow[ns + i * nt : ns + (i + 1) * nt] for i in range(ns))
+    return FlowSolution(support, pushed, cost, breakpoints, pot[1:T])
 
 
 def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSolution:
@@ -243,11 +210,11 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     anyway.  The arcs into T come last, so each point lists its arc into T
     last, as the resumed search needs.
 
-    The edge flow is cut into a plan by paths.  First gamma_ii is the flow
-    through i straight from S to T, min(src_i, snk_i).  Then from each point
-    i with supply left, a walk follows arcs that still carry flow to the
-    first point with demand left, j, and ships along it the least of what
-    is left, to gamma_ij.  Every cost is positive, so the least-cost flow
+    The edge flow is cut into a plan by paths, kept as its support.  First
+    gamma_ii is the flow through i straight from S to T, min(src_i, snk_i).
+    Then from each point i with supply left, a walk follows arcs that still
+    carry flow to the first point with demand left, j, and ships along it
+    the least of what is left, to gamma_ij.  Every cost is positive, so the least-cost flow
     has no cycle and each walk ends; every arc on it is tight under the
     final potentials, so the walk costs pi_j - pi_i <= costs[i][j], and no
     path costs less: gamma costs what the flow does.
@@ -261,7 +228,7 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     arcs += [(1 + j, T, d, 0) for j, d in enumerate(demands)]
     flow, pushed, cost, breakpoints, pot = _augment(arcs, T, 0, _target(supplies, demands, target), rate)
 
-    gamma = [[0] * n for _ in range(n)]
+    gamma = {}  # the plan's nonzero entries by (i, j)
     out = [{} for _ in range(n)]  # the arcs that carry flow, by tail and head
     for (i, j), there, back in zip(links, flow[n::2], flow[n + 1 :: 2]):
         if there:
@@ -270,7 +237,9 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
             out[j][i] = back
     left, need = flow[:n], flow[-n:]  # the flow out of S and into T, then what is left of it
     for i in range(n):
-        gamma[i][i] = both = min(left[i], need[i])
+        both = min(left[i], need[i])
+        if both:
+            gamma[i, i] = both
         left[i] -= both
         need[i] -= both
     for i in range(n):
@@ -286,8 +255,9 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
                     del out[u][w]
             left[i] -= delta
             need[v] -= delta
-            gamma[i][v] += delta
-    return FlowSolution(gamma, pushed, cost, breakpoints, pot[1:T])
+            gamma[i, v] = gamma.get((i, v), 0) + delta
+    support = tuple([(i, j, x) for (i, j), x in sorted(gamma.items())])
+    return FlowSolution(support, pushed, cost, breakpoints, pot[1:T])
 
 
 def _target(supplies, demands, target):
@@ -305,8 +275,8 @@ def _augment(arcs, T, zero, target, rate):
     the network ``arcs`` of (tail, head, capacity, cost), in ``zero``'s
     scalar type.  A ``rate`` adds the arc S -> T last and stops the run on
     it; else the run stops at ``target``.  Returns the flow of each arc in
-    the order given, the mass pushed, its cost, the breakpoints and the node
-    potentials after the final refresh.
+    the order given, the mass pushed, its cost, the curve's vertices and the
+    node potentials after the final refresh.
     """
     S, given = 0, len(arcs)
     head, cap, cost = [], [], []
@@ -335,6 +305,8 @@ def _augment(arcs, T, zero, target, rate):
                 break
             _update_potentials(pot, dist, T)
             zero_arcs = [None] * (T + 1)
+            if dist[T] > 0:  # the path cost rises here
+                _vertex(breakpoints, pushed, cost_acc)
         else:
             parent = search[0]
         if rate is not None and parent[T] == len(head) - 2:  # the rate arc
@@ -366,14 +338,20 @@ def _augment(arcs, T, zero, target, rate):
             search = None
 
         pushed += delta
-        breakpoints.append((pushed, cost_acc))
     else:
         raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
+    _vertex(breakpoints, pushed, cost_acc)
 
     # Final potential refresh so the duals reflect the terminal residual graph.
     dist, _ = _dijkstra(adj, head, cap, cost, flow, pot)
     _update_potentials(pot, dist, T)
     return flow[: 2 * given : 2], pushed, cost_acc, breakpoints, pot
+
+
+def _vertex(points, mass, cost):
+    """Record (mass, cost) on the curve, in place of a last point of the same
+    mass: the start, or a float push below the mass's ulp."""
+    points[len(points) - (points[-1][0] == mass) :] = [(mass, cost)]
 
 
 def _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot):

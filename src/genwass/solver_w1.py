@@ -75,14 +75,13 @@ def solve_w1(
     In exact mode the flow's costs are ints over one unit, D times the int of b / F_d
     for the space's integer image D / F_d, and its rate is twice the int of a.
     It runs on the space's irreducible pairs, float weights read as rationals."""
-    require_same_space(mu, nu, space=space)
+    mu, nu = _read_measures(space, mu, nu)
     if params.p != 1:
         raise InvalidParams("this solver handles p = 1 only")
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
     if space.exact:
         rows, F_d = space._scaled
         (b_unit, a_unit), unit = scaled([b / F_d, a])
-        mu, nu = (m if m._scaled else measure(space, m.weights) for m in (mu, nu))
     else:
         rows, b_unit, a_unit, unit = space.dist, b, a, None
     costs = rows if b_unit == 1 else [[b_unit * d for d in row] for row in rows]
@@ -94,6 +93,16 @@ def solve_w1(
     plan = TransportPlan(space, sol.support)
     potentials = DualPotentials(phi1, phi2, params)
     return certified_report(space, mu, nu, params, plan, primal_value(plan, mu, nu, params), potentials)
+
+
+def _read_measures(space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The measures of a problem on ``space``, checked to lie on it.  On an
+    exact space a float weight is read as the rational it holds, so every
+    order runs one flow contract: exact spaces, exact flows."""
+    require_same_space(mu, nu, space=space)
+    if space.exact:
+        return tuple(m if m._scaled else measure(space, m.weights) for m in (mu, nu))
+    return mu, nu
 
 
 def certified_report(

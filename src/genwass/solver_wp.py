@@ -1,16 +1,18 @@
 """General-order solver: equal-mass transport cost and the parametric
 transported-mass curve of any order p >= 1, and the unbalanced value of order
-p > 1 by breakpoint scan (order 1 is :mod:`solver_w1`'s).
+p > 1 by a scan of the curve's vertices (order 1 is :mod:`solver_w1`'s).
 
 The accumulated cost T(m) of the cheapest plan shipping mass m (with
 sub-marginal constraints) is piecewise linear and convex; successive
-shortest paths produce exactly its breakpoints.  The unbalanced value is
+shortest paths produce exactly its vertices, the points where its slope
+rises.  The unbalanced value is
     min over m of  V(m) = a(|mu| + |nu| - 2m) + b T(m)^(1/p).
-On each linear segment of T, V is concave (an increasing concave root of a
-linear function plus a linear term), so the minimum over the segment sits at
-an endpoint: scanning breakpoints is exact, no interior search is needed.
+On each linear piece of T, V is concave (an increasing concave root of a
+linear function plus a linear term), so the minimum over the piece sits at
+an endpoint: scanning the vertices is exact, no interior search is needed.
 The same argument justifies the exhaustive oracle's restriction to polytope
-vertices.
+vertices.  On an exact space float weights are read as the rationals they
+hold, at every order, so the curve and the plan stay exact.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from itertools import chain
 
 from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
-from .measures import DiscreteMeasure, TransportPlan, require_same_space
+from .measures import DiscreteMeasure, TransportPlan
 from .params import EntropyParams
 from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness, is_finite
-from .solver_w1 import SolveReport, _report, solve_w1
+from .solver_w1 import SolveReport, _report, _read_measures, solve_w1
 from .spaces import FiniteMetricSpace
 
 
@@ -34,10 +36,11 @@ class ParametricCurve:
     """Breakpoints (m_k, T_k) of the parametric min-cost transport value.
 
     m_0 = 0, T_0 = 0, the masses increase strictly, and the slopes
-    (T_{k+1}-T_k)/(m_{k+1}-m_k) are nondecreasing (convexity).  Float curves
-    carry rounding and are checked within it: a mass may repeat (an
-    augmentation below its ulp), and a breakpoint may lie above the chord of
-    its neighbours by ROUNDING_TOL * (1 + max T_k).
+    (T_{k+1}-T_k)/(m_{k+1}-m_k) are nondecreasing (convexity).  The solver's
+    curves hold the vertices only, whose exact slopes increase strictly, but
+    any convex list of points is accepted.  Float curves carry rounding and
+    are checked within it: a breakpoint may lie above the chord of its
+    neighbours by ROUNDING_TOL * (1 + max T_k).
     """
 
     breakpoints: tuple[tuple[Scalar, Scalar], ...]
@@ -50,7 +53,7 @@ class ParametricCurve:
         slack = 0 if exact else ROUNDING_TOL * (1.0 + max(abs(t) for _, t in pts))
         # (mp, tp) precedes (m0, t0); the first point precedes itself
         for (mp, tp), (m0, t0), (m1, t1) in zip((pts[0], *pts), pts, pts[1:]):
-            if m1 < m0 or (exact and m1 == m0):
+            if m1 <= m0:
                 raise ValueError("breakpoint masses must increase strictly")
             if t1 < t0:
                 raise ValueError("accumulated cost cannot decrease")
@@ -111,15 +114,16 @@ def _root(t: Scalar, p) -> Scalar:
 
 def _order_p_flow(space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, p):
     """Check an order-p problem, p by the rules of :class:`EntropyParams`, and
-    return its transport flow on the costs d^p, not yet run: ``flow(target)``
-    ships ``target`` units, ``flow()`` as many as fit."""
-    require_same_space(mu, nu, space=space)
+    return its transport flow on the costs d^p, not yet run, and the measures
+    as :func:`solver_w1._read_measures` reads them: ``flow(target)`` ships
+    ``target`` units, ``flow()`` as many as fit."""
+    mu, nu = _read_measures(space, mu, nu)
     if not is_finite(p):
         raise InvalidParams(f"p must be finite and within float range, got {p}")
     if not p >= 1:
         raise InvalidParams(f"p must be at least 1, got {p}")
     costs, unit = _power_costs(space, p)
-    return functools.partial(solve_transport, costs, list(mu.weights), list(nu.weights), cost_unit=unit)
+    return functools.partial(solve_transport, costs, list(mu.weights), list(nu.weights), cost_unit=unit), mu, nu
 
 
 def wasserstein_p(
@@ -131,7 +135,7 @@ def wasserstein_p(
     marginals; this matches the normalized definition because scaling the
     plan by the total mass scales the integral accordingly.
     """
-    flow = _order_p_flow(space, mu, nu, p)
+    flow, mu, nu = _order_p_flow(space, mu, nu, p)
     slack = 0 if space.exact else ROUNDING_TOL * (1.0 + max(float(mu.mass), float(nu.mass)))
     if abs(mu.mass - nu.mass) > slack:
         raise MassMismatch(f"|mu| = {mu.mass} differs from |nu| = {nu.mass}")
@@ -141,18 +145,19 @@ def wasserstein_p(
 def parametric_transport_curve(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, p
 ) -> ParametricCurve:
-    """Breakpoints of m -> min { sum d^p gamma : rows <= mu, cols <= nu, sum gamma = m }."""
-    return ParametricCurve(breakpoints=tuple(_order_p_flow(space, mu, nu, p)().breakpoints))
+    """Vertices of m -> min { sum d^p gamma : rows <= mu, cols <= nu, sum gamma = m }."""
+    return ParametricCurve(breakpoints=tuple(_order_p_flow(space, mu, nu, p)[0]().breakpoints))
 
 
 def solve_wp(
     space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, params: EntropyParams
 ) -> SolveReport:
-    """Unbalanced value of order p > 1 by scanning the parametric curve.
+    """Unbalanced value of order p > 1 by scanning the vertices of the
+    parametric curve; the report's ``curve`` is that vertex list.
 
     Returns the attaining plan, whose marginals are the optimal reduced
     measures: the curve's final flow, or a second solve with the chosen mass
-    as its target when that is not the last breakpoint (in floats it may
+    as its target when that is not the last vertex (in floats it may
     differ in the last bits from the flow the curve passed through there).
     No duality theory is claimed, and :func:`solver_w1._report` builds the
     report.  p = 1 raises InvalidParams: :func:`solve` sends it to
@@ -161,7 +166,7 @@ def solve_wp(
     p = params.p
     if p == 1:
         raise InvalidParams("solve_wp handles p > 1 only; use solve or solve_w1 at p = 1")
-    flow = _order_p_flow(space, mu, nu, p)
+    flow, mu, nu = _order_p_flow(space, mu, nu, p)
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
     sol = flow()
     curve, mass = sol.breakpoints, mu.mass + nu.mass

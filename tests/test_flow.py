@@ -2,26 +2,32 @@
 
 import random
 from fractions import Fraction
+from operator import lt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genwass import EntropyParams, flow, solve_w1
+from genwass import EntropyParams, flow, parametric_transport_curve, solve_w1
 from genwass.errors import SolverFailure
 from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
-from genwass.scalars import INF, sparse
+from genwass.scalars import INF, dense
 from genwass.scalars import ROUNDING_TOL as MASS_RTOL
 from genwass.selftest import random_int_metric, random_rational_measure
-from genwass.solver_wp import solve_wp
+from genwass.solver_wp import ParametricCurve, solve_wp
 from reference import l1_metric, wide_metric
 
-FIELDS = ("flow", "total", "cost", "breakpoints", "potentials")
+FIELDS = ("support", "total", "cost", "breakpoints", "potentials")
 
 
-def reference_transport(costs, supplies, demands, target) -> FlowSolution:
+def reference_transport(costs, supplies, demands, target, every=False) -> FlowSolution:
     """The bipartite engine with one branch per arc kind: a virtual source
-    arc, a virtual sink arc, a transport arc, or its residual push-back."""
+    arc, a virtual sink arc, a transport arc, or its residual push-back.
+
+    It runs Dijkstra in every phase and records a curve point where that
+    raises the path cost (dist[T] > 0) and one at the end, a point of the
+    mass of the last in its place; with ``every``, one point after every
+    augmentation instead, collinear and float repeated masses included."""
     ns, nt = len(supplies), len(demands)
     max_total = min(sum(supplies), sum(demands))
     if target is None:
@@ -44,12 +50,19 @@ def reference_transport(costs, supplies, demands, target) -> FlowSolution:
     cost_acc = zero
     breakpoints = [(pushed, cost_acc)]
 
+    def record(point):
+        if breakpoints[-1][0] == point[0]:
+            breakpoints.pop()
+        breakpoints.append(point)
+
     for _phase in range(MAX_PHASES):
         if pushed >= target:
             break
         dist, parent = reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
         if dist[T] == INF:
             break
+        if dist[T] > 0 and not every:
+            record((pushed, cost_acc))
 
         # walk the parent chain to find the bottleneck
         bottleneck = None
@@ -87,19 +100,21 @@ def reference_transport(costs, supplies, demands, target) -> FlowSolution:
             v = u
 
         pushed += bottleneck
-        if bottleneck > 0:
+        if every:
             breakpoints.append((pushed, cost_acc))
 
         reference_update_potentials(pot, dist, T)
     else:
         raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
+    if not every:
+        record((pushed, cost_acc))
 
     # Final potential refresh so the duals reflect the terminal residual graph.
     dist, _ = reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
     reference_update_potentials(pot, dist, T)
 
     return FlowSolution(
-        flow=flow,
+        support=tuple((i, j, x) for i, row in enumerate(flow) for j, x in enumerate(row) if x),
         total=pushed,
         cost=cost_acc,
         breakpoints=breakpoints,
@@ -186,6 +201,13 @@ def scalars_of(value):
         yield value
 
 
+def scalars_of_field(sol, field):
+    """The scalars of one field of a FlowSolution: of the support, its
+    values, not its indices."""
+    value = getattr(sol, field)
+    return list(scalars_of([x for _, _, x in value] if field == "support" else value))
+
+
 def test_single_arc():
     sol = solve_transport([[Fraction(3)]], [Fraction(1)], [Fraction(1)])
     assert sol.total == 1
@@ -202,7 +224,7 @@ def test_cheaper_arc_ships_first():
     costs = [[Fraction(1)], [Fraction(2)]]
     sol = solve_transport(costs, [Fraction(1), Fraction(1)], [Fraction(2)])
     assert sol.breakpoints == [(0, 0), (1, 1), (2, 3)]
-    assert sol.flow[0][0] == 1 and sol.flow[1][0] == 1
+    assert sol.support == ((0, 0, 1), (1, 0, 1))
 
 
 def test_rerouting_through_residual_arcs():
@@ -224,11 +246,12 @@ def test_potentials_are_feasible_duals():
         supplies = [Fraction(rng.randint(0, 3)) for _ in range(ns)]
         demands = [Fraction(rng.randint(0, 3)) for _ in range(nt)]
         sol = solve_transport(costs, supplies, demands)
+        gamma = dense(sol.support, ns, nt, 0)
         for i in range(ns):
             for j in range(nt):
                 red = costs[i][j] + sol.potentials[i] - sol.potentials[ns + j]
                 assert red >= 0
-                if sol.flow[i][j] > 0:
+                if gamma[i][j] > 0:
                     assert red == 0
 
 
@@ -250,8 +273,8 @@ def test_curve_slopes_nondecreasing():
 
 
 def test_each_prefix_is_min_cost_at_its_mass():
-    # brute-force cross-check: T(m) at each breakpoint equals the cheapest
-    # integer plan of that total mass
+    # brute-force cross-check: T(m) at every integer mass, read off the
+    # curve's vertices, equals the cheapest integer plan of that total mass
     rng = random.Random(3)
     for _ in range(20):
         ns, nt = rng.randint(1, 3), rng.randint(1, 3)
@@ -287,9 +310,9 @@ def test_each_prefix_is_min_cost_at_its_mass():
             rec(0, 0, Fraction(0))
             return best
 
-        for m, t in sol.breakpoints:
-            if m == int(m):
-                assert best_at(int(m)) == t
+        curve = ParametricCurve(tuple(sol.breakpoints))
+        for m in range(int(sol.total) + 1):
+            assert best_at(m) == curve.value_at(m)
 
 
 @given(transport_problems(), st.integers(0, 7), st.sampled_from((None, 6, 7)))
@@ -302,7 +325,7 @@ def test_scaled_exact_path_equals_fraction_engine(problem, num, den):
     want = _successive_shortest_paths(costs, supplies, demands, target)
     for field in FIELDS:
         assert getattr(got, field) == getattr(want, field), field
-        assert all(type(x) is Fraction for x in scalars_of(getattr(got, field))), field
+        assert all(type(x) is Fraction for x in scalars_of_field(got, field)), field
 
 
 def test_float_inputs_run_the_engine_directly():
@@ -311,15 +334,13 @@ def test_float_inputs_run_the_engine_directly():
     got = solve_transport(costs, supplies, demands, target=1.2)
     assert got == _successive_shortest_paths(costs, supplies, demands, 1.2)
     for field in FIELDS:
-        assert all(type(x) is float for x in scalars_of(getattr(got, field))), field
+        assert all(type(x) is float for x in scalars_of_field(got, field)), field
 
 
 def assert_same_solution(got, want):
     for field in FIELDS:
         assert getattr(got, field) == getattr(want, field), field
-        assert [type(x) for x in scalars_of(getattr(got, field))] == [
-            type(x) for x in scalars_of(getattr(want, field))
-        ], field
+        assert list(map(type, scalars_of_field(got, field))) == list(map(type, scalars_of_field(want, field))), field
 
 
 @st.composite
@@ -543,7 +564,8 @@ def test_skeleton_flow_matches_the_bipartite_flow(kind):
         got = solve_transport(costs, supplies, demands, target, rate=rate, pairs=pairs)
         want = solve_transport(costs, supplies, demands, target, rate=rate)
         assert (got.total, got.cost) == (want.total, want.cost)
-        gamma, pot = got.flow, got.potentials
+        gamma, pot = dense(got.support, len(supplies), len(demands), 0), got.potentials
+        assert got.support == tuple((i, j, x) for i, row in enumerate(gamma) for j, x in enumerate(row) if x)
         assert len(pot) == len(supplies)
         assert all(x >= 0 for row in gamma for x in row)
         assert all(sum(row) <= s for row, s in zip(gamma, supplies))
@@ -618,7 +640,8 @@ def test_heap_dijkstra_matches_the_scan(problem):
 
 def test_search_counts_of_a_float_p2_solve(monkeypatch):
     # 127 augmentations at n = 64: 85 searches from the source, 42 resumed,
-    # and 4 Dijkstra runs, the final refresh included
+    # and 4 Dijkstra runs, the final refresh included; the curve keeps the
+    # start, the 3 points where a Dijkstra run raised the path cost, and the end
     rng = random.Random(6402)
     space = random_int_metric(rng, 64, max_d=9)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
@@ -647,7 +670,7 @@ def test_search_counts_of_a_float_p2_solve(monkeypatch):
     monkeypatch.setattr(flow, "_dijkstra", shortest)
     monkeypatch.setattr(flow, "_successive_shortest_paths", solve)
     rep = solve_wp(fspace, mu.as_float(fspace), nu.as_float(fspace), EntropyParams(a=2.0, b=0.5, p=2))
-    assert len(rep.curve) == 128
+    assert len(rep.curve) == 5
     assert counts == {"fresh": 85, "resumed": 42, "dijkstra": 4}
     # every phase searches first: a Dijkstra run follows a failed search,
     # or it is the final refresh, the last call of a solve
@@ -709,19 +732,19 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
                 stopped = solve_transport(costs, supplies, demands, rate=rate)
                 engine_rate, *sinks = runs[-1]
                 reached = solve_transport(costs, supplies, demands, target=full[sum(s < rate for s in slopes)][0])
-                assert stopped.flow == reached.flow and stopped.breakpoints == reached.breakpoints
-                assert all(c < rate for c_row, f_row in zip(costs, stopped.flow) for c, f in zip(c_row, f_row) if f)
+                assert stopped.support == reached.support and stopped.breakpoints == reached.breakpoints
+                assert all(costs[i][j] < rate for i, j, _ in stopped.support)
                 assert sinks[-1] == engine_rate
                 ties += rate in slopes
     assert ties == 33  # rates equal to a path cost of the curve
 
 
 @pytest.mark.parametrize("network", ["bipartite", "skeleton"])
-def test_a_scaled_run_builds_its_breakpoint_fractions_only_when_read(monkeypatch, network):
-    # a rate run on rational masses divides its support, total, cost and
-    # potentials; the breakpoints become Fractions at their first read, two
-    # per breakpoint, once, and are those an unwatched run reads; the dense
-    # flow, built at its first read, adds only its shared zero
+def test_a_scaled_run_divides_each_distinct_value_once(monkeypatch, network):
+    # a rate run on rational masses builds one Fraction per distinct flow
+    # value on its support, one for the total and one for the cost, one per
+    # potential and two per vertex of its curve, and its result is the one
+    # the engine gives on the Fractions themselves
     rng = random.Random(3202)
     space = random_int_metric(rng, 12, max_d=5)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
@@ -729,18 +752,57 @@ def test_a_scaled_run_builds_its_breakpoint_fractions_only_when_read(monkeypatch
     supplies, demands = list(mu.weights), list(nu.weights)
     pairs = space._irreducible if network == "skeleton" else None
     want = solve_transport(costs, supplies, demands, rate=4, pairs=pairs)
-    want_points, want_rows = want.breakpoints, want.flow
-    if pairs is None:  # the engine run on the Fractions themselves
-        assert want_points == _successive_shortest_paths(costs, supplies, demands, None, 4).breakpoints
+    if pairs is None:
+        assert want == _successive_shortest_paths(costs, supplies, demands, None, 4)
     built = []
     monkeypatch.setattr(flow, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     sol = solve_transport(costs, supplies, demands, rate=4, pairs=pairs)
     distinct = {id(x) for _, _, x in sol.support}
-    assert len(built) == len(distinct) + 2 + len(sol.potentials)  # the total and the cost
-    assert len(want_points) > 2
-    points = sol.breakpoints
-    assert len(built) == len(distinct) + 2 + len(sol.potentials) + 2 * len(points)
-    assert sol.breakpoints is points and points == want_points
-    rows = sol.flow
-    assert len(built) == len(distinct) + 3 + len(sol.potentials) + 2 * len(points)
-    assert sol.flow is rows and rows == want_rows and sparse(rows) == sol.support
+    assert len(built) == len(distinct) + 2 + len(sol.potentials) + 2 * len(sol.breakpoints)
+    assert sol == want and len(sol.breakpoints) > 2
+
+
+def vertices(points):
+    """The ends of an exact convex list of points and every point off the
+    chord of its neighbours, where the slope rises."""
+    kept = [(m1, t1) for (m0, t0), (m1, t1), (m2, t2) in zip(points, points[1:], points[2:])
+            if (t1 - t0) * (m2 - m1) != (t2 - t1) * (m1 - m0)]
+    return points[:1] + kept + points[1:][-1:]
+
+
+CURVE_FAMILIES = {"closed": lambda rng, n: random_int_metric(rng, n, max_d=3), "wide": wide_metric, "l1": l1_metric}
+
+
+@pytest.mark.parametrize("family", CURVE_FAMILIES)
+def test_each_curve_is_the_vertex_list_of_the_augmentations(family):
+    # the reference's list of one point per augmentation, against the curve:
+    # in exact mode the curve is its vertex list, its slopes strictly
+    # increase, and the skeleton's p = 1 curve is the same list; in floats
+    # the curve is a subsequence of it with the same ends, and its masses
+    # strictly increase
+    rng = random.Random(3301)
+    dropped = 0
+    for n in (3, 7, 12):
+        space = CURVE_FAMILIES[family](rng, n)
+        mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+        fspace = space.as_float()
+        fmu, fnu = mu.as_float(fspace), nu.as_float(fspace)
+        for p in (1, 2, 3):
+            curve = list(parametric_transport_curve(space, mu, nu, p).breakpoints)
+            costs = [[d**p for d in row] for row in space.dist]
+            every = reference_transport(costs, list(mu.weights), list(nu.weights), None, every=True).breakpoints
+            assert curve == vertices(every)
+            slopes = [(t1 - t0) / (m1 - m0) for (m0, t0), (m1, t1) in zip(curve, curve[1:])]
+            assert all(map(lt, slopes, slopes[1:]))
+            if p == 1:
+                on_skeleton = solve_transport(costs, list(mu.weights), list(nu.weights), pairs=space._irreducible)
+                assert on_skeleton.breakpoints == curve
+            dropped += len(every) - len(curve)
+
+            curve = list(parametric_transport_curve(fspace, fmu, fnu, p).breakpoints)
+            costs = [[d ** float(p) for d in row] for row in fspace.dist]
+            every = reference_transport(costs, list(fmu.weights), list(fnu.weights), None, every=True).breakpoints
+            rest = iter(every)
+            assert (curve[0], curve[-1]) == (every[0], every[-1]) and all(point in rest for point in curve)
+            assert all(m0 < m1 for (m0, _), (m1, _) in zip(curve, curve[1:]))
+    assert dropped > 0

@@ -21,8 +21,10 @@ from genwass import (
 from genwass import solver_w1, solver_wp
 from genwass.duality import primal_value
 from genwass.errors import InvalidParams, MassMismatch, SpaceMismatch
+from genwass.flow import solve_transport
+from genwass.measures import DiscreteMeasure
 from genwass.solver_wp import ParametricCurve
-from genwass.selftest import random_int_measure, random_int_metric, random_rational_measure
+from genwass.selftest import AB_CHOICES, random_int_measure, random_int_metric, random_rational_measure
 from reference import DensePlan, is_submeasure, marginals
 
 
@@ -82,7 +84,8 @@ def test_curve_interpolation_matches_segments():
 
 def test_float_curves_of_valid_instances_construct():
     # non-dyadic weights round at every push: float breakpoints sit a few
-    # ulps off the exact curve, and some augmentations leave the mass unchanged
+    # ulps off the exact curve, and an augmentation that leaves the mass
+    # unchanged replaces the last point instead of repeating its mass
     for seed in range(400):
         rng = random.Random(seed)
         n = rng.randint(1, 8)
@@ -111,9 +114,10 @@ def test_non_convex_curve_is_rejected(points):
     [
         (((0, 1), (1, 2)), "curve must start at"),
         (((0, 0), (1, 1), (1, 2)), "breakpoint masses must increase strictly"),
+        (((0.0, 0.0), (1.0, 1.0), (1.0, 2.0)), "breakpoint masses must increase strictly"),
         (((0, 0), (1, 1), (2, 0)), "accumulated cost cannot decrease"),
     ],
-    ids=["start", "mass-repeats", "cost-falls"],
+    ids=["start", "mass-repeats", "float-mass-repeats", "cost-falls"],
 )
 def test_malformed_curves_are_rejected(points, message):
     with pytest.raises(ValueError, match=message):
@@ -275,6 +279,25 @@ def test_p1_solve_certifies_once(monkeypatch, seed):
     report = solve(space, mu, nu, EntropyParams(a=Fraction(1), b=Fraction(1), p=1))
     assert report.duality_gap == 0 and report.conditions.passed
     assert calls == {"verify_optimality": 1, "primal_value": 1, "solve_transport": 1}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_float_weights_on_an_exact_space_give_the_report_of_their_exact_twin(p):
+    # the weights are read as the rationals they hold, once, for the flow and
+    # for the waste term: the curve, the plan and the masses are exact, and
+    # the value is the twin's to the bit.  A flow on exact costs over a unit
+    # refuses float masses
+    rng = random.Random(3303)
+    for _ in range(60):
+        space = random_int_metric(rng, rng.randint(1, 8))
+        mu, nu = (DiscreteMeasure(space, tuple(rng.uniform(0, 3) for _ in range(space.n))) for _ in "mn")
+        params = EntropyParams(a=rng.choice(AB_CHOICES), b=rng.choice(AB_CHOICES), p=p)
+        report = solve_wp(space, mu, nu, params)
+        assert report == solve_wp(space, measure(space, mu.weights), measure(space, nu.weights), params)
+        masses = [report.transported_mass, report.destroyed_mass, *(x for point in report.curve for x in point)]
+        assert all(type(x) is Fraction for x in masses)
+    with pytest.raises(ValueError, match="a cost unit takes exact inputs only"):
+        solve_transport([[0, 1], [1, 0]], [1.0, 0.0], [0.0, 1.0], cost_unit=1)
 
 
 def test_solve_wp_rejects_order_one(two_point):

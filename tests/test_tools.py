@@ -1,5 +1,6 @@
 import importlib.util
 import re
+from fractions import Fraction
 from pathlib import Path
 
 from genwass.cli import main as cli_main
@@ -66,3 +67,27 @@ def test_tracer_names_resolve_in_the_package():
     tracing = _load("tracing", TRACING)
     for module, function in tracing.TRACED:
         assert callable(getattr(importlib.import_module(f"genwass.{module}"), function)), (module, function)
+
+
+def test_tracer_counts_read_what_the_traced_functions_return():
+    # perfbench/run.py --trace 1 evaluates each count on a traced call's
+    # arguments and result; a result that lost what a count reads would
+    # fail there with an AttributeError or a TypeError
+    tracing = _load("tracing", TRACING)
+    costs, mu, nu = [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [1, Fraction(1, 2), 0], [0, 1, 1]
+    calls = {
+        "flow.solve_transport": [
+            ((costs, mu, nu), {"rate": 2}),  # a rate run, as at p = 1
+            ((costs, mu, nu), {}),  # a curve run, as at p > 1
+            ((costs, mu, nu), {"target": 1}),  # a target run, as at an interior optimum
+        ],
+        "simplex.maximize": [(([1, 1], [[1, 0], [0, 1]], [1, 2]), {})],
+        "spaces.validate_metric": [((["x", "y"], [[0, 1], [1, 0]]), {})],
+    }
+    assert set(calls) == set(tracing.COUNTS)
+    for name, runs in calls.items():
+        module, function = name.split(".")
+        traced = getattr(importlib.import_module(f"genwass.{module}"), function)
+        for args, kwargs in runs:
+            count = tracing.COUNTS[name][2](args, kwargs, traced(*args, **kwargs))
+            assert type(count) is int and count >= 0, name
