@@ -143,7 +143,7 @@ def _terms(
         space.exact
         and isinstance(unit, Fraction)
         and all(m._scaled for m in measures)
-        and exactness((params.b, *values))[0]
+        and exactness((params.b, *values))
     )
     if not ints:
         support = plan.support if plan is not None else ()
@@ -302,8 +302,11 @@ def solve_flat(
     shifted, x = simplex.maximize(c, rows, rhs)
     value = shifted - a * sum(c)
     f = tuple(xi - a for xi in x)
-    if not space.exact:
-        value = float(value)
+    if not space.exact:  # f lies in [-a, a], but the value can pass float range
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InvalidParams("the flat-metric value lies beyond float range") from None
         f = tuple(float(v) for v in f)
     return value, FlatWitness(f=f)
 

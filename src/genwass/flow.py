@@ -67,24 +67,25 @@ T, the next search resumes where the last one stopped instead of starting
 again from S: it would retrace the same steps (see :func:`_zero_path`).
 Dijkstra keeps its open nodes in a heap keyed by (distance, index).
 
-Exact inputs with rational entries are not run on Fractions: the masses are
-multiplied by the least common multiple M of their denominators
-(``scalars.scaled``) and the cost rows, with the rate, by that of theirs, C
-(``scalars.scaled_rows``), and the engine runs on the resulting Python
-ints.  A caller holding the costs as int rows over C passes C as
+Exact inputs, ints included, are always scaled and never run on Fractions:
+the masses are multiplied by the least common multiple M of their
+denominators (``scalars.scaled``) and the cost rows, with the rate, by that
+of theirs, C (``scalars.scaled_rows``), and the engine runs on the resulting
+Python ints.  A caller holding the costs as int rows over C passes C as
 ``cost_unit``, and its rows reach the engine as they are; its masses must be
 exact too.  Positive scaling preserves every comparison, so the augmenting
 paths, tie-breaks and breakpoints are the same; the result is divided once
-(masses by M, costs by M*C, potentials by C) and stays exact.  Scaled ints
-can pass float range, so no capacity is a float infinity.  Inputs that are
-not all exact, float ones and those that mix exact and float scalars, run
-it on floats, converted once by ``map(float, row)``, which leaves a float as
-it is.  One set of the input types (``scalars.exactness``) makes the
-choice.  The flow is handed over as its support, and only that is divided:
-the Fraction of each distinct flow value on it is built once and shared.
-The flat LP's simplex and the oracle scale their own inputs to integers,
-each with its own ``scalars.scaled`` call, and never use this solver or its
-scaled costs.
+(masses by M, costs by M*C, potentials by C) and comes back as Fractions.
+Scaled ints can pass float range, so no capacity is a float infinity.
+Inputs that are not all exact, float ones and those that mix exact and float
+scalars, run on floats, converted once by ``map(float, row)``, which leaves
+a float as it is.  One set of the input types (``scalars.exactness``) makes
+the choice, and the engine takes its zero, ``0`` or ``0.0``, from it: the
+caller hands it over, and no pass over the inputs derives it.  The flow is
+handed over as its support, and only that is divided: the Fraction of each
+distinct flow value on it is built once and shared.  The flat LP's simplex
+and the oracle scale their own inputs to integers, each with its own
+``scalars.scaled`` call, and never use this solver or its scaled costs.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, repeat
-from operator import getitem, mul
+from itertools import chain
+from operator import getitem
 
 from .errors import SolverFailure
 from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows, sparse
@@ -109,13 +110,11 @@ MAX_PHASES = 200_000
 
 @dataclass
 class FlowSolution:
-    """The flow's plan as its support, its mass and cost, the vertices of its
-    curve and the potentials."""
+    """The flow's plan as its support, the vertices of its curve, the last
+    being its mass and cost, and the potentials."""
 
     support: tuple[tuple[int, int, Scalar], ...]  # (i, j, flow) of the nonzero flows, row-major
-    total: Scalar
-    cost: Scalar
-    breakpoints: list[tuple[Scalar, Scalar]]  # (mass, cost) from (0, 0) to (total, cost)
+    breakpoints: list[tuple[Scalar, Scalar]]  # (mass, cost) from (0, 0) to the flow's own
     potentials: list[Scalar]  # of the nodes between S and T, in node order
 
 
@@ -125,11 +124,12 @@ def solve_transport(
 ) -> FlowSolution:
     """Push ``target`` units (default: as much as fits) at minimum cost.
 
-    Returns the support of the final flow, its mass and cost, the vertices
-    of the parametric curve, and the node potentials of the last phase, the
-    supplies' pi_i then the demands' pi_j: pi_j - pi_i <= costs[i][j] for
-    every pair, with equality on arcs that carry flow, the linear-programming
-    duals of the transport problem.
+    Returns the support of the final flow, the vertices of the parametric
+    curve, the last of which is the flow's mass and cost, and the node
+    potentials of the last phase, the supplies' pi_i then the demands' pi_j:
+    pi_j - pi_i <= costs[i][j] for every pair, with equality on arcs that
+    carry flow, the linear-programming duals of the transport problem.
+    Exact inputs give Fractions, ints included; any float gives floats.
 
     A caller that holds exact costs as ints over a common positive
     denominator passes that denominator as ``cost_unit``: arc (i, j) then
@@ -147,54 +147,50 @@ def solve_transport(
     """
     masses = [*supplies, *demands] + ([] if target is None else [target])
     rows = costs if rate is None else [*costs, [rate]]  # the rate scales with the costs
-    exact, rational = exactness(chain(masses, *rows))
-    scale = exact and (rational or cost_unit is not None)
-    if not exact:  # mixed exact and float scalars would spin the engine
+    exact = exactness(chain(masses, *rows))
+    if exact:
+        masses, M = scaled(masses)
+        rows, C = scaled_rows(rows) if cost_unit is None else (rows, cost_unit)
+    else:  # mixed exact and float scalars would spin the engine
         if pairs is not None:
             raise ValueError("the skeleton network takes exact inputs only")
         if cost_unit is not None:
             raise ValueError("a cost unit takes exact inputs only")
         masses, *rows = coerce_rows([masses, *rows], False)
-    elif scale:
-        masses, M = scaled(masses)
-        rows, C = scaled_rows(rows) if cost_unit is None else (rows, cost_unit)
     ns, nd = len(supplies), len(demands)
     costs, rate = (rows, None) if rate is None else (rows[:-1], rows[-1][0])
     target = None if target is None else masses[-1]
     supplies, demands = masses[:ns], masses[ns : ns + nd]
     if pairs is None:
-        sol = _successive_shortest_paths(costs, supplies, demands, target, rate)
+        sol = _successive_shortest_paths(costs, supplies, demands, target, rate, 0 if exact else 0.0)
     else:
         sol = _skeleton_paths(costs, pairs, supplies, demands, target, rate)
-    if not scale:
+    if not exact:
         return sol
 
     flows = {x for _, _, x in sol.support}  # one Fraction per distinct flow value, shared
     shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
     return FlowSolution(
         support=tuple([(i, j, shared[x]) for i, j, x in sol.support]),  # a list first, as scalars.sparse
-        total=Fraction(sol.total, M),
-        cost=Fraction(sol.cost, M * C),
         breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
         potentials=[Fraction(x, C) for x in sol.potentials],
     )
 
 
-def _successive_shortest_paths(costs, supplies, demands, target, rate=None) -> FlowSolution:
-    """The engine behind :func:`solve_transport` on the bipartite network."""
+def _successive_shortest_paths(costs, supplies, demands, target, rate, zero) -> FlowSolution:
+    """The engine behind :func:`solve_transport` on the bipartite network, in
+    the scalar type of ``zero``, which the inputs share."""
     ns, nt = len(supplies), len(demands)
-    # a zero of the inputs' scalar type; their float sum could overflow to inf
-    zero = sum(map(mul, repeat(0), chain(supplies, demands, *costs)))
     S, T = 0, ns + nt + 1
     total_mass = sum(supplies) + sum(demands)
     arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
     arcs += [(1 + i, ns + 1 + j, total_mass, c) for i, row in enumerate(costs) for j, c in enumerate(row)]
     arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
-    flow, pushed, cost, breakpoints, pot = _augment(arcs, T, zero, _target(supplies, demands, target), rate)
+    flow, breakpoints, pot = _augment(arcs, T, zero, _target(supplies, demands, target), rate)
 
     # the transport arcs follow the ns source arcs, row by row
     support = sparse(flow[ns + i * nt : ns + (i + 1) * nt] for i in range(ns))
-    return FlowSolution(support, pushed, cost, breakpoints, pot[1:T])
+    return FlowSolution(support, breakpoints, pot[1:T])
 
 
 def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSolution:
@@ -226,7 +222,7 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
     arcs += [(1 + u, 1 + v, total_mass, costs[u][v]) for i, j in links for u, v in ((i, j), (j, i))]
     arcs += [(1 + j, T, d, 0) for j, d in enumerate(demands)]
-    flow, pushed, cost, breakpoints, pot = _augment(arcs, T, 0, _target(supplies, demands, target), rate)
+    flow, breakpoints, pot = _augment(arcs, T, 0, _target(supplies, demands, target), rate)
 
     gamma = {}  # the plan's nonzero entries by (i, j)
     out = [{} for _ in range(n)]  # the arcs that carry flow, by tail and head
@@ -257,7 +253,7 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
             need[v] -= delta
             gamma[i, v] = gamma.get((i, v), 0) + delta
     support = tuple([(i, j, x) for (i, j), x in sorted(gamma.items())])
-    return FlowSolution(support, pushed, cost, breakpoints, pot[1:T])
+    return FlowSolution(support, breakpoints, pot[1:T])
 
 
 def _target(supplies, demands, target):
@@ -275,8 +271,8 @@ def _augment(arcs, T, zero, target, rate):
     the network ``arcs`` of (tail, head, capacity, cost), in ``zero``'s
     scalar type.  A ``rate`` adds the arc S -> T last and stops the run on
     it; else the run stops at ``target``.  Returns the flow of each arc in
-    the order given, the mass pushed, its cost, the curve's vertices and the
-    node potentials after the final refresh.
+    the order given, the curve's vertices, the last of which is the mass
+    pushed and its cost, and the node potentials after the final refresh.
     """
     S, given = 0, len(arcs)
     head, cap, cost = [], [], []
@@ -345,7 +341,7 @@ def _augment(arcs, T, zero, target, rate):
     # Final potential refresh so the duals reflect the terminal residual graph.
     dist, _ = _dijkstra(adj, head, cap, cost, flow, pot)
     _update_potentials(pot, dist, T)
-    return flow[: 2 * given : 2], pushed, cost_acc, breakpoints, pot
+    return flow[: 2 * given : 2], breakpoints, pot
 
 
 def _vertex(points, mass, cost):

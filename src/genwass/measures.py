@@ -40,7 +40,7 @@ class DiscreteMeasure:
     # or None if any is not exact.
     @cached_property
     def _scaled(self) -> tuple | None:
-        return scaled(self.weights) if exactness(self.weights)[0] else None
+        return scaled(self.weights) if exactness(self.weights) else None
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         require_same_space(self, other)
@@ -85,7 +85,7 @@ def measure(space: FiniteMetricSpace, weights) -> DiscreteMeasure:
     exact space keep their values, and the measure's own check names them.
     """
     weights = tuple(weights)
-    if not (space.exact and exactness(weights)[0]):
+    if not (space.exact and exactness(weights)):
         _check_weights(weights, None)
     return DiscreteMeasure(space, coerce_rows([weights], space.exact)[0])
 
@@ -210,7 +210,7 @@ class TransportPlan:
     @cached_property
     def _scaled(self) -> tuple:
         masses = [x for _, _, x in self.support]
-        if self.space.exact and exactness(masses)[0]:
+        if self.space.exact and exactness(masses):
             ints, factor = scaled(masses)
             return tuple([(i, j, g) for (i, j, _), g in zip(self.support, ints)]), Fraction(1, factor)
         return self.support, 1

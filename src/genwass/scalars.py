@@ -5,16 +5,15 @@ invariance checks can be asserted with zero tolerance.  Float mode runs the
 same algorithms on ``float`` values.
 
 Matrices and vectors cross this layer a row at a time, not a number at a
-time, and the per-kind rules live here alone.  The kind of a sequence (all
-exact or not, any Fraction or not) is decided once, by :func:`exactness`
-from the set of its entries' types.  A row of ints is read as it is
-(:func:`parse_row`), found finite by one ``max(map(abs, row)) <= FLOAT_MAX``
-(:func:`first_nonfinite`), made exact with one Fraction per distinct value,
-shared, since Fractions are immutable (:func:`coerce_rows`), and is its own
-integer image with factor 1, for an exact space and the metric checks
-(:func:`int_rows`); float mode converts every row by ``map(float, row)``.  A
-row of ints and strings, such as a row of an exact plan report, is parsed
-once per distinct entry.  Per-entry code still runs in four places: rows
+time, and the per-kind rules live here alone.  The kind of a sequence, all
+exact or not, is decided once, by :func:`exactness` from the set of its
+entries' types.  A row of ints is read as it is (:func:`parse_row`), found
+finite by one ``max(map(abs, row)) <= FLOAT_MAX`` (:func:`first_nonfinite`),
+made exact with one Fraction per distinct value, shared, since Fractions
+are immutable (:func:`coerce_rows`), and is its own integer image with
+factor 1, for an exact space and the metric checks (:func:`int_rows`); float
+mode converts every row by ``map(float, row)``.  A row of ints and strings,
+such as a row of an exact plan report, is parsed once per distinct entry.  Per-entry code still runs in four places: rows
 that hold any other kind (floats, bools, or values that are not numbers) are
 parsed entry by entry, rows that are not all ints are tested for finiteness
 and made exact entry by entry, and once a row-level test fails a walk of
@@ -101,19 +100,11 @@ def parse_row(row) -> list:
     return list(map(parse_scalar, row))
 
 
-def is_exact(value) -> bool:
-    return exactness((value,))[0]
-
-
-def exactness(values) -> tuple[bool, bool]:
-    """Whether every value is exact (an int or a Fraction, never a bool) and
-    whether any is a Fraction: one answer for the sequence, from the set of
-    its entries' types, tested a type at a time."""
-    types = set(map(type, values))
-    return (
-        all(issubclass(t, (int, Fraction)) and t is not bool for t in types),
-        any(issubclass(t, Fraction) for t in types),
-    )
+def exactness(values) -> bool:
+    """Whether every value is exact (an int or a Fraction, never a bool): one
+    answer for the sequence, from the set of its entries' types, tested a
+    type at a time."""
+    return all(issubclass(t, (int, Fraction)) and t is not bool for t in set(map(type, values)))
 
 
 def scaled(values) -> tuple[list[int], int]:

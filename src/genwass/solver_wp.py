@@ -49,7 +49,7 @@ class ParametricCurve:
         pts = self.breakpoints
         if not pts or pts[0][0] != 0 or pts[0][1] != 0:
             raise ValueError("curve must start at (0, 0)")
-        exact = exactness(chain.from_iterable(pts))[0]
+        exact = exactness(chain.from_iterable(pts))
         slack = 0 if exact else ROUNDING_TOL * (1.0 + max(abs(t) for _, t in pts))
         # (mp, tp) precedes (m0, t0); the first point precedes itself
         for (mp, tp), (m0, t0), (m1, t1) in zip((pts[0], *pts), pts, pts[1:]):
@@ -139,7 +139,7 @@ def wasserstein_p(
     slack = 0 if space.exact else ROUNDING_TOL * (1.0 + max(float(mu.mass), float(nu.mass)))
     if abs(mu.mass - nu.mass) > slack:
         raise MassMismatch(f"|mu| = {mu.mass} differs from |nu| = {nu.mass}")
-    return _root(flow().cost, p)
+    return _root(flow().breakpoints[-1][1], p)
 
 
 def parametric_transport_curve(

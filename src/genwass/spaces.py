@@ -103,7 +103,7 @@ def validate_metric(labels, matrix, exact: bool | None = None) -> FiniteMetricSp
         if j is not None:
             raise NonFiniteEntry(i, j, labels)
     if exact is None:
-        exact = exactness(chain.from_iterable(matrix))[0]
+        exact = exactness(chain.from_iterable(matrix))
     dist = coerce_rows(matrix, exact)
     space = FiniteMetricSpace(labels=labels, dist=dist, exact=exact)
     # Exact entries are checked on the integer image, which keeps every

@@ -121,6 +121,23 @@ def test_flat_matches_dist(problem_file, capsys):
     assert json.loads(capsys.readouterr().out)["flat_value"] == 1
 
 
+# a float field puts the whole file in float mode; past float range, the
+# flat LP's value has no float
+FLAT_PAST_FLOAT_RANGE = [
+    {"space": {"points": ["a", "b"], "d": [[0, 1], [1, 0]]}, "mu": {"a": 1.7e308}, "nu": {"b": 1},
+     "params": {"a": 2, "b": 1}},
+    {"space": {"points": ["a", "b", "c"], "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}, "mu": {"a": 1.5}, "nu": {"c": 1},
+     "params": {"a": 1e308, "b": 1e308}},
+]
+
+
+@pytest.mark.parametrize("doc", FLAT_PAST_FLOAT_RANGE, ids=["weight", "rates"])
+def test_flat_past_float_range_is_an_input_error(problem_file, capsys, doc):
+    assert main(["flat", "--input", problem_file(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the flat-metric value lies beyond float range\n"
+
+
 def test_param_overrides(problem_file, capsys):
     # doubling b makes shipping as costly as waste: value 2
     assert main(["dist", "--input", problem_file(TWO_POINT), "--b", "2"]) == 0
@@ -295,6 +312,22 @@ def assert_contract_codes(doc, path, value, commands, argv=("--input",)):
 @given(st.sampled_from(list(field_paths(QUOTIENT_DOC))), json_values())
 def test_any_field_value_exits_with_a_contract_code(path, value):
     assert_contract_codes(QUOTIENT_DOC, path, value, ("dist", "quotient"))
+
+
+# p = 1 at a = 2 with no "mode": one float field switches the file to float mode
+ORDER_ONE_DOC = {
+    "space": {"points": ["x", "y"], "d": [[0, 1], [1, 0]]},
+    "mu": {"x": 1},
+    "nu": {"y": 1},
+    "params": {"a": 2, "b": 1, "p": 1},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(field_paths(ORDER_ONE_DOC))), json_values())
+@example(path=("mu", "x"), value=1.7e308)
+def test_any_order_one_field_value_exits_with_a_contract_code(path, value):
+    assert_contract_codes(ORDER_ONE_DOC, path, value, ("dist", "plan", "dual", "flat", "verify"))
 
 
 GH_DOC = {

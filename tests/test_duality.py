@@ -27,7 +27,7 @@ from genwass import duality, jsonio, measures
 from genwass.duality import _terms, feasibility_slack, is_feasible_pair, primal_value, verification_tol
 from genwass.errors import GenwassError, InfeasibleInputs, InvalidParams, InvalidWeight, SolverFailure, SpaceMismatch
 from genwass.measures import DiscreteMeasure, require_same_space
-from genwass.scalars import CERTIFY_TOL, NEG_INF, ROUNDING_TOL, coerce, is_exact
+from genwass.scalars import CERTIFY_TOL, NEG_INF, ROUNDING_TOL, coerce, exactness
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_w1 import certified_report
 from reference import DensePlan, is_submeasure, lebesgue_decompose, marginals, zero_measure
@@ -294,6 +294,21 @@ def test_order_one_functions_reject_other_orders(line3, check, exact):
     }
     with pytest.raises(InvalidParams, match="only defined for p = 1"):
         calls[check]()
+
+
+@pytest.mark.parametrize(
+    "d, mu, nu, a, b",
+    [
+        ([[0.0, 1.0], [1.0, 0.0]], [1.7e308, 0.0], [0.0, 1.0], 2.0, 1.0),
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], [1.5, 0.0, 0.0], [0.0, 0.0, 1.0], 1e308, 1e308),
+    ],
+    ids=["weight", "rates"],
+)
+def test_a_flat_value_past_float_range_is_invalid_params(d, mu, nu, a, b):
+    # the exact LP value is past float range; its witness lies in [-a, a]
+    space = validate_metric([f"x{i}" for i in range(len(d))], d, exact=False)
+    with pytest.raises(InvalidParams, match="beyond float range"):
+        solve_flat(space, measure(space, mu), measure(space, nu), EntropyParams(a=a, b=b, p=1))
 
 
 def test_certificate_needs_a_plan_on_the_space(two_point, two_point_far, unit_params):
@@ -622,7 +637,7 @@ def test_integer_checks_match_the_fraction_checks(case):
     # Fraction(tol), where the reference adds it in floats, rounding b d + tol
     # (test_float_tolerance_is_added_exactly); the reference gets Fraction(tol)
     # there.  Float potentials take the float tolerance unchanged on both sides.
-    exact_duals = space.exact and all(map(is_exact, potentials.phi1 + potentials.phi2))
+    exact_duals = space.exact and exactness(potentials.phi1 + potentials.phi2)
     ref_tol = Fraction(tol) if exact_duals and isinstance(tol, float) else tol
     assert_same(is_feasible_pair(space, potentials), reference_is_feasible_pair(space, potentials))
     assert_same(

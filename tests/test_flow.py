@@ -1,8 +1,10 @@
 """Engine-level checks of the successive-shortest-path transport solver."""
 
+import functools
 import random
 from fractions import Fraction
-from operator import lt
+from itertools import chain, repeat
+from operator import lt, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,25 @@ from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_wp import ParametricCurve, solve_wp
 from reference import l1_metric, wide_metric
 
-FIELDS = ("support", "total", "cost", "breakpoints", "potentials")
+FIELDS = ("support", "breakpoints", "potentials")
+
+
+def engine(costs, supplies, demands, target, rate=None) -> FlowSolution:
+    """The bipartite engine run directly, in the inputs' own scalar type: its
+    zero is the sum of 0 times each input (a float sum of the inputs could
+    overflow to inf)."""
+    zero = sum(map(mul, repeat(0), chain(supplies, demands, *costs)))
+    return _successive_shortest_paths(costs, supplies, demands, target, rate, zero)
+
+
+def as_fractions(sol) -> FlowSolution:
+    """An all-int solution with every scalar made a Fraction, as
+    solve_transport gives it on all-int inputs."""
+    return FlowSolution(
+        support=tuple((i, j, Fraction(x)) for i, j, x in sol.support),
+        breakpoints=[(Fraction(m), Fraction(t)) for m, t in sol.breakpoints],
+        potentials=list(map(Fraction, sol.potentials)),
+    )
 
 
 def reference_transport(costs, supplies, demands, target, every=False) -> FlowSolution:
@@ -115,8 +135,6 @@ def reference_transport(costs, supplies, demands, target, every=False) -> FlowSo
 
     return FlowSolution(
         support=tuple((i, j, x) for i, row in enumerate(flow) for j, x in enumerate(row) if x),
-        total=pushed,
-        cost=cost_acc,
         breakpoints=breakpoints,
         potentials=pot[1 : ns + nt + 1],
     )
@@ -210,8 +228,6 @@ def scalars_of_field(sol, field):
 
 def test_single_arc():
     sol = solve_transport([[Fraction(3)]], [Fraction(1)], [Fraction(1)])
-    assert sol.total == 1
-    assert sol.cost == 3
     assert sol.breakpoints == [(0, 0), (1, 3)]
 
 
@@ -234,8 +250,7 @@ def test_rerouting_through_residual_arcs():
         [Fraction(2), Fraction(1)],
     ]
     sol = solve_transport(costs, [Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)])
-    assert sol.total == 2
-    assert sol.cost == min(1 + 1, 10 + 2)
+    assert sol.breakpoints[-1] == (2, min(1 + 1, 10 + 2))
 
 
 def test_potentials_are_feasible_duals():
@@ -269,7 +284,7 @@ def test_curve_slopes_nondecreasing():
             if prev is not None:
                 assert slope >= prev
             prev = slope
-        assert sol.total == min(sum(supplies), sum(demands))
+        assert sol.breakpoints[-1][0] == min(sum(supplies), sum(demands))
 
 
 def test_each_prefix_is_min_cost_at_its_mass():
@@ -311,7 +326,7 @@ def test_each_prefix_is_min_cost_at_its_mass():
             return best
 
         curve = ParametricCurve(tuple(sol.breakpoints))
-        for m in range(int(sol.total) + 1):
+        for m in range(int(sol.breakpoints[-1][0]) + 1):
             assert best_at(m) == curve.value_at(m)
 
 
@@ -322,7 +337,7 @@ def test_scaled_exact_path_equals_fraction_engine(problem, num, den):
     costs, supplies, demands = problem
     target = None if den is None else min(sum(supplies), sum(demands)) * Fraction(min(num, den), den)
     got = solve_transport(costs, supplies, demands, target=target)
-    want = _successive_shortest_paths(costs, supplies, demands, target)
+    want = engine(costs, supplies, demands, target)
     for field in FIELDS:
         assert getattr(got, field) == getattr(want, field), field
         assert all(type(x) is Fraction for x in scalars_of_field(got, field)), field
@@ -332,9 +347,51 @@ def test_float_inputs_run_the_engine_directly():
     costs = [[1.5, 0.25, 3.0], [2.0, 1.0, 0.1]]
     supplies, demands = [0.5, 1.0], [1.0, 0.75, 0.2]
     got = solve_transport(costs, supplies, demands, target=1.2)
-    assert got == _successive_shortest_paths(costs, supplies, demands, 1.2)
+    assert got == engine(costs, supplies, demands, 1.2)
     for field in FIELDS:
         assert all(type(x) is float for x in scalars_of_field(got, field)), field
+
+
+def run_checking_the_last_vertex(stop, costs, supplies, demands, target, rate, **unit) -> FlowSolution:
+    """solve_transport stopped as ``stop`` names ("none", "target" or
+    "rate"), after checking that the curve's last vertex is the support's
+    mass and its cost."""
+    kwargs = {"target": target} if stop == "target" else {"rate": rate} if stop == "rate" else {}
+    sol = solve_transport(costs, supplies, demands, **kwargs, **unit)
+    mass, cost = sol.breakpoints[-1]
+    assert mass == sum(x for _, _, x in sol.support)
+    assert cost == sum(costs[i][j] * x for i, j, x in sol.support) / unit.get("cost_unit", 1)
+    return sol
+
+
+def over(values, den):
+    return [Fraction(x, den) for x in values]
+
+
+@pytest.mark.parametrize("stop", ["none", "target", "rate"])
+def test_exact_inputs_give_fractions_and_float_inputs_floats(stop):
+    # one seeded problem of ints C, S, D, target t and rate r, run as they
+    # are, and over units u for the costs and 2 for the masses: as Fractions,
+    # as int costs with cost_unit=u, and as floats, dyadic so that float sums
+    # are exact.  Every exact run gives Fractions in every field and equals
+    # the run on the same values as Fractions; the float run gives floats of
+    # the same values
+    rng = random.Random(3401)
+    run = functools.partial(run_checking_the_last_vertex, stop)
+    for _ in range(25):
+        ns, nt, u = rng.randint(1, 5), rng.randint(1, 5), rng.choice((1, 2, 4))
+        C = [[rng.randint(0, 9) for _ in range(nt)] for _ in range(ns)]
+        S, D = [rng.randint(0, 6) for _ in range(ns)], [rng.randint(0, 6) for _ in range(nt)]
+        t, r = min(sum(S), sum(D)) * rng.randint(0, 4) // 4, rng.randint(0, 12)
+        ints = run(C, S, D, t, r)
+        assert_same_solution(ints, run([over(row, 1) for row in C], over(S, 1), over(D, 1), t, r))
+        scaled = run([over(row, u) for row in C], over(S, 2), over(D, 2), Fraction(t, 2), Fraction(r, u))
+        assert_same_solution(run(C, over(S, 2), over(D, 2), Fraction(t, 2), r, cost_unit=u), scaled)
+        floats = run([[c / u for c in row] for row in C], [s / 2 for s in S], [d / 2 for d in D], t / 2, r / u)
+        for field in FIELDS:
+            for sol, kind in ((ints, Fraction), (scaled, Fraction), (floats, float)):
+                assert {type(x) for x in scalars_of_field(sol, field)} <= {kind}, field
+            assert scalars_of_field(floats, field) == scalars_of_field(scaled, field), field
 
 
 def assert_same_solution(got, want):
@@ -366,10 +423,12 @@ def tie_heavy_problems(draw):
 @example(([[0, 0], [0, 0]], [1, 1], [1, 1], None))
 @example(([[1, 0], [0, 1]], [1, 0], [0, 1], 0))
 def test_engine_matches_reference(problem):
+    # the engine keeps the inputs' kind; solve_transport gives Fractions for ints
     costs, supplies, demands, target = problem
     want = reference_transport(costs, supplies, demands, target)
-    assert_same_solution(solve_transport(costs, supplies, demands, target=target), want)
-    assert_same_solution(_successive_shortest_paths(costs, supplies, demands, target), want)
+    assert_same_solution(engine(costs, supplies, demands, target), want)
+    ints = all(type(x) is int for x in scalars_of(problem))
+    assert_same_solution(solve_transport(costs, supplies, demands, target=target), as_fractions(want) if ints else want)
 
 
 def test_transport_arc_reused_past_float_range():
@@ -380,7 +439,7 @@ def test_transport_arc_reused_past_float_range():
     supplies, demands = [Fraction(1, 3), huge + 2], [huge, Fraction(1)]
     sol = solve_transport(costs, supplies, demands)
     assert sol == reference_transport(costs, supplies, demands, None)
-    assert sol.total == huge + 1 and sol.cost == Fraction(11, 3)
+    assert sol.breakpoints[-1] == (huge + 1, Fraction(11, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,7 +460,7 @@ def test_float_instances_finish_with_all_the_mass(n, seed, den, data):
     sol = solve_transport(costs, mu, nu)
     most = min(sum(mu), sum(nu))
     assert len(sol.breakpoints) - 1 < MAX_PHASES
-    assert abs(sol.total - most) <= MASS_RTOL * (1.0 + most)
+    assert abs(sol.breakpoints[-1][0] - most) <= MASS_RTOL * (1.0 + most)
 
 
 def test_mixed_scalar_instances_finish(monkeypatch):
@@ -424,7 +483,7 @@ def test_mixed_scalar_instances_finish(monkeypatch):
         supplies, demands = [scalar(3) for _ in range(ns)], [scalar(3) for _ in range(nt)]
         sol = solve_transport(costs, supplies, demands)
         most = float(min(sum(supplies), sum(demands)))
-        assert abs(sol.total - most) <= 1e-9 * most
+        assert abs(sol.breakpoints[-1][0] - most) <= 1e-9 * most
 
 
 SCALARS = {"int": lambda k, d: k // d, "fraction": Fraction, "float": lambda k, d: k / d}
@@ -563,15 +622,16 @@ def test_skeleton_flow_matches_the_bipartite_flow(kind):
     for costs, supplies, demands, target, _, rate, pairs in skeleton_problems(kind):
         got = solve_transport(costs, supplies, demands, target, rate=rate, pairs=pairs)
         want = solve_transport(costs, supplies, demands, target, rate=rate)
-        assert (got.total, got.cost) == (want.total, want.cost)
+        assert got.breakpoints[-1] == want.breakpoints[-1]
         gamma, pot = dense(got.support, len(supplies), len(demands), 0), got.potentials
         assert got.support == tuple((i, j, x) for i, row in enumerate(gamma) for j, x in enumerate(row) if x)
         assert len(pot) == len(supplies)
         assert all(x >= 0 for row in gamma for x in row)
         assert all(sum(row) <= s for row, s in zip(gamma, supplies))
         assert all(sum(col) <= d for col, d in zip(zip(*gamma), demands))
-        assert sum(map(sum, gamma)) == got.total
-        assert sum(c * x for c_row, g_row in zip(costs, gamma) for c, x in zip(c_row, g_row)) == got.cost
+        mass, cost = got.breakpoints[-1]
+        assert sum(map(sum, gamma)) == mass
+        assert sum(c * x for c_row, g_row in zip(costs, gamma) for c, x in zip(c_row, g_row)) == cost
         if target is None:
             assert [gamma[i][i] for i in range(len(gamma))] == list(map(min, supplies, demands))
         for i, (c_row, g_row) in enumerate(zip(costs, gamma)):
@@ -634,7 +694,7 @@ def test_heap_dijkstra_matches_the_scan(problem):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_zero_path", lambda *args: None)
         mp.setattr(flow, "_dijkstra", compared)
-        _successive_shortest_paths(*problem)
+        engine(*problem)
     assert states
 
 
@@ -646,7 +706,7 @@ def test_search_counts_of_a_float_p2_solve(monkeypatch):
     space = random_int_metric(rng, 64, max_d=9)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
     fspace = space.as_float()
-    zero_path, dijkstra, engine = flow._zero_path, flow._dijkstra, flow._successive_shortest_paths
+    zero_path, dijkstra, bipartite = flow._zero_path, flow._dijkstra, flow._successive_shortest_paths
     counts = {"fresh": 0, "resumed": 0, "dijkstra": 0}
     calls = []
 
@@ -662,7 +722,7 @@ def test_search_counts_of_a_float_p2_solve(monkeypatch):
         return dijkstra(*args)
 
     def solve(*args):
-        sol = engine(*args)
+        sol = bipartite(*args)
         calls.append("end")
         return sol
 
@@ -704,12 +764,12 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
     # augmentation that costs less than the rate: the same flow and
     # breakpoints, no shipped arc of cost >= the rate, and the final refresh
     # leaves the sink potential at the rate, in the engine's units
-    engine, update = flow._successive_shortest_paths, flow._update_potentials
+    bipartite, update = flow._successive_shortest_paths, flow._update_potentials
     runs = []
 
-    def run(costs, supplies, demands, target, rate=None):
+    def run(costs, supplies, demands, target, rate, zero):
         runs.append([rate])
-        return engine(costs, supplies, demands, target, rate)
+        return bipartite(costs, supplies, demands, target, rate, zero)
 
     def refresh(pot, dist, T):
         update(pot, dist, T)
@@ -742,9 +802,9 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
 @pytest.mark.parametrize("network", ["bipartite", "skeleton"])
 def test_a_scaled_run_divides_each_distinct_value_once(monkeypatch, network):
     # a rate run on rational masses builds one Fraction per distinct flow
-    # value on its support, one for the total and one for the cost, one per
-    # potential and two per vertex of its curve, and its result is the one
-    # the engine gives on the Fractions themselves
+    # value on its support, one per potential and two per vertex of its
+    # curve, and its result is the one the engine gives on the Fractions
+    # themselves
     rng = random.Random(3202)
     space = random_int_metric(rng, 12, max_d=5)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
@@ -753,12 +813,12 @@ def test_a_scaled_run_divides_each_distinct_value_once(monkeypatch, network):
     pairs = space._irreducible if network == "skeleton" else None
     want = solve_transport(costs, supplies, demands, rate=4, pairs=pairs)
     if pairs is None:
-        assert want == _successive_shortest_paths(costs, supplies, demands, None, 4)
+        assert want == engine(costs, supplies, demands, None, 4)
     built = []
     monkeypatch.setattr(flow, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     sol = solve_transport(costs, supplies, demands, rate=4, pairs=pairs)
     distinct = {id(x) for _, _, x in sol.support}
-    assert len(built) == len(distinct) + 2 + len(sol.potentials) + 2 * len(sol.breakpoints)
+    assert len(built) == len(distinct) + len(sol.potentials) + 2 * len(sol.breakpoints)
     assert sol == want and len(sol.breakpoints) > 2
 
 

@@ -4,9 +4,8 @@ every public export but the paper's entry points is referenced by some
 module other than ``__init__``,
 only ``scalars`` names ``lcm``: ``scalars.scaled`` is the one helper
 that turns exact values into integers over a common denominator, only
-``scalars`` names ``is_exact``: ``scalars.exactness`` decides the kind of a
-whole sequence at once, only ``scalars`` writes a float tolerance, the
-independent cross-check routes never reach the flow solver through imports,
+``scalars`` writes a float tolerance, the independent cross-check routes
+never reach the flow solver through imports,
 and the test references in ``tests/reference.py`` use no private name of the
 package, so they share no hidden helper with the routes they check.
 
@@ -137,11 +136,6 @@ def name_users(sources: dict[str, str], wanted: str) -> list[str]:
 
 def test_only_scalars_names_lcm():
     assert name_users({p.stem: p.read_text() for p in PACKAGE}, "lcm") == ["scalars"]
-
-
-def test_only_scalars_names_is_exact():
-    # every other module asks scalars.exactness once for a whole sequence
-    assert name_users({p.stem: p.read_text() for p in PACKAGE}, "is_exact") == ["scalars"]
 
 
 def small_float_literals(source: str) -> list[float]:

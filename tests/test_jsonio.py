@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from genwass import EntropyParams, jsonio, scalars, solve_w1
 from genwass.duality import DualPotentials
 from genwass.errors import NonFiniteEntry
-from genwass.scalars import coerce, exactness, first_nonfinite, is_exact, is_finite, parse_row, parse_scalar
+from genwass.scalars import coerce, exactness, first_nonfinite, is_finite, parse_row, parse_scalar
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.spaces import validate_metric
 from reference import DensePlan
@@ -69,7 +69,7 @@ def reference_validate_metric(labels, matrix, exact=None):
             if not is_finite(x):
                 raise NonFiniteEntry(i, j, labels)
     if exact is None:
-        exact = all(is_exact(x) for row in matrix for x in row)
+        exact = exactness(x for row in matrix for x in row)
     dist = tuple(tuple(coerce(x, exact) for x in row) for row in matrix)
     return validate_metric(labels, dist, exact=exact)
 
@@ -81,7 +81,7 @@ def reference_all_exact(doc) -> bool:
     scalars += [x for key in ("mu", "nu") if isinstance(doc[key], dict) for x in doc[key].values()]
     if isinstance(params, dict):
         scalars += [params[key] for key in ("a", "b", "p") if key in params]
-    return all(is_exact(x) or isinstance(x, str) for x in scalars)
+    return exactness(x for x in scalars if not isinstance(x, str))
 
 
 def reference_parse_plan(doc, space):
@@ -290,18 +290,19 @@ def test_int_rows_share_one_fraction_per_value():
 @pytest.mark.parametrize(
     "values, expected",
     [
-        ([], (True, False)),
-        ([1, 2], (True, False)),
-        ([1, Fraction(1, 2)], (True, True)),
-        ([Fraction(1, 2), 1.0], (False, True)),
-        ([1, True], (False, False)),
-        ([0.5], (False, False)),
-        (["1/2"], (False, False)),
+        ([], True),
+        ([1, 2], True),
+        ([1, Fraction(1, 2)], True),
+        ([Fraction(1, 2), 1.0], False),
+        ([1, True], False),
+        ([0.5], False),
+        (["1/2"], False),
     ],
+    ids=[f"values{k}-expected{k}" for k in range(7)],  # the names pytest gives non-scalar cases
 )
 def test_exactness_answers_for_the_sequence(values, expected):
-    assert exactness(values) == expected
-    assert exactness(values)[0] == all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in values)
+    assert exactness(values) is expected
+    assert expected == all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in values)
 
 
 @pytest.mark.parametrize(

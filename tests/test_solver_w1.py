@@ -286,7 +286,7 @@ def test_only_the_rate_stops_a_float_rate_run(monkeypatch):
     monkeypatch.setattr(solver_w1, "solve_transport", kept)
     monkeypatch.setattr(flow, "_update_potentials", refresh)
     report = solve_w1(space, mu, nu, params)
-    assert sols[0].total > min(mu.mass, nu.mass)
+    assert sols[0].breakpoints[-1][0] > min(mu.mass, nu.mass)
     assert sinks[-1] == 4.0
     assert 0 <= report.duality_gap <= 1e-9 * (1.0 + abs(report.value))
 
@@ -295,8 +295,8 @@ def stopped_bipartite_value(space, mu, nu, params):
     """The reference value: the flow of the costs b d on the complete
     bipartite network, stopped at the rate 2a, as a(|mu| + |nu| - 2m) + cost."""
     costs = [[params.b * d for d in row] for row in space.dist]
-    sol = flow.solve_transport(costs, list(mu.weights), list(nu.weights), rate=2 * params.a)
-    return params.a * (mu.mass + nu.mass - 2 * sol.total) + sol.cost
+    m, cost = flow.solve_transport(costs, list(mu.weights), list(nu.weights), rate=2 * params.a).breakpoints[-1]
+    return params.a * (mu.mass + nu.mass - 2 * m) + cost
 
 
 SPREAD = EntropyParams(a=Fraction(500), b=Fraction(1, 2), p=1)

@@ -18,25 +18,25 @@ def _load(name, path):
 
 
 def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
-    # per instance: solve at p = 1, 2, 3, solve_flat, five certificates, one
+    # per instance: solve at p = 1, 3/2, 2, 3, solve_flat, five certificates, one
     # dual objective, one metric check and three CLI calls; the skeleton pair
     # count more on exact instances (all three here); four `verify --report`
     # calls more when the problem file is at p = 1 (instances 1 and 2 of every 3),
     # and on at most 3 points (instance 2, of 1 point) six oracle values, the
     # certificate and primal value of a plan of ints, and, being exact, the
-    # p = 1 report on float weights and the float certificate on huge weights
-    # more
+    # p = 1 and p = 2 reports on float weights and the float certificate on
+    # huge weights more
     dump = _load("dump_outputs", DUMP)
     monkeypatch.setattr(dump, "INSTANCES", 3)
     # the larger section, shrunk: two lines per family and mode, and the
     # skeleton pair count first in exact mode
     monkeypatch.setattr(dump, "LARGE", (("l1", 6, 500), ("wide", 5, 500), ("closed", 4, 2)))
     lines = list(dump.dump(cli_main, tmp_path))
-    small, large = lines[: 15 + 19 + 29], lines[15 + 19 + 29 :]
+    small, large = lines[: 16 + 20 + 31], lines[16 + 20 + 31 :]
     tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in small]
     assert all(tags)
     ks = [int(tag.group(2)) for tag in tags]
-    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [15, 19, 29]
+    assert ks == sorted(ks) and [ks.count(k) for k in range(3)] == [16, 20, 31]
     # one instance, one tag
     assert len({tag.group(1) for tag in tags}) == 3
     assert sum(" cli verify " in line for line in small) == 8
@@ -44,8 +44,10 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     assert sum(" evaluate_dual " in line for line in small) == 3
     assert sum(" brute_force_value " in line for line in small) == 6
     assert sum(" int plan: " in line for line in small) == 2
+    assert sum(" solve p=3/2: " in line for line in small) == 3
     assert [line.split(": ", 1)[0] for line in small if "weights: " in line] == [
         "2 exact n=1 solve p=1 float weights",
+        "2 exact n=1 solve p=2 float weights",
         "2 exact n=1 float p=1 huge weights",
     ]
     assert [line.split(": ", 1)[1] for line in small if " skeleton pairs: " in line] == ["5", "12", "0"]

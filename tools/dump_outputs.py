@@ -2,14 +2,14 @@
 
 Two runs on two source trees, diffed, show whether a change keeps every output:
 
-    git worktree add ../genwass-parent HEAD~1
+    mkdir ../genwass-parent && git archive HEAD~1 | tar -x -C ../genwass-parent
     python tools/dump_outputs.py --src ../genwass-parent/src > parent.txt
     python tools/dump_outputs.py --src src > change.txt && diff parent.txt change.txt
 
 Each instance is a shortest-path closed integer metric (scaled by a rational
 on some instances), two rational measures and rates a, b in {1/2, 1, 2},
 exact or float.  Per instance the lines are the ``repr`` of ``solve`` at
-p = 1, 2 and 3; on exact instances the number of irreducible pairs, the
+p = 1, 3/2, 2 and 3; on exact instances the number of irreducible pairs, the
 skeleton network that exact p = 1 runs on; the ``repr`` of ``solve_flat``; the ``verify_optimality`` certificate of
 the p = 1 report's plan at the default tolerance, at 1/4 and at the float
 2^-10, and of a copy of it with one entry raised by 1/4, at the default
@@ -23,8 +23,8 @@ most 3 points, the brute-force oracle at p = 1, 2 and 3, exact and float, on
 the masses min(floor(w), 3) of the instance's weights w, and on those masses
 the ``verify_optimality`` certificate and ``primal_value`` of the exact p = 1
 plan rebuilt with int entries (integer masses ship whole units), and, when
-the instance is exact, the p = 1 report on its weights as floats over the
-exact space and the float p = 1 certificate with the weights times
+the instance is exact, the p = 1 and p = 2 reports on its weights as floats
+over the exact space and the float p = 1 certificate with the weights times
 10^12 / 3 (:func:`float_weights`); and the exit code,
 stdout and stderr of the CLI ``plan``, ``dual`` and ``verify --report`` on a
 problem file (the report is the ``plan --format json`` output, and once more
@@ -177,7 +177,8 @@ def dump(cli_main, workdir: Path):
 
         space = validate_metric(labels, [[in_mode(x, exact) for x in row] for row in d], exact=exact)
         mu, nu = (measure(space, [in_mode(w, exact) for w in ws]) for ws in (mu_w, nu_w))
-        params = {p: EntropyParams(a=in_mode(a, exact), b=in_mode(b, exact), p=p) for p in (1, 2, 3)}
+        orders = (1, Fraction(3, 2), 2, 3)
+        params = {p: EntropyParams(a=in_mode(a, exact), b=in_mode(b, exact), p=p) for p in orders}
         for p, order_p in params.items():
             yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, order_p)}"
         if exact:
@@ -263,13 +264,14 @@ def dump_large():
 
 
 def float_weights(space, mu_w, nu_w, a, b, tag):
-    """The p = 1 report on the weights as floats over the exact space, and
-    the float p = 1 certificate, or its error, on the float space with the
-    weights times HUGE_WEIGHT."""
+    """The p = 1 and p = 2 reports on the weights as floats over the exact
+    space, and the float p = 1 certificate, or its error, on the float space
+    with the weights times HUGE_WEIGHT."""
     from genwass import DiscreteMeasure, EntropyParams, measure, solve
 
     mu, nu = (DiscreteMeasure(space, tuple(map(float, ws))) for ws in (mu_w, nu_w))
-    yield f"{tag} solve p=1 float weights: {outcome(solve, space, mu, nu, EntropyParams(a=a, b=b, p=1))}"
+    for p in (1, 2):
+        yield f"{tag} solve p={p} float weights: {outcome(solve, space, mu, nu, EntropyParams(a=a, b=b, p=p))}"
     f_space = space.as_float()
     mu, nu = (measure(f_space, [float(w * HUGE_WEIGHT) for w in ws]) for ws in (mu_w, nu_w))
     params = EntropyParams(a=float(a), b=float(b), p=1)
