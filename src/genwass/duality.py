@@ -46,7 +46,7 @@ from .errors import InfeasibleInputs, InvalidParams, SpaceMismatch
 from .measures import DiscreteMeasure, TransportPlan, require_same_space
 from .params import EntropyParams
 from .scalars import CERTIFY_TOL, FLOAT_MAX, NEG_INF, ROUNDING_TOL, Scalar, coerce, exactness, is_finite
-from .scalars import scaled, scaled_rows
+from .scalars import in_float_range, scaled, scaled_rows
 from .spaces import FiniteMetricSpace
 
 
@@ -303,10 +303,7 @@ def solve_flat(
     value = shifted - a * sum(c)
     f = tuple(xi - a for xi in x)
     if not space.exact:  # f lies in [-a, a], but the value can pass float range
-        try:
-            value = float(value)
-        except OverflowError:
-            raise InvalidParams("the flat-metric value lies beyond float range") from None
+        value = in_float_range(coerce(value, False), "the flat-metric value")
         f = tuple(float(v) for v in f)
     return value, FlatWitness(f=f)
 

@@ -40,7 +40,7 @@ both take on every tie (S is settled first, and a later path to T replaces
 it only when strictly shorter).  So a rate run augments the paths a plain
 run would, up to the first that costs the rate or more.  No target stops
 it: a float mass can round onto the maximum while a cheaper path is still
-residual.  The final refresh leaves pi_S = 0 <= pi <= pi_T = rate.
+residual.  The last potential update leaves pi_S = 0 <= pi <= pi_T = rate.
 
 Most phases need no Dijkstra.  After a potential update every residual arc
 has a reduced cost >= 0 (floats are clamped at zero), and on metrics with
@@ -102,9 +102,9 @@ from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows, s
 # Hard stop against pathological augmentation counts.  Exact solve_w1 on
 # closed metrics (edges in [1, 9], seed n, a = 2, b = 1/2) augments 47, 106
 # and 210 times on the skeleton at n = 32, 64 and 128 (45, 101 and 209 on
-# the bipartite network), then stops at the rate arc.  Dijkstra runs 4 times
-# in each, the final refresh included; the zero-cost search starts from S
-# 30, 65 and 130 times and resumes 18, 42 and 81 times.
+# the bipartite network), then stops at the rate arc.  Dijkstra runs 3 times
+# in each; the zero-cost search starts from S 30, 65 and 130 times and
+# resumes 18, 42 and 81 times.
 MAX_PHASES = 200_000
 
 
@@ -126,7 +126,7 @@ def solve_transport(
 
     Returns the support of the final flow, the vertices of the parametric
     curve, the last of which is the flow's mass and cost, and the node
-    potentials of the last phase, the supplies' pi_i then the demands' pi_j:
+    potentials of the last Dijkstra phase, the supplies' pi_i then the demands' pi_j:
     pi_j - pi_i <= costs[i][j] for every pair, with equality on arcs that
     carry flow, the linear-programming duals of the transport problem.
     Exact inputs give Fractions, ints included; any float gives floats.
@@ -212,7 +212,7 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     carry flow to the first point with demand left, j, and ships along it
     the least of what is left, to gamma_ij.  Every cost is positive, so the least-cost flow
     has no cycle and each walk ends; every arc on it is tight under the
-    final potentials, so the walk costs pi_j - pi_i <= costs[i][j], and no
+    returned potentials, so the walk costs pi_j - pi_i <= costs[i][j], and no
     path costs less: gamma costs what the flow does.
     """
     n = len(supplies)
@@ -267,12 +267,13 @@ def _target(supplies, demands, target):
 
 
 def _augment(arcs, T, zero, target, rate):
-    """Successive shortest paths from the source, node 0, to the sink T on
-    the network ``arcs`` of (tail, head, capacity, cost), in ``zero``'s
-    scalar type.  A ``rate`` adds the arc S -> T last and stops the run on
-    it; else the run stops at ``target``.  Returns the flow of each arc in
-    the order given, the curve's vertices, the last of which is the mass
-    pushed and its cost, and the node potentials after the final refresh.
+    """Successive shortest paths from the source S, node 0, to the sink T on
+    the network ``arcs`` of (tail, head, capacity, cost), in ``zero``'s scalar
+    type, until ``target`` or, with a ``rate``, the arc S -> T it adds last.
+    Returns the flow of each arc in the order given, the curve's vertices, the
+    last of which is the mass pushed and its cost, and the potentials of the
+    last Dijkstra phase (zero if none ran): pi_S = 0, every residual arc has a
+    reduced cost >= 0, and pi_T is the rate on a rate run, else the last slope.
     """
     S, given = 0, len(arcs)
     head, cap, cost = [], [], []
@@ -337,10 +338,6 @@ def _augment(arcs, T, zero, target, rate):
     else:
         raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
     _vertex(breakpoints, pushed, cost_acc)
-
-    # Final potential refresh so the duals reflect the terminal residual graph.
-    dist, _ = _dijkstra(adj, head, cap, cost, flow, pot)
-    _update_potentials(pot, dist, T)
     return flow[: 2 * given : 2], breakpoints, pot
 
 
@@ -401,29 +398,26 @@ def _dijkstra(adj, head, cap, cost, flow, pot):
     """Shortest reduced-cost distances from the source, node 0, over residual arcs.
 
     A heap keyed by (dist, index) settles the nearest node, the smallest
-    index on ties; stale entries are skipped.  It runs in the phases where
-    :func:`_zero_path` fails, and for the final refresh.  Float rounding can
-    make a reduced cost infinitesimally negative; it is clamped at zero.
+    index on ties; stale entries are skipped.  It runs only in the phases
+    where :func:`_zero_path` fails.  Float rounding can make a reduced cost
+    infinitesimally negative; it is clamped at zero.
 
     It stops once the sink T (last index, so it loses ties) is settled: the
     nodes still open are farther away, cannot change the augmenting chain,
     and :func:`_update_potentials` caps them at dist[T] either way.
     """
-    nn = len(adj)
-    T = nn - 1
-    dist = [INF] * nn
-    parent = [-1] * nn
+    T = len(adj) - 1
+    dist = [INF] * (T + 1)
+    parent = [-1] * (T + 1)
     dist[0] = 0 * pot[0]
-    done = [False] * nn
     heap = [(dist[0], 0)]
 
     while heap:
         du, u = heappop(heap)
-        if done[u]:
+        if du > dist[u]:  # stale: u was reached more cheaply since
             continue
         if u == T:
             break
-        done[u] = True
         pu = pot[u]
         for e in adj[u]:
             if flow[e] < cap[e]:
@@ -440,10 +434,8 @@ def _dijkstra(adj, head, cap, cost, flow, pot):
 
 
 def _update_potentials(pot, dist, T):
-    # pot[v] += min(dist[v], dist[T]) keeps all residual reduced costs
-    # nonnegative, also for nodes the last search did not reach or settle.
+    # After a Dijkstra run that reached T, pot[v] += min(dist[v], dist[T]) keeps all
+    # residual reduced costs nonnegative, also for nodes it did not reach or settle.
     cap = dist[T]
-    if cap == INF:  # dist[S] = 0 is finite
-        cap = max(d for d in dist if d != INF)
     for v, d in enumerate(dist):
         pot[v] += d if d < cap else cap

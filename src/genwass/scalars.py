@@ -40,6 +40,8 @@ from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, floordiv, mul
 from typing import Union
 
+from .errors import InvalidParams
+
 Scalar = Union[int, float, Fraction]
 
 INF = float("inf")
@@ -179,6 +181,13 @@ def first_nonfinite(row) -> int | None:
     elif all(map(is_finite, row)):
         return None
     return next(j for j, x in enumerate(row) if not is_finite(x))
+
+
+def in_float_range(value: Scalar, what: str) -> Scalar:
+    """``value``; a float that overflowed to inf or NaN is an InvalidParams naming ``what``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidParams(f"{what} lies beyond float range")
+    return value
 
 
 def coerce(value: Scalar, exact: bool) -> Scalar:

@@ -22,14 +22,14 @@ Float spaces, where rounding cannot decide geodesic equality, run on the
 complete bipartite network, with a potential per supply and per demand.
 
 The duals are phi1_i = max(a - pi_i, -a) and phi2_j = max(pi_j - a, -a), from
-that flow's final node potentials pi, the first n for phi1 and the last n for
-phi2: on the skeleton the same n, one per point.  They lie in [0, 2a],
-pi_T = 2a, and pi_j - pi_i <= b d_ij with equality where flow ships.  On the
-skeleton the arcs give that bound on the irreducible pairs, a geodesic of
-them on every other pair, and the range [0, 2a] on pairs with b d >= 2a,
+the potentials pi of that flow's last Dijkstra phase, the first n for phi1 and
+the last n for phi2: on the skeleton the same n, one per point.  They lie in
+[0, 2a], pi_T = 2a, and pi_j - pi_i <= b d_ij with equality where flow ships.
+On the skeleton the arcs give that bound on the irreducible pairs, a geodesic
+of them on every other pair, and the range [0, 2a] on pairs with b d >= 2a,
 which the network leaves out.  The pair is feasible and complementary-slack
-with the plan, so the duality gap is zero in exact mode.  :func:`certified_report` builds
-every p = 1 report.
+with the plan, so the duality gap is zero in exact mode.
+:func:`certified_report` builds every p = 1 report.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import InfeasibleInputs, InvalidParams, SolverFailure
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan, measure, require_same_space
 from .params import EntropyParams
-from .scalars import CERTIFY_TOL, Scalar, coerce, scaled
+from .scalars import CERTIFY_TOL, Scalar, coerce, in_float_range, scaled
 from .spaces import FiniteMetricSpace
 
 
@@ -92,7 +92,8 @@ def solve_w1(
     phi2 = tuple(max(pi - a, -a) for pi in sol.potentials[-space.n :])
     plan = TransportPlan(space, sol.support)
     potentials = DualPotentials(phi1, phi2, params)
-    return certified_report(space, mu, nu, params, plan, primal_value(plan, mu, nu, params), potentials)
+    value = in_float_range(primal_value(plan, mu, nu, params), "the value at p = 1")  # before the gap
+    return certified_report(space, mu, nu, params, plan, value, potentials)
 
 
 def _read_measures(space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure):

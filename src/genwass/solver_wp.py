@@ -26,7 +26,7 @@ from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan
 from .params import EntropyParams
-from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness, is_finite
+from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness, in_float_range, is_finite
 from .solver_w1 import SolveReport, _report, _read_measures, solve_w1
 from .spaces import FiniteMetricSpace
 
@@ -139,7 +139,7 @@ def wasserstein_p(
     slack = 0 if space.exact else ROUNDING_TOL * (1.0 + max(float(mu.mass), float(nu.mass)))
     if abs(mu.mass - nu.mass) > slack:
         raise MassMismatch(f"|mu| = {mu.mass} differs from |nu| = {nu.mass}")
-    return _root(flow().breakpoints[-1][1], p)
+    return in_float_range(_root(flow().breakpoints[-1][1], p), f"the transport cost at p = {p}")
 
 
 def parametric_transport_curve(
@@ -176,11 +176,11 @@ def solve_wp(
         raise InvalidParams(f"a = {float(a):g} puts the value at p = {p} beyond float range") from None
     # ties keep the smaller transported mass (min keeps the first)
     best = min(range(len(curve)), key=values.__getitem__)
-    m_star = curve[best][0]
+    value, m_star = in_float_range(values[best], f"the value at p = {p}"), curve[best][0]
     if best < len(curve) - 1:
         sol = flow(m_star)
     plan = TransportPlan(space, sol.support)
-    return _report(mu, nu, values[best], plan, m_star, list(curve))
+    return _report(mu, nu, value, plan, m_star, list(curve))
 
 
 def solve(

@@ -138,6 +138,41 @@ def test_flat_past_float_range_is_an_input_error(problem_file, capsys, doc):
     assert captured.out == "" and captured.err == "error: the flat-metric value lies beyond float range\n"
 
 
+# a float value past float range, at every order: the rates near float max,
+# the same with a group for the quotient, and a weight near it at a = 2
+RATES_PAST_FLOAT_RANGE = {
+    "space": {"points": ["x", "y", "z"], "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    "mu": {"x": 1.5}, "nu": {"z": 1}, "params": {"a": 1e308, "b": 1e308, "p": 1},
+}
+WITH_GROUP = dict(RATES_PAST_FLOAT_RANGE, group=[[0, 1, 2], [2, 1, 0]])
+WEIGHT_PAST_FLOAT_RANGE = dict(RATES_PAST_FLOAT_RANGE, mu={"x": 1e308}, params={"a": 2, "b": 1, "p": 2})
+DOCS_PAST_FLOAT_RANGE = {"rates": RATES_PAST_FLOAT_RANGE, "group": WITH_GROUP, "weight": WEIGHT_PAST_FLOAT_RANGE}
+
+
+@pytest.mark.parametrize(
+    "command, doc, p",
+    [(command, doc, p) for p in ("1", "3/2", "2")
+     for command, doc in (("dist", "rates"), ("plan", "rates"), ("quotient", "group"), ("dist", "weight"),
+                          ("plan", "weight"))]
+    + [(command, doc, "1") for command in ("dual", "verify") for doc in ("rates", "weight")],
+)
+def test_a_float_value_past_float_range_is_an_input_error(problem_file, capsys, command, doc, p):
+    # at p = 1 the value is tested before the duality gap, which the
+    # overflowed dual of the weight file makes NaN
+    assert main([command, "--input", problem_file(DOCS_PAST_FLOAT_RANGE[doc]), "--p", p]) == 2
+    captured = capsys.readouterr()
+    shown = {"1": "1", "3/2": "1.5", "2": "2"}[p]
+    assert captured.out == "" and captured.err == f"error: the value at p = {shown} lies beyond float range\n"
+
+
+@pytest.mark.parametrize("command", ["dist", "dual"])
+def test_an_exact_value_past_float_range_is_printed_exactly(problem_file, capsys, command):
+    doc = dict(RATES_PAST_FLOAT_RANGE, mu={"x": 3}, params={"a": 10**308, "b": 10**308, "p": 1})
+    assert main([command, "--input", problem_file(doc), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == 4 * 10**308 and out.get("gap", 0) == 0
+
+
 def test_param_overrides(problem_file, capsys):
     # doubling b makes shipping as costly as waste: value 2
     assert main(["dist", "--input", problem_file(TWO_POINT), "--b", "2"]) == 0
@@ -290,7 +325,9 @@ def field_paths(doc, prefix=()):
 
 
 def assert_contract_codes(doc, path, value, commands, argv=("--input",)):
-    """Replace one field of doc and run each command with argv, then the file's path."""
+    """Replace one field of doc and run each command with argv, then the
+    file's path: each exits 0, 1 or 2 with no traceback, and a ``dist`` that
+    exits 0 prints a finite number."""
     doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
@@ -301,17 +338,30 @@ def assert_contract_codes(doc, path, value, commands, argv=("--input",)):
         with open(input_path, "w") as fh:
             json.dump(doc, fh)
         for command in commands:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, *argv, input_path])
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+            if command == "dist" and code == 0:
+                Fraction(out.getvalue())  # an int, a "p/q" or a float literal; "inf" and "nan" raise
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(field_paths(QUOTIENT_DOC))), json_values())
 def test_any_field_value_exits_with_a_contract_code(path, value):
     assert_contract_codes(QUOTIENT_DOC, path, value, ("dist", "quotient"))
+
+
+# p = 2 at a = 2 with no "mode": a weight of 1e308 puts the float value past float range
+ORDER_TWO_DOC = {k: v for k, v in QUOTIENT_DOC.items() if k != "mode"} | {"params": {"a": 2, "b": 1, "p": 2}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(field_paths(ORDER_TWO_DOC))), json_values())
+@example(path=("mu", "x"), value=1e308)
+def test_any_order_two_field_value_exits_with_a_contract_code(path, value):
+    assert_contract_codes(ORDER_TWO_DOC, path, value, ("dist", "plan", "quotient"))
 
 
 # p = 1 at a = 2 with no "mode": one float field switches the file to float mode
@@ -326,6 +376,7 @@ ORDER_ONE_DOC = {
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(field_paths(ORDER_ONE_DOC))), json_values())
 @example(path=("mu", "x"), value=1.7e308)
+@example(path=("mu", "x"), value=1e308)
 def test_any_order_one_field_value_exits_with_a_contract_code(path, value):
     assert_contract_codes(ORDER_ONE_DOC, path, value, ("dist", "plan", "dual", "flat", "verify"))
 

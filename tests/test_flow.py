@@ -44,7 +44,8 @@ def reference_transport(costs, supplies, demands, target, every=False) -> FlowSo
     """The bipartite engine with one branch per arc kind: a virtual source
     arc, a virtual sink arc, a transport arc, or its residual push-back.
 
-    It runs Dijkstra in every phase and records a curve point where that
+    It runs Dijkstra and the potential update in every phase, and returns
+    the potentials of the last one.  It records a curve point where Dijkstra
     raises the path cost (dist[T] > 0) and one at the end, a point of the
     mass of the last in its place; with ``every``, one point after every
     augmentation instead, collinear and float repeated masses included."""
@@ -129,10 +130,6 @@ def reference_transport(costs, supplies, demands, target, every=False) -> FlowSo
     if not every:
         record((pushed, cost_acc))
 
-    # Final potential refresh so the duals reflect the terminal residual graph.
-    dist, _ = reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
-    reference_update_potentials(pot, dist, T)
-
     return FlowSolution(
         support=tuple((i, j, x) for i, row in enumerate(flow) for j, x in enumerate(row) if x),
         breakpoints=breakpoints,
@@ -189,11 +186,9 @@ def reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, 
 
 def reference_update_potentials(pot, dist, T):
     # pot[v] += min(dist[v], dist[T]) keeps all residual reduced costs
-    # nonnegative, also for nodes the last search did not reach or settle.
+    # nonnegative, also for nodes the last search did not reach or settle;
+    # it runs only after a search that reached T.
     cap = dist[T]
-    if cap == INF:
-        finite = [d for d in dist if d != INF]
-        cap = max(finite) if finite else 0
     for v, d in enumerate(dist):
         pot[v] += d if d < cap else cap
 
@@ -675,13 +670,21 @@ def scan_dijkstra(adj, head, cap, cost, flow, pot):
     return dist, parent
 
 
+def pushes_mass(problem):
+    """Whether a run of ``problem`` has a phase: its target, by default the
+    most that fits, is positive."""
+    costs, supplies, demands, target = problem
+    return (min(sum(supplies), sum(demands)) if target is None else target) > 0
+
+
 @settings(max_examples=150)
-@given(tie_heavy_problems())
+@given(tie_heavy_problems().filter(pushes_mass))
 @example(([[0, 0], [0, 0]], [1, 1], [1, 1], None))
 @example(([[1, 1, 0], [0, 1, 1]], [2, 1], [1, 1, 1], None))
 def test_heap_dijkstra_matches_the_scan(problem):
-    # Dijkstra runs in every phase, on the residual state the solve reached;
-    # costs 0-3 give many nodes at equal distance
+    # Dijkstra runs in every phase, on the residual state the solve reached,
+    # so a run with a phase runs it at least once; costs 0-3 give many nodes
+    # at equal distance
     dijkstra, states = flow._dijkstra, []
 
     def compared(*state):
@@ -700,13 +703,13 @@ def test_heap_dijkstra_matches_the_scan(problem):
 
 def test_search_counts_of_a_float_p2_solve(monkeypatch):
     # 127 augmentations at n = 64: 85 searches from the source, 42 resumed,
-    # and 4 Dijkstra runs, the final refresh included; the curve keeps the
-    # start, the 3 points where a Dijkstra run raised the path cost, and the end
+    # and 3 Dijkstra runs; the curve keeps the start, the 3 points where a
+    # Dijkstra run raised the path cost, and the end
     rng = random.Random(6402)
     space = random_int_metric(rng, 64, max_d=9)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
     fspace = space.as_float()
-    zero_path, dijkstra, bipartite = flow._zero_path, flow._dijkstra, flow._successive_shortest_paths
+    zero_path, dijkstra = flow._zero_path, flow._dijkstra
     counts = {"fresh": 0, "resumed": 0, "dijkstra": 0}
     calls = []
 
@@ -721,28 +724,18 @@ def test_search_counts_of_a_float_p2_solve(monkeypatch):
         calls.append("dijkstra")
         return dijkstra(*args)
 
-    def solve(*args):
-        sol = bipartite(*args)
-        calls.append("end")
-        return sol
-
     monkeypatch.setattr(flow, "_zero_path", search)
     monkeypatch.setattr(flow, "_dijkstra", shortest)
-    monkeypatch.setattr(flow, "_successive_shortest_paths", solve)
     rep = solve_wp(fspace, mu.as_float(fspace), nu.as_float(fspace), EntropyParams(a=2.0, b=0.5, p=2))
     assert len(rep.curve) == 5
-    assert counts == {"fresh": 85, "resumed": 42, "dijkstra": 4}
-    # every phase searches first: a Dijkstra run follows a failed search,
-    # or it is the final refresh, the last call of a solve
-    assert all(
-        calls[k - 1] == "failed search" or calls[k + 1] == "end" for k, call in enumerate(calls) if call == "dijkstra"
-    ), calls
+    assert counts == {"fresh": 85, "resumed": 42, "dijkstra": 3}
+    # every phase searches first: a Dijkstra run follows a failed search
+    assert all(calls[k - 1] == "failed search" for k, call in enumerate(calls) if call == "dijkstra"), calls
 
 
 def test_dijkstra_runs_only_when_the_path_cost_changes(monkeypatch):
-    # 107 augmentations at n = 64 take 4 Dijkstra runs, the final refresh
-    # included; one per augmentation would show here long before it shows
-    # in the Tier-1 wall time
+    # 107 augmentations at n = 64 take 3 Dijkstra runs; one per augmentation
+    # would show here long before it shows in the Tier-1 wall time
     rng = random.Random(6401)
     space = random_int_metric(rng, 64, max_d=9)
     mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
@@ -762,21 +755,18 @@ def test_dijkstra_runs_only_when_the_path_cost_changes(monkeypatch):
 def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
     # the flow stopped at a rate is the flow run to the mass of its last
     # augmentation that costs less than the rate: the same flow and
-    # breakpoints, no shipped arc of cost >= the rate, and the final refresh
-    # leaves the sink potential at the rate, in the engine's units
-    bipartite, update = flow._successive_shortest_paths, flow._update_potentials
+    # breakpoints, no shipped arc of cost >= the rate, and the potentials
+    # the run returns put the sink at the rate, in the engine's units, also
+    # on a run at rate 0, which updates no potential
+    augment = flow._augment
     runs = []
 
-    def run(costs, supplies, demands, target, rate, zero):
-        runs.append([rate])
-        return bipartite(costs, supplies, demands, target, rate, zero)
+    def run(arcs, T, zero, target, rate):
+        flows, breakpoints, pot = augment(arcs, T, zero, target, rate)
+        runs.append((rate, pot[T]))
+        return flows, breakpoints, pot
 
-    def refresh(pot, dist, T):
-        update(pot, dist, T)
-        runs[-1].append(pot[T])
-
-    monkeypatch.setattr(flow, "_successive_shortest_paths", run)
-    monkeypatch.setattr(flow, "_update_potentials", refresh)
+    monkeypatch.setattr(flow, "_augment", run)
     rng = random.Random(2601)
     ties = 0
     for n in (1, 2, 3, 5, 8, 13):
@@ -790,13 +780,66 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
             # each path cost is a rate that ties with every path of that cost
             for rate in sorted({0, *slopes, *(s + Fraction(1, 2) for s in slopes)}):
                 stopped = solve_transport(costs, supplies, demands, rate=rate)
-                engine_rate, *sinks = runs[-1]
+                engine_rate, sink = runs[-1]
                 reached = solve_transport(costs, supplies, demands, target=full[sum(s < rate for s in slopes)][0])
                 assert stopped.support == reached.support and stopped.breakpoints == reached.breakpoints
                 assert all(costs[i][j] < rate for i, j, _ in stopped.support)
-                assert sinks[-1] == engine_rate
+                assert sink == engine_rate
                 ties += rate in slopes
     assert ties == 33  # rates equal to a path cost of the curve
+
+
+def check_last_phase_potentials(arcs, T, rate, flows, breakpoints, pot):
+    """The potentials a run returns, those of its last Dijkstra phase: every
+    residual arc has a reduced cost >= 0 and pi_S = 0; pi_T is the rate on a
+    rate run, else the slope of the curve's last segment (0 with no
+    segment)."""
+    assert pot[0] == 0
+    for (u, v, c, w), x in zip(arcs, flows):
+        assert not x < c or w + pot[u] - pot[v] >= 0  # the arc itself
+        assert not x > 0 or pot[v] - w - pot[u] >= 0  # its reverse
+    if rate is not None:
+        assert pot[T] == rate
+    elif len(breakpoints) == 1:
+        assert pot[T] == 0
+    else:
+        (m0, t0), (m1, t1) = breakpoints[-2:]
+        assert pot[T] * (m1 - m0) == t1 - t0
+
+
+def quarters(problem):
+    """An int problem as dyadic floats: the costs as they are, the masses
+    and the target in quarters, so that every float sum is exact."""
+    costs, supplies, demands, target, unit, rate, pairs = problem
+    masses = [[m / 4 for m in supplies], [m / 4 for m in demands]]
+    return ([list(map(float, row)) for row in costs], *masses, None if target is None else target / 4,
+            unit, None if rate is None else float(rate), pairs)
+
+
+@pytest.mark.parametrize(
+    "network, kind",
+    [("bipartite", "int"), ("bipartite", "fraction"), ("bipartite", "float"), ("skeleton", "int"),
+     ("skeleton", "fraction")],
+)
+def test_a_run_returns_the_potentials_of_its_last_phase(monkeypatch, network, kind):
+    # max-flow, target and rate runs on the skeleton problems, on the network
+    # named; the float ones are the int problems in dyadic floats
+    augment, checked = flow._augment, []
+
+    def run(arcs, T, zero, target, rate):
+        flows, breakpoints, pot = augment(arcs, T, zero, target, rate)
+        check_last_phase_potentials(arcs, T, rate, flows, breakpoints, pot)
+        checked.append(rate)
+        return flows, breakpoints, pot
+
+    monkeypatch.setattr(flow, "_augment", run)
+    problems = skeleton_problems("int" if kind == "float" else kind)
+    kinds = set()
+    for problem in map(quarters, problems) if kind == "float" else problems:
+        costs, supplies, demands, target, _, rate, pairs = problem
+        solve_transport(costs, supplies, demands, target, rate=rate, pairs=pairs if network == "skeleton" else None)
+        kinds.add("rate" if rate is not None else "target" if target is not None else "max-flow")
+    assert len(checked) == len(problems) and kinds == {"max-flow", "target", "rate"}
 
 
 @pytest.mark.parametrize("network", ["bipartite", "skeleton"])

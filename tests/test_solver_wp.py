@@ -364,6 +364,35 @@ def test_huge_a_degenerates_to_pure_transport():
         assert report.transported_mass == mu.mass
 
 
+# the rates near float max, or a weight near it at a = 2, put a float value
+# past float range at every order
+@pytest.mark.parametrize("p", [1, Fraction(3, 2), 2], ids=["1", "3/2", "2"])
+@pytest.mark.parametrize("mu_w, a, b", [((1.5, 0.0, 0.0), 1e308, 1e308), ((1e308, 0.0, 0.0), 2.0, 1.0)],
+                         ids=["rates", "weight"])
+def test_a_float_value_past_float_range_is_invalid_params(line3, p, mu_w, a, b):
+    space = line3.as_float()
+    mu, nu = measure(space, mu_w), measure(space, [0.0, 0.0, 1.0])
+    with pytest.raises(InvalidParams, match=r"^the value at p = \S+ lies beyond float range$"):
+        solve(space, mu, nu, EntropyParams(a=a, b=b, p=p))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_float_transport_cost_past_float_range_is_invalid_params(line3, p):
+    space = line3.as_float()
+    mu, nu = measure(space, [1e308, 0.0, 0.0]), measure(space, [0.0, 0.0, 1e308])
+    with pytest.raises(InvalidParams, match=f"^the transport cost at p = {p} lies beyond float range$"):
+        wasserstein_p(space, mu, nu, p)
+
+
+@pytest.mark.parametrize("b, value", [(10**308, 4 * 10**308), (1, 2 * 10**308 + 2)])
+def test_an_exact_value_past_float_range_stays_exact(line3, b, value):
+    # nothing ships at b = a, where the one path costs 2a; one unit ships at b = 1
+    mu, nu = measure(line3, [3, 0, 0]), measure(line3, [0, 0, 1])
+    report = solve(line3, mu, nu, EntropyParams(a=10**308, b=b, p=1))
+    assert report.value == value and type(report.value) is Fraction
+    assert report.duality_gap == 0 and report.conditions.passed
+
+
 def test_value_monotone_in_a_and_b():
     rng = random.Random(27)
     grid = (Fraction(1, 2), Fraction(1), Fraction(2))

@@ -31,8 +31,10 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     # the larger section, shrunk: two lines per family and mode, and the
     # skeleton pair count first in exact mode
     monkeypatch.setattr(dump, "LARGE", (("l1", 6, 500), ("wide", 5, 500), ("closed", 4, 2)))
+    # the float p = 1 section, shrunk: five lines per instance
+    monkeypatch.setattr(dump, "FLOAT_DUALS", 2)
     lines = list(dump.dump(cli_main, tmp_path))
-    small, large = lines[: 16 + 20 + 31], lines[16 + 20 + 31 :]
+    small, large, duals = lines[: 16 + 20 + 31], lines[16 + 20 + 31 : -10], lines[-10:]
     tags = [re.match(r"((\d+) (exact|float) n=[1-8]) \S", line) for line in small]
     assert all(tags)
     ks = [int(tag.group(2)) for tag in tags]
@@ -61,6 +63,10 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     pairs = [result for head, result in heads if head.endswith(" skeleton pairs")]
     assert pairs == ["10", "10", "5"]
     assert all(result.startswith("SolveReport(") for head, result in heads if " solve " in head)
+    fields = [re.fullmatch(r"float duals (\d) n=\d+ a=(0\.3|7\.7) b=(0\.5|1\.0) (\w+): .+", line) for line in duals]
+    assert [(int(m.group(1)), m.group(4)) for m in fields] == [
+        (k, field) for k in range(2) for field in ("value", "plan", "potentials", "gap", "conditions")
+    ]
 
 
 def test_tracer_names_resolve_in_the_package():

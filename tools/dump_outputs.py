@@ -38,6 +38,13 @@ rational measures, and each instance in exact and in float mode.  Per
 instance and mode the lines are the number of irreducible pairs (exact mode
 only) and the ``repr`` of ``solve`` at p = 1 and 2.
 
+A third section runs float p = 1 problems whose rate a is not dyadic (0.3
+or 7.7), on float metrics closed under shortest paths from uniform float
+edges in [1, 9] and on uniform float weights in [0, 3], n = 2 to 10, so the
+last bits of the potentials and the gap show.  Per instance the lines are
+the report's value, plan (as its dense matrix), potentials, duality gap and
+certificate, one line each, or the error.
+
 Errors print as their type and message.  A report prints as its ``repr``
 with the plan written as its dense matrix, ``TransportPlan(space=...,
 gamma=...)``: the form dumps took while a plan held that matrix, so a dump
@@ -72,6 +79,8 @@ HUGE_WEIGHT = Fraction(10**12, 3)
 LARGE_SEED = 20193
 # the larger instances: (metric family, n, a), at b = 1/2
 LARGE = (("l1", 48, 500), ("l1", 96, 500), ("wide", 48, 500), ("wide", 96, 500), ("closed", 64, 2))
+FLOAT_DUAL_SEED = 20194
+FLOAT_DUALS = 200
 
 
 def closed_metric(rng: random.Random, n: int, max_d: int) -> list[list[int]]:
@@ -99,6 +108,19 @@ def large_metric(rng: random.Random, family: str, n: int) -> list[list[int]]:
                 d[i][j] = d[j][i] = rng.randint(1000, 2000)
         return d
     return closed_metric(rng, n, 9)
+
+
+def float_metric(rng: random.Random, n: int) -> list[list[float]]:
+    """Uniform float distances in [1, 9], closed under shortest paths in floats."""
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.uniform(1.0, 9.0)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
 
 
 def random_weights(rng: random.Random, n: int) -> list[Fraction]:
@@ -242,6 +264,7 @@ def dump(cli_main, workdir: Path):
                 argv = ["verify", "--input", str(problem), "--report", str(path), *extra]
                 yield f"{tag} cli verify {name}{' json' if extra else ''}: {run_cli(cli_main, argv)}"
     yield from dump_large()
+    yield from dump_float_duals()
 
 
 def dump_large():
@@ -261,6 +284,29 @@ def dump_large():
                 yield f"{tag} {skeleton_pairs(space)}"
             for p in (1, 2):
                 yield f"{tag} solve p={p}: {outcome(solve, space, mu, nu, EntropyParams(**rates, p=p))}"
+
+
+def dump_float_duals():
+    from genwass import EntropyParams, measure, solve, validate_metric
+
+    rng = random.Random(FLOAT_DUAL_SEED)
+    for k in range(FLOAT_DUALS):
+        n = rng.randint(2, 10)
+        labels = [f"x{i}" for i in range(n)]
+        space = validate_metric(labels, float_metric(rng, n), exact=False)
+        mu, nu = (measure(space, [rng.uniform(0.0, 3.0) for _ in range(n)]) for _ in range(2))
+        params = EntropyParams(a=rng.choice((0.3, 7.7)), b=rng.choice((0.5, 1.0)), p=1)
+        tag = f"float duals {k} n={n} a={params.a} b={params.b}"
+        try:
+            report = solve(space, mu, nu, params)
+        except Exception as exc:  # a raised error is an output too
+            yield f"{tag}: {type(exc).__name__}: {exc}"
+            continue
+        yield f"{tag} value: {report.value!r}"
+        yield f"{tag} plan: {report.plan.gamma!r}"
+        yield f"{tag} potentials: {report.potentials.phi1!r} {report.potentials.phi2!r}"
+        yield f"{tag} gap: {report.duality_gap!r}"
+        yield f"{tag} conditions: {report.conditions!r}"
 
 
 def float_weights(space, mu_w, nu_w, a, b, tag):
