@@ -1,27 +1,35 @@
 """Min-cost flow by successive shortest paths with node potentials.
 
-One loop (:func:`_augment`) runs on a list of arcs (tail, head, capacity,
-cost), which it turns into a residual arc list: parallel lists ``head``,
-``cap``, ``cost`` and ``flow`` by arc id, the reverse of arc ``e`` at
-``e ^ 1`` (capacity zero, cost negated), and the arc ids of each node.  An
-arc is residual while ``flow[e] < cap[e]``.  Arc costs must be nonnegative,
-which lets the loop run Dijkstra on reduced costs.  Node 0 is the source S
-and the sink T is last.
+One loop (:func:`_augment`) runs on a residual arc list: parallel lists
+``head``, ``cap`` and ``cost`` by arc id, arc k of (tail, head, capacity,
+cost) at 2k and its reverse at 2k + 1 (capacity zero, cost negated), and
+the arc ids of each node; the loop keeps ``flow`` by arc id beside them.
+An arc is residual while ``flow[e] < cap[e]``.  Arc costs must be
+nonnegative, which lets the loop run Dijkstra on reduced costs.  Node 0 is
+the source S and the sink T is last.
 
-Two builders make the arc list.  The bipartite network takes any costs:
-after S come the supplies and the demands.  S feeds every supply (capacity
-its mass), every supply reaches every demand (the given cost; capacity the
-total of all masses, which no flow reaches), and every demand drains into T
-(capacity its mass).  The skeleton network serves exact p = 1 on a metric,
-whose cost between two points is the shortest path over its irreducible
-pairs (those with no third point on a geodesic between them; Beckmann's
-form of transport, as in Essid & Solomon 2018): after S comes one node per
-point, fed by S (capacity mu_i) and draining into T (capacity nu_i), with an
-uncapped arc each way at its cost on every irreducible pair.  Its edge flow
-is cut into a plan by paths (:func:`_skeleton_paths`).  On a tree metric it
-has n - 1 pairs; at n = 32 on closed metrics with edges 1 to 5, about 260
-arcs against the bipartite 1,024.  Dijkstra settles the smallest index on
-ties, so each numbering fixes every path, plan and potential.
+Two builders make the residual arc list, and each hands the loop the
+zero-cost paths its first phase would take.  The bipartite network takes
+any costs: after S come the supplies and the demands.  S feeds every supply
+(capacity its mass), every supply reaches every demand (the given cost;
+capacity the total of all masses, which no flow reaches), and every demand
+drains into T (capacity its mass).  Its n^2 arcs are written in bulk, by
+slices (:func:`_bipartite_network`), with the ids, order and scalars that
+turning the arc list into residual arcs one at a time gives
+(:func:`_network`).  Its first-phase paths are S -> i -> i' -> T for each i
+with costs[i][i] == 0, when supplies and demands are as many and no other
+cost is 0.  The skeleton network serves exact p = 1 on a metric, whose cost
+between two points is the shortest path over its irreducible pairs (those
+with no third point on a geodesic between them; Beckmann's form of
+transport, as in Essid & Solomon 2018): after S comes one node per point,
+fed by S (capacity mu_i) and draining into T (capacity nu_i), with an
+uncapped arc each way at its cost on every irreducible pair, built by
+:func:`_network` from that arc list.  Its first-phase paths are S -> i -> T
+for every point, and its edge flow is cut into a plan by paths
+(:func:`_skeleton_paths`).  On a tree metric it has n - 1 pairs; at n = 32
+on closed metrics with edges 1 to 5, about 260 arcs against the bipartite
+1,024.  Dijkstra settles the smallest index on ties, so each numbering fixes
+every path, plan and potential.
 
 The engine is scalar-generic: ints, Fractions and floats.  Successive
 shortest paths augment in nondecreasing path-cost order, so the accumulated
@@ -42,11 +50,21 @@ run would, up to the first that costs the rate or more.  No target stops
 it: a float mass can round onto the maximum while a cheaper path is still
 residual.  The last potential update leaves pi_S = 0 <= pi <= pi_T = rate.
 
-Most phases need no Dijkstra.  After a potential update every residual arc
-has a reduced cost >= 0 (floats are clamped at zero), and on metrics with
-few distinct distances most augmentations repeat the last path cost: their
-reduced cost is 0.  So a phase first searches the residual arcs whose
-reduced cost is <= 0: it settles the reached nodes in index order, gives
+The common mass ships first, with no search.  On a metric every curve
+starts with a segment of slope 0 on which each point keeps min(mu_i, nu_i)
+at cost 0 (the common part of mu and nu, Piccoli & Rossi 2014), about half
+the augmentations on closed metrics (52 of 106 in the example at
+``MAX_PHASES`` below).  Those augmentations are the first-phase paths:
+before its first phase the loop pushes each in turn, as the zero-cost
+search would find them at zero potentials (see :func:`_augment`).  These
+diagonal pushes are not phases: no search or Dijkstra run finds them, and
+the phase cap does not count them.
+
+Most phases need no Dijkstra either.  After a potential update every
+residual arc has a reduced cost >= 0 (floats are clamped at zero), and on
+metrics with few distinct distances most augmentations repeat the last path
+cost: their reduced cost is 0.  So a phase first searches the residual arcs
+whose reduced cost is <= 0: it settles the reached nodes in index order, gives
 each node the first settled node that reaches it, and stops once T is
 reached.  If it reaches T, that is Dijkstra's path.  Dijkstra settles the
 nodes at distance 0 before all others and in index order, keeps the first
@@ -93,18 +111,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain
-from operator import getitem
+from itertools import chain, repeat
+from operator import getitem, neg
 
 from .errors import SolverFailure
 from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows, sparse
 
-# Hard stop against pathological augmentation counts.  Exact solve_w1 on
-# closed metrics (edges in [1, 9], seed n, a = 2, b = 1/2) augments 47, 106
-# and 210 times on the skeleton at n = 32, 64 and 128 (45, 101 and 209 on
-# the bipartite network), then stops at the rate arc.  Dijkstra runs 3 times
-# in each; the zero-cost search starts from S 30, 65 and 130 times and
-# resumes 18, 42 and 81 times.
+# Hard stop against pathological phase counts.  Exact solve_w1 on closed
+# metrics (edges in [1, 9], seed n, a = 2, b = 1/2) augments 47, 106 and 210
+# times on the skeleton at n = 32, 64 and 128 (45, 101 and 209 on the
+# bipartite network), then stops at the rate arc.  Of those, 26, 52 and 99
+# are the diagonal pushes before the first phase, which are not phases and
+# are not counted here.  Dijkstra runs 3 times in each; the zero-cost search
+# starts from S 14, 40 and 74 times and resumes 8, 15 and 38 times on the
+# skeleton.
 MAX_PHASES = 200_000
 
 
@@ -179,18 +199,55 @@ def solve_transport(
 
 def _successive_shortest_paths(costs, supplies, demands, target, rate, zero) -> FlowSolution:
     """The engine behind :func:`solve_transport` on the bipartite network, in
-    the scalar type of ``zero``, which the inputs share."""
+    the scalar type of ``zero``, which the inputs share.  When the only zero
+    costs lie on the diagonal of a square problem, the first phase ships
+    S -> i -> i' -> T for each i with costs[i][i] == 0."""
     ns, nt = len(supplies), len(demands)
-    S, T = 0, ns + nt + 1
-    total_mass = sum(supplies) + sum(demands)
-    arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
-    arcs += [(1 + i, ns + 1 + j, total_mass, c) for i, row in enumerate(costs) for j, c in enumerate(row)]
-    arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
-    flow, breakpoints, pot = _augment(arcs, T, zero, _target(supplies, demands, target), rate)
+    diagonal = [i for i in range(ns) if costs[i][i] == 0] if ns == nt else []
+    if diagonal and len(diagonal) < sum(row.count(0) for row in costs):  # a zero off the diagonal
+        diagonal = []
+    # arc ids: S -> i at 2i, i -> j at 2(ns + i nt + j), j -> T at 2(ns + ns nt + j)
+    first = [(2 * (ns + ns * nt + i), 2 * (ns + i * nt + i), 2 * i) for i in diagonal]
+    network = _bipartite_network(costs, supplies, demands, rate, zero)
+    flow, breakpoints, pot = _augment(network, first, zero, _target(supplies, demands, target), rate)
 
     # the transport arcs follow the ns source arcs, row by row
     support = sparse(flow[ns + i * nt : ns + (i + 1) * nt] for i in range(ns))
-    return FlowSolution(support, breakpoints, pot[1:T])
+    return FlowSolution(support, breakpoints, pot[1 : ns + nt + 1])
+
+
+def _bipartite_network(costs, supplies, demands, rate, zero):
+    """The residual network :func:`_network` builds from the bipartite arc
+    list (S -> i, then i -> j row by row, then j -> T), with the same ids,
+    order and scalars, written in bulk: slices, not one arc at a time."""
+    ns, nt = len(supplies), len(demands)
+    T = ns + nt + 1
+    mid, last, end = 2 * ns, 2 * (ns + ns * nt), 2 * (ns + ns * nt + nt)  # the first id of each kind, and the end
+    total_mass = sum(supplies) + sum(demands)
+    # every entry not written below is a reverse arc's capacity zero, or the
+    # cost 0 of an arc out of S or into T, or its reverse's, or a head S
+    head, cap, cost = [0] * end, [zero] * end, [0] * end
+    head[0:mid:2] = range(1, ns + 1)
+    head[mid:last:2] = chain.from_iterable(repeat(range(ns + 1, T), ns))
+    head[mid + 1 : last : 2] = chain.from_iterable(repeat(i, nt) for i in range(1, ns + 1))
+    head[last:end:2] = repeat(T, nt)
+    head[last + 1 : end : 2] = range(ns + 1, T)
+    cap[0:mid:2] = supplies
+    cap[mid:last:2] = repeat(total_mass, ns * nt)
+    cap[last:end:2] = demands
+    cost[mid:last:2] = chain.from_iterable(costs)
+    cost[mid + 1 : last : 2] = map(neg, chain.from_iterable(costs))
+    adj = [list(range(0, mid, 2))]
+    adj += [[2 * i + 1, *range(mid + 2 * i * nt, mid + 2 * (i + 1) * nt, 2)] for i in range(ns)]
+    adj += [[*range(mid + 2 * j + 1, last, 2 * nt), last + 2 * j] for j in range(nt)]
+    adj.append(list(range(last + 1, end, 2)))
+    if rate is not None:  # the rate arc, last in adj[S]
+        head += (T, 0)
+        cap += (zero + 1, zero)
+        cost += (rate, -rate)
+        adj[0].append(end)
+        adj[T].append(end + 1)
+    return head, cap, cost, adj
 
 
 def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSolution:
@@ -204,7 +261,9 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     least rate - pi_T, the rate arc's, which wins every tie; and a distance
     through it is at least dist[T], where the potential update caps it
     anyway.  The arcs into T come last, so each point lists its arc into T
-    last, as the resumed search needs.
+    last, as the resumed search needs.  Every pair costs more than 0, so the
+    paths S -> i -> T are the only ones of cost 0, and they are the first
+    phase's, in the order of i.
 
     The edge flow is cut into a plan by paths, kept as its support.  First
     gamma_ii is the flow through i straight from S to T, min(src_i, snk_i).
@@ -222,7 +281,9 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     arcs = [(S, 1 + i, s, 0) for i, s in enumerate(supplies)]
     arcs += [(1 + u, 1 + v, total_mass, costs[u][v]) for i, j in links for u, v in ((i, j), (j, i))]
     arcs += [(1 + j, T, d, 0) for j, d in enumerate(demands)]
-    flow, breakpoints, pot = _augment(arcs, T, 0, _target(supplies, demands, target), rate)
+    sinks = n + 2 * len(links)  # the index of the first arc into T
+    first = [(2 * (sinks + i), 2 * i) for i in range(n)]  # S -> i -> T
+    flow, breakpoints, pot = _augment(_network(arcs, T, 0, rate), first, 0, _target(supplies, demands, target), rate)
 
     gamma = {}  # the plan's nonzero entries by (i, j)
     out = [{} for _ in range(n)]  # the arcs that carry flow, by tail and head
@@ -231,7 +292,7 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
             out[i][j] = there
         if back:
             out[j][i] = back
-    left, need = flow[:n], flow[-n:]  # the flow out of S and into T, then what is left of it
+    left, need = flow[:n], flow[sinks : sinks + n]  # the flow out of S and into T, then what is left of it
     for i in range(n):
         both = min(left[i], need[i])
         if both:
@@ -266,30 +327,74 @@ def _target(supplies, demands, target):
     return target
 
 
-def _augment(arcs, T, zero, target, rate):
-    """Successive shortest paths from the source S, node 0, to the sink T on
-    the network ``arcs`` of (tail, head, capacity, cost), in ``zero``'s scalar
-    type, until ``target`` or, with a ``rate``, the arc S -> T it adds last.
-    Returns the flow of each arc in the order given, the curve's vertices, the
-    last of which is the mass pushed and its cost, and the potentials of the
-    last Dijkstra phase (zero if none ran): pi_S = 0, every residual arc has a
-    reduced cost >= 0, and pi_T is the rate on a rate run, else the last slope.
-    """
-    S, given = 0, len(arcs)
+def _network(arcs, T, zero, rate):
+    """The residual network of ``arcs``, (tail, head, capacity, cost) with
+    the source S node 0 and the sink T: parallel lists ``head``, ``cap`` and
+    ``cost`` by arc id, arc k at 2k and its reverse at 2k + 1 (capacity
+    zero, cost negated), and the arc ids of each node in arc order.  A
+    ``rate`` adds the arc S -> T of that cost last, so the given arcs keep
+    their ids and it is last in the list of S."""
     head, cap, cost = [], [], []
     adj = [[] for _ in range(T + 1)]
-    for u, v, c, w in arcs + ([] if rate is None else [(S, T, zero + 1, rate)]):  # the rate arc, last in adj[S]
+    for u, v, c, w in arcs + ([] if rate is None else [(0, T, zero + 1, rate)]):
         adj[u].append(len(head))
         adj[v].append(len(head) + 1)
         head += (v, u)
         cap += (c, zero)
         cost += (w, -w)
+    return head, cap, cost, adj
+
+
+def _augment(network, first, zero, target, rate):
+    """Successive shortest paths from the source S, node 0, to the sink T, the
+    last node, on the residual ``network`` of :func:`_network`, in ``zero``'s
+    scalar type, until ``target`` or, with a ``rate``, its arc S -> T.
+    Returns the flow of each arc by arc index, the curve's vertices, the last
+    of which is the mass pushed and its cost, and the potentials of the last
+    Dijkstra phase (zero if none ran): pi_S = 0, every residual arc has a
+    reduced cost >= 0, and pi_T is the rate on a rate run, else the last slope.
+
+    ``first`` holds the builder's first-phase paths from S to T, each as its
+    arc ids walked back from T.  Before the first phase they are pushed in
+    the order given, each again while it has room and the target is not
+    met, with the arithmetic of an augmentation; these pushes are not
+    phases.  They are the paths the zero-cost search would take.  At zero
+    potentials the arcs of reduced cost <= 0 are those of cost 0: out of S,
+    into T, on these paths, and the reverses of arcs that carry flow, which
+    lead back along a path already taken; so every zero-cost path from S to
+    T is one of them.  Each path's node before T is reached only along its
+    own path, and the builder numbers those nodes in the paths' order and
+    after every other node the paths pass.  The search settles nodes in
+    index order, so the first of those nodes with a residual arc into T ends
+    it, on the first path in order with room on every arc.  A push leaves
+    that path with no room, or meets the target; a float push of what is
+    left of the target can fall short of it, and the search then takes the
+    same path again.  Once no path has room the search fails and Dijkstra
+    runs, as on the first phase after the pushes.  At a rate <= 0 the rate
+    arc costs <= 0 too and is the first path the search takes, so nothing
+    ships and the paths are not pushed.
+    """
+    head, cap, cost, adj = network
+    S, T = 0, len(adj) - 1
     flow = [zero] * len(head)
 
     pot = [zero] * (T + 1)
     pushed = zero
     cost_acc = zero
     breakpoints: list[tuple[Scalar, Scalar]] = [(pushed, cost_acc)]
+
+    for path in first if rate is None or rate > 0 else ():  # the diagonal pushes
+        while rate is not None or pushed < target:
+            delta = min(cap[e] - flow[e] for e in path)
+            if not delta > 0:
+                break
+            if rate is None:
+                delta = min(delta, target - pushed)
+            for e in path:
+                flow[e] += delta
+                flow[e ^ 1] -= delta
+                cost_acc += cost[e] * delta
+            pushed += delta
 
     zero_arcs, search = [None] * (T + 1), None
     for _phase in range(MAX_PHASES):
@@ -338,7 +443,7 @@ def _augment(arcs, T, zero, target, rate):
     else:
         raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
     _vertex(breakpoints, pushed, cost_acc)
-    return flow[: 2 * given : 2], breakpoints, pot
+    return flow[::2], breakpoints, pot
 
 
 def _vertex(points, mass, cost):

@@ -26,7 +26,7 @@ from .errors import InvalidParams, MassMismatch
 from .flow import solve_transport
 from .measures import DiscreteMeasure, TransportPlan
 from .params import EntropyParams
-from .scalars import FLOAT_MAX, ROUNDING_TOL, Scalar, coerce, exactness, in_float_range, is_finite
+from .scalars import FLOAT_MAX, INF, ROUNDING_TOL, Scalar, coerce, exactness, in_float_range, is_finite
 from .solver_w1 import SolveReport, _report, _read_measures, solve_w1
 from .spaces import FiniteMetricSpace
 
@@ -112,6 +112,16 @@ def _root(t: Scalar, p) -> Scalar:
         raise InvalidParams(f"a transport cost of {t} at p = {p} is beyond float range") from None
 
 
+def _value(waste: Scalar, b: Scalar, t: Scalar, p) -> Scalar:
+    """The value a vertex (m, T) gives, from its waste term a(|mu| + |nu| -
+    2m): inf when an exact waste term past float range meets the float root,
+    a value no vertex in float range can lose to."""
+    try:
+        return waste + b * _root(t, p)
+    except OverflowError:
+        return INF
+
+
 def _order_p_flow(space: FiniteMetricSpace, mu: DiscreteMeasure, nu: DiscreteMeasure, p):
     """Check an order-p problem, p by the rules of :class:`EntropyParams`, and
     return its transport flow on the costs d^p, not yet run, and the measures
@@ -170,10 +180,7 @@ def solve_wp(
     a, b = coerce(params.a, space.exact), coerce(params.b, space.exact)
     sol = flow()
     curve, mass = sol.breakpoints, mu.mass + nu.mass
-    try:
-        values = [a * (mass - 2 * m) + b * _root(t, p) for m, t in curve]
-    except OverflowError:  # an exact waste term past float range meets the float root
-        raise InvalidParams(f"a = {float(a):g} puts the value at p = {p} beyond float range") from None
+    values = [_value(a * (mass - 2 * m), b, t, p) for m, t in curve]
     # ties keep the smaller transported mass (min keeps the first)
     best = min(range(len(curve)), key=values.__getitem__)
     value, m_star = in_float_range(values[best], f"the value at p = {p}"), curve[best][0]

@@ -11,8 +11,11 @@ holds all n^2 entries, as the package held plans before they became their
 support.  The plan enumerator is this module's own, so the
 per-leaf oracle and the plan tests share no code with the package's oracle.
 Both oracles sum a plan's cost cell by cell in row-major order, so their
-float values agree bit for bit.  The metric families at the end are the
-non-degenerate inputs of the larger cross-checks.
+float values agree bit for bit.  The transport reference runs the bipartite
+network with one branch per arc kind, Dijkstra by linear scan and a
+potential update in every phase: none of the engine's zero-cost searches,
+first-phase paths or residual arc lists.  The metric families at the end
+are the non-degenerate inputs of the larger cross-checks.
 """
 
 from __future__ import annotations
@@ -26,15 +29,17 @@ from genwass.errors import (
     AsymmetricEntry,
     NegativeEntry,
     NonzeroDiagonal,
+    SolverFailure,
     TooLarge,
     TriangleViolation,
     ZeroOffDiagonal,
 )
+from genwass.flow import MAX_PHASES, FlowSolution
 from genwass.measures import DiscreteMeasure, TransportPlan, measure, require_same_space
 from genwass.params import EntropyParams
 from genwass.scalars import ROUNDING_TOL as FLOAT_METRIC_RTOL
 from genwass.scalars import ROUNDING_TOL as FLOAT_WEIGHT_ATOL
-from genwass.scalars import Scalar, coerce, coerce_rows, scalar_to_json, scaled_rows
+from genwass.scalars import INF, Scalar, coerce, coerce_rows, scalar_to_json, scaled_rows
 from genwass.spaces import FiniteGroupAction, FiniteMetricSpace, validate_metric
 
 
@@ -224,6 +229,159 @@ def brute_force_value(
         if best is None or value < best:
             best = value
     return best
+
+
+def reference_transport(costs, supplies, demands, target, every=False) -> FlowSolution:
+    """The bipartite engine with one branch per arc kind: a virtual source
+    arc, a virtual sink arc, a transport arc, or its residual push-back.
+
+    It runs Dijkstra and the potential update in every phase, and returns
+    the potentials of the last one.  It records a curve point where Dijkstra
+    raises the path cost (dist[T] > 0) and one at the end, a point of the
+    mass of the last in its place; with ``every``, one point after every
+    augmentation instead, collinear and float repeated masses included."""
+    ns, nt = len(supplies), len(demands)
+    max_total = min(sum(supplies), sum(demands))
+    if target is None:
+        target = max_total
+    elif target > max_total:
+        raise ValueError("target flow exceeds what supplies/demands allow")
+
+    # a zero of the inputs' scalar type; their float sum could overflow to inf
+    zero = sum(0 * x for x in (*supplies, *demands, *(c for row in costs for c in row)))
+    # node ids: 0 = source, 1..ns supplies, ns+1..ns+nt demands, last = sink
+    S, T = 0, ns + nt + 1
+    nn = ns + nt + 2
+    pot = [zero] * nn
+
+    flow = [[zero] * nt for _ in range(ns)]
+    used_src = [zero] * ns
+    used_snk = [zero] * nt
+
+    pushed = zero
+    cost_acc = zero
+    breakpoints = [(pushed, cost_acc)]
+
+    def record(point):
+        if breakpoints[-1][0] == point[0]:
+            breakpoints.pop()
+        breakpoints.append(point)
+
+    for _phase in range(MAX_PHASES):
+        if pushed >= target:
+            break
+        dist, parent = reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
+        if dist[T] == INF:
+            break
+        if dist[T] > 0 and not every:
+            record((pushed, cost_acc))
+
+        # walk the parent chain to find the bottleneck
+        bottleneck = None
+        v = T
+        while v != S:
+            u, kind, i, j = parent[v]
+            if kind == "src":
+                room = supplies[i] - used_src[i]
+            elif kind == "snk":
+                room = demands[j] - used_snk[j]
+            elif kind == "fwd":
+                room = None  # uncapacitated
+            else:  # "bwd"
+                room = flow[i][j]
+            if room is not None and (bottleneck is None or room < bottleneck):
+                bottleneck = room
+            v = u
+        remaining = target - pushed
+        if bottleneck is None or remaining < bottleneck:
+            bottleneck = remaining
+
+        v = T
+        while v != S:
+            u, kind, i, j = parent[v]
+            if kind == "src":
+                used_src[i] += bottleneck
+            elif kind == "snk":
+                used_snk[j] += bottleneck
+            elif kind == "fwd":
+                flow[i][j] += bottleneck
+                cost_acc += costs[i][j] * bottleneck
+            else:
+                flow[i][j] -= bottleneck
+                cost_acc -= costs[i][j] * bottleneck
+            v = u
+
+        pushed += bottleneck
+        if every:
+            breakpoints.append((pushed, cost_acc))
+
+        reference_update_potentials(pot, dist, T)
+    else:
+        raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
+    if not every:
+        record((pushed, cost_acc))
+
+    return FlowSolution(
+        support=tuple((i, j, x) for i, row in enumerate(flow) for j, x in enumerate(row) if x),
+        breakpoints=breakpoints,
+        potentials=pot[1 : ns + nt + 1],
+    )
+
+
+def reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
+    """Linear-scan Dijkstra on reduced costs, smallest index first on ties,
+    stopping once the sink (the last index) is settled."""
+    S, T = 0, ns + nt + 1
+    nn = ns + nt + 2
+    dist = [INF] * nn
+    parent = [None] * nn
+    dist[S] = 0 * pot[0]
+    done = [False] * nn
+
+    def relax(u, v, c, tag, i, j):
+        rc = c + pot[u] - pot[v]
+        if rc < 0:
+            rc = 0  # float-mode rounding guard; exact mode never goes negative
+        nd = dist[u] + rc
+        if nd < dist[v]:
+            dist[v] = nd
+            parent[v] = (u, tag, i, j)
+
+    for _ in range(nn):
+        u = -1
+        best = INF
+        for v in range(nn):
+            if not done[v] and dist[v] < best:
+                best = dist[v]
+                u = v
+        if u < 0 or u == T:
+            break
+        done[u] = True
+        if u == S:
+            for i in range(ns):
+                if used_src[i] < supplies[i]:
+                    relax(S, 1 + i, 0, "src", i, -1)
+        elif 1 <= u <= ns:
+            i = u - 1
+            for j in range(nt):
+                relax(u, ns + 1 + j, costs[i][j], "fwd", i, j)
+        else:  # a demand node
+            j = u - ns - 1
+            if used_snk[j] < demands[j]:
+                relax(u, T, 0, "snk", -1, j)
+            for i in range(ns):
+                if flow[i][j] > 0:
+                    relax(u, 1 + i, -costs[i][j], "bwd", i, j)
+    return dist, parent
+
+
+def reference_update_potentials(pot, dist, T):
+    # pot[v] += min(dist[v], dist[T]) keeps all residual reduced costs
+    # nonnegative, also for nodes the last search did not reach or settle;
+    # it runs only after a search that reached T.
+    cap = dist[T]
+    for v, d in enumerate(dist):
+        pot[v] += d if d < cap else cap
 
 
 def metric_violation(matrix, exact: bool):

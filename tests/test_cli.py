@@ -573,9 +573,12 @@ def test_dual_needs_p1(problem_file):
 
 P2 = dict(TWO_POINT, params={"a": 1, "b": 1, "p": 2})
 TOL_ERROR = "error: the tolerance must be finite and nonnegative, got "
-# exact p = 2: a times the waste mass is past float range, and the value adds a float root
+# exact p = 2 with a near float max: the value at the m = 0 vertex, a(|mu| +
+# |nu|) plus a float root, is past float range, and the optimum, which ships
+# all 3/2 units, is inside it; with 8 units of mu every vertex is past it
 A_NEAR_FLOAT_MAX = dict(QUOTIENT_DOC, params={"a": 1e308, "b": "1/2", "p": 2})
-A_PAST_FLOAT_RANGE = "error: a = 1e+308 puts the value at p = 2 beyond float range"
+A_PAST_FLOAT_RANGE = dict(A_NEAR_FLOAT_MAX, mu={"x": 4, "z": 4})
+VALUE_PAST_FLOAT_RANGE = "error: the value at p = 2 lies beyond float range"
 NOT_AN_OBJECT = "input error: problem file must be a JSON object"
 MISSING_FIELD = "input error: problem file is missing the "
 
@@ -595,8 +598,8 @@ MISSING_FIELD = "input error: problem file is missing the "
         (["quotient", "--tol", "nan"], QUOTIENT_DOC, TOL_ERROR + "nan"),
         (["quotient", "--tol", "inf"], QUOTIENT_DOC, TOL_ERROR + "inf"),
         (["dist", "--p", f"{10**400 + 1}/2"], TWO_POINT, "error: p must be finite and within float range, got inf"),
-        (["dist"], A_NEAR_FLOAT_MAX, A_PAST_FLOAT_RANGE),
-        (["quotient"], A_NEAR_FLOAT_MAX, A_PAST_FLOAT_RANGE),
+        (["dist"], A_PAST_FLOAT_RANGE, VALUE_PAST_FLOAT_RANGE),
+        (["quotient"], A_PAST_FLOAT_RANGE, VALUE_PAST_FLOAT_RANGE),
         (["dist"], [], NOT_AN_OBJECT),
         (["dist"], "x", NOT_AN_OBJECT),
         (["dist"], 3, NOT_AN_OBJECT),
@@ -607,7 +610,7 @@ MISSING_FIELD = "input error: problem file is missing the "
     ],
     ids=["dual-p2", "verify-p2", "flat-p2", "flat-p-override", "quotient-no-group", "verify-tol-negative",
          "verify-tol-nan", "verify-tol-inf", "quotient-tol-negative", "quotient-tol-nan", "quotient-tol-inf",
-         "p-override-past-float-range", "dist-exact-a-near-float-max", "quotient-exact-a-near-float-max",
+         "p-override-past-float-range", "dist-exact-value-past-float-range", "quotient-exact-value-past-float-range",
          "file-list", "file-string", "file-number", "no-space", "no-mu", "no-nu", "no-params", "mu-number",
          "file-mode-fast"],
 )
@@ -616,6 +619,19 @@ def test_handler_errors_print_one_line(problem_file, capsys, argv, doc, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["dist"], "5e+307\n"),
+        (["quotient"], "upstairs: 5e+307\ndownstairs: 5e+307\nisometry (invariant measures): pass\nverdict: pass\n"),
+    ],
+    ids=["dist", "quotient"],
+)
+def test_an_exact_value_in_float_range_solves(problem_file, capsys, argv, out):
+    assert main([*argv, "--input", problem_file(A_NEAR_FLOAT_MAX)]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 # costs whose float sum overflows to inf; the optimum destroys and creates

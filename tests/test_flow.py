@@ -11,13 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genwass import EntropyParams, flow, parametric_transport_curve, solve_w1
-from genwass.errors import SolverFailure
 from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
 from genwass.scalars import INF, dense
 from genwass.scalars import ROUNDING_TOL as MASS_RTOL
 from genwass.selftest import random_int_metric, random_rational_measure
 from genwass.solver_wp import ParametricCurve, solve_wp
-from reference import l1_metric, wide_metric
+from reference import l1_metric, reference_transport, wide_metric
 
 FIELDS = ("support", "breakpoints", "potentials")
 
@@ -38,159 +37,6 @@ def as_fractions(sol) -> FlowSolution:
         breakpoints=[(Fraction(m), Fraction(t)) for m, t in sol.breakpoints],
         potentials=list(map(Fraction, sol.potentials)),
     )
-
-
-def reference_transport(costs, supplies, demands, target, every=False) -> FlowSolution:
-    """The bipartite engine with one branch per arc kind: a virtual source
-    arc, a virtual sink arc, a transport arc, or its residual push-back.
-
-    It runs Dijkstra and the potential update in every phase, and returns
-    the potentials of the last one.  It records a curve point where Dijkstra
-    raises the path cost (dist[T] > 0) and one at the end, a point of the
-    mass of the last in its place; with ``every``, one point after every
-    augmentation instead, collinear and float repeated masses included."""
-    ns, nt = len(supplies), len(demands)
-    max_total = min(sum(supplies), sum(demands))
-    if target is None:
-        target = max_total
-    elif target > max_total:
-        raise ValueError("target flow exceeds what supplies/demands allow")
-
-    # a zero of the inputs' scalar type; their float sum could overflow to inf
-    zero = sum(0 * x for x in (*supplies, *demands, *(c for row in costs for c in row)))
-    # node ids: 0 = source, 1..ns supplies, ns+1..ns+nt demands, last = sink
-    S, T = 0, ns + nt + 1
-    nn = ns + nt + 2
-    pot = [zero] * nn
-
-    flow = [[zero] * nt for _ in range(ns)]
-    used_src = [zero] * ns
-    used_snk = [zero] * nt
-
-    pushed = zero
-    cost_acc = zero
-    breakpoints = [(pushed, cost_acc)]
-
-    def record(point):
-        if breakpoints[-1][0] == point[0]:
-            breakpoints.pop()
-        breakpoints.append(point)
-
-    for _phase in range(MAX_PHASES):
-        if pushed >= target:
-            break
-        dist, parent = reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt)
-        if dist[T] == INF:
-            break
-        if dist[T] > 0 and not every:
-            record((pushed, cost_acc))
-
-        # walk the parent chain to find the bottleneck
-        bottleneck = None
-        v = T
-        while v != S:
-            u, kind, i, j = parent[v]
-            if kind == "src":
-                room = supplies[i] - used_src[i]
-            elif kind == "snk":
-                room = demands[j] - used_snk[j]
-            elif kind == "fwd":
-                room = None  # uncapacitated
-            else:  # "bwd"
-                room = flow[i][j]
-            if room is not None and (bottleneck is None or room < bottleneck):
-                bottleneck = room
-            v = u
-        remaining = target - pushed
-        if bottleneck is None or remaining < bottleneck:
-            bottleneck = remaining
-
-        v = T
-        while v != S:
-            u, kind, i, j = parent[v]
-            if kind == "src":
-                used_src[i] += bottleneck
-            elif kind == "snk":
-                used_snk[j] += bottleneck
-            elif kind == "fwd":
-                flow[i][j] += bottleneck
-                cost_acc += costs[i][j] * bottleneck
-            else:
-                flow[i][j] -= bottleneck
-                cost_acc -= costs[i][j] * bottleneck
-            v = u
-
-        pushed += bottleneck
-        if every:
-            breakpoints.append((pushed, cost_acc))
-
-        reference_update_potentials(pot, dist, T)
-    else:
-        raise SolverFailure(f"flow solver exceeded the phase cap of {MAX_PHASES}")
-    if not every:
-        record((pushed, cost_acc))
-
-    return FlowSolution(
-        support=tuple((i, j, x) for i, row in enumerate(flow) for j, x in enumerate(row) if x),
-        breakpoints=breakpoints,
-        potentials=pot[1 : ns + nt + 1],
-    )
-
-
-def reference_dijkstra(costs, supplies, demands, flow, used_src, used_snk, pot, ns, nt):
-    """Linear-scan Dijkstra on reduced costs, smallest index first on ties,
-    stopping once the sink (the last index) is settled."""
-    S, T = 0, ns + nt + 1
-    nn = ns + nt + 2
-    dist = [INF] * nn
-    parent = [None] * nn
-    dist[S] = 0 * pot[0]
-    done = [False] * nn
-
-    def relax(u, v, c, tag, i, j):
-        rc = c + pot[u] - pot[v]
-        if rc < 0:
-            rc = 0  # float-mode rounding guard; exact mode never goes negative
-        nd = dist[u] + rc
-        if nd < dist[v]:
-            dist[v] = nd
-            parent[v] = (u, tag, i, j)
-
-    for _ in range(nn):
-        u = -1
-        best = INF
-        for v in range(nn):
-            if not done[v] and dist[v] < best:
-                best = dist[v]
-                u = v
-        if u < 0 or u == T:
-            break
-        done[u] = True
-        if u == S:
-            for i in range(ns):
-                if used_src[i] < supplies[i]:
-                    relax(S, 1 + i, 0, "src", i, -1)
-        elif 1 <= u <= ns:
-            i = u - 1
-            for j in range(nt):
-                relax(u, ns + 1 + j, costs[i][j], "fwd", i, j)
-        else:  # a demand node
-            j = u - ns - 1
-            if used_snk[j] < demands[j]:
-                relax(u, T, 0, "snk", -1, j)
-            for i in range(ns):
-                if flow[i][j] > 0:
-                    relax(u, 1 + i, -costs[i][j], "bwd", i, j)
-    return dist, parent
-
-
-def reference_update_potentials(pot, dist, T):
-    # pot[v] += min(dist[v], dist[T]) keeps all residual reduced costs
-    # nonnegative, also for nodes the last search did not reach or settle;
-    # it runs only after a search that reached T.
-    cap = dist[T]
-    for v, d in enumerate(dist):
-        pot[v] += d if d < cap else cap
 
 
 def rationals(max_num):
@@ -578,7 +424,11 @@ def test_resumed_search_matches_a_fresh_one(monkeypatch, kind, family):
     if family == "closed":
         problems = [pb for max_d in (2, 3, 5) for pb in closed_metric_problems(kind, max_d)]
     else:
+        # on square problems with a zero diagonal the first phase ships the
+        # diagonal before any search; a demand fewer leaves it to the searches
         problems = wide_metric_problems(kind)
+        costs, supplies, demands, _ = problems[0]
+        problems.append(([row[:-1] for row in costs], supplies, demands[:-1], None))
     check_resumed_searches(monkeypatch, problems)
 
 
@@ -670,21 +520,40 @@ def scan_dijkstra(adj, head, cap, cost, flow, pot):
     return dist, parent
 
 
-def pushes_mass(problem):
-    """Whether a run of ``problem`` has a phase: its target, by default the
-    most that fits, is positive."""
+def beyond_the_diagonal(problem):
+    """Whether a run of ``problem`` has a phase: whether its target, by
+    default the most that fits, is more than the zero-cost diagonal its first
+    phase ships, pushed here as the engine pushes it.  It ships S -> i -> i'
+    -> T for each i with costs[i][i] == 0 when the problem is square and no
+    other cost is 0, in the order of i, and each path's three arcs carry the
+    same flow."""
     costs, supplies, demands, target = problem
-    return (min(sum(supplies), sum(demands)) if target is None else target) > 0
+    ns = len(supplies)
+    most = min(sum(supplies), sum(demands)) if target is None else target
+    pushed = 0 * most
+    diagonal = [i for i in range(ns) if ns == len(demands) and costs[i][i] == 0]
+    if len(diagonal) == sum(row.count(0) for row in costs):
+        total, shipped = sum(supplies) + sum(demands), [pushed] * ns
+        for i in diagonal:
+            while pushed < most:
+                room = min(demands[i] - shipped[i], total - shipped[i], supplies[i] - shipped[i])
+                if not room > 0:
+                    break
+                delta = min(room, most - pushed)
+                shipped[i] += delta
+                pushed += delta
+    return pushed < most
 
 
 @settings(max_examples=150)
-@given(tie_heavy_problems().filter(pushes_mass))
+@given(tie_heavy_problems().filter(beyond_the_diagonal))
 @example(([[0, 0], [0, 0]], [1, 1], [1, 1], None))
 @example(([[1, 1, 0], [0, 1, 1]], [2, 1], [1, 1, 1], None))
+@example(([[0, 1], [2, 0]], [2, 1], [1, 2], None))
 def test_heap_dijkstra_matches_the_scan(problem):
     # Dijkstra runs in every phase, on the residual state the solve reached,
-    # so a run with a phase runs it at least once; costs 0-3 give many nodes
-    # at equal distance
+    # so a run with a phase after the first phase's diagonal runs it at least
+    # once; costs 0-3 give many nodes at equal distance
     dijkstra, states = flow._dijkstra, []
 
     def compared(*state):
@@ -701,17 +570,16 @@ def test_heap_dijkstra_matches_the_scan(problem):
     assert states
 
 
-def test_search_counts_of_a_float_p2_solve(monkeypatch):
-    # 127 augmentations at n = 64: 85 searches from the source, 42 resumed,
-    # and 3 Dijkstra runs; the curve keeps the start, the 3 points where a
-    # Dijkstra run raised the path cost, and the end
-    rng = random.Random(6402)
-    space = random_int_metric(rng, 64, max_d=9)
-    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
-    fspace = space.as_float()
-    zero_path, dijkstra = flow._zero_path, flow._dijkstra
-    counts = {"fresh": 0, "resumed": 0, "dijkstra": 0}
+def counting_searches(monkeypatch):
+    """Counts of the first-phase paths offered, the zero-cost searches from
+    the source and resumed, and the Dijkstra runs, and the list of calls."""
+    augment, zero_path, dijkstra = flow._augment, flow._zero_path, flow._dijkstra
+    counts = {"first": 0, "fresh": 0, "resumed": 0, "dijkstra": 0}
     calls = []
+
+    def run(network, first, *args):
+        counts["first"] += len(first)
+        return augment(network, first, *args)
 
     def search(state, *args):
         counts["fresh" if state is None else "resumed"] += 1
@@ -724,17 +592,47 @@ def test_search_counts_of_a_float_p2_solve(monkeypatch):
         calls.append("dijkstra")
         return dijkstra(*args)
 
+    monkeypatch.setattr(flow, "_augment", run)
     monkeypatch.setattr(flow, "_zero_path", search)
     monkeypatch.setattr(flow, "_dijkstra", shortest)
+    return counts, calls
+
+
+def test_search_counts_of_a_float_p2_solve(monkeypatch):
+    # 127 augmentations at n = 64: the first phase offers the 64 zero-cost
+    # diagonal paths and ships 46 of them, then 62 searches from the source,
+    # 19 resumed and 3 Dijkstra runs find the other 81; the curve keeps the
+    # start, the 3 points where a Dijkstra run raised the path cost, and the
+    # end
+    rng = random.Random(6402)
+    space = random_int_metric(rng, 64, max_d=9)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    fspace = space.as_float()
+    counts, calls = counting_searches(monkeypatch)
     rep = solve_wp(fspace, mu.as_float(fspace), nu.as_float(fspace), EntropyParams(a=2.0, b=0.5, p=2))
     assert len(rep.curve) == 5
-    assert counts == {"fresh": 85, "resumed": 42, "dijkstra": 3}
+    assert counts == {"first": 64, "fresh": 62, "resumed": 19, "dijkstra": 3}
     # every phase searches first: a Dijkstra run follows a failed search
     assert all(calls[k - 1] == "failed search" for k, call in enumerate(calls) if call == "dijkstra"), calls
 
 
+def test_search_counts_of_an_exact_p1_skeleton_solve(monkeypatch):
+    # 97 augmentations at n = 64 before the rate arc stops the run: the first
+    # phase offers the skeleton's 64 paths S -> i -> T and ships 50 of them,
+    # then 28 searches from the source, 20 resumed and 3 Dijkstra runs find
+    # the other 47 and the rate arc (98 searches would find them all)
+    rng = random.Random(6401)
+    space = random_int_metric(rng, 64, max_d=9)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    counts, calls = counting_searches(monkeypatch)
+    rep = solve_w1(space, mu, nu, EntropyParams(a=Fraction(2), b=Fraction(1, 2), p=1))
+    assert rep.duality_gap == 0
+    assert counts == {"first": 64, "fresh": 28, "resumed": 20, "dijkstra": 3}
+    assert all(calls[k - 1] == "failed search" for k, call in enumerate(calls) if call == "dijkstra"), calls
+
+
 def test_dijkstra_runs_only_when_the_path_cost_changes(monkeypatch):
-    # 107 augmentations at n = 64 take 3 Dijkstra runs; one per augmentation
+    # 97 augmentations at n = 64 take 3 Dijkstra runs; one per augmentation
     # would show here long before it shows in the Tier-1 wall time
     rng = random.Random(6401)
     space = random_int_metric(rng, 64, max_d=9)
@@ -761,9 +659,9 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
     augment = flow._augment
     runs = []
 
-    def run(arcs, T, zero, target, rate):
-        flows, breakpoints, pot = augment(arcs, T, zero, target, rate)
-        runs.append((rate, pot[T]))
+    def run(network, first, zero, target, rate):
+        flows, breakpoints, pot = augment(network, first, zero, target, rate)
+        runs.append((rate, pot[-1]))
         return flows, breakpoints, pot
 
     monkeypatch.setattr(flow, "_augment", run)
@@ -789,13 +687,16 @@ def test_a_rate_run_stops_where_a_run_to_its_mass_does(monkeypatch):
     assert ties == 33  # rates equal to a path cost of the curve
 
 
-def check_last_phase_potentials(arcs, T, rate, flows, breakpoints, pot):
+def check_last_phase_potentials(network, rate, flows, breakpoints, pot):
     """The potentials a run returns, those of its last Dijkstra phase: every
-    residual arc has a reduced cost >= 0 and pi_S = 0; pi_T is the rate on a
-    rate run, else the slope of the curve's last segment (0 with no
-    segment)."""
+    residual arc of the network, the rate arc and the reverses included, has
+    a reduced cost >= 0 and pi_S = 0; pi_T is the rate on a rate run, else
+    the slope of the curve's last segment (0 with no segment)."""
+    head, cap, cost, adj = network
+    T = len(adj) - 1
     assert pot[0] == 0
-    for (u, v, c, w), x in zip(arcs, flows):
+    # arc k runs from head[2k + 1] to head[2k]
+    for (u, v, c, w), x in zip(zip(head[1::2], head[::2], cap[::2], cost[::2], strict=True), flows, strict=True):
         assert not x < c or w + pot[u] - pot[v] >= 0  # the arc itself
         assert not x > 0 or pot[v] - w - pot[u] >= 0  # its reverse
     if rate is not None:
@@ -826,9 +727,9 @@ def test_a_run_returns_the_potentials_of_its_last_phase(monkeypatch, network, ki
     # named; the float ones are the int problems in dyadic floats
     augment, checked = flow._augment, []
 
-    def run(arcs, T, zero, target, rate):
-        flows, breakpoints, pot = augment(arcs, T, zero, target, rate)
-        check_last_phase_potentials(arcs, T, rate, flows, breakpoints, pot)
+    def run(network, first, zero, target, rate):
+        flows, breakpoints, pot = augment(network, first, zero, target, rate)
+        check_last_phase_potentials(network, rate, flows, breakpoints, pot)
         checked.append(rate)
         return flows, breakpoints, pot
 
@@ -840,6 +741,111 @@ def test_a_run_returns_the_potentials_of_its_last_phase(monkeypatch, network, ki
         solve_transport(costs, supplies, demands, target, rate=rate, pairs=pairs if network == "skeleton" else None)
         kinds.add("rate" if rate is not None else "target" if target is not None else "max-flow")
     assert len(checked) == len(problems) and kinds == {"max-flow", "target", "rate"}
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_the_bulk_built_network_is_the_per_arc_one(kind):
+    # the bipartite network written in slices against the arc list of S -> i,
+    # i -> j row by row and j -> T turned into residual arcs one at a time:
+    # the same heads, capacities, costs and arc lists, of the same types, and
+    # the rate arc last in the list of S
+    scalar = SCALARS[kind]
+    rng = random.Random(3602)
+    for ns, nt in ((1, 1), (1, 4), (3, 3), (4, 2), (2, 5), (6, 6)):
+        costs = [[scalar(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(nt)] for _ in range(ns)]
+        supplies = [scalar(rng.randint(0, 6), rng.choice((1, 2, 5))) for _ in range(ns)]
+        demands = [scalar(rng.randint(0, 6), rng.choice((1, 3))) for _ in range(nt)]
+        zero = sum(map(mul, repeat(0), chain(supplies, demands, *costs)))
+        T, total_mass = ns + nt + 1, sum(supplies) + sum(demands)
+        arcs = [(0, 1 + i, s, 0) for i, s in enumerate(supplies)]
+        arcs += [(1 + i, ns + 1 + j, total_mass, c) for i, row in enumerate(costs) for j, c in enumerate(row)]
+        arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
+        for rate in (None, scalar(rng.randint(0, 9), 2)):
+            got = flow._bipartite_network(costs, supplies, demands, rate, zero)
+            want = flow._network(arcs, T, zero, rate)
+            assert got == want
+            assert [list(map(type, x)) for x in got[:3]] == [list(map(type, x)) for x in want[:3]]
+            assert {type(e) for ids in got[3] for e in ids} == {int}
+            if rate is not None:
+                assert got[3][0][-1] == len(got[0]) - 2 and got[1][-2:] == [zero + 1, zero]
+
+
+def first_phase_problems(kind):
+    """Problems on zero-diagonal costs whose first phase ships the diagonal,
+    named by what they test, and problems where it stands aside: a zero off
+    the diagonal, a nonzero diagonal entry (that point only) and ns != nt;
+    each with no stop, a target, and rates of 0 and below, which ship
+    nothing, and above 0.  Float masses are dyadic, so that float sums are
+    exact and the potentials' slope check holds with equality, but for one
+    target whose float remainder falls short."""
+    scalar = SCALARS[kind]
+    rng = random.Random(3603)
+    problems = []
+    for n in (2, 3, 5, 8):
+        costs = [[scalar(rng.randint(1, 4), 1) if i != j else scalar(0, 1) for j in range(n)] for i in range(n)]
+        weights = [scalar(rng.randint(0, 6), rng.choice((1, 2, 4 if kind == "float" else 3))) for _ in range(2 * n)]
+        supplies, demands = weights[:n], weights[n:]
+        supplies[0] = scalar(0, 1)  # a point with no supply and one with no demand
+        demands[-1] = scalar(0, 1)
+        diagonal = sum(map(min, supplies, demands))
+        off = [row[:] for row in costs]
+        off[0][-1] = scalar(0, 1)
+        raised = [row[:] for row in costs]
+        raised[n // 2][n // 2] = scalar(1, 1)
+        for name, c, s, d in (("applies", costs, supplies, demands), ("zero off the diagonal", off, supplies, demands),
+                              ("nonzero diagonal entry", raised, supplies, demands),
+                              ("ns != nt", [row[:-1] for row in costs], supplies, demands[:-1])):
+            inside = diagonal / 2 if kind != "int" else diagonal // 2  # a target inside the diagonal mass
+            for target, rate in ((None, None), (inside, None), (None, scalar(0, 1)), (None, scalar(-1, 1)),
+                                 (None, scalar(3, 1))):
+                problems.append((name, (c, s, d, target), rate))
+    if kind == "float":
+        # after x ships on the first path, x + (t - x) < t: the search takes
+        # the second path again for what is left, not the third
+        x, t = float.fromhex("0x1.3c19f88d3cb3ap-1"), float.fromhex("0x1.c8b0ef824ed3fp+1")
+        assert x + (t - x) < t
+        costs = [[float(i != j) for j in range(3)] for i in range(3)]
+        problems.append(("applies", (costs, [x, 4.0, 4.0], [x, 4.0, 4.0], t), None))
+    return problems
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_the_first_phase_ships_what_the_searches_would(monkeypatch, kind):
+    # every run of the engine against a run of the same network with no
+    # first-phase paths, field by field and type by type, with the
+    # potentials of its last phase checked (a rate < 0 is an arc of negative
+    # cost, outside what the engine's potentials promise, and is checked for
+    # shipping nothing only); the solution against the reference's at the
+    # same target, or at target 0 for a rate <= 0, which ships nothing; and
+    # the paths offered are those of the zero diagonal
+    augment, offered = flow._augment, []
+
+    def run(network, first, zero, target, rate):
+        got = augment(network, first, zero, target, rate)
+        if rate is None or rate >= 0:
+            check_last_phase_potentials(network, rate, *got)
+        assert_same_scalars(got, augment(network, (), zero, target, rate))
+        offered.append(sorted(path[-1] // 2 for path in first))
+        return got
+
+    monkeypatch.setattr(flow, "_augment", run)
+    shipped = set()
+    for name, (costs, supplies, demands, target), rate in first_phase_problems(kind):
+        got = engine(costs, supplies, demands, target, rate)
+        diagonal = name in ("applies", "nonzero diagonal entry")
+        assert offered.pop() == [i for i, row in enumerate(costs) if diagonal and row[i] == 0]
+        if rate is None or rate <= 0:
+            stop = target if rate is None else 0 * sum(supplies)
+            assert_same_solution(got, reference_transport(costs, supplies, demands, stop))
+        if name == "applies" and rate is None:
+            shipped.add("inside" if target is not None else "all")
+    assert shipped == {"inside", "all"}
+
+
+def assert_same_scalars(got, want):
+    """Equal nested lists and tuples, with the same type at every place."""
+    assert got == want
+    assert list(map(type, scalars_of(got))) == list(map(type, scalars_of(want)))
 
 
 @pytest.mark.parametrize("network", ["bipartite", "skeleton"])

@@ -384,6 +384,20 @@ def test_a_float_transport_cost_past_float_range_is_invalid_params(line3, p):
         wasserstein_p(space, mu, nu, p)
 
 
+def test_an_exact_value_in_float_range_solves_when_a_vertex_is_past_it(line3):
+    # at a = 10^308 the m = 0 vertex's value, a(|mu| + |nu|) = 3.5 10^308 plus
+    # a float root, is past float range; the m = 3/2 vertex's, a/2 + sqrt(3/2)/2,
+    # is inside it and wins; with 8 units of mu every vertex is past it
+    mu, nu = measure(line3, [1, 0, 1]), measure(line3, [0, Fraction(3, 2), 0])
+    params = EntropyParams(a=10**308, b=Fraction(1, 2), p=2)
+    report = solve(line3, mu, nu, params)
+    assert report.curve[0] == (0, 0) and report.curve[-1] == (Fraction(3, 2), Fraction(3, 2))
+    assert report.value == 5e307 and report.transported_mass == Fraction(3, 2)
+    assert report.plan.support == ((0, 1, 1), (2, 1, Fraction(1, 2)))
+    with pytest.raises(InvalidParams, match=r"^the value at p = 2 lies beyond float range$"):
+        solve(line3, measure(line3, [4, 0, 4]), nu, params)
+
+
 @pytest.mark.parametrize("b, value", [(10**308, 4 * 10**308), (1, 2 * 10**308 + 2)])
 def test_an_exact_value_past_float_range_stays_exact(line3, b, value):
     # nothing ships at b = a, where the one path costs 2a; one unit ships at b = 1

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import re
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +9,7 @@ from genwass.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 DUMP = ROOT / "tools" / "dump_outputs.py"
+LADDER = ROOT / "tools" / "bench_ladder.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
@@ -67,6 +70,27 @@ def test_dump_outputs_tags_every_line(tmp_path, monkeypatch):
     assert [(int(m.group(1)), m.group(4)) for m in fields] == [
         (k, field) for k in range(2) for field in ("value", "plan", "potentials", "gap", "conditions")
     ]
+
+
+def test_bench_ladder_writes_one_median_per_tree_case_and_size(tmp_path, capsys):
+    # two trees, the same one twice here, at two tiny sizes and two repeats:
+    # a child process per tree and repeat, each timing every rung once
+    ladder = _load("bench_ladder", LADDER)
+    src = ROOT / "src"
+    argv = ["--label", "smoke", "--sizes", "3", "5", "--repeat", "2", "--out", str(tmp_path),
+            "--tree", f"one={src}", "--tree", f"two={src}"]
+    assert ladder.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc["label"] == "smoke" and doc["repeat"] == 2 and doc["sizes"] == [3, 5]
+    assert list(doc["results"]) == ["one", "two"]
+    for tree in doc["results"].values():
+        assert list(tree) == ["float p=2", "exact p=2", "exact p=1"]
+        for case in tree.values():
+            assert list(case) == ["3", "5"]
+            for rung in case.values():
+                assert len(rung["runs_ms"]) == 2 and all(ms > 0 for ms in rung["runs_ms"])
+                assert abs(rung["median_ms"] - statistics.median(rung["runs_ms"])) <= 1e-3  # both rounded to µs
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {tmp_path / 'BENCH_smoke.json'}"
 
 
 def test_tracer_names_resolve_in_the_package():
