@@ -8,28 +8,33 @@ An arc is residual while ``flow[e] < cap[e]``.  Arc costs must be
 nonnegative, which lets the loop run Dijkstra on reduced costs.  Node 0 is
 the source S and the sink T is last.
 
-Two builders make the residual arc list, and each hands the loop the
-zero-cost paths its first phase would take.  The bipartite network takes
-any costs: after S come the supplies and the demands.  S feeds every supply
-(capacity its mass), every supply reaches every demand (the given cost;
-capacity the total of all masses, which no flow reaches), and every demand
-drains into T (capacity its mass).  Its n^2 arcs are written in bulk, by
-slices (:func:`_bipartite_network`), with the ids, order and scalars that
-turning the arc list into residual arcs one at a time gives
-(:func:`_network`).  Its first-phase paths are S -> i -> i' -> T for each i
-with costs[i][i] == 0, when supplies and demands are as many and no other
-cost is 0.  The skeleton network serves exact p = 1 on a metric, whose cost
-between two points is the shortest path over its irreducible pairs (those
-with no third point on a geodesic between them; Beckmann's form of
-transport, as in Essid & Solomon 2018): after S comes one node per point,
-fed by S (capacity mu_i) and draining into T (capacity nu_i), with an
-uncapped arc each way at its cost on every irreducible pair, built by
-:func:`_network` from that arc list.  Its first-phase paths are S -> i -> T
-for every point, and its edge flow is cut into a plan by paths
-(:func:`_skeleton_paths`).  On a tree metric it has n - 1 pairs; at n = 32
-on closed metrics with edges 1 to 5, about 260 arcs against the bipartite
-1,024.  Dijkstra settles the smallest index on ties, so each numbering fixes
-every path, plan and potential.
+Two builders make the residual arc list.  Each returns it with the
+zero-cost paths its first phase would take and a reader that turns the
+loop's arc flow into the plan, and each is the one place that knows its arc
+ids.  :func:`solve_transport` is the one place a run is set up: it picks the
+builder, adds the rate arc (below), calls the loop once and builds the
+solution.
+
+The bipartite network takes any costs: after S come the supplies and the
+demands.  S feeds every supply (capacity its mass), every supply reaches
+every demand (the given cost; capacity the total of all masses, which no
+flow reaches), and every demand drains into T (capacity its mass).  Its n^2
+arcs are written in bulk, by slices (:func:`_bipartite_network`), with the
+ids, order and scalars that turning the arc list into residual arcs one at
+a time gives (:func:`_network`), in less than half its time.  Its
+first-phase paths are S -> i -> i' -> T for each i with costs[i][i] == 0,
+when supplies and demands are as many and no other cost is 0.  The skeleton
+network serves exact p = 1 on a metric, whose cost between two points is
+the shortest path over its irreducible pairs (those with no third point on
+a geodesic between them; Beckmann's form of transport, as in Essid &
+Solomon 2018): after S comes one node per point, fed by S (capacity mu_i)
+and draining into T (capacity nu_i), with an uncapped arc each way at its
+cost on every irreducible pair, built by :func:`_network` from that arc
+list (:func:`_skeleton_network`).  Its first-phase paths are S -> i -> T for
+every point, and its edge flow is cut into a plan by paths.  On a tree
+metric it has n - 1 pairs; at n = 32 on closed metrics with edges 1 to 5,
+about 260 arcs against the bipartite 1,024.  Dijkstra settles the smallest
+index on ties, so each numbering fixes every path, plan and potential.
 
 The engine is scalar-generic: ints, Fractions and floats.  Successive
 shortest paths augment in nondecreasing path-cost order, so the accumulated
@@ -41,24 +46,25 @@ a float point whose mass repeats, after a push below the mass's ulp,
 replaces the last.  Only the final flow is kept: a caller that needs the
 plan at an earlier vertex solves again with ``target`` set to its mass.
 
-A ``rate`` adds one arc S -> T of that cost, last in the list of S, so the
-built arcs keep their ids.  It never carries flow: the engine stops
-when the chosen path is that arc, which Dijkstra and the zero-cost search
-both take on every tie (S is settled first, and a later path to T replaces
-it only when strictly shorter).  So a rate run augments the paths a plain
-run would, up to the first that costs the rate or more.  No target stops
-it: a float mass can round onto the maximum while a cheaper path is still
-residual.  The last potential update leaves pi_S = 0 <= pi <= pi_T = rate.
+A ``rate`` adds one arc S -> T of that cost, last in the lists of S and T,
+so the built arcs keep their ids; no builder writes it.  It never carries
+flow: the engine stops when the chosen path is that arc, which Dijkstra and
+the zero-cost search both take on every tie (S is settled first, and a
+later path to T replaces it only when strictly shorter).  So a rate run
+augments the paths a plain run would, up to the first that costs the rate
+or more.  No target stops it: a float mass can round onto the maximum while
+a cheaper path is still residual.  The last potential update leaves
+pi_S = 0 <= pi <= pi_T = rate.
 
 The common mass ships first, with no search.  On a metric every curve
 starts with a segment of slope 0 on which each point keeps min(mu_i, nu_i)
 at cost 0 (the common part of mu and nu, Piccoli & Rossi 2014), about half
 the augmentations on closed metrics (52 of 106 in the example at
 ``MAX_PHASES`` below).  Those augmentations are the first-phase paths:
-before its first phase the loop pushes each in turn, as the zero-cost
-search would find them at zero potentials (see :func:`_augment`).  These
-diagonal pushes are not phases: no search or Dijkstra run finds them, and
-the phase cap does not count them.
+the loop's first phases take each in turn while it has room, as the
+zero-cost search would find them at zero potentials (see :func:`_augment`).
+No search or Dijkstra run finds them, but they are phases like the rest:
+one block augments every path, and the phase cap counts them.
 
 Most phases need no Dijkstra either.  After a potential update every
 residual arc has a reduced cost >= 0 (floats are clamped at zero), and on
@@ -121,8 +127,9 @@ from .scalars import INF, Scalar, coerce_rows, exactness, scaled, scaled_rows, s
 # metrics (edges in [1, 9], seed n, a = 2, b = 1/2) augments 47, 106 and 210
 # times on the skeleton at n = 32, 64 and 128 (45, 101 and 209 on the
 # bipartite network), then stops at the rate arc.  Of those, 26, 52 and 99
-# are the diagonal pushes before the first phase, which are not phases and
-# are not counted here.  Dijkstra runs 3 times in each; the zero-cost search
+# take first-phase paths, with no search; they count here like the rest, one
+# a path (a float push that falls short of the target takes its path again
+# and counts again).  Dijkstra runs 3 times in each; the zero-cost search
 # starts from S 14, 40 and 74 times and resumes 8, 15 and 38 times on the
 # skeleton.
 MAX_PHASES = 200_000
@@ -179,47 +186,43 @@ def solve_transport(
         masses, *rows = coerce_rows([masses, *rows], False)
     ns, nd = len(supplies), len(demands)
     costs, rate = (rows, None) if rate is None else (rows[:-1], rows[-1][0])
-    target = None if target is None else masses[-1]
     supplies, demands = masses[:ns], masses[ns : ns + nd]
+    most = min(sum(supplies), sum(demands))
+    target = most if target is None else masses[-1]
+    if target > most:
+        raise ValueError("target flow exceeds what supplies/demands allow")
+    zero = 0 if exact else 0.0
     if pairs is None:
-        sol = _successive_shortest_paths(costs, supplies, demands, target, rate, 0 if exact else 0.0)
+        network, first, read = _bipartite_network(costs, supplies, demands, zero)
     else:
-        sol = _skeleton_paths(costs, pairs, supplies, demands, target, rate)
-    if not exact:
-        return sol
-
-    flows = {x for _, _, x in sol.support}  # one Fraction per distinct flow value, shared
-    shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
-    return FlowSolution(
-        support=tuple([(i, j, shared[x]) for i, j, x in sol.support]),  # a list first, as scalars.sparse
-        breakpoints=[(Fraction(m, M), Fraction(t, M * C)) for m, t in sol.breakpoints],
-        potentials=[Fraction(x, C) for x in sol.potentials],
-    )
-
-
-def _successive_shortest_paths(costs, supplies, demands, target, rate, zero) -> FlowSolution:
-    """The engine behind :func:`solve_transport` on the bipartite network, in
-    the scalar type of ``zero``, which the inputs share.  When the only zero
-    costs lie on the diagonal of a square problem, the first phase ships
-    S -> i -> i' -> T for each i with costs[i][i] == 0."""
-    ns, nt = len(supplies), len(demands)
-    diagonal = [i for i in range(ns) if costs[i][i] == 0] if ns == nt else []
-    if diagonal and len(diagonal) < sum(row.count(0) for row in costs):  # a zero off the diagonal
-        diagonal = []
-    # arc ids: S -> i at 2i, i -> j at 2(ns + i nt + j), j -> T at 2(ns + ns nt + j)
-    first = [(2 * (ns + ns * nt + i), 2 * (ns + i * nt + i), 2 * i) for i in diagonal]
-    network = _bipartite_network(costs, supplies, demands, rate, zero)
-    flow, breakpoints, pot = _augment(network, first, zero, _target(supplies, demands, target), rate)
-
-    # the transport arcs follow the ns source arcs, row by row
-    support = sparse(flow[ns + i * nt : ns + (i + 1) * nt] for i in range(ns))
-    return FlowSolution(support, breakpoints, pot[1 : ns + nt + 1])
+        network, first, read = _skeleton_network(costs, pairs, supplies, demands, rate)
+    if rate is not None:  # the rate arc, last: the built arcs keep their ids
+        head, cap, cost, adj = network
+        adj[0].append(len(head))
+        adj[-1].append(len(head) + 1)
+        head += (len(adj) - 1, 0)
+        cap += (zero + 1, zero)
+        cost += (rate, -rate)
+    flow, breakpoints, pot = _augment(network, first, zero, target, rate)
+    support, pot = read(flow), pot[1:-1]
+    if exact:
+        flows = {x for _, _, x in support}  # one Fraction per distinct flow value, shared
+        shared = dict(zip(flows, (Fraction(x, M) for x in flows)))
+        support = tuple([(i, j, shared[x]) for i, j, x in support])  # a list first, as scalars.sparse
+        breakpoints = [(Fraction(m, M), Fraction(t, M * C)) for m, t in breakpoints]
+        pot = [Fraction(x, C) for x in pot]
+    return FlowSolution(support, breakpoints, pot)
 
 
-def _bipartite_network(costs, supplies, demands, rate, zero):
+def _bipartite_network(costs, supplies, demands, zero):
     """The residual network :func:`_network` builds from the bipartite arc
     list (S -> i, then i -> j row by row, then j -> T), with the same ids,
-    order and scalars, written in bulk: slices, not one arc at a time."""
+    order and scalars, written in bulk: slices, not one arc at a time.
+
+    With it come the first phase's paths and the plan's reader.  When the
+    only zero costs lie on the diagonal of a square problem, the first phase
+    ships S -> i -> i' -> T for each i with costs[i][i] == 0; the reader
+    takes the plan from the transport arcs' flow, row by row."""
     ns, nt = len(supplies), len(demands)
     T = ns + nt + 1
     mid, last, end = 2 * ns, 2 * (ns + ns * nt), 2 * (ns + ns * nt + nt)  # the first id of each kind, and the end
@@ -241,17 +244,21 @@ def _bipartite_network(costs, supplies, demands, rate, zero):
     adj += [[2 * i + 1, *range(mid + 2 * i * nt, mid + 2 * (i + 1) * nt, 2)] for i in range(ns)]
     adj += [[*range(mid + 2 * j + 1, last, 2 * nt), last + 2 * j] for j in range(nt)]
     adj.append(list(range(last + 1, end, 2)))
-    if rate is not None:  # the rate arc, last in adj[S]
-        head += (T, 0)
-        cap += (zero + 1, zero)
-        cost += (rate, -rate)
-        adj[0].append(end)
-        adj[T].append(end + 1)
-    return head, cap, cost, adj
+
+    diagonal = [i for i in range(ns) if costs[i][i] == 0] if ns == nt else []
+    if diagonal and len(diagonal) < sum(row.count(0) for row in costs):  # a zero off the diagonal
+        diagonal = []
+    first = [(last + 2 * i, mid + 2 * (i * nt + i), 2 * i) for i in diagonal]  # i' -> T, i -> i', S -> i
+
+    def read(flow):  # the transport arcs follow the ns source arcs, row by row
+        return sparse(flow[ns + i * nt : ns + (i + 1) * nt] for i in range(ns))
+
+    return (head, cap, cost, adj), first, read
 
 
-def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSolution:
-    """The engine on the skeleton network of :func:`solve_transport`, on ints.
+def _skeleton_network(costs, pairs, supplies, demands, rate):
+    """The skeleton network of :func:`solve_transport`, on ints, built by
+    :func:`_network`, with its first phase's paths and the plan's reader.
 
     Node 1 + i is point i: S feeds it (capacity mu_i), it drains into T
     (capacity nu_i), and each listed pair (i, j) is an arc each way at its
@@ -265,14 +272,15 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     paths S -> i -> T are the only ones of cost 0, and they are the first
     phase's, in the order of i.
 
-    The edge flow is cut into a plan by paths, kept as its support.  First
-    gamma_ii is the flow through i straight from S to T, min(src_i, snk_i).
-    Then from each point i with supply left, a walk follows arcs that still
-    carry flow to the first point with demand left, j, and ships along it
-    the least of what is left, to gamma_ij.  Every cost is positive, so the least-cost flow
-    has no cycle and each walk ends; every arc on it is tight under the
-    returned potentials, so the walk costs pi_j - pi_i <= costs[i][j], and no
-    path costs less: gamma costs what the flow does.
+    The reader cuts the edge flow into a plan by paths, kept as its support.
+    First gamma_ii is the flow through i straight from S to T, min(src_i,
+    snk_i).  Then from each point i with supply left, a walk follows arcs
+    that still carry flow to the first point with demand left, j, and ships
+    along it the least of what is left, to gamma_ij.  Every cost is
+    positive, so the least-cost flow has no cycle and each walk ends; every
+    arc on it is tight under the returned potentials, so the walk costs
+    pi_j - pi_i <= costs[i][j], and no path costs less: gamma costs what the
+    flow does.
     """
     n = len(supplies)
     S, T = 0, n + 1
@@ -283,60 +291,49 @@ def _skeleton_paths(costs, pairs, supplies, demands, target, rate) -> FlowSoluti
     arcs += [(1 + j, T, d, 0) for j, d in enumerate(demands)]
     sinks = n + 2 * len(links)  # the index of the first arc into T
     first = [(2 * (sinks + i), 2 * i) for i in range(n)]  # S -> i -> T
-    flow, breakpoints, pot = _augment(_network(arcs, T, 0, rate), first, 0, _target(supplies, demands, target), rate)
 
-    gamma = {}  # the plan's nonzero entries by (i, j)
-    out = [{} for _ in range(n)]  # the arcs that carry flow, by tail and head
-    for (i, j), there, back in zip(links, flow[n::2], flow[n + 1 :: 2]):
-        if there:
-            out[i][j] = there
-        if back:
-            out[j][i] = back
-    left, need = flow[:n], flow[sinks : sinks + n]  # the flow out of S and into T, then what is left of it
-    for i in range(n):
-        both = min(left[i], need[i])
-        if both:
-            gamma[i, i] = both
-        left[i] -= both
-        need[i] -= both
-    for i in range(n):
-        while left[i]:
-            walk, v = [i], i
-            while not need[v]:
-                v = next(iter(out[v]))
-                walk.append(v)
-            delta = min(left[i], need[v], *map(getitem, map(out.__getitem__, walk), walk[1:]))
-            for u, w in zip(walk, walk[1:]):
-                out[u][w] -= delta
-                if not out[u][w]:
-                    del out[u][w]
-            left[i] -= delta
-            need[v] -= delta
-            gamma[i, v] = gamma.get((i, v), 0) + delta
-    support = tuple([(i, j, x) for (i, j), x in sorted(gamma.items())])
-    return FlowSolution(support, breakpoints, pot[1:T])
+    def read(flow):
+        gamma = {}  # the plan's nonzero entries by (i, j)
+        out = [{} for _ in range(n)]  # the arcs that carry flow, by tail and head
+        for (i, j), there, back in zip(links, flow[n::2], flow[n + 1 :: 2]):
+            if there:
+                out[i][j] = there
+            if back:
+                out[j][i] = back
+        left, need = flow[:n], flow[sinks : sinks + n]  # the flow out of S and into T, then what is left of it
+        for i in range(n):
+            both = min(left[i], need[i])
+            if both:
+                gamma[i, i] = both
+            left[i] -= both
+            need[i] -= both
+        for i in range(n):
+            while left[i]:
+                walk, v = [i], i
+                while not need[v]:
+                    v = next(iter(out[v]))
+                    walk.append(v)
+                delta = min(left[i], need[v], *map(getitem, map(out.__getitem__, walk), walk[1:]))
+                for u, w in zip(walk, walk[1:]):
+                    out[u][w] -= delta
+                    if not out[u][w]:
+                        del out[u][w]
+                left[i] -= delta
+                need[v] -= delta
+                gamma[i, v] = gamma.get((i, v), 0) + delta
+        return tuple([(i, j, x) for (i, j), x in sorted(gamma.items())])
 
-
-def _target(supplies, demands, target):
-    """The mass a run pushes: ``target``, by default as much as fits."""
-    max_total = min(sum(supplies), sum(demands))
-    if target is None:
-        return max_total
-    if target > max_total:
-        raise ValueError("target flow exceeds what supplies/demands allow")
-    return target
+    return _network(arcs, T, 0), first, read
 
 
-def _network(arcs, T, zero, rate):
+def _network(arcs, T, zero):
     """The residual network of ``arcs``, (tail, head, capacity, cost) with
     the source S node 0 and the sink T: parallel lists ``head``, ``cap`` and
     ``cost`` by arc id, arc k at 2k and its reverse at 2k + 1 (capacity
-    zero, cost negated), and the arc ids of each node in arc order.  A
-    ``rate`` adds the arc S -> T of that cost last, so the given arcs keep
-    their ids and it is last in the list of S."""
+    zero, cost negated), and the arc ids of each node in arc order."""
     head, cap, cost = [], [], []
     adj = [[] for _ in range(T + 1)]
-    for u, v, c, w in arcs + ([] if rate is None else [(0, T, zero + 1, rate)]):
+    for u, v, c, w in arcs:
         adj[u].append(len(head))
         adj[v].append(len(head) + 1)
         head += (v, u)
@@ -347,32 +344,32 @@ def _network(arcs, T, zero, rate):
 
 def _augment(network, first, zero, target, rate):
     """Successive shortest paths from the source S, node 0, to the sink T, the
-    last node, on the residual ``network`` of :func:`_network`, in ``zero``'s
-    scalar type, until ``target`` or, with a ``rate``, its arc S -> T.
+    last node, on a builder's residual ``network``, in ``zero``'s scalar type,
+    until ``target`` or, with a ``rate``, the network's last arc, S -> T.
     Returns the flow of each arc by arc index, the curve's vertices, the last
     of which is the mass pushed and its cost, and the potentials of the last
     Dijkstra phase (zero if none ran): pi_S = 0, every residual arc has a
     reduced cost >= 0, and pi_T is the rate on a rate run, else the last slope.
+    The network itself is not changed.
 
-    ``first`` holds the builder's first-phase paths from S to T, each as its
-    arc ids walked back from T.  Before the first phase they are pushed in
-    the order given, each again while it has room and the target is not
-    met, with the arithmetic of an augmentation; these pushes are not
-    phases.  They are the paths the zero-cost search would take.  At zero
-    potentials the arcs of reduced cost <= 0 are those of cost 0: out of S,
-    into T, on these paths, and the reverses of arcs that carry flow, which
-    lead back along a path already taken; so every zero-cost path from S to
-    T is one of them.  Each path's node before T is reached only along its
-    own path, and the builder numbers those nodes in the paths' order and
-    after every other node the paths pass.  The search settles nodes in
-    index order, so the first of those nodes with a residual arc into T ends
-    it, on the first path in order with room on every arc.  A push leaves
-    that path with no room, or meets the target; a float push of what is
-    left of the target can fall short of it, and the search then takes the
-    same path again.  Once no path has room the search fails and Dijkstra
-    runs, as on the first phase after the pushes.  At a rate <= 0 the rate
-    arc costs <= 0 too and is the first path the search takes, so nothing
-    ships and the paths are not pushed.
+    Each phase takes the builder's next path of ``first`` that has room on
+    every arc, each as its arc ids walked back from T, in the order given;
+    once none has, the zero-cost search; and if that fails, Dijkstra.  One
+    block then augments along the path it took.  The paths of ``first`` are
+    the ones the zero-cost search would take.  At zero potentials the arcs
+    of reduced cost <= 0 are those of cost 0: out of S, into T, on these
+    paths, and the reverses of arcs that carry flow, which lead back along a
+    path already taken; so every zero-cost path from S to T is one of them.
+    Each path's node before T is reached only along its own path, and the
+    builder numbers those nodes in the paths' order and after every other
+    node the paths pass.  The search settles nodes in index order, so the
+    first of those nodes with a residual arc into T ends it, on the first
+    path in order with room on every arc.  A push leaves that path with no
+    room, or meets the target; a float push of what is left of the target
+    can fall short of it, and the same path is then taken again.  Once no
+    path has room the search fails and Dijkstra runs.  At a rate <= 0 the
+    rate arc costs <= 0 too and is the first path the search takes, so
+    nothing ships and the paths are not taken.
     """
     head, cap, cost, adj = network
     S, T = 0, len(adj) - 1
@@ -383,42 +380,36 @@ def _augment(network, first, zero, target, rate):
     cost_acc = zero
     breakpoints: list[tuple[Scalar, Scalar]] = [(pushed, cost_acc)]
 
-    for path in first if rate is None or rate > 0 else ():  # the diagonal pushes
-        while rate is not None or pushed < target:
-            delta = min(cap[e] - flow[e] for e in path)
-            if not delta > 0:
-                break
-            if rate is None:
-                delta = min(delta, target - pushed)
-            for e in path:
-                flow[e] += delta
-                flow[e ^ 1] -= delta
-                cost_acc += cost[e] * delta
-            pushed += delta
-
+    offered = iter(first if rate is None or rate > 0 else ())
+    ready = next(offered, None)  # the first-phase path in turn
     zero_arcs, search = [None] * (T + 1), None
     for _phase in range(MAX_PHASES):
         if rate is None and pushed >= target:  # only the rate stops a rate run
             break
-        search = _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot)
-        if search is None:
-            dist, parent = _dijkstra(adj, head, cap, cost, flow, pot)
-            if dist[T] == INF:
-                break
-            _update_potentials(pot, dist, T)
-            zero_arcs = [None] * (T + 1)
-            if dist[T] > 0:  # the path cost rises here
-                _vertex(breakpoints, pushed, cost_acc)
+        while ready is not None and not min(cap[e] - flow[e] for e in ready) > 0:
+            ready = next(offered, None)
+        if ready is not None:
+            path = ready
         else:
-            parent = search[0]
-        if rate is not None and parent[T] == len(head) - 2:  # the rate arc
-            break
+            search = _zero_path(search, zero_arcs, adj, head, cap, cost, flow, pot)
+            if search is None:
+                dist, parent = _dijkstra(adj, head, cap, cost, flow, pot)
+                if dist[T] == INF:
+                    break
+                _update_potentials(pot, dist, T)
+                zero_arcs = [None] * (T + 1)
+                if dist[T] > 0:  # the path cost rises here
+                    _vertex(breakpoints, pushed, cost_acc)
+            else:
+                parent = search[0]
+            if rate is not None and parent[T] == len(head) - 2:  # the rate arc
+                break
+            path = []
+            v = T
+            while v != S:
+                path.append(parent[v])
+                v = head[parent[v] ^ 1]
 
-        path = []
-        v = T
-        while v != S:
-            path.append(parent[v])
-            v = head[parent[v] ^ 1]
         # min keeps the first of equal rooms, walking back from T
         delta = min(cap[e] - flow[e] for e in path)
         if rate is None:

@@ -103,13 +103,20 @@ def _power_costs(space: FiniteMetricSpace, p) -> tuple[list[list[Scalar]], int |
 
 def _root(t: Scalar, p) -> Scalar:
     # The p-th root is irrational in general, so it is evaluated in floats
-    # even in exact mode for p > 1; p = 1 stays exact.
+    # even in exact mode for p > 1; p = 1 stays exact.  An exact t past float
+    # range (integer p, then) is first divided exactly by 2^(kp), which leaves
+    # less than 2^1023, and the root of that is multiplied back by 2^k.
     if p == 1:
         return t
     try:
         return float(t) ** (1.0 / float(p))
     except OverflowError:
-        raise InvalidParams(f"a transport cost of {t} at p = {p} is beyond float range") from None
+        q = int(p)
+        k = -(-(t.numerator.bit_length() - t.denominator.bit_length() - 1022) // q)
+        try:
+            return math.ldexp(float(t / 2 ** (k * q)) ** (1.0 / q), k)
+        except OverflowError:
+            raise InvalidParams(f"the root of a transport cost at p = {p} lies beyond float range") from None
 
 
 def _value(waste: Scalar, b: Scalar, t: Scalar, p) -> Scalar:

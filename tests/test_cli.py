@@ -292,17 +292,24 @@ QUOTIENT_DOC = {
         {"params": {"a": 1, "b": 1, "p": 10**400}},
         {"params": {"a": 1, "b": 1, "p": f"{10**400 + 1}/2"}},
         {"params": {"a": 1, "b": 1, "p": 2000}},
-        # 2^1023 is a float, but shipping two units at that cost is not
-        {"params": {"a": 1, "b": 1, "p": 1023}, "mu": {"x": 2}, "nu": {"z": 2}},
     ],
     ids=["d-int", "d-flat-list", "points-int", "group-int", "group-object", "group-null-entry", "seed-list",
-         "seed-fraction", "p-past-float-range", "p-fraction-past-float-range", "powers-past-float-range",
-         "cost-past-float-range"],
+         "seed-fraction", "p-past-float-range", "p-fraction-past-float-range", "powers-past-float-range"],
 )
 @pytest.mark.parametrize("command", ["dist", "quotient"])
 def test_malformed_fields_are_input_errors(problem_file, capsys, command, overrides):
     assert main([command, "--input", problem_file(dict(QUOTIENT_DOC, **overrides))]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dist", "quotient"])
+def test_a_transport_cost_past_float_range_solves(problem_file, capsys, command):
+    # 2^1023 is a float, and shipping two units at that cost, 2^1024, is not,
+    # but its root at p = 1023 is: the value is b 2^(1024/1023)
+    doc = dict(QUOTIENT_DOC, params={"a": 1, "b": 1, "p": 1023}, mu={"x": 2}, nu={"z": 2})
+    assert main([command, "--input", problem_file(doc)]) == 0
+    value = float(capsys.readouterr().out.splitlines()[0].split()[-1])
+    assert value == pytest.approx(2 ** (1024 / 1023), rel=1e-15)
 
 
 def json_values():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genwass import EntropyParams, flow, parametric_transport_curve, solve_w1
-from genwass.flow import MAX_PHASES, FlowSolution, _successive_shortest_paths, solve_transport
+from genwass.flow import MAX_PHASES, FlowSolution, solve_transport
 from genwass.scalars import INF, dense
 from genwass.scalars import ROUNDING_TOL as MASS_RTOL
 from genwass.selftest import random_int_metric, random_rational_measure
@@ -22,11 +22,22 @@ FIELDS = ("support", "breakpoints", "potentials")
 
 
 def engine(costs, supplies, demands, target, rate=None) -> FlowSolution:
-    """The bipartite engine run directly, in the inputs' own scalar type: its
-    zero is the sum of 0 times each input (a float sum of the inputs could
-    overflow to inf)."""
+    """The bipartite network built and run directly, in the inputs' own
+    scalar type: its zero is the sum of 0 times each input (a float sum of
+    the inputs could overflow to inf), and a rate arc goes last, as
+    solve_transport writes it."""
     zero = sum(map(mul, repeat(0), chain(supplies, demands, *costs)))
-    return _successive_shortest_paths(costs, supplies, demands, target, rate, zero)
+    network, first, read = flow._bipartite_network(costs, supplies, demands, zero)
+    head, cap, cost, adj = network
+    if rate is not None:
+        adj[0].append(len(head))
+        adj[-1].append(len(head) + 1)
+        head += (len(adj) - 1, 0)
+        cap += (zero + 1, zero)
+        cost += (rate, -rate)
+    target = min(sum(supplies), sum(demands)) if target is None else target
+    flows, breakpoints, pot = flow._augment(network, first, zero, target, rate)
+    return FlowSolution(read(flows), breakpoints, pot[1:-1])
 
 
 def as_fractions(sol) -> FlowSolution:
@@ -747,8 +758,9 @@ def test_a_run_returns_the_potentials_of_its_last_phase(monkeypatch, network, ki
 def test_the_bulk_built_network_is_the_per_arc_one(kind):
     # the bipartite network written in slices against the arc list of S -> i,
     # i -> j row by row and j -> T turned into residual arcs one at a time:
-    # the same heads, capacities, costs and arc lists, of the same types, and
-    # the rate arc last in the list of S
+    # the same heads, capacities, costs and arc lists, of the same types (the
+    # rate arc solve_transport adds is checked by
+    # test_solve_transport_writes_the_rate_arc_once)
     scalar = SCALARS[kind]
     rng = random.Random(3602)
     for ns, nt in ((1, 1), (1, 4), (3, 3), (4, 2), (2, 5), (6, 6)):
@@ -760,14 +772,50 @@ def test_the_bulk_built_network_is_the_per_arc_one(kind):
         arcs = [(0, 1 + i, s, 0) for i, s in enumerate(supplies)]
         arcs += [(1 + i, ns + 1 + j, total_mass, c) for i, row in enumerate(costs) for j, c in enumerate(row)]
         arcs += [(ns + 1 + j, T, d, 0) for j, d in enumerate(demands)]
-        for rate in (None, scalar(rng.randint(0, 9), 2)):
-            got = flow._bipartite_network(costs, supplies, demands, rate, zero)
-            want = flow._network(arcs, T, zero, rate)
-            assert got == want
-            assert [list(map(type, x)) for x in got[:3]] == [list(map(type, x)) for x in want[:3]]
-            assert {type(e) for ids in got[3] for e in ids} == {int}
-            if rate is not None:
-                assert got[3][0][-1] == len(got[0]) - 2 and got[1][-2:] == [zero + 1, zero]
+        got, _, _ = flow._bipartite_network(costs, supplies, demands, zero)
+        want = flow._network(arcs, T, zero)
+        assert got == want
+        assert [list(map(type, x)) for x in got[:3]] == [list(map(type, x)) for x in want[:3]]
+        assert {type(e) for ids in got[3] for e in ids} == {int}
+
+
+@pytest.mark.parametrize("network, kind", [("bipartite", "int"), ("bipartite", "float"), ("skeleton", "int")])
+def test_solve_transport_writes_the_rate_arc_once(monkeypatch, network, kind):
+    # the network solve_transport hands the engine: with a rate, its last arc
+    # is S -> T at id len(head) - 2, of capacity zero + 1 and the rate in the
+    # engine's units as its cost, and the only arc from S to T, last in the
+    # lists of S and T; with none, no arc joins S to T.  The rate 9/2 over
+    # int costs scales by 2, to 9
+    augment, handed = flow._augment, []
+
+    def run(network, first, zero, target, rate):
+        handed.append((network, zero))
+        return augment(network, first, zero, target, rate)
+
+    monkeypatch.setattr(flow, "_augment", run)
+    rng = random.Random(3701)
+    space = random_int_metric(rng, 8, max_d=5)
+    mu, nu = random_rational_measure(rng, space), random_rational_measure(rng, space)
+    costs = [[int(d) for d in row] for row in space.dist]
+    supplies, demands = list(mu.weights), list(nu.weights)
+    rate, scaled_rate = Fraction(9, 2), 9
+    if kind == "float":
+        costs = [list(map(float, row)) for row in costs]
+        supplies, demands, rate, scaled_rate = list(map(float, supplies)), list(map(float, demands)), 4.5, 4.5
+    pairs = space._irreducible if network == "skeleton" else None
+    for given in (None, rate):
+        solve_transport(costs, supplies, demands, rate=given, pairs=pairs)
+        (head, cap, cost, adj), zero = handed.pop()
+        S, T = 0, len(adj) - 1
+        into_T = [e for e in adj[S] if head[e] == T]
+        if given is None:
+            assert into_T == []
+            continue
+        e = len(head) - 2
+        assert into_T == [e] and adj[S][-1] == e and adj[T][-1] == e + 1
+        assert (head[e], head[e + 1]) == (T, S)
+        assert cap[e:] == [zero + 1, zero] and cost[e:] == [scaled_rate, -scaled_rate]
+        assert [type(x) for x in (*cap[e:], *cost[e:])] == [type(zero)] * 2 + [type(scaled_rate)] * 2
 
 
 def first_phase_problems(kind):

@@ -384,6 +384,29 @@ def test_a_float_transport_cost_past_float_range_is_invalid_params(line3, p):
         wasserstein_p(space, mu, nu, p)
 
 
+def test_an_exact_transport_cost_past_float_range_has_its_root_taken(line3):
+    # T = 4 10^308 is past float range, its square root 2 10^154 is not; at
+    # a = 10^300 the m = 0 vertex's value, 2 10^608, is exact and loses
+    mu, nu = measure(line3, [10**308, 0, 0]), measure(line3, [0, 0, 10**308])
+    report = solve(line3, mu, nu, EntropyParams(a=10**300, b=1, p=2))
+    assert report.curve[-1] == (10**308, 4 * 10**308)
+    assert report.value == pytest.approx(2e154, rel=1e-15) and report.transported_mass == 10**308
+    assert wasserstein_p(line3, mu, nu, 2) == pytest.approx(2e154, rel=1e-15)
+
+
+def test_an_exact_transport_cost_whose_root_is_past_float_range_is_invalid_params():
+    # two units of 10^308 each ship across D^2 = 1.69 10^308, a float:
+    # T = 3.38 10^616, whose square root, 1.84 10^308, is past float range
+    D = 13 * 10**153
+    space = validate_metric(["a1", "a2", "b1", "b2"], [[0, 1, D, D], [1, 0, D, D], [D, D, 0, 1], [D, D, 1, 0]])
+    mu, nu = measure(space, [10**308, 10**308, 0, 0]), measure(space, [0, 0, 10**308, 10**308])
+    message = r"^the root of a transport cost at p = 2 lies beyond float range$"
+    with pytest.raises(InvalidParams, match=message):
+        wasserstein_p(space, mu, nu, 2)
+    with pytest.raises(InvalidParams, match=message):
+        solve(space, mu, nu, EntropyParams(a=1, b=1, p=2))
+
+
 def test_an_exact_value_in_float_range_solves_when_a_vertex_is_past_it(line3):
     # at a = 10^308 the m = 0 vertex's value, a(|mu| + |nu|) = 3.5 10^308 plus
     # a float root, is past float range; the m = 3/2 vertex's, a/2 + sqrt(3/2)/2,
